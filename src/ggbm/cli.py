@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-max", dest="t_max", type=float, default=50.0)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p_eval = sub.add_parser("eval", help="evaluate a scalar quantity")
     p_eval.add_argument("function",

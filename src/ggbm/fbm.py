@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .exceptions import DomainError, EmbeddingError
 from .randvar import SeedSpec, make_stream
 
@@ -151,16 +152,24 @@ def sample_fbm_batch(
     """(n_paths, len(times), dim) fBm values at strictly positive times,
     i.i.d. components, by batched Cholesky (H=1 degenerates to a line).
     The stream use is a single standard_normal draw of fixed shape.
+
+    The factorization and one GEMM for all paths run with BLAS pinned to
+    one thread, so the values do not depend on the BLAS thread count;
+    parallelism comes from calling this on several chunks.  The GEMM is
+    written L @ z.T rather than z @ L.T: same products, but OpenBLAS then
+    packs the small factor instead of the whole batch.  The result is a
+    view of that time-major (len(times), n_paths, dim) product.
     """
     t = np.asarray(times, dtype=float)
     n = len(t)
     if hurst == 1.0:
         xi = rng.standard_normal((n_paths, 1, dim))
         return t[None, :, None] * xi
-    z = rng.standard_normal((n_paths, dim, n))
-    L = fbm_cholesky_factor(hurst, t)
-    vals = z @ L.T  # (n_paths, dim, n)
-    return np.swapaxes(vals, 1, 2)
+    z = rng.standard_normal((n_paths * dim, n))
+    with blas.single_threaded():
+        L = fbm_cholesky_factor(hurst, t)
+        vals = L @ z.T  # (n, n_paths*dim)
+    return vals.reshape(n, n_paths, dim).transpose(1, 0, 2)
 
 
 def _fbm_values(hurst: float, grid: GridSpec, dim: int,

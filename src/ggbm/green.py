@@ -4,6 +4,7 @@ quadrature, and the time-integral kernel in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -101,6 +102,7 @@ class TestFunction:
             kind=self.kind,
             center=self.center - h,
             l1_tail=self.l1_tail,
+            mean_upper=self.mean_upper,  # a bound for every x, so also after a shift
         )
 
 
@@ -212,15 +214,18 @@ class RadialPotentialSpec:
     max_angular: int = 192
 
 
+@functools.lru_cache(maxsize=None)
 def _sphere_rule(d: int, m: int):
-    """Unit-sphere nodes and weights summing to the sphere area (d <= 3)."""
+    """Unit-sphere nodes and weights summing to the sphere area (d <= 3).
+    Cached per (d, m), so the arrays are shared and read-only.
+    """
     if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
+        nodes, w = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    elif d == 2:
         ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m
         nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return nodes, np.full(m, 2.0 * math.pi / m)
-    if d == 3:
+        w = np.full(m, 2.0 * math.pi / m)
+    elif d == 3:
         mu, wmu = np.polynomial.legendre.leggauss(m)
         phi = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
         smu = np.sqrt(1.0 - mu ** 2)
@@ -233,8 +238,11 @@ def _sphere_rule(d: int, m: int):
             axis=1,
         )
         w = np.outer(wmu, np.full(2 * m, 2.0 * math.pi / (2 * m))).ravel()
-        return nodes, w
-    raise DomainError(f"sphere cubature implemented for d <= 3, got d = {d}")
+    else:
+        raise DomainError(f"sphere cubature implemented for d <= 3, got d = {d}")
+    nodes.flags.writeable = False
+    w.flags.writeable = False
+    return nodes, w
 
 
 def _sphere_average(f: TestFunction, x: np.ndarray, r: float, d: int,

@@ -136,17 +136,20 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 def _chunk_path_integrals(params: ModelParams, f: TestFunction, x: np.ndarray,
                           times: np.ndarray, rng: np.random.Generator,
                           n: int) -> np.ndarray:
-    """(n, len(times)) values of f along product-representation paths,
-    returned as per-path trapezoidal integrals over `times` via the caller's
-    weights.  Here we return the raw f-values matrix for reuse on subgrids.
+    """(n, len(times)) values of f along product-representation paths, the
+    raw matrix, so the caller can integrate it on the grid and on subgrids.
+
+    The points are built time-major, (len(times), n, d), which is the memory
+    order of sample_fbm_batch's output, so scaling by sqrt(Y) streams through
+    memory; the returned matrix is a transposed view.
     """
     y = sample_y_beta_array(params.beta, rng, n)
     vals = sample_fbm_batch(params.hurst, times[1:], params.dim, n, rng)
-    b = np.sqrt(y)[:, None, None] * vals
-    full = np.concatenate([np.zeros((n, 1, params.dim)), b], axis=1)
-    pts = full + x[None, None, :]
-    fv = f.eval_many(pts.reshape(-1, params.dim)).reshape(n, len(times))
-    return fv
+    pts = np.empty((len(times), n, params.dim))
+    pts[0] = x
+    np.multiply(np.sqrt(y)[:, None], vals.transpose(1, 0, 2), out=pts[1:])
+    pts[1:] += x
+    return f.eval_many(pts.reshape(-1, params.dim)).reshape(len(times), n).T
 
 
 def perpetual_integral_one_path(params: ModelParams, f: TestFunction, x,
@@ -217,13 +220,15 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         idx, n = job
         rng = make_stream(spec.seed.substream(idx))
         fv = _chunk_path_integrals(params, f, x, times, rng, n)
-        fine = fv @ w_fine
+        # einsum, not BLAS: an unpinned matrix-vector product would wake
+        # OpenBLAS's other threads, which then spin idle for the chunk
+        fine = np.einsum("ij,j->i", fv, w_fine)
         s = float(np.add.reduce(fine))
         s2 = float(np.add.reduce(fine * fine))
         disc = None
         if idx == 0:
             m = min(n, n_sub)
-            diff = fine[:m] - fv[:m, ::2] @ w_coarse
+            diff = fine[:m] - np.einsum("ij,j->i", fv[:m, ::2], w_coarse)
             disc = (float(np.add.reduce(diff)), float(np.add.reduce(diff * diff)), m)
         return s, s2, n, disc
 

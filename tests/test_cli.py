@@ -120,6 +120,26 @@ def test_verify_unknown_suite_usage_error():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize("command", [["verify", "green"],
+                                     ["estimate-potential"]])
+def test_format_flag_removed_usage_error(command):
+    result = run_cli(command + ["--format", "csv"])
+    assert result.returncode == 2
+    assert "unrecognized arguments: --format" in result.stderr
+
+
+def test_verify_green_identical_under_blas_thread_counts(tmp_path):
+    """The report's bytes do not depend on the OpenBLAS thread count."""
+    outs = []
+    for n in ("1", "2"):
+        out = tmp_path / f"blas{n}.json"
+        result = run_cli(["verify", "green", "--seed", "42", "--paths", "8192",
+                          "--out", str(out)], env={"OPENBLAS_NUM_THREADS": n})
+        assert result.returncode == 0, result.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_estimate_potential_json(tmp_path):
     out = tmp_path / "est.json"
     assert main(["estimate-potential", "--beta", "1.0", "--alpha", "1.0",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ggbm import DomainError, GridSpec, SeedSpec, generate_fbm, rescale_path
-from ggbm.fbm import fbm_covariance, sample_fbm_batch
+from ggbm.fbm import fbm_cholesky_factor, fbm_covariance, sample_fbm_batch
 from ggbm.randvar import make_stream
 
 
@@ -69,6 +69,22 @@ def test_fbm_batch_covariance(hurst):
     se = prod.std(ddof=1) / math.sqrt(n)
     expected = 0.5 * (0.5 ** a + 1.0 - 0.5 ** a)
     assert abs(prod.mean() - expected) <= 4.0 * se
+
+
+def test_fbm_batch_matches_per_path_reference():
+    """Same draws, in the same order, as one L @ z per path and component;
+    one GEMM may sum in another order, so equal within rounding."""
+    times = np.linspace(0.1, 3.0, 57)
+    n_paths, dim = 5, 3
+    v = sample_fbm_batch(0.7, times, dim, n_paths, make_stream(SeedSpec(29, 0)))
+    z = make_stream(SeedSpec(29, 0)).standard_normal((n_paths, dim, len(times)))
+    L = fbm_cholesky_factor(0.7, times)
+    ref = np.stack([np.stack([L @ z[p, j] for j in range(dim)], axis=1)
+                    for p in range(n_paths)])
+    assert v.shape == (n_paths, len(times), dim)
+    # the a priori bound on a K-term sum: K eps sum_k |L_ik z_k|
+    bound = len(times) * np.finfo(float).eps * np.abs(L).sum(axis=1) * np.abs(z).max()
+    assert np.all(np.abs(v - ref) <= bound[None, :, None])
 
 
 def test_fbm_hurst_one_is_a_random_line():

@@ -9,7 +9,8 @@ from scipy.integrate import dblquad, quad
 from ggbm import DomainError, GreenDensity, ModelParams, \
     bump_test_function, continuity_constant, gaussian_test_function, \
     green_density_at, green_measure_of_ball, potential, time_integral_kernel
-from ggbm.green import unit_sphere_area
+from ggbm import green
+from ggbm.green import _sphere_rule, unit_sphere_area
 from ggbm.specfun import green_constant
 
 
@@ -121,6 +122,26 @@ def test_potential_off_center_vs_time_integral():
     direct, _ = quad(mean_at_t, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11,
                      limit=300)
     assert v == pytest.approx(direct, rel=1e-8)
+
+
+@pytest.mark.parametrize("d,m", [(1, 0), (2, 24), (3, 48)])
+def test_sphere_rule_cached_read_only(d, m):
+    nodes, w = _sphere_rule(d, m)
+    assert _sphere_rule(d, m)[0] is nodes
+    assert not nodes.flags.writeable and not w.flags.writeable
+    fresh_nodes, fresh_w = _sphere_rule.__wrapped__(d, m)
+    assert np.array_equal(nodes, fresh_nodes) and np.array_equal(w, fresh_w)
+    assert math.isclose(w.sum(), unit_sphere_area(d), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("d,x", [(2, [0.7, -0.3]), (3, [0.4, 0.2, -0.5])])
+def test_potential_same_with_cached_rules(d, x, monkeypatch):
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
+    f = gaussian_test_function(1.0, d)
+    first = potential(gd, f, x)
+    assert potential(gd, f, x) == first
+    monkeypatch.setattr(green, "_sphere_rule", _sphere_rule.__wrapped__)
+    assert potential(gd, f, x) == first
 
 
 def test_potential_positive_and_decaying():

@@ -9,8 +9,10 @@ from scipy.integrate import quad
 from ggbm import DomainError, GreenDensity, ModelParams, PerpetualSpec, \
     SeedSpec, estimate_potential_mc, gaussian_test_function, potential, \
     perpetual_integral_one_path, tail_bound
-from ggbm.montecarlo import build_time_grid, pairwise_sum
-from ggbm.randvar import make_stream
+from ggbm import blas
+from ggbm.fbm import sample_fbm_batch
+from ggbm.montecarlo import _chunk_path_integrals, build_time_grid, pairwise_sum
+from ggbm.randvar import make_stream, sample_y_beta_array
 
 
 def test_pairwise_sum_matches_fsum():
@@ -66,6 +68,23 @@ def test_one_path_integral_positive_and_deterministic():
     assert a == b
 
 
+def test_chunk_f_values_match_per_path_reference():
+    """Each row is f along its own path x + sqrt(Y_p) B_p, with B_p = 0 at
+    t = 0, in the same arithmetic as a per-path loop."""
+    params = ModelParams(0.5, 1.5, 3)
+    f = gaussian_test_function(1.0, 3)
+    x = np.array([0.3, -0.2, 0.1])
+    times = build_time_grid(PerpetualSpec(t_max=3.0, n_paths=1, seed=SeedSpec(0, 0)))
+    n = 6
+    fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(8, 1)), n)
+    rng = make_stream(SeedSpec(8, 1))
+    y = sample_y_beta_array(params.beta, rng, n)
+    vals = sample_fbm_batch(params.hurst, times[1:], 3, n, rng)
+    for p in range(n):
+        pts = np.vstack([x, np.sqrt(y[p]) * vals[p] + x])
+        assert np.array_equal(fv[p], f.eval_many(pts))
+
+
 def test_tail_bound_brownian_closed_form():
     # beta = 1, d = 3: int_T^inf ||f||_1 (2 pi t)^{-3/2} dt in closed form
     params = ModelParams(1.0, 1.0, 3)
@@ -119,6 +138,25 @@ def test_estimate_deterministic_across_threads():
     assert e1.mean == e8.mean
     assert e1.std_error == e8.std_error
     assert e1.discretization_bound == e8.discretization_bound
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimate_leaves_blas_thread_count(threads):
+    params = ModelParams(0.5, 1.5, 3)
+    f = gaussian_test_function(1.0, 3)
+    spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
+    before = blas.threads()
+    estimate_potential_mc(params, f, np.zeros(3), spec, threads=threads)
+    assert blas.threads() == before
+
+
+def test_tail_bound_of_shifted_function_unchanged():
+    """The Gaussian-mean bound holds for every x, so a shift keeps it."""
+    params = ModelParams(0.5, 1.5, 3)
+    f = gaussian_test_function(1.0, 3)
+    g = f.shifted([0.5, -1.0, 2.0])
+    assert g.mean_upper is f.mean_upper
+    assert tail_bound(params, g, 20.0) == tail_bound(params, f, 20.0)
 
 
 def test_estimate_seed_sensitivity():
