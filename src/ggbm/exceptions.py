@@ -18,7 +18,7 @@ class ConvergenceError(GgbmError, RuntimeError):
 
 
 class EmbeddingError(GgbmError, RuntimeError):
-    """Circulant embedding produced negative eigenvalues and the fallback failed."""
+    """Circulant embedding produced negative eigenvalues."""
 
 
 class SingularMatrixError(GgbmError, ValueError):

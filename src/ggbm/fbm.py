@@ -1,8 +1,8 @@
-"""Fractional Brownian motion path generation on uniform grids.
+"""Fractional Brownian motion path generation.
 
-Primary method is circulant embedding of the increment process (exact in
-law, O(n log n)); dense Cholesky factorization of the path covariance is
-the fallback and also serves batched generation on arbitrary grids.
+Uniform grids use the minimal circulant embedding of the increment process
+(Davies-Harte: exact in law, O(n log n), no BLAS, nonnegative-definite for
+every H < 1); dense Cholesky of the path covariance serves arbitrary grids.
 """
 
 from __future__ import annotations
@@ -76,38 +76,43 @@ class Path:
 
 
 def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:
+    """gamma(k) = (|k+1|^2H + |k-1|^2H - 2|k|^2H)/2.  For k >= 2 the second
+    difference is factored as k^2H ((1+1/k)^2H - 1 + (1-1/k)^2H - 1)/2 with
+    expm1/log1p, which avoids the cancellation of the direct form."""
     k = np.abs(lags).astype(float)
-    return 0.5 * (
-        np.abs(k + 1.0) ** (2 * hurst)
-        + np.abs(k - 1.0) ** (2 * hurst)
-        - 2.0 * k ** (2 * hurst)
-    )
+    h2 = 2 * hurst
+    out = 0.5 * (np.abs(k + 1.0) ** h2 + np.abs(k - 1.0) ** h2 - 2.0 * k ** h2)
+    far = k >= 2.0
+    kf = k[far]
+    out[far] = 0.5 * kf ** h2 * (
+        np.expm1(h2 * np.log1p(1.0 / kf)) + np.expm1(h2 * np.log1p(-1.0 / kf)))
+    return out
 
 
-def _fgn_circulant(hurst: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n unit-spacing fractional Gaussian noise variates by circulant
-    embedding of the autocovariance (Davies-Harte).  Raises EmbeddingError
-    on negative circulant eigenvalues.
+def _fgn_circulant(hurst: float, n: int, dim: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """(n, dim) unit-spacing fractional Gaussian noise, i.i.d. components,
+    by the minimal circulant embedding c = [gamma(0..n), gamma(n-1..1)] of
+    the autocovariance (Davies-Harte).  One standard_normal((dim, 2n))
+    draw, the same draws in the same order as one call per component.
+    Raises EmbeddingError on negative circulant eigenvalues.
     """
-    c = np.empty(2 * n)
-    acf = _fgn_autocov(hurst, np.arange(n))
-    c[:n] = acf
-    c[n] = 0.0
-    c[n + 1:] = acf[1:][::-1]
+    acf = _fgn_autocov(hurst, np.arange(n + 1))
+    c = np.concatenate([acf, acf[n - 1:0:-1]])
     g = np.fft.fft(c).real
     if g.min() < -1e-9 * g.max():
         raise EmbeddingError(
             f"circulant embedding not nonnegative-definite (H={hurst:g}, n={n})"
         )
     g = np.maximum(g, 0.0)
-    z = rng.standard_normal(2 * n)
-    w = np.zeros(2 * n, dtype=complex)
-    w[0] = math.sqrt(g[0] / (2 * n)) * z[0]
-    w[n] = math.sqrt(g[n] / (2 * n)) * z[1]
-    x, y = z[2:n + 1], z[n + 1:2 * n]
-    w[1:n] = np.sqrt(g[1:n] / (4 * n)) * (x + 1j * y)
-    w[n + 1:] = np.conj(w[1:n][::-1])
-    return np.fft.fft(w).real[:n]
+    z = rng.standard_normal((dim, 2 * n))
+    w = np.zeros((dim, 2 * n), dtype=complex)
+    w[:, 0] = math.sqrt(g[0] / (2 * n)) * z[:, 0]
+    w[:, n] = math.sqrt(g[n] / (2 * n)) * z[:, 1]
+    x, y = z[:, 2:n + 1], z[:, n + 1:2 * n]
+    w[:, 1:n] = np.sqrt(g[1:n] / (4 * n)) * (x + 1j * y)
+    w[:, n + 1:] = np.conj(w[:, n - 1:0:-1])
+    return np.fft.fft(w, axis=1).real[:, :n].T
 
 
 def fbm_covariance(times: np.ndarray, hurst: float) -> np.ndarray:
@@ -181,15 +186,8 @@ def _fbm_values(hurst: float, grid: GridSpec, dim: int,
         xi = rng.standard_normal(dim)
         values[1:] = grid.times()[1:, None] * xi[None, :]
         return values
-    scale = grid.dt ** hurst
-    for j in range(dim):
-        try:
-            fgn = _fgn_circulant(hurst, n, rng)
-        except EmbeddingError:
-            z = rng.standard_normal(n)
-            L = fbm_cholesky_factor(hurst, np.arange(1, n + 1, dtype=float))
-            fgn = np.diff(np.concatenate([[0.0], L @ z]))
-        values[1:, j] = np.cumsum(fgn) * scale
+    fgn = _fgn_circulant(hurst, n, dim, rng)
+    values[1:] = np.cumsum(fgn, axis=0) * grid.dt ** hurst
     return values
 
 

@@ -10,11 +10,9 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
 
-from ggbm import GreenDensity, GridSpec, ModelParams, PerpetualSpec, \
-    SeedSpec, continuity_constant, estimate_potential_mc, \
-    gaussian_test_function, ggbm_path_product, ggbm_path_subordinated, \
+from ggbm import GreenDensity, ModelParams, PerpetualSpec, SeedSpec, \
+    continuity_constant, estimate_potential_mc, gaussian_test_function, \
     green_constant, mittag_leffler, potential, time_integral_kernel
 from ggbm.randvar import make_stream, sample_y_beta_array
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
@@ -144,24 +142,12 @@ def test_criterion_6_property_suites(suite, beta, alpha):
 def test_criterion_7_representation_equivalence():
     """Product and subordinated constructions agree in law: two-sample KS
     accepts at significance 0.01 with 10^4 samples per side."""
-    params = ModelParams(0.5, 1.5, 1)
-    grid = GridSpec(t_max=1.0, n_steps=16)
-    n = 10_000
-    prod = np.empty((n, grid.n_steps + 1))
-    subo = np.empty((n, grid.n_steps + 1))
-    for i in range(n):
-        prod[i] = ggbm_path_product(params, grid, SeedSpec(42, 2 * i)).values[:, 0]
-        subo[i] = ggbm_path_subordinated(
-            params, grid, SeedSpec(42, 2 * i + 1)).values[:, 0]
-    ok = True
-    details = []
-    for t in (0.5, 1.0):
-        idx = int(round(t / grid.dt))
-        p = ks_2samp(prod[:, idx], subo[:, idx]).pvalue
-        details.append(f"t={t}: p={p:.3f}")
-        if p <= 0.01:
-            ok = False
-    report("criterion 7: representation equivalence", ok, "; ".join(details))
+    rep = run_suite("representation", beta=0.5, alpha=1.5, dim=1,
+                    paths=10_000, seed=42)
+    failed = [c["name"] for c in rep["checks"] if not c["pass"]]
+    report("criterion 7: representation equivalence", rep["pass"],
+           "failed checks: " + ", ".join(failed) if failed
+           else f"{len(rep['checks'])} KS checks accept at 0.01")
 
 
 def test_criterion_8_deterministic_verification(tmp_path):

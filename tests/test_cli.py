@@ -140,6 +140,21 @@ def test_verify_green_identical_under_blas_thread_counts(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("args", [
+    ["sample", "fbm", "--hurst", "0.97", "--steps", "2048", "--seed", "3"],
+    ["sample", "ggbm", "--alpha", "1.94", "--steps", "2048", "--seed", "3"],
+])
+def test_sample_identical_under_blas_thread_counts(args):
+    """Paths at high H (circulant FFT, no BLAS) do not depend on the
+    OpenBLAS thread count."""
+    outs = []
+    for n in ("1", "2"):
+        result = run_cli(args, env={"OPENBLAS_NUM_THREADS": n})
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_estimate_potential_json(tmp_path):
     out = tmp_path / "est.json"
     assert main(["estimate-potential", "--beta", "1.0", "--alpha", "1.0",

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ggbm import DomainError, GridSpec, SeedSpec, generate_fbm, rescale_path
-from ggbm.fbm import fbm_cholesky_factor, fbm_covariance, sample_fbm_batch
+from ggbm.fbm import (_fgn_autocov, _fgn_circulant, fbm_cholesky_factor,
+                      fbm_covariance, sample_fbm_batch)
 from ggbm.randvar import make_stream
 
 
@@ -85,6 +86,56 @@ def test_fbm_batch_matches_per_path_reference():
     # the a priori bound on a K-term sum: K eps sum_k |L_ik z_k|
     bound = len(times) * np.finfo(float).eps * np.abs(L).sum(axis=1) * np.abs(z).max()
     assert np.all(np.abs(v - ref) <= bound[None, :, None])
+
+
+def test_fgn_autocov_matches_mpmath():
+    """The expm1/log1p form of gamma(k) keeps full relative accuracy at
+    large lags, where the direct second difference cancels."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    lags = np.array([0, 1, 2, 3, 7, 100, 1000, 4096, 65535, 65536])
+    for hurst in (0.05, 0.3, 0.45, 0.6, 0.8, 0.95, 0.999, 0.99999):
+        got = _fgn_autocov(hurst, lags)
+        h2 = 2 * mpmath.mpf(hurst)
+        for k, g in zip(lags, got):
+            k = mpmath.mpf(int(k))
+            ref = (abs(k + 1) ** h2 + abs(k - 1) ** h2 - 2 * k ** h2) / 2
+            assert abs(g - ref) <= 1e-9 * abs(ref), (hurst, int(k), g)
+
+
+@pytest.mark.parametrize("hurst", [0.5, 0.8, 0.9, 0.97, 0.999, 1 - 1e-9])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 443, 4096, 65536])
+def test_circulant_embedding_nonnegative(hurst, n):
+    """The minimal embedding passes the eigenvalue check for every H < 1."""
+    fgn = _fgn_circulant(hurst, n, 1, make_stream(SeedSpec(0, 0)))
+    assert fgn.shape == (n, 1)
+    assert np.all(np.isfinite(fgn))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 443])
+def test_fgn_circulant_batch_matches_per_component_loop(n):
+    """One (dim, 2n) draw and one FFT give the bytes of one call per
+    component on the same stream."""
+    dim = 3
+    batch = _fgn_circulant(0.85, n, dim, make_stream(SeedSpec(31, 0)))
+    rng = make_stream(SeedSpec(31, 0))
+    loop = np.concatenate([_fgn_circulant(0.85, n, 1, rng) for _ in range(dim)],
+                          axis=1)
+    assert np.array_equal(batch, loop)
+
+
+@pytest.mark.parametrize("hurst", [0.2, 0.8, 0.95, 0.999])
+def test_fbm_law_on_uniform_grid(hurst):
+    """200 000 i.i.d. components of one path: the empirical covariance
+    matches the fBm covariance entrywise within 4 SE."""
+    grid = GridSpec(1.0, 8)
+    n = 200_000
+    x = generate_fbm(hurst, grid, n, SeedSpec(43, 0)).values[1:]
+    cov = fbm_covariance(grid.times()[1:], hurst)
+    emp = np.einsum("in,jn->ij", x, x) / n
+    d = np.diag(cov)
+    se = np.sqrt((d[:, None] * d[None, :] + cov ** 2) / n)
+    assert np.all(np.abs(emp - cov) <= 4.0 * se)
 
 
 def test_fbm_hurst_one_is_a_random_line():
