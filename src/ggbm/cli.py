@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: eval, sample, verify, estimate-potential.  Exit codes:
-0 success, 1 verification failure, 2 usage or domain error.  JSON is the
+0 success, 1 verification failure, 2 usage, domain or numeric error.  JSON is the
 machine contract; CSV is used only for path dumps.  GGBM_DEFAULT_SEED is
 honored when --seed is absent.
 """
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except GgbmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -71,16 +71,26 @@ def sample_one_sided_stable(beta: float, rng: np.random.Generator, size=None):
 def sample_y_beta_array(beta: float, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws of Y_beta (density M_beta), via Y = S^(-beta).
 
+    With S from Kanter's representation on the same U and W draws,
+    Y = (W/a(theta))^(1-beta)
+      = W^(1-beta) sin(theta) / (sin(beta*theta)^beta sin((1-beta)*theta)^(1-beta)),
+    theta = pi*U.  No power of order 1/beta or 1/(1-beta) is taken, so
+    the draws stay finite and positive as beta -> 0 and beta -> 1.
+
     For beta = 1 the law is the point mass at 1.  The random stream is
     advanced by the same amount (2n variates) in both branches so that
     downstream draws do not depend on beta.
     """
+    if not 0.0 < beta <= 1.0:
+        raise DomainError(f"requires 0 < beta <= 1, got beta = {beta:g}")
+    u = rng.random(n)
+    w = rng.standard_exponential(n)
     if beta == 1.0:
-        rng.random(n)
-        rng.standard_exponential(n)
         return np.ones(n)
-    s = sample_one_sided_stable(beta, rng, n)
-    return s ** (-beta)
+    # keep u strictly inside (0,1); rng.random can return exactly 0.0
+    theta = math.pi * np.maximum(u, 1e-300)
+    b = 1.0 - beta
+    return w ** b * np.sin(theta) / (np.sin(beta * theta) ** beta * np.sin(b * theta) ** b)
 
 
 def sample_y_beta(beta: float, rng: np.random.Generator) -> YBetaSample:

@@ -1,8 +1,11 @@
-"""Scalar special functions used throughout the package.
+"""Special functions used throughout the package.
 
 Provides the Euler gamma function, the Mittag-Leffler function on the
-negative real axis, the M-Wright probability density on [0, inf), its
-generalized moments, and the two model constants built from them.
+negative real axis, the M-Wright probability density on [0, inf) with a
+cached quadrature rule over its support, its generalized moments, and the
+two model constants built from them.  The M-Wright series is one array
+kernel that sums every node of a rule at once; the scalar `m_wright` calls
+it with one node.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from .exceptions import ConvergenceError, DomainError, PoleError
 
@@ -34,13 +38,11 @@ __all__ = [
 # least 10 good digits survive in float64.
 _CANCELLATION_LIMIT = 1e6
 _MAX_TERMS = 20000
-
-
-def _sinpi(z: float) -> float:
-    """sin(pi*z) with argument reduction; exactly 0.0 at integers."""
-    r = round(z)
-    s = math.sin(math.pi * (z - r))
-    return -s if r % 2 else s
+# The array M-Wright series builds at most this many terms per block, in a
+# row count that starts at _FIRST_ROWS and doubles, so a one-node call does
+# not build thousands of rows and a many-node call stays small in memory.
+_BLOCK_TERMS = 1 << 12
+_FIRST_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -206,54 +208,93 @@ def _stable_density(beta: float, x: float) -> tuple[float, float]:
     return pref * val, pref * err
 
 
-def _mw_series(beta: float, tau: float) -> EvalResult | None:
-    """Series sum_n (-tau)^n / (n! Gamma(-beta*n + 1 - beta)), with the
+def _mw_coefficients(beta: float, n: np.ndarray):
+    """log|c_n| and sign(c_n) of the series terms c_n tau^n, with the
     reciprocal gamma computed by reflection:
     1/Gamma(1 - b(n+1)) = Gamma(b(n+1)) sin(pi b(n+1)) / pi.
+    Where b(n+1) is an integer the coefficient is 0 and log|c_n| is -inf.
     """
-    total = 0.0
-    comp = 0.0
-    max_abs = 0.0
-    log_tau = math.log(tau) if tau > 0.0 else -math.inf
-    n = 0
-    last_nonzero = math.inf
-    while n < _MAX_TERMS:
-        zb = beta * (n + 1)
-        sin_part = _sinpi(zb)
-        if sin_part == 0.0:
-            term = 0.0
-        else:
-            log_mag = (
-                n * log_tau
-                - _log_abs_gamma(n + 1.0)
-                + _log_abs_gamma(zb)
-                + math.log(abs(sin_part))
-                - math.log(math.pi)
-            )
-            if log_mag > 700.0:
-                return None
-            term = math.exp(log_mag) if log_mag > -745.0 else 0.0
-            term = math.copysign(term, sin_part)
-            if n % 2 == 1:
-                term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if term != 0.0:
-            last_nonzero = abs(term)
-            max_abs = max(max_abs, last_nonzero)
-        n += 1
-        if (n > 4 and last_nonzero < 1e-17 * max(abs(total), 1e-300)
-                and last_nonzero <= max_abs * 1e-16):
-            break
-    else:
-        return None
-    if max_abs / max(abs(total), 1e-300) > _CANCELLATION_LIMIT:
-        return None
-    value = max(total, 0.0)
-    tail = 0.0 if last_nonzero is math.inf else last_nonzero
-    return EvalResult(value, tail + max_abs * 1e-16, n)
+    zb = beta * (n + 1.0)
+    r = np.round(zb)
+    # sin(pi*zb) with argument reduction; exactly 0.0 at integers
+    sin_part = np.sin(np.pi * (zb - r)) * np.where(r % 2, -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        log_c = (gammaln(zb) - gammaln(n + 1.0) + np.log(np.abs(sin_part))
+                 - math.log(math.pi))
+    return log_c, np.sign(sin_part) * np.where(n % 2, -1.0, 1.0)
+
+
+def _mw_series(beta: float, tau: np.ndarray):
+    """Series sum_n (-tau)^n / (n! Gamma(-beta*n + 1 - beta)) at every
+    tau > 0 at once.  Returns arrays (value, est_abs_error, terms_used).
+
+    The terms of all unfinished nodes are built in blocks of rows n, at
+    most _BLOCK_TERMS terms per block, with a row count that starts at
+    _FIRST_ROWS and doubles.  Each node stops at the first row where its
+    last nonzero term is negligible against both the sum and the largest
+    term.  The value is NaN, and the integral continuation must be used,
+    where a term heads for overflow before that row, where the largest
+    term exceeds the sum by more than _CANCELLATION_LIMIT, or where
+    _MAX_TERMS pass without stopping.
+    """
+    tau = np.asarray(tau, dtype=float)
+    log_tau = np.log(tau)
+    value = np.full(tau.size, np.nan)
+    err = np.full(tau.size, np.nan)
+    terms = np.zeros(tau.size, dtype=np.int64)
+    live = np.arange(tau.size)
+    # per live node: running sum, largest |term|, last nonzero |term|
+    total = np.zeros(tau.size)
+    peak = np.zeros(tau.size)
+    last = np.full(tau.size, np.inf)
+    start, rows = 0, _FIRST_ROWS
+    while live.size and start < _MAX_TERMS:
+        m = min(rows, max(1, _BLOCK_TERMS // live.size), _MAX_TERMS - start)
+        n = np.arange(start, start + m)
+        log_c, sign = _mw_coefficients(beta, n)
+        log_mag = n[:, None] * log_tau[live] + log_c[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = sign[:, None] * np.exp(np.where(log_mag > -745.0, log_mag, -np.inf))
+            mag = np.abs(term)
+            # the carried state is row 0, so every sum runs in term order
+            sums = np.cumsum(np.vstack([total, term]), axis=0)[1:]
+            peaks = np.maximum.accumulate(np.vstack([peak, mag]), axis=0)[1:]
+            nz_row = np.maximum.accumulate(
+                np.where(term != 0.0, np.arange(m)[:, None], -1), axis=0)
+            lasts = np.where(nz_row >= 0,
+                             np.take_along_axis(mag, np.maximum(nz_row, 0), axis=0), last)
+            stop = ((n[:, None] >= 4) & (lasts < 1e-17 * np.maximum(np.abs(sums), 1e-300))
+                    & (lasts <= peaks * 1e-16))
+        over = log_mag > 700.0
+        k_stop = np.where(stop.any(axis=0), stop.argmax(axis=0), m)
+        k_over = np.where(over.any(axis=0), over.argmax(axis=0), m)
+        ok = np.flatnonzero(k_stop < k_over)
+        k = k_stop[ok]
+        tot, pk = sums[k, ok], peaks[k, ok]
+        good = pk / np.maximum(np.abs(tot), 1e-300) <= _CANCELLATION_LIMIT
+        node = live[ok[good]]
+        value[node] = np.maximum(tot[good], 0.0)
+        err[node] = lasts[k, ok][good] + pk[good] * 1e-16
+        terms[node] = start + k[good] + 1
+        going = np.minimum(k_stop, k_over) == m
+        live = live[going]
+        total, peak, last = sums[-1, going], peaks[-1, going], lasts[-1, going]
+        start += m
+        rows *= 2
+    return value, err, terms
+
+
+def _mw_integral(beta: float, tau: float) -> EvalResult:
+    """M_beta(tau) by the integral continuation of m_wright."""
+    x = tau ** (-1.0 / beta)
+    g, gerr = _stable_density(beta, x)
+    jac = tau ** (-1.0 - 1.0 / beta) / beta
+    value = g * jac
+    if not math.isfinite(value):
+        raise ConvergenceError(
+            f"m_wright failed at beta={beta:g}, tau={tau:g}"
+        )
+    return EvalResult(value, gerr * jac, 0)
 
 
 def m_wright(beta: float, tau: float) -> EvalResult:
@@ -270,19 +311,10 @@ def m_wright(beta: float, tau: float) -> EvalResult:
         raise DomainError(f"m_wright requires tau >= 0, got {tau:g}")
     if tau == 0.0:
         return EvalResult(1.0 / gamma(1.0 - beta), 0.0, 1)
-    res = _mw_series(beta, tau)
-    if res is not None:
-        return res
-    x = tau ** (-1.0 / beta)
-    g, gerr = _stable_density(beta, x)
-    jac = tau ** (-1.0 - 1.0 / beta) / beta
-    value = g * jac
-    err = gerr * jac
-    if not math.isfinite(value):
-        raise ConvergenceError(
-            f"m_wright failed at beta={beta:g}, tau={tau:g}"
-        )
-    return EvalResult(value, err, 0)
+    value, err, terms = _mw_series(beta, np.array([tau]))
+    if math.isnan(value[0]):
+        return _mw_integral(beta, tau)
+    return EvalResult(float(value[0]), float(err[0]), int(terms[0]))
 
 
 def m_wright_cutoff(beta: float, tol: float = 1e-40) -> float:
@@ -314,7 +346,9 @@ def _mw_rule_cached(beta: float, n_panels: int, n_nodes: int):
         weights.append(half * w)
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    values = np.array([m_wright(beta, float(t)).value for t in nodes])
+    values, _, _ = _mw_series(beta, nodes)
+    for i in np.flatnonzero(np.isnan(values)):
+        values[i] = _mw_integral(beta, float(nodes[i])).value
     return nodes, weights, values
 
 

@@ -60,6 +60,12 @@ def test_eval_domain_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_numeric_error_exit_code(capsys):
+    # M_beta at beta -> 1 overflows in the integral continuation
+    assert main(["eval", "mwright", "--beta", "0.999", "--tau", "5"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sample_ybeta_reproducible(tmp_path):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"

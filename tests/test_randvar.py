@@ -85,3 +85,18 @@ def test_sampler_domain_errors():
         sample_one_sided_stable(1.0, rng, 1)
     with pytest.raises(DomainError):
         sample_y_beta_array(1.5, rng, 1)
+
+
+@pytest.mark.parametrize("beta", [0.0015, 0.005, 0.01, 0.99, 0.995, 0.999, 0.9999])
+def test_y_beta_finite_and_positive_at_extreme_beta(beta):
+    # Kanter's powers of order 1/beta and 1/(1-beta) overflowed here
+    y = sample_y_beta_array(beta, make_stream(SeedSpec(1, 0)), 65_536)
+    assert np.all(np.isfinite(y))
+    assert np.all(y > 0.0)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.9])
+def test_y_beta_is_stable_power_on_same_stream(beta):
+    y = sample_y_beta_array(beta, make_stream(SeedSpec(1, 0)), 65_536)
+    s = sample_one_sided_stable(beta, make_stream(SeedSpec(1, 0)), 65_536)
+    np.testing.assert_allclose(y, s ** (-beta), rtol=1e-13, atol=0.0)

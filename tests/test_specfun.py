@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfcx
+from scipy.special import erfcx, gammaln
 
 from ggbm import DomainError, gamma, green_constant, m_wright, \
     m_wright_moment, mittag_leffler, time_kernel_constant
+from ggbm import specfun
 from ggbm.exceptions import PoleError
 from ggbm.specfun import m_wright_cutoff, m_wright_quad_rule
 from ggbm.verify import moment_quadrature
@@ -113,6 +114,60 @@ def test_m_wright_quad_rule_integrates_density():
     for beta in (0.3, 0.5, 0.7):
         nodes, weights, mvals = m_wright_quad_rule(beta)
         assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
+
+
+def _m_wright_mpmath(mpmath, beta, tau, value):
+    """M_beta(tau) by its series in mpmath, carrying enough digits to absorb
+    the cancellation between the largest term and `value`."""
+    n = np.arange(100_000.0)
+    log_env = n * math.log(tau) - gammaln(n + 1.0) + gammaln(beta * (n + 1.0))
+    digits = int((log_env.max() - math.log(value)) / math.log(10.0)) + 25
+    with mpmath.workdps(digits):
+        b, t = mpmath.mpf(beta), mpmath.mpf(tau)
+        total, power, k = mpmath.mpf(0), mpmath.mpf(1), 0  # power = (-t)^k / k!
+        while True:
+            total += power * mpmath.rgamma(1 - b * (k + 1))
+            k += 1
+            power *= -t / k
+            # past the largest term the envelope |power| Gamma(b(k+1)) decays
+            if (k > 5 and log_env[k] < log_env.max()
+                    and abs(power) * mpmath.gamma(b * (k + 1)) < 1e-25 * abs(total)):
+                return float(total)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.8, 0.97])
+def test_m_wright_quad_rule_values_match_mpmath(beta):
+    mpmath = pytest.importorskip("mpmath")
+    nodes, _, mvals = m_wright_quad_rule(beta)
+    live = np.flatnonzero(mvals > 1e-20)
+    for i in live[np.linspace(0, live.size - 1, 20).astype(int)]:
+        ref = _m_wright_mpmath(mpmath, beta, nodes[i], mvals[i])
+        assert mvals[i] == pytest.approx(ref, rel=1e-6), (beta, nodes[i])
+
+
+def test_m_wright_quad_rule_half_is_gaussian():
+    nodes, _, mvals = m_wright_quad_rule(0.5)
+    expected = np.exp(-nodes * nodes / 4.0) / math.sqrt(math.pi)
+    # the far tail (values below 1e-20) comes from the integral continuation
+    # at its absolute tolerance
+    np.testing.assert_allclose(mvals, expected, rtol=1e-8, atol=1e-20)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.8, 0.97])
+def test_m_wright_quad_rule_equals_scalar_per_node(beta):
+    nodes, _, mvals = m_wright_quad_rule(beta)
+    scalar = np.array([m_wright(beta, float(t)).value for t in nodes])
+    diff = np.abs(mvals - scalar)
+    assert np.all((diff <= 1e-12 * np.abs(scalar)) | (diff <= 1e-300))
+
+
+def test_m_wright_quad_rule_makes_no_scalar_calls(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the rule build called m_wright per node")
+    monkeypatch.setattr(specfun, "m_wright", refuse)
+    nodes, weights, mvals = specfun._mw_rule_cached.__wrapped__(0.5, 64, 16)
+    assert np.all(np.isfinite(mvals))
+    assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_time_kernel_constant_values():
