@@ -6,18 +6,17 @@ of the perpetual-integral identity.
 from .exceptions import (ConvergenceError, DomainError, EmbeddingError,
                          GgbmError, PoleError, SingularMatrixError)
 from .fbm import GridSpec, Path, generate_fbm, rescale_path
-from .green import (GreenDensity, RadialPotentialSpec, TestFunction,
-                    bump_test_function, continuity_constant,
-                    gaussian_test_function, green_density_at,
-                    green_measure_of_ball, potential, time_integral_kernel)
+from .green import (GreenDensity, TestFunction, bump_test_function,
+                    continuity_constant, gaussian_test_function,
+                    green_density_at, green_measure_of_ball, potential,
+                    time_integral_kernel)
 from .model import ModelParams
 from .montecarlo import (Estimate, PerpetualSpec, estimate_potential_mc,
-                         perpetual_integral_one_path, tail_bound)
+                         tail_bound)
 from .process import (fdd_charfun, fdd_density, gamma_alpha_matrix,
                       ggbm_path_product, ggbm_path_subordinated,
                       marginal_density)
-from .randvar import (SeedSpec, YBetaSample, make_stream,
-                      sample_one_sided_stable, sample_y_beta,
+from .randvar import (SeedSpec, make_stream, sample_one_sided_stable,
                       sample_y_beta_array)
 from .specfun import (EvalResult, gamma, green_constant, m_wright,
                       m_wright_moment, mittag_leffler, time_kernel_constant)

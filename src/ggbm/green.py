@@ -24,7 +24,6 @@ __all__ = [
     "GreenDensity",
     "green_density_at",
     "time_integral_kernel",
-    "RadialPotentialSpec",
     "potential",
     "continuity_constant",
     "green_measure_of_ball",
@@ -203,15 +202,12 @@ def time_integral_kernel(alpha: float, d: int, tau: float, r: float) -> float:
 # Potentials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadialPotentialSpec:
-    """Quadrature control for the potential integral: target absolute/relative
-    tolerance, truncation mass for the radial tail, and the angular rule cap.
-    """
-
-    tol: float = 1e-10
-    tail_mass: float = 1e-12
-    max_angular: int = 192
+# Quadrature control for the potential integral: target absolute/relative
+# tolerance, L1 mass of |f| left outside the truncation radius, and the cap
+# on the angular rule size.
+_POTENTIAL_TOL = 1e-10
+_TAIL_MASS = 1e-12
+_MAX_ANGULAR = 192
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,8 +241,7 @@ def _sphere_rule(d: int, m: int):
     return nodes, w
 
 
-def _sphere_average(f: TestFunction, x: np.ndarray, r: float, d: int,
-                    tol: float, max_m: int) -> float:
+def _sphere_average(f: TestFunction, x: np.ndarray, r: float, d: int) -> float:
     """Surface integral of f over the sphere of radius r around x, adaptively
     refined until two successive rules agree.
     """
@@ -256,39 +251,36 @@ def _sphere_average(f: TestFunction, x: np.ndarray, r: float, d: int,
     m = 12
     nodes, w = _sphere_rule(d, m)
     prev = float(np.dot(w, f.eval_many(x[None, :] + r * nodes)))
-    while m < max_m:
+    while m < _MAX_ANGULAR:
         m *= 2
         nodes, w = _sphere_rule(d, m)
         cur = float(np.dot(w, f.eval_many(x[None, :] + r * nodes)))
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= _POTENTIAL_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
     return prev
 
 
-def potential(gd: GreenDensity, f: TestFunction, x,
-              spec: RadialPotentialSpec | None = None) -> float:
+def potential(gd: GreenDensity, f: TestFunction, x) -> float:
     """V(f, x) = D * int f(x + y) |y|^(2/alpha - d) dy by radial quadrature.
 
     The substitution u = r^(2/alpha) removes the origin singularity exactly:
     the integral becomes (alpha/2) * int_0^inf S(u^(alpha/2)) du with S the
     spherical surface integral of f(x + .).
     """
-    if spec is None:
-        spec = RadialPotentialSpec()
     x = np.asarray(x, dtype=float)
     alpha, d = gd.params.alpha, gd.params.dim
-    # truncation radius around x: everything but tail_mass of |f| inside
-    reach = float(np.linalg.norm(x - f.center)) + f.tail_radius(spec.tail_mass)
+    # truncation radius around x: everything but _TAIL_MASS of |f| inside
+    reach = float(np.linalg.norm(x - f.center)) + f.tail_radius(_TAIL_MASS)
     u_max = reach ** (2.0 / alpha)
 
     def integrand(u):
         r = u ** (0.5 * alpha)
         if r == 0.0:
             r = 1e-300
-        return _sphere_average(f, x, r, d, spec.tol, spec.max_angular)
+        return _sphere_average(f, x, r, d)
 
-    val, _ = quad(integrand, 0.0, u_max, epsabs=spec.tol, epsrel=spec.tol,
+    val, _ = quad(integrand, 0.0, u_max, epsabs=_POTENTIAL_TOL, epsrel=_POTENTIAL_TOL,
                   limit=300)
     return gd.D * 0.5 * alpha * val
 

@@ -26,16 +26,23 @@ __all__ = [
     "PerpetualSpec",
     "Estimate",
     "build_time_grid",
-    "perpetual_integral_one_path",
     "estimate_potential_mc",
     "tail_bound",
     "pairwise_sum",
 ]
 
+# The time grid: geometric with _GEOM_STEPS intervals from _T_MIN to 1,
+# then _STEPS_PER_UNIT uniform intervals per unit of time up to t_max.
+_STEPS_PER_UNIT = 8
+_GEOM_STEPS = 48
+_T_MIN = 1e-3
+# paths per chunk, each chunk with its own stream
+_CHUNK_SIZE = 2048
+
 
 @dataclass(frozen=True)
 class PerpetualSpec:
-    """Truncation horizon, grid resolution, path budget and seed.
+    """Truncation horizon, path budget and seed.
 
     The time grid is geometric below t = 1 (the integrand varies fastest
     near 0 for rough paths) joined to a uniform grid up to t_max.
@@ -44,14 +51,10 @@ class PerpetualSpec:
     t_max: float
     n_paths: int
     seed: SeedSpec
-    steps_per_unit: int = 8
-    geom_steps: int = 48
-    t_min: float = 1e-3
-    chunk_size: int = 2048
 
     def __post_init__(self):
-        if self.t_max <= self.t_min:
-            raise DomainError("t_max must exceed t_min")
+        if self.t_max <= _T_MIN:
+            raise DomainError(f"t_max must exceed {_T_MIN:g}")
         if self.n_paths < 1:
             raise DomainError("n_paths must be >= 1")
 
@@ -106,21 +109,20 @@ def pairwise_sum(values) -> float:
 
 
 def build_time_grid(spec: PerpetualSpec) -> np.ndarray:
-    """Grid 0 < t_min < ... < 1 (geometric) < ... < t_max (uniform), starting
+    """Grid 0 < _T_MIN < ... < 1 (geometric) < ... < t_max (uniform), starting
     at 0, with an even interval count so grid[::2] is a nested coarsening.
     """
     if spec.t_max <= 1.0:
-        geom = np.geomspace(spec.t_min, spec.t_max, spec.geom_steps + 1)
+        geom = np.geomspace(_T_MIN, spec.t_max, _GEOM_STEPS + 1)
         grid = np.concatenate([[0.0], geom])
         if (len(grid) - 1) % 2:
             grid = np.concatenate([[0.0],
-                                   np.geomspace(spec.t_min, spec.t_max,
-                                                spec.geom_steps + 2)])
+                                   np.geomspace(_T_MIN, spec.t_max, _GEOM_STEPS + 2)])
         return grid
-    n_uni = max(1, round((spec.t_max - 1.0) * spec.steps_per_unit))
-    if (1 + spec.geom_steps + n_uni) % 2:
+    n_uni = max(1, round((spec.t_max - 1.0) * _STEPS_PER_UNIT))
+    if (1 + _GEOM_STEPS + n_uni) % 2:
         n_uni += 1
-    geom = np.geomspace(spec.t_min, 1.0, spec.geom_steps + 1)
+    geom = np.geomspace(_T_MIN, 1.0, _GEOM_STEPS + 1)
     uni = np.linspace(1.0, spec.t_max, n_uni + 1)[1:]
     return np.concatenate([[0.0], geom, uni])
 
@@ -150,16 +152,6 @@ def _chunk_path_integrals(params: ModelParams, f: TestFunction, x: np.ndarray,
     np.multiply(np.sqrt(y)[:, None], vals.transpose(1, 0, 2), out=pts[1:])
     pts[1:] += x
     return f.eval_many(pts.reshape(-1, params.dim)).reshape(len(times), n).T
-
-
-def perpetual_integral_one_path(params: ModelParams, f: TestFunction, x,
-                                spec: PerpetualSpec,
-                                stream: np.random.Generator) -> float:
-    """Trapezoidal integral of f along one path up to t_max."""
-    x = np.asarray(x, dtype=float)
-    times = build_time_grid(spec)
-    fv = _chunk_path_integrals(params, f, x, times, stream, 1)
-    return float((fv @ _trapezoid_weights(times))[0])
 
 
 def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
@@ -212,9 +204,9 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     w_fine = _trapezoid_weights(times)
     w_coarse = _trapezoid_weights(times[::2])
 
-    n_sub = min(spec.chunk_size, max(64, spec.n_paths // 100))
-    chunks = [(i, min(spec.chunk_size, spec.n_paths - i * spec.chunk_size))
-              for i in range((spec.n_paths + spec.chunk_size - 1) // spec.chunk_size)]
+    n_sub = min(_CHUNK_SIZE, max(64, spec.n_paths // 100))
+    chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
+              for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
 
     def run_chunk(job):
         idx, n = job

@@ -106,37 +106,31 @@ def _scale_mixture_integral(beta: float, power: float, q: float) -> float:
     return float(np.dot(weights, integrand))
 
 
-def marginal_density(params: ModelParams, y, t: float) -> float:
-    """Density of the process at time t > 0, evaluated at y in R^d.
+def _check_theta(theta, n: int, d: int) -> np.ndarray:
+    th = np.asarray(theta, dtype=float)
+    if th.size != n * d:
+        raise DomainError(f"theta has {th.size} values, expected {n} x {d}")
+    return th.reshape(n, d)
 
-    At the origin the value is finite only for d = 1 (beta < 1); for
-    d >= 2 the scale mixture diverges there and +inf is returned.
+
+def marginal_density(params: ModelParams, y, t: float) -> float:
+    """Density of the process at time t > 0, evaluated at y in R^d: the
+    one-point fdd_density.
     """
-    if t <= 0.0:
-        raise DomainError(f"requires t > 0, got t = {t:g}")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if len(y) != params.dim:
-        raise DomainError(f"point has dim {len(y)}, params has dim {params.dim}")
-    d = params.dim
-    ta = t ** params.alpha
-    r2 = float(np.dot(y, y))
-    pref = (2.0 * math.pi * ta) ** (-0.5 * d)
-    if params.beta == 1.0:
-        return pref * math.exp(-0.5 * r2 / ta)
-    if r2 == 0.0:
-        if d == 1:
-            return pref * m_wright_moment(params.beta, -0.5)
-        return math.inf
-    return pref * _scale_mixture_integral(params.beta, 0.5 * d, r2 / ta)
+    return fdd_density(params, [t], y)
 
 
 def fdd_density(params: ModelParams, times, theta) -> float:
     """Joint density of the process at the given times, evaluated at theta
     (an n x d array of positions).
+
+    Where theta is 0 the value is finite only for n*d = 1 (beta < 1), the
+    scale-mixture moment of order -1/2; for n*d >= 2 the scale mixture
+    diverges there and +inf is returned.
     """
     t = _check_times(times)
     n = len(t)
-    th = np.asarray(theta, dtype=float).reshape(n, params.dim)
+    th = _check_theta(theta, n, params.dim)
     R = 0.5 * gamma_alpha_matrix(t, params.alpha).entries
     sign, logdet = np.linalg.slogdet(R)
     if sign <= 0 or not np.isfinite(logdet):
@@ -150,8 +144,8 @@ def fdd_density(params: ModelParams, times, theta) -> float:
     pref = (2.0 * math.pi) ** (-0.5 * nd) * math.exp(-0.5 * d * logdet)
     if params.beta == 1.0:
         return pref * math.exp(-0.5 * q)
-    if q == 0.0 and nd >= 2:
-        return math.inf
+    if q == 0.0:
+        return math.inf if nd >= 2 else pref * m_wright_moment(params.beta, -0.5)
     return pref * _scale_mixture_integral(params.beta, 0.5 * nd, q)
 
 
@@ -160,7 +154,7 @@ def fdd_charfun(params: ModelParams, times, theta) -> float:
     argument is nonpositive.
     """
     t = _check_times(times)
-    th = np.asarray(theta, dtype=float).reshape(len(t), params.dim)
+    th = _check_theta(theta, len(t), params.dim)
     R = 0.5 * gamma_alpha_matrix(t, params.alpha).entries
     qsum = float(np.sum(th * (R @ th)))
     return mittag_leffler(params.beta, -0.5 * qsum).value

@@ -15,8 +15,7 @@ import numpy as np
 from .exceptions import DomainError
 from .specfun import kanter_a
 
-__all__ = ["SeedSpec", "YBetaSample", "make_stream", "sample_one_sided_stable",
-           "sample_y_beta", "sample_y_beta_array"]
+__all__ = ["SeedSpec", "make_stream", "sample_one_sided_stable", "sample_y_beta_array"]
 
 
 @dataclass(frozen=True)
@@ -38,12 +37,6 @@ class SeedSpec:
 
     def substream(self, index: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.stream_index + index)
-
-
-@dataclass(frozen=True)
-class YBetaSample:
-    value: float
-    beta: float
 
 
 def make_stream(seed: SeedSpec) -> np.random.Generator:
@@ -91,9 +84,3 @@ def sample_y_beta_array(beta: float, rng: np.random.Generator, n: int) -> np.nda
     theta = math.pi * np.maximum(u, 1e-300)
     b = 1.0 - beta
     return w ** b * np.sin(theta) / (np.sin(beta * theta) ** beta * np.sin(b * theta) ** b)
-
-
-def sample_y_beta(beta: float, rng: np.random.Generator) -> YBetaSample:
-    """Single draw of Y_beta with its parameter attached."""
-    value = float(sample_y_beta_array(beta, rng, 1)[0])
-    return YBetaSample(value=value, beta=beta)

@@ -3,9 +3,15 @@
 Provides the Euler gamma function, the Mittag-Leffler function on the
 negative real axis, the M-Wright probability density on [0, inf) with a
 cached quadrature rule over its support, its generalized moments, and the
-two model constants built from them.  The M-Wright series is one array
-kernel that sums every node of a rule at once; the scalar `m_wright` calls
-it with one node.
+two model constants built from them.
+
+Both functions are summed by one power-series kernel, `_series`, which
+takes the coefficients of either and sums every node of an array at
+once; the scalar functions call it with one node, the quadrature rule
+with all of its nodes.  Where the series cancels or overflows, each
+function has an integral continuation (the spectral form of E_beta,
+Kanter's form of M_beta) in which the powers of order 1/beta are
+cancelled analytically, so both stay finite as beta -> 0.
 """
 
 from __future__ import annotations
@@ -38,11 +44,17 @@ __all__ = [
 # least 10 good digits survive in float64.
 _CANCELLATION_LIMIT = 1e6
 _MAX_TERMS = 20000
-# The array M-Wright series builds at most this many terms per block, in a
+# The series kernel builds at most this many terms per block, in a
 # row count that starts at _FIRST_ROWS and doubles, so a one-node call does
 # not build thousands of rows and a many-node call stays small in memory.
 _BLOCK_TERMS = 1 << 12
 _FIRST_ROWS = 32
+# The M-Wright quadrature rule: _RULE_PANELS log-spaced panels up to the
+# radius past which M_beta < _CUTOFF_TOL, each with _RULE_NODES
+# Gauss-Legendre nodes.
+_RULE_PANELS = 64
+_RULE_NODES = 16
+_CUTOFF_TOL = 1e-40
 
 
 @dataclass(frozen=True)
@@ -71,147 +83,20 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _log_abs_gamma(x: float) -> float:
-    return math.lgamma(x)
-
-
 # ---------------------------------------------------------------------------
-# Mittag-Leffler function E_beta on the negative real axis
+# One power series for both functions
 # ---------------------------------------------------------------------------
 
-def _ml_series(beta: float, z: float) -> EvalResult | None:
-    """Taylor series sum_{n} z^n / Gamma(beta*n + 1) with compensated
-    summation.  Returns None when cancellation makes the result unreliable.
-    """
-    total = 0.0
-    comp = 0.0  # Kahan compensation
-    max_abs = 0.0
-    log_abs_z = math.log(abs(z)) if z != 0.0 else -math.inf
-    n = 0
-    term = 1.0
-    while n < _MAX_TERMS:
-        # Kahan step
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_abs = max(max_abs, abs(term))
-        n += 1
-        log_term = n * log_abs_z - _log_abs_gamma(beta * n + 1.0)
-        if log_term > 700.0:  # heading for overflow: series unusable
-            return None
-        if log_term < -745.0:  # underflow: series has converged
-            break
-        term = math.copysign(math.exp(log_term), (-1.0) ** (n % 2) if z < 0 else 1.0)
-        if abs(term) < 1e-17 * abs(total) and abs(term) < max_abs * 1e-17:
-            break
-    else:
-        return None
-    if abs(total) == 0.0 or max_abs / max(abs(total), 1e-300) > _CANCELLATION_LIMIT:
-        return None
-    err = abs(term) + max_abs * 1e-16
-    return EvalResult(total, err, n)
-
-
-def _ml_spectral(beta: float, z: float) -> EvalResult:
-    """Spectral (completely monotone) representation for z < 0, 0 < beta < 1:
-
-        E_beta(-x) = int_0^inf exp(-r * x^(1/beta)) K_beta(r) dr,
-        K_beta(r) = sin(beta*pi)/pi * r^(beta-1) / (r^(2b) + 2 r^b cos(b*pi) + 1).
-    """
-    x = -z
-    t = x ** (1.0 / beta)
-    c = math.cos(beta * math.pi)
-    s = math.sin(beta * math.pi) / math.pi
-
-    # r in (0,1): substitute w = r^beta to remove the endpoint singularity
-    def low(w):
-        r = w ** (1.0 / beta)
-        return np.exp(-r * t) / (w * w + 2.0 * w * c + 1.0)
-
-    def high(r):
-        rb = r ** beta
-        return r ** (beta - 1.0) * np.exp(-r * t) / (rb * rb + 2.0 * rb * c + 1.0)
-
-    # the integrand lives on the scale r ~ 1/t; split there so the adaptive
-    # rule resolves the boundary layer even when t is very large
-    r0 = min(1.0, 50.0 / t) if t > 0.0 else 1.0
-    v1, e1 = quad(low, 0.0, r0 ** beta, epsabs=1e-13, epsrel=1e-12, limit=200)
-    value = s * v1 / beta
-    err = s * e1 / beta
-    if r0 < 1.0:
-        v1b, e1b = quad(high, r0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-        value += s * v1b
-        err += s * e1b
-    v2, e2 = quad(high, 1.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=200)
-    value += s * v2
-    err += s * e2
-    if err > 1e-8:
-        raise ConvergenceError(
-            f"Mittag-Leffler integral representation did not converge at "
-            f"beta={beta:g}, z={z:g} (err={err:.2e})"
-        )
-    return EvalResult(value, err, 0)
-
-
-def mittag_leffler(beta: float, z: float) -> EvalResult:
-    """E_beta(z) for 0 < beta <= 1 and z <= 0.
-
-    Uses the Taylor series with compensated summation while it is
-    numerically safe, and falls back to the spectral integral
-    representation on the negative axis when the series cancels.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"mittag_leffler requires 0 < beta <= 1, got {beta:g}")
-    if z > 0.0:
-        raise DomainError(f"mittag_leffler requires z <= 0, got {z:g}")
-    if z == 0.0:
-        return EvalResult(1.0, 0.0, 1)
-    if beta == 1.0:
-        return EvalResult(math.exp(z), abs(math.exp(z)) * 1e-16, 0)
-    res = _ml_series(beta, z)
-    if res is not None:
-        return res
-    return _ml_spectral(beta, z)
-
-
-# ---------------------------------------------------------------------------
-# M-Wright function M_beta on [0, inf)
-# ---------------------------------------------------------------------------
-
-def kanter_a(beta: float, theta):
-    """Kanter's auxiliary function on (0, pi).
-
-    a(theta) = sin(b*th)^(b/(1-b)) * sin((1-b)*th) / sin(th)^(1/(1-b)),
-    increasing from (1-b)*b^(b/(1-b)) at 0+ to +inf at pi-.
-    """
-    b = beta
-    return (
-        np.sin(b * theta) ** (b / (1.0 - b))
-        * np.sin((1.0 - b) * theta)
-        / np.sin(theta) ** (1.0 / (1.0 - b))
-    )
-
-
-def _stable_density(beta: float, x: float) -> tuple[float, float]:
-    """Density of the one-sided stable law with Laplace transform e^{-s^beta},
-    from the integral form of Kanter's representation.  Returns (value, err).
-    """
-    lam = x ** (-beta / (1.0 - beta))
-
-    def integrand(theta):
-        a = kanter_a(beta, theta)
-        return a * np.exp(-a * lam)
-
-    val, err = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=1e-11, limit=300)
-    pref = beta / (1.0 - beta) * x ** (-1.0 / (1.0 - beta)) / math.pi
-    return pref * val, pref * err
+def _ml_coefficients(beta: float, n: np.ndarray):
+    """log|c_n| and sign(c_n) of E_beta(-tau) = sum_n c_n tau^n,
+    c_n = (-1)^n / Gamma(beta*n + 1)."""
+    return -gammaln(beta * n + 1.0), np.where(n % 2, -1.0, 1.0)
 
 
 def _mw_coefficients(beta: float, n: np.ndarray):
-    """log|c_n| and sign(c_n) of the series terms c_n tau^n, with the
-    reciprocal gamma computed by reflection:
-    1/Gamma(1 - b(n+1)) = Gamma(b(n+1)) sin(pi b(n+1)) / pi.
+    """log|c_n| and sign(c_n) of M_beta(tau) = sum_n c_n tau^n,
+    c_n = (-1)^n / (n! Gamma(1 - b(n+1))), with the reciprocal gamma
+    computed by reflection: 1/Gamma(1 - b(n+1)) = Gamma(b(n+1)) sin(pi b(n+1)) / pi.
     Where b(n+1) is an integer the coefficient is 0 and log|c_n| is -inf.
     """
     zb = beta * (n + 1.0)
@@ -224,9 +109,11 @@ def _mw_coefficients(beta: float, n: np.ndarray):
     return log_c, np.sign(sin_part) * np.where(n % 2, -1.0, 1.0)
 
 
-def _mw_series(beta: float, tau: np.ndarray):
-    """Series sum_n (-tau)^n / (n! Gamma(-beta*n + 1 - beta)) at every
-    tau > 0 at once.  Returns arrays (value, est_abs_error, terms_used).
+def _series(coefficients, beta: float, tau: np.ndarray):
+    """Power series sum_n c_n tau^n at every tau > 0 at once, with
+    (log|c_n|, sign c_n) = coefficients(beta, n).  Returns arrays (value,
+    est_abs_error, terms_used); the value is clamped at 0, since both
+    functions summed here are nonnegative.
 
     The terms of all unfinished nodes are built in blocks of rows n, at
     most _BLOCK_TERMS terms per block, with a row count that starts at
@@ -251,7 +138,7 @@ def _mw_series(beta: float, tau: np.ndarray):
     while live.size and start < _MAX_TERMS:
         m = min(rows, max(1, _BLOCK_TERMS // live.size), _MAX_TERMS - start)
         n = np.arange(start, start + m)
-        log_c, sign = _mw_coefficients(beta, n)
+        log_c, sign = coefficients(beta, n)
         log_mag = n[:, None] * log_tau[live] + log_c[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             term = sign[:, None] * np.exp(np.where(log_mag > -745.0, log_mag, -np.inf))
@@ -284,26 +171,121 @@ def _mw_series(beta: float, tau: np.ndarray):
     return value, err, terms
 
 
+def _series_or_integral(coefficients, integral, beta: float, tau: float) -> EvalResult:
+    """The series at one tau > 0, or integral(beta, tau) where it is NaN."""
+    value, err, terms = _series(coefficients, beta, np.array([tau]))
+    if math.isnan(value[0]):
+        return integral(beta, tau)
+    return EvalResult(float(value[0]), float(err[0]), int(terms[0]))
+
+
+# ---------------------------------------------------------------------------
+# Mittag-Leffler function E_beta on the negative real axis
+# ---------------------------------------------------------------------------
+
+def _ml_spectral(beta: float, x: float) -> EvalResult:
+    """E_beta(-x) for x > 0, 0 < beta < 1, from the spectral (completely
+    monotone) representation
+
+        E_beta(-x) = int_0^inf exp(-r x^(1/beta)) K_beta(r) dr,
+        K_beta(r) = sin(b*pi)/pi * r^(b-1) / (r^(2b) + 2 r^b cos(b*pi) + 1),
+
+    with r = s / x^(1/beta) substituted on paper, so that no power of order
+    1/beta of x is taken:
+
+        E_beta(-x) = sin(b*pi)/pi * x
+                     * int_0^inf e^(-s) s^(b-1) / (s^(2b) + 2 x s^b cos(b*pi) + x^2) ds.
+    """
+    c = math.cos(beta * math.pi)
+    pref = math.sin(beta * math.pi) / math.pi * x
+
+    # s in (0,1): substitute w = s^beta to remove the endpoint singularity
+    def low(w):
+        return np.exp(-w ** (1.0 / beta)) / (w * w + 2.0 * x * w * c + x * x)
+
+    def high(s):
+        sb = s ** beta
+        return s ** (beta - 1.0) * np.exp(-s) / (sb * sb + 2.0 * x * sb * c + x * x)
+
+    # relative tolerance only: the integrals scale like 1/x^2 for large x
+    v1, e1 = quad(low, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
+    v2, e2 = quad(high, 1.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    value = pref * (v1 / beta + v2)
+    err = pref * (e1 / beta + e2)
+    if err > 1e-8:
+        raise ConvergenceError(
+            f"Mittag-Leffler integral representation did not converge at "
+            f"beta={beta:g}, z={-x:g} (err={err:.2e})"
+        )
+    return EvalResult(value, err, 0)
+
+
+def mittag_leffler(beta: float, z: float) -> EvalResult:
+    """E_beta(z) for 0 < beta <= 1 and z <= 0.
+
+    Uses the Taylor series while it is numerically safe, and falls back to
+    the spectral integral representation on the negative axis when the
+    series cancels or overflows.
+    """
+    if not 0.0 < beta <= 1.0:
+        raise DomainError(f"mittag_leffler requires 0 < beta <= 1, got {beta:g}")
+    if z > 0.0:
+        raise DomainError(f"mittag_leffler requires z <= 0, got {z:g}")
+    if z == 0.0:
+        return EvalResult(1.0, 0.0, 1)
+    if beta == 1.0:
+        return EvalResult(math.exp(z), abs(math.exp(z)) * 1e-16, 0)
+    return _series_or_integral(_ml_coefficients, _ml_spectral, beta, -z)
+
+
+# ---------------------------------------------------------------------------
+# M-Wright function M_beta on [0, inf)
+# ---------------------------------------------------------------------------
+
+def kanter_a(beta: float, theta):
+    """Kanter's auxiliary function on (0, pi).
+
+    a(theta) = sin(b*th)^(b/(1-b)) * sin((1-b)*th) / sin(th)^(1/(1-b)),
+    increasing from (1-b)*b^(b/(1-b)) at 0+ to +inf at pi-.
+    """
+    b = beta
+    return (
+        np.sin(b * theta) ** (b / (1.0 - b))
+        * np.sin((1.0 - b) * theta)
+        / np.sin(theta) ** (1.0 / (1.0 - b))
+    )
+
+
 def _mw_integral(beta: float, tau: float) -> EvalResult:
-    """M_beta(tau) by the integral continuation of m_wright."""
-    x = tau ** (-1.0 / beta)
-    g, gerr = _stable_density(beta, x)
-    jac = tau ** (-1.0 - 1.0 / beta) / beta
-    value = g * jac
+    """M_beta(tau) for tau > 0 from Kanter's integral form of the one-sided
+    stable density, with the change of variables to tau carried out on
+    paper, so that no power of order 1/beta of tau is taken:
+
+        M_beta(tau) = tau^(b/(1-b)) / ((1-b) pi)
+                      * int_0^pi a(th) exp(-a(th) tau^(1/(1-b))) dth.
+    """
+    lam = tau ** (1.0 / (1.0 - beta))
+
+    def integrand(theta):
+        a = kanter_a(beta, theta)
+        return a * np.exp(-a * lam)
+
+    val, err = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=1e-11, limit=300)
+    pref = tau ** (beta / (1.0 - beta)) / ((1.0 - beta) * math.pi)
+    value = pref * val
     if not math.isfinite(value):
         raise ConvergenceError(
             f"m_wright failed at beta={beta:g}, tau={tau:g}"
         )
-    return EvalResult(value, gerr * jac, 0)
+    return EvalResult(value, pref * err, 0)
 
 
 def m_wright(beta: float, tau: float) -> EvalResult:
     """M-Wright density M_beta(tau) for 0 < beta < 1, tau >= 0.
 
     The Taylor series is reliable for small and moderate tau; beyond its
-    cancellation range the value is obtained from the one-sided stable
-    density through the change of variables y = s^(-beta), which is exact
-    and non-oscillatory for every tau.
+    cancellation range the value comes from Kanter's integral form of the
+    one-sided stable density, which is non-oscillatory for every tau.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"m_wright requires 0 < beta < 1, got {beta:g}")
@@ -311,33 +293,30 @@ def m_wright(beta: float, tau: float) -> EvalResult:
         raise DomainError(f"m_wright requires tau >= 0, got {tau:g}")
     if tau == 0.0:
         return EvalResult(1.0 / gamma(1.0 - beta), 0.0, 1)
-    value, err, terms = _mw_series(beta, np.array([tau]))
-    if math.isnan(value[0]):
-        return _mw_integral(beta, tau)
-    return EvalResult(float(value[0]), float(err[0]), int(terms[0]))
+    return _series_or_integral(_mw_coefficients, _mw_integral, beta, tau)
 
 
-def m_wright_cutoff(beta: float, tol: float = 1e-40) -> float:
-    """Radius T such that M_beta(tau) < tol for tau > T.
+def m_wright_cutoff(beta: float) -> float:
+    """Radius T such that M_beta(tau) < _CUTOFF_TOL for tau > T.
 
     From the stretched-exponential decay M_beta(tau) ~ exp(-B tau^(1/(1-b)))
     with B = (1-b) * b^(b/(1-b)); the prefactor is absorbed by a margin.
     """
     b = beta
-    big = -math.log(tol) + 20.0
+    big = -math.log(_CUTOFF_TOL) + 20.0
     B = (1.0 - b) * b ** (b / (1.0 - b))
     return (big / B) ** (1.0 - b)
 
 
 @lru_cache(maxsize=32)
-def _mw_rule_cached(beta: float, n_panels: int, n_nodes: int):
+def _mw_rule_cached(beta: float):
     t_hi = m_wright_cutoff(beta)
     # log-spaced panels concentrate nodes near 0 where integrands with
     # negative powers of tau need them
     edges = np.concatenate(
-        [[0.0], np.geomspace(1e-14, t_hi, n_panels)]
+        [[0.0], np.geomspace(1e-14, t_hi, _RULE_PANELS)]
     )
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(_RULE_NODES)
     nodes = []
     weights = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -346,20 +325,20 @@ def _mw_rule_cached(beta: float, n_panels: int, n_nodes: int):
         weights.append(half * w)
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    values, _, _ = _mw_series(beta, nodes)
+    values, _, _ = _series(_mw_coefficients, beta, nodes)
     for i in np.flatnonzero(np.isnan(values)):
         values[i] = _mw_integral(beta, float(nodes[i])).value
     return nodes, weights, values
 
 
-def m_wright_quad_rule(beta: float, n_panels: int = 64, n_nodes: int = 16):
+def m_wright_quad_rule(beta: float):
     """Fixed quadrature rule (nodes, weights, M_beta(nodes)) covering the
     effective support of M_beta.  Cached per beta; intended for integrals
     of the form int phi(tau) M_beta(tau) dtau with smooth-away-from-zero phi.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"m_wright_quad_rule requires 0 < beta < 1, got {beta:g}")
-    return _mw_rule_cached(float(beta), n_panels, n_nodes)
+    return _mw_rule_cached(float(beta))
 
 
 def m_wright_moment(beta: float, delta: float) -> float:

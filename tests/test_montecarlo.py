@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from ggbm import DomainError, GreenDensity, ModelParams, PerpetualSpec, \
     SeedSpec, estimate_potential_mc, gaussian_test_function, potential, \
-    perpetual_integral_one_path, tail_bound
+    tail_bound
 from ggbm import blas
 from ggbm.fbm import sample_fbm_batch
 from ggbm.montecarlo import _chunk_path_integrals, build_time_grid, pairwise_sum
@@ -54,18 +54,6 @@ def test_perpetual_spec_validation():
         PerpetualSpec(t_max=1e-4, n_paths=10, seed=SeedSpec(0, 0))
     with pytest.raises(DomainError):
         PerpetualSpec(t_max=10.0, n_paths=0, seed=SeedSpec(0, 0))
-
-
-def test_one_path_integral_positive_and_deterministic():
-    params = ModelParams(0.5, 1.5, 3)
-    f = gaussian_test_function(1.0, 3)
-    spec = PerpetualSpec(t_max=10.0, n_paths=1, seed=SeedSpec(0, 0))
-    a = perpetual_integral_one_path(params, f, np.zeros(3), spec,
-                                    make_stream(SeedSpec(5, 0)))
-    b = perpetual_integral_one_path(params, f, np.zeros(3), spec,
-                                    make_stream(SeedSpec(5, 0)))
-    assert a > 0.0
-    assert a == b
 
 
 def test_chunk_f_values_match_per_path_reference():

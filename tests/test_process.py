@@ -202,6 +202,18 @@ def test_fdd_charfun_two_point_vs_mc():
     assert abs(emp.mean() - expected) <= 4.0 * se
 
 
+def test_fdd_theta_shape_validation():
+    params = ModelParams(0.5, 1.5, 2)
+    with pytest.raises(DomainError):
+        fdd_density(params, [1.0], [1.0])
+    with pytest.raises(DomainError):
+        fdd_density(params, [0.5, 1.0], np.zeros(3))
+    with pytest.raises(DomainError):
+        fdd_charfun(params, [1.0], [1.0, 0.0, 2.0])
+    with pytest.raises(DomainError):
+        fdd_charfun(params, [0.5, 1.0], np.zeros((2, 1)))
+
+
 def test_fdd_charfun_at_zero_is_one():
     params = ModelParams(0.5, 1.5, 2)
     assert fdd_charfun(params, [0.5, 1.0], np.zeros((2, 2))) == 1.0

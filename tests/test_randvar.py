@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ggbm import DomainError, SeedSpec, make_stream, \
-    sample_one_sided_stable, sample_y_beta, sample_y_beta_array
+    sample_one_sided_stable, sample_y_beta_array
 from ggbm.specfun import mittag_leffler
 
 
@@ -69,12 +69,6 @@ def test_y_beta_degenerate_at_one():
     rng = make_stream(SeedSpec(5, 0))
     y = sample_y_beta_array(1.0, rng, 100)
     assert np.all(y == 1.0)
-
-
-def test_sample_y_beta_scalar():
-    s = sample_y_beta(0.5, make_stream(SeedSpec(9, 0)))
-    assert s.beta == 0.5
-    assert s.value > 0.0
 
 
 def test_sampler_domain_errors():

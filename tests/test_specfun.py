@@ -46,7 +46,7 @@ def test_mittag_leffler_at_zero_is_one():
         assert mittag_leffler(beta, 0.0).value == 1.0
 
 
-@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("beta", [0.002, 0.005, 0.3, 0.5, 0.7, 0.9])
 def test_mittag_leffler_monotone_and_bounded(beta):
     zs = np.linspace(-80.0, 0.0, 161)
     vals = np.array([mittag_leffler(beta, z).value for z in zs])
@@ -111,7 +111,7 @@ def test_m_wright_moment_divergent_order():
 
 
 def test_m_wright_quad_rule_integrates_density():
-    for beta in (0.3, 0.5, 0.7):
+    for beta in (0.002, 0.005, 0.3, 0.5, 0.7):
         nodes, weights, mvals = m_wright_quad_rule(beta)
         assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
 
@@ -135,7 +135,7 @@ def _m_wright_mpmath(mpmath, beta, tau, value):
                 return float(total)
 
 
-@pytest.mark.parametrize("beta", [0.1, 0.5, 0.8, 0.97])
+@pytest.mark.parametrize("beta", [0.005, 0.1, 0.5, 0.8, 0.97])
 def test_m_wright_quad_rule_values_match_mpmath(beta):
     mpmath = pytest.importorskip("mpmath")
     nodes, _, mvals = m_wright_quad_rule(beta)
@@ -165,9 +165,19 @@ def test_m_wright_quad_rule_makes_no_scalar_calls(monkeypatch):
     def refuse(*args):
         raise AssertionError("the rule build called m_wright per node")
     monkeypatch.setattr(specfun, "m_wright", refuse)
-    nodes, weights, mvals = specfun._mw_rule_cached.__wrapped__(0.5, 64, 16)
+    nodes, weights, mvals = specfun._mw_rule_cached.__wrapped__(0.5)
     assert np.all(np.isfinite(mvals))
     assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("beta", [np.float64(0.001855027861893177), 0.005])
+@pytest.mark.parametrize("s", [0.5, 6.74, 50.0])
+def test_mittag_leffler_is_laplace_transform_of_m_wright(beta, s):
+    # E_beta(-s) = int_0^inf exp(-s tau) M_beta(tau) dtau at small beta,
+    # where both functions reach their integral continuations
+    nodes, weights, mvals = m_wright_quad_rule(beta)
+    laplace = float(np.dot(weights, np.exp(-s * nodes) * mvals))
+    assert abs(mittag_leffler(beta, np.float64(-s)).value - laplace) <= 1e-6
 
 
 def test_time_kernel_constant_values():

@@ -12,7 +12,7 @@ st = hypothesis.strategies
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@hypothesis.given(beta=st.floats(0.05, 0.95), frac=st.floats(0.0, 1.0))
+@hypothesis.given(beta=st.floats(0.001, 0.95), frac=st.floats(0.0, 1.0))
 def test_m_wright_finite_and_nonnegative(beta, frac):
     tau = frac * m_wright_cutoff(beta)
     value = m_wright(beta, tau).value
