@@ -1,9 +1,12 @@
 """Monte Carlo estimation of the perpetual integral int_0^inf f(x + B(t)) dt.
 
-Paths are generated in fixed-size chunks, one counter-based stream per
-chunk, and reduced with a pairwise tree, so the result is bit-identical
-for any worker count.  Truncation at t_max is accounted for by an analytic
-tail bound reported separately from the statistical error.
+Paths are sampled on one geometric clock from _T_MIN to t_max, in
+fixed-size chunks with one counter-based stream per chunk.  Every chunk
+returns the same four sums (the trapezoid integral on the grid and its
+difference from the half grid, each with its square), and a pairwise tree
+reduces them, so the result is bit-identical for any worker count.
+Truncation at t_max is accounted for by an analytic tail bound reported
+separately from the statistical error.
 """
 
 from __future__ import annotations
@@ -31,10 +34,9 @@ __all__ = [
     "pairwise_sum",
 ]
 
-# The time grid: geometric with _GEOM_STEPS intervals from _T_MIN to 1,
-# then _STEPS_PER_UNIT uniform intervals per unit of time up to t_max.
-_STEPS_PER_UNIT = 8
-_GEOM_STEPS = 48
+# The time grid: 0, then geometric from _T_MIN to t_max with at least
+# _STEPS_PER_DECADE intervals per decade.
+_STEPS_PER_DECADE = 64
 _T_MIN = 1e-3
 # paths per chunk, each chunk with its own stream
 _CHUNK_SIZE = 2048
@@ -44,8 +46,9 @@ _CHUNK_SIZE = 2048
 class PerpetualSpec:
     """Truncation horizon, path budget and seed.
 
-    The time grid is geometric below t = 1 (the integrand varies fastest
-    near 0 for rough paths) joined to a uniform grid up to t_max.
+    The time grid is geometric up to t_max: the mean of f(x + B(t)) decays
+    like t^(-d alpha/2), a power law, so a fixed ratio between grid points
+    fits it at every horizon.
     """
 
     t_max: float
@@ -108,23 +111,20 @@ def pairwise_sum(values) -> float:
     return vals[0]
 
 
+def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from the sum and sum of squares."""
+    var = max(0.0, (total_sq - total * total / n) / max(1, n - 1))
+    return total / n, math.sqrt(var / n)
+
+
 def build_time_grid(spec: PerpetualSpec) -> np.ndarray:
-    """Grid 0 < _T_MIN < ... < 1 (geometric) < ... < t_max (uniform), starting
-    at 0, with an even interval count so grid[::2] is a nested coarsening.
+    """0 followed by a geometric grid from _T_MIN to t_max, with at least
+    _STEPS_PER_DECADE intervals per decade and an even interval count, so
+    grid[::2] is a nested coarsening.
     """
-    if spec.t_max <= 1.0:
-        geom = np.geomspace(_T_MIN, spec.t_max, _GEOM_STEPS + 1)
-        grid = np.concatenate([[0.0], geom])
-        if (len(grid) - 1) % 2:
-            grid = np.concatenate([[0.0],
-                                   np.geomspace(_T_MIN, spec.t_max, _GEOM_STEPS + 2)])
-        return grid
-    n_uni = max(1, round((spec.t_max - 1.0) * _STEPS_PER_UNIT))
-    if (1 + _GEOM_STEPS + n_uni) % 2:
-        n_uni += 1
-    geom = np.geomspace(_T_MIN, 1.0, _GEOM_STEPS + 1)
-    uni = np.linspace(1.0, spec.t_max, n_uni + 1)[1:]
-    return np.concatenate([[0.0], geom, uni])
+    n = math.ceil(_STEPS_PER_DECADE * math.log10(spec.t_max / _T_MIN))
+    n += 1 - n % 2  # odd, so with the interval from 0 the count is even
+    return np.concatenate([[0.0], np.geomspace(_T_MIN, spec.t_max, n + 1)])
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -158,7 +158,7 @@ def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
     """Upper bound on int_{t_max}^inf E[f(x + B(t))] dt, valid for every x.
 
     Closed form when the scale-mixture moment of order -d/2 is finite
-    (possible only for d = 1); otherwise a certified coarser bound:
+    (d = 1, or beta = 1); otherwise a certified coarser bound:
     E[f(x+B(t))] <= int min(sup|f|, ||f||_1 (2 pi y t^a)^(-d/2)) M_beta(y) dy
     (or the function's own Gaussian-mean bound when it declares one),
     integrated over t numerically.
@@ -168,11 +168,9 @@ def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
         raise DomainError(f"requires d*alpha > 2, got d*alpha = {d * alpha:g}")
     p = 0.5 * d * alpha
 
-    if beta == 1.0:
-        c = f.l1_norm * (2.0 * math.pi) ** (-0.5 * d)
-        return c * t_max ** (1.0 - p) / (p - 1.0)
-
-    if d < 2:  # moment of order -d/2 finite: closed-form rate
+    # closed-form rate where the moment of order -d/2 is finite: d = 1, or
+    # beta = 1, where every moment is 1
+    if beta == 1.0 or d < 2:
         c = f.l1_norm * (2.0 * math.pi) ** (-0.5 * d) * m_wright_moment(beta, -0.5 * d)
         return c * t_max ** (1.0 - p) / (p - 1.0)
 
@@ -204,7 +202,6 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     w_fine = _trapezoid_weights(times)
     w_coarse = _trapezoid_weights(times[::2])
 
-    n_sub = min(_CHUNK_SIZE, max(64, spec.n_paths // 100))
     chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
               for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
 
@@ -215,14 +212,9 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         # einsum, not BLAS: an unpinned matrix-vector product would wake
         # OpenBLAS's other threads, which then spin idle for the chunk
         fine = np.einsum("ij,j->i", fv, w_fine)
-        s = float(np.add.reduce(fine))
-        s2 = float(np.add.reduce(fine * fine))
-        disc = None
-        if idx == 0:
-            m = min(n, n_sub)
-            diff = fine[:m] - np.einsum("ij,j->i", fv[:m, ::2], w_coarse)
-            disc = (float(np.add.reduce(diff)), float(np.add.reduce(diff * diff)), m)
-        return s, s2, n, disc
+        diff = fine - np.einsum("ij,j->i", fv[:, ::2], w_coarse)
+        return tuple(float(np.add.reduce(v))
+                     for v in (fine, fine * fine, diff, diff * diff))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -230,18 +222,11 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     else:
         results = [run_chunk(job) for job in chunks]
 
-    total = pairwise_sum(r[0] for r in results)
-    total_sq = pairwise_sum(r[1] for r in results)
     n = spec.n_paths
-    mean = total / n
-    var = max(0.0, (total_sq - total * total / n) / max(1, n - 1))
-    std_error = math.sqrt(var / n)
-
-    dsum, dsq, m = results[0][3]
-    dmean = dsum / m
-    dse = math.sqrt(max(0.0, (dsq - dsum * dsum / m) / max(1, m - 1)) / m)
-    disc_bound = abs(dmean) + 2.0 * dse
-    note = (f"grid-vs-half-grid difference on {m} paths: "
+    total, total_sq, dsum, dsq = (pairwise_sum(col) for col in zip(*results))
+    mean, std_error = _mean_and_se(total, total_sq, n)
+    dmean, dse = _mean_and_se(dsum, dsq, n)
+    note = (f"grid-vs-half-grid difference on {n} paths: "
             f"{dmean:.3e} +- {dse:.3e}")
 
     return Estimate(
@@ -249,7 +234,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         std_error=std_error,
         n_paths=n,
         tail_bound=tail_bound(params, f, spec.t_max),
-        discretization_bound=disc_bound,
+        discretization_bound=abs(dmean) + 2.0 * dse,
         t_max=spec.t_max,
         seed=spec.seed,
         discretization_note=note,

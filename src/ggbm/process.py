@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import DomainError, SingularMatrixError
-from .fbm import GridSpec, Path, _fbm_values, rescale_path
+from .fbm import GridSpec, Path, _fbm_values
 from .model import ModelParams
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
 from .specfun import m_wright_moment, m_wright_quad_rule, mittag_leffler
@@ -80,15 +80,15 @@ def ggbm_path_subordinated(params: ModelParams, grid: GridSpec,
                            seed: SeedSpec) -> Path:
     """Subordination representation: fBm observed at times t * Y^(1/alpha).
 
-    Implemented through the self-similarity rescaling of an fBm path; the
-    values on the rescaled clock are recorded against the original grid.
+    By self-similarity the fBm on the clock c * t is c^H times the fBm on t,
+    and (Y^(1/alpha))^H = sqrt(Y), so the values are sqrt(Y) times a path on
+    the original grid.  Y^(1/alpha) itself is never formed: it overflows or
+    underflows for small alpha.
     """
     rng = make_stream(seed)
     y = sample_y_beta_array(params.beta, rng, 1)[0]
     values = _fbm_values(params.hurst, grid, params.dim, rng)
-    base = Path(times=grid.times(), values=values, hurst=params.hurst, seed=seed)
-    scaled = rescale_path(base, y ** (1.0 / params.alpha))
-    return Path(times=grid.times(), values=scaled.values,
+    return Path(times=grid.times(), values=math.sqrt(y) * values,
                 hurst=params.hurst, seed=seed)
 
 

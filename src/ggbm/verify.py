@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import ks_2samp
 
 from . import green as green_mod
 from . import montecarlo as mc
@@ -157,6 +156,9 @@ def suite_charfun(beta=0.5, alpha=1.5, dim=1, paths=100_000, seed=42, **_):
 
 
 def suite_representation(beta=0.5, alpha=1.5, dim=1, paths=10_000, seed=42, **_):
+    # imported here, so that starting the CLI does not load scipy.stats
+    from scipy.stats import ks_2samp
+
     params = ModelParams(beta, alpha, dim)
     grid = GridSpec(t_max=1.0, n_steps=16)
     prod = np.empty((paths, grid.n_steps + 1))

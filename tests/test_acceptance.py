@@ -11,9 +11,9 @@ import sys
 import numpy as np
 import pytest
 
-from ggbm import GreenDensity, ModelParams, PerpetualSpec, SeedSpec, \
-    continuity_constant, estimate_potential_mc, gaussian_test_function, \
-    green_constant, mittag_leffler, potential, time_integral_kernel
+from ggbm import GreenDensity, ModelParams, SeedSpec, continuity_constant, \
+    gaussian_test_function, green_constant, mittag_leffler, potential, \
+    time_integral_kernel
 from ggbm.randvar import make_stream, sample_y_beta_array
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
 from ggbm.verify import moment_quadrature, run_suite
@@ -30,19 +30,15 @@ def report(name, ok, detail=""):
 def test_criterion_1_perpetual_integral_identity(beta, alpha, dim):
     """MC estimate of E[int_0^inf f(x+B(t)) dt] matches the analytic
     potential within 3*SE + tail bound + discretization bound."""
-    params = ModelParams(beta, alpha, dim)
-    f = gaussian_test_function(1.0, dim)
-    x = np.zeros(dim)
-    spec = PerpetualSpec(t_max=50.0, n_paths=100_000, seed=SeedSpec(42, 0))
-    est = estimate_potential_mc(params, f, x, spec, threads=4)
-    analytic = potential(GreenDensity.from_params(params), f, x)
-    budget = (3.0 * est.std_error + est.tail_bound
-              + est.discretization_bound)
-    diff = abs(est.mean - analytic)
+    rep = run_suite("green", beta=beta, alpha=alpha, dim=dim, paths=100_000,
+                    seed=42, t_max=50.0, threads=4)
+    check = rep["checks"][0]  # the perpetual-integral identity
+    mean, analytic, budget = check["observed"], check["expected"], check["tolerance"]
+    diff = abs(mean - analytic)
     report(
         f"criterion 1: potential identity (beta={beta}, alpha={alpha}, "
-        f"d={dim})", diff <= budget,
-        f"|{est.mean:.5f} - {analytic:.5f}| = {diff:.5f} <= {budget:.5f}")
+        f"d={dim})", rep["pass"],
+        f"|{mean:.5f} - {analytic:.5f}| = {diff:.5f} <= {budget:.5f}")
 
 
 def test_criterion_2_brownian_constant():

@@ -21,6 +21,17 @@ def run_cli(args, env=None):
                           env=full_env)
 
 
+def test_import_does_not_load_scipy_stats():
+    """scipy.stats is loaded only by the suite that needs it, not at CLI
+    start."""
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ggbm.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_eval_ml_text(capsys):
     assert main(["eval", "ml", "--beta", "1.0", "--z", "-1.0"]) == 0
     out = capsys.readouterr().out.strip()

@@ -11,7 +11,8 @@ from ggbm import DomainError, GreenDensity, ModelParams, PerpetualSpec, \
     tail_bound
 from ggbm import blas
 from ggbm.fbm import sample_fbm_batch
-from ggbm.montecarlo import _chunk_path_integrals, build_time_grid, pairwise_sum
+from ggbm.montecarlo import _CHUNK_SIZE, _STEPS_PER_DECADE, _T_MIN, \
+    _chunk_path_integrals, _trapezoid_weights, build_time_grid, pairwise_sum
 from ggbm.randvar import make_stream, sample_y_beta_array
 
 
@@ -42,11 +43,19 @@ def test_build_time_grid_structure():
 
 
 def test_build_time_grid_small_horizon():
-    spec = PerpetualSpec(t_max=0.5, n_paths=10, seed=SeedSpec(0, 0))
-    grid = build_time_grid(spec)
-    assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(0.5)
-    assert (len(grid) - 1) % 2 == 0
+    """One geometric clock at every horizon: 0, then a constant ratio from
+    _T_MIN to t_max with at least _STEPS_PER_DECADE steps per decade."""
+    for t_max in (0.0011, 0.5, 1.0, 50.0, 1e4):
+        spec = PerpetualSpec(t_max=t_max, n_paths=10, seed=SeedSpec(0, 0))
+        grid = build_time_grid(spec)
+        assert grid[0] == 0.0
+        assert grid[1] == _T_MIN
+        assert grid[-1] == t_max
+        assert (len(grid) - 1) % 2 == 0
+        ratios = grid[2:] / grid[1:-1]
+        assert np.allclose(ratios, ratios[0], rtol=1e-12, atol=0.0)
+        assert ratios[0] > 1.0
+        assert len(grid) - 2 >= _STEPS_PER_DECADE * math.log10(t_max / _T_MIN)
 
 
 def test_perpetual_spec_validation():
@@ -71,6 +80,26 @@ def test_chunk_f_values_match_per_path_reference():
     for p in range(n):
         pts = np.vstack([x, np.sqrt(y[p]) * vals[p] + x])
         assert np.array_equal(fv[p], f.eval_many(pts))
+
+
+def test_discretization_bound_uses_every_path():
+    """The grid-vs-half-grid estimate is taken over all paths of all chunks."""
+    params = ModelParams(0.5, 1.5, 3)
+    f = gaussian_test_function(1.0, 3)
+    x = np.zeros(3)
+    spec = PerpetualSpec(t_max=10.0, n_paths=2 * _CHUNK_SIZE, seed=SeedSpec(42, 0))
+    est = estimate_potential_mc(params, f, x, spec)
+    times = build_time_grid(spec)
+    diffs = []
+    for idx in range(2):
+        fv = _chunk_path_integrals(params, f, x, times,
+                                   make_stream(spec.seed.substream(idx)), _CHUNK_SIZE)
+        diffs.append(fv @ _trapezoid_weights(times)
+                     - fv[:, ::2] @ _trapezoid_weights(times[::2]))
+    diff = np.concatenate(diffs)
+    expected = abs(diff.mean()) + 2.0 * diff.std(ddof=1) / math.sqrt(len(diff))
+    assert est.discretization_bound == pytest.approx(expected, rel=1e-9)
+    assert f"on {2 * _CHUNK_SIZE} paths" in est.discretization_note
 
 
 def test_tail_bound_brownian_closed_form():

@@ -90,6 +90,19 @@ def test_representations_agree_in_law():
     assert ks_2samp(prod, subo).pvalue > 0.01
 
 
+@pytest.mark.parametrize("alpha", [4e-4, 2e-3])
+@pytest.mark.parametrize("seed", range(6))
+def test_path_subordinated_small_alpha(alpha, seed):
+    """Finite values on the original grid where the clock factor Y^(1/alpha)
+    over- or underflows."""
+    grid = GridSpec(1.0, 16)
+    path = ggbm_path_subordinated(ModelParams(0.5, alpha, 1), grid,
+                                  SeedSpec(seed, 0))
+    assert np.array_equal(path.times, grid.times())
+    assert np.all(np.isfinite(path.values))
+    assert np.all(path.values[1:] != 0.0)
+
+
 def test_marginal_density_gaussian_case():
     params = ModelParams(1.0, 1.0, 1)
     for y in (0.0, 0.5, 1.5):
