@@ -5,7 +5,7 @@ of the perpetual-integral identity.
 
 from .exceptions import (ConvergenceError, DomainError, EmbeddingError,
                          GgbmError, PoleError, SingularMatrixError)
-from .fbm import GridSpec, Path, generate_fbm, rescale_path
+from .fbm import GridSpec, Path, generate_fbm
 from .green import (GreenDensity, TestFunction, bump_test_function,
                     continuity_constant, gaussian_test_function,
                     green_density_at, green_measure_of_ball, potential,
@@ -13,9 +13,8 @@ from .green import (GreenDensity, TestFunction, bump_test_function,
 from .model import ModelParams
 from .montecarlo import (Estimate, PerpetualSpec, estimate_potential_mc,
                          tail_bound)
-from .process import (fdd_charfun, fdd_density, gamma_alpha_matrix,
-                      ggbm_path_product, ggbm_path_subordinated,
-                      marginal_density)
+from .process import (fdd_charfun, fdd_density, ggbm_path_product,
+                      ggbm_path_subordinated, ggbm_paths, marginal_density)
 from .randvar import (SeedSpec, make_stream, sample_one_sided_stable,
                       sample_y_beta_array)
 from .specfun import (EvalResult, gamma, green_constant, m_wright,

@@ -20,7 +20,6 @@ __all__ = [
     "GridSpec",
     "Path",
     "generate_fbm",
-    "rescale_path",
     "fbm_covariance",
     "fbm_cholesky_factor",
     "sample_fbm_batch",
@@ -201,14 +200,3 @@ def generate_fbm(hurst: float, grid: GridSpec, dim: int, seed: SeedSpec) -> Path
     values = _fbm_values(hurst, grid, dim, rng)
     return Path(times=grid.times(), values=values, hurst=hurst, seed=seed)
 
-
-def rescale_path(path: Path, time_factor: float) -> Path:
-    """Self-similarity rescaling: times scaled by c, values by c^H."""
-    if time_factor <= 0.0:
-        raise DomainError(f"time_factor must be positive, got {time_factor:g}")
-    return Path(
-        times=path.times * time_factor,
-        values=path.values * time_factor ** path.hurst,
-        hurst=path.hurst,
-        seed=path.seed,
-    )

@@ -1,5 +1,6 @@
-"""The non-Gaussian process itself: path construction by both
-representations, finite-dimensional densities, characteristic functions.
+"""The non-Gaussian process itself: one batched path sampler (the product
+construction, which by self-similarity is also the subordinated one),
+finite-dimensional densities, characteristic functions.
 
 Conventions: the n-point characteristic function is
 E_beta(-(1/2) sum_j theta_.j^T R theta_.j) with R the fBm covariance
@@ -12,21 +13,19 @@ same R appears inside the joint density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import DomainError, SingularMatrixError
-from .fbm import GridSpec, Path, _fbm_values
+from .fbm import GridSpec, Path, _fbm_values, fbm_covariance
 from .model import ModelParams
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
 from .specfun import m_wright_moment, m_wright_quad_rule, mittag_leffler
 
 __all__ = [
     "ModelParams",
-    "GammaAlphaMatrix",
-    "gamma_alpha_matrix",
+    "ggbm_paths",
     "ggbm_path_product",
     "ggbm_path_subordinated",
     "marginal_density",
@@ -35,14 +34,6 @@ __all__ = [
 ]
 
 _MAX_FDD_POINTS = 8
-
-
-@dataclass(frozen=True)
-class GammaAlphaMatrix:
-    """Times 0 <= t_1 < ... < t_n with entries t_k^a + t_j^a - |t_k - t_j|^a."""
-
-    times: np.ndarray
-    entries: np.ndarray
 
 
 def _check_times(times) -> np.ndarray:
@@ -56,40 +47,35 @@ def _check_times(times) -> np.ndarray:
     return t
 
 
-def gamma_alpha_matrix(times, alpha: float) -> GammaAlphaMatrix:
-    t = _check_times(times)
-    ta = t ** alpha
-    entries = ta[:, None] + ta[None, :] - np.abs(t[:, None] - t[None, :]) ** alpha
-    return GammaAlphaMatrix(times=t, entries=entries)
-
-
 # ---------------------------------------------------------------------------
 # Path construction
 # ---------------------------------------------------------------------------
 
+def ggbm_paths(params: ModelParams, grid: GridSpec, n_paths: int,
+               seed: SeedSpec) -> np.ndarray:
+    """(n_paths, n_steps+1, d) independent paths, zero at t = 0: sqrt(Y_beta)
+    times a path of one circulant fBm batch of n_paths * d components."""
+    rng = make_stream(seed)
+    y = sample_y_beta_array(params.beta, rng, n_paths)
+    values = _fbm_values(params.hurst, grid, n_paths * params.dim, rng)
+    values = values.reshape(grid.n_steps + 1, n_paths, params.dim)
+    return np.sqrt(y)[:, None, None] * values.transpose(1, 0, 2)
+
+
 def ggbm_path_product(params: ModelParams, grid: GridSpec, seed: SeedSpec) -> Path:
-    """Product representation: sqrt(Y_beta) times an independent fBm path."""
-    rng = make_stream(seed)
-    y = sample_y_beta_array(params.beta, rng, 1)[0]
-    values = _fbm_values(params.hurst, grid, params.dim, rng)
-    return Path(times=grid.times(), values=math.sqrt(y) * values,
-                hurst=params.hurst, seed=seed)
+    """Product representation: sqrt(Y_beta) times an independent fBm path,
+    the batch of one of `ggbm_paths`.
 
-
-def ggbm_path_subordinated(params: ModelParams, grid: GridSpec,
-                           seed: SeedSpec) -> Path:
-    """Subordination representation: fBm observed at times t * Y^(1/alpha).
-
-    By self-similarity the fBm on the clock c * t is c^H times the fBm on t,
-    and (Y^(1/alpha))^H = sqrt(Y), so the values are sqrt(Y) times a path on
-    the original grid.  Y^(1/alpha) itself is never formed: it overflows or
-    underflows for small alpha.
+    It is also the subordination representation, the fBm observed at the
+    times t * Y^(1/alpha): by self-similarity the fBm on the clock c * t is
+    c^H times the fBm on t, and (Y^(1/alpha))^H = sqrt(Y).  Y^(1/alpha)
+    itself is never formed; it overflows or underflows for small alpha.
     """
-    rng = make_stream(seed)
-    y = sample_y_beta_array(params.beta, rng, 1)[0]
-    values = _fbm_values(params.hurst, grid, params.dim, rng)
-    return Path(times=grid.times(), values=math.sqrt(y) * values,
-                hurst=params.hurst, seed=seed)
+    values = ggbm_paths(params, grid, 1, seed)[0]
+    return Path(times=grid.times(), values=values, hurst=params.hurst, seed=seed)
+
+
+ggbm_path_subordinated = ggbm_path_product
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +117,7 @@ def fdd_density(params: ModelParams, times, theta) -> float:
     t = _check_times(times)
     n = len(t)
     th = _check_theta(theta, n, params.dim)
-    R = 0.5 * gamma_alpha_matrix(t, params.alpha).entries
+    R = fbm_covariance(t, params.hurst)
     sign, logdet = np.linalg.slogdet(R)
     if sign <= 0 or not np.isfinite(logdet):
         raise SingularMatrixError("covariance matrix gamma_alpha is singular")
@@ -155,6 +141,6 @@ def fdd_charfun(params: ModelParams, times, theta) -> float:
     """
     t = _check_times(times)
     th = _check_theta(theta, len(t), params.dim)
-    R = 0.5 * gamma_alpha_matrix(t, params.alpha).entries
+    R = fbm_covariance(t, params.hurst)
     qsum = float(np.sum(th * (R @ th)))
     return mittag_leffler(params.beta, -0.5 * qsum).value

@@ -130,10 +130,13 @@ def _series(coefficients, beta: float, tau: np.ndarray):
     err = np.full(tau.size, np.nan)
     terms = np.zeros(tau.size, dtype=np.int64)
     live = np.arange(tau.size)
-    # per live node: running sum, largest |term|, last nonzero |term|
+    # per live node: running sum, largest |term|, last nonzero |term|, and
+    # sum |term| (|n log tau| + |log c_n| + 1): exp() passes the rounding of
+    # each term's logarithm on to the term, so eps times this bounds it
     total = np.zeros(tau.size)
     peak = np.zeros(tau.size)
     last = np.full(tau.size, np.inf)
+    spread = np.zeros(tau.size)
     start, rows = 0, _FIRST_ROWS
     while live.size and start < _MAX_TERMS:
         m = min(rows, max(1, _BLOCK_TERMS // live.size), _MAX_TERMS - start)
@@ -146,6 +149,9 @@ def _series(coefficients, beta: float, tau: np.ndarray):
             # the carried state is row 0, so every sum runs in term order
             sums = np.cumsum(np.vstack([total, term]), axis=0)[1:]
             peaks = np.maximum.accumulate(np.vstack([peak, mag]), axis=0)[1:]
+            scale = np.abs(n[:, None] * log_tau[live]) + np.abs(log_c)[:, None] + 1.0
+            spreads = np.cumsum(np.vstack([spread, np.where(mag > 0.0, mag * scale, 0.0)]),
+                                axis=0)[1:]
             nz_row = np.maximum.accumulate(
                 np.where(term != 0.0, np.arange(m)[:, None], -1), axis=0)
             lasts = np.where(nz_row >= 0,
@@ -161,11 +167,13 @@ def _series(coefficients, beta: float, tau: np.ndarray):
         good = pk / np.maximum(np.abs(tot), 1e-300) <= _CANCELLATION_LIMIT
         node = live[ok[good]]
         value[node] = np.maximum(tot[good], 0.0)
-        err[node] = lasts[k, ok][good] + pk[good] * 1e-16
+        err[node] = (lasts[k, ok][good] + pk[good] * 1e-16
+                     + spreads[k, ok][good] * np.finfo(float).eps)
         terms[node] = start + k[good] + 1
         going = np.minimum(k_stop, k_over) == m
         live = live[going]
         total, peak, last = sums[-1, going], peaks[-1, going], lasts[-1, going]
+        spread = spreads[-1, going]
         start += m
         rows *= 2
     return value, err, terms

@@ -3,6 +3,9 @@
 Each check is a dict {name, anchor, expected, observed, tolerance, pass}
 so reports serialize directly to JSON.  Anchors name the mathematical
 identity being exercised.
+
+The law suites draw their paths from `process.ggbm_paths` on `_GRID`,
+which holds every time they check, and compare them with the analytic law.
 """
 
 from __future__ import annotations
@@ -11,18 +14,22 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from . import green as green_mod
 from . import montecarlo as mc
 from .fbm import GridSpec
 from .model import ModelParams
-from .process import ggbm_path_product, ggbm_path_subordinated
+from .process import ggbm_paths
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
 from .specfun import (green_constant, m_wright, m_wright_cutoff,
                       m_wright_moment, m_wright_quad_rule, mittag_leffler,
                       time_kernel_constant)
 
 __all__ = ["run_suite", "SUITES", "moment_quadrature"]
+
+_GRID = GridSpec(t_max=2.0, n_steps=16)
+_CDF_BLOCK = 1024  # sample points per block of the analytic marginal CDF
 
 
 def moment_quadrature(beta: float, delta: float) -> float:
@@ -48,16 +55,20 @@ def _check(name, anchor, expected, observed, tolerance):
     }
 
 
+def _mc_check(name, anchor, expected, samples):
+    """The sample mean against the expected value within 3 standard errors."""
+    se = float(np.std(samples, ddof=1)) / math.sqrt(len(samples))
+    return _check(name, anchor, expected, float(np.mean(samples)), 3.0 * se)
+
+
+def _at(paths: np.ndarray, t: float) -> np.ndarray:
+    """Values of a (n_paths, n_steps+1, d) batch on _GRID at time t."""
+    return paths[:, int(round(t / _GRID.dt))]
+
+
 def suite_specfun(**_):
     checks = []
     for beta in (0.3, 0.5, 0.7):
-        nodes, weights, mvals = m_wright_quad_rule(beta)
-        for s in (0.1, 1.0, 5.0):
-            lhs = mittag_leffler(beta, -s).value
-            rhs = float(np.dot(weights, np.exp(-s * nodes) * mvals))
-            checks.append(_check(
-                f"laplace-transform beta={beta} s={s}",
-                "laplace-transform-identity", lhs, rhs, 1e-6))
         for delta in (-0.6, 0.5, 1.0, 2.0):
             mom = m_wright_moment(beta, delta)
             quad_mom = moment_quadrature(beta, delta)
@@ -83,97 +94,103 @@ def suite_specfun(**_):
     return checks
 
 
-def _marginal_samples(params, t, n, seed):
-    """Vectorized one-point marginals from the product construction."""
-    rng = make_stream(seed)
-    y = sample_y_beta_array(params.beta, rng, n)
-    z = rng.standard_normal(n)
-    return np.sqrt(y) * t ** params.hurst * z
+def suite_laplace(paths=1_000_000, seed=42, **_):
+    """E_beta(-s) = E[exp(-s Y_beta)]: against the M-Wright quadrature rule,
+    and against the exact Y_beta sampler within 3 standard errors."""
+    checks = []
+    for beta in (0.3, 0.5, 0.7):
+        nodes, weights, mvals = m_wright_quad_rule(beta)
+        for s in (0.1, 1.0, 5.0):
+            lhs = mittag_leffler(beta, -s).value
+            rhs = float(np.dot(weights, np.exp(-s * nodes) * mvals))
+            checks.append(_check(
+                f"laplace-transform beta={beta} s={s}",
+                "laplace-transform-identity", lhs, rhs, 1e-6))
+    rng = make_stream(SeedSpec(seed, 500))
+    for beta in (0.5, 0.7):
+        y = sample_y_beta_array(beta, rng, paths)
+        for s in (0.5, 2.0):
+            checks.append(_mc_check(
+                f"laplace-sampler beta={beta} s={s}", "laplace-transform-identity",
+                mittag_leffler(beta, -s).value, np.exp(-s * y)))
+    return checks
 
 
 def suite_moments(beta=0.5, alpha=1.5, paths=100_000, seed=42, **_):
     params = ModelParams(beta, alpha, 1)
+    b = ggbm_paths(params, _GRID, paths, SeedSpec(seed, 900))
     checks = []
     for t in (0.5, 1.0, 2.0):
-        x = _marginal_samples(params, t, paths, SeedSpec(seed, 900))
-        se1 = np.std(x, ddof=1) / math.sqrt(paths)
-        checks.append(_check(
-            f"odd-moment t={t}", "moments-of-any-order", 0.0,
-            float(np.mean(x)), 3.0 * se1))
+        x = _at(b, t)[:, 0]
+        checks.append(_mc_check(f"odd-moment t={t}", "moments-of-any-order", 0.0, x))
         for n_mom in (1, 2):
-            emp = x ** (2 * n_mom)
-            se = float(np.std(emp, ddof=1)) / math.sqrt(paths)
             expected = (math.factorial(2 * n_mom)
                         / (2 ** n_mom * math.gamma(beta * n_mom + 1.0))
                         * t ** (alpha * n_mom))
-            checks.append(_check(
+            checks.append(_mc_check(
                 f"even-moment 2n={2 * n_mom} t={t}", "moments-of-any-order",
-                expected, float(np.mean(emp)), 3.0 * se))
+                expected, x ** (2 * n_mom)))
     return checks
 
 
 def suite_covariance(beta=0.5, alpha=1.5, dim=2, paths=100_000, seed=42, **_):
     params = ModelParams(beta, alpha, dim)
-    rng = make_stream(SeedSpec(seed, 901))
+    b = ggbm_paths(params, _GRID, paths, SeedSpec(seed, 901))
     checks = []
     for (s, t) in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0)):
-        y = sample_y_beta_array(beta, rng, paths)
-        z = rng.standard_normal((paths, 2, dim))
-        h = params.hurst
-        # correlate the two time points per component with the fBm correlation
-        corr = 0.5 * (s ** alpha + t ** alpha - (t - s) ** alpha) / (
-            s ** alpha * t ** alpha) ** 0.5
-        bs = s ** h * z[:, 0, :]
-        bt = t ** h * (corr * z[:, 0, :]
-                       + math.sqrt(max(0.0, 1.0 - corr * corr)) * z[:, 1, :])
-        dot = y * np.sum(bs * bt, axis=1)
-        se = float(np.std(dot, ddof=1)) / math.sqrt(paths)
         expected = dim / (2.0 * math.gamma(beta + 1.0)) * (
             s ** alpha + t ** alpha - abs(t - s) ** alpha)
-        checks.append(_check(
+        checks.append(_mc_check(
             f"covariance s={s} t={t}", "covariance-identity",
-            expected, float(np.mean(dot)), 3.0 * se))
+            expected, np.sum(_at(b, s) * _at(b, t), axis=1)))
     return checks
 
 
 def suite_charfun(beta=0.5, alpha=1.5, dim=1, paths=100_000, seed=42, **_):
     params = ModelParams(beta, alpha, dim)
-    rng = make_stream(SeedSpec(seed, 902))
+    b = ggbm_paths(params, _GRID, paths, SeedSpec(seed, 902))
     checks = []
     for (s, t, k) in ((0.0, 1.0, 1.0), (0.5, 1.0, 1.0), (0.5, 2.0, 0.5)):
-        y = sample_y_beta_array(beta, rng, paths)
-        z = rng.standard_normal(paths)
-        # increment B(t) - B(s) is centered with variance Y |t-s|^alpha
-        incr = np.sqrt(y) * abs(t - s) ** params.hurst * z
-        emp = np.cos(k * incr)
-        se = float(np.std(emp, ddof=1)) / math.sqrt(paths)
+        incr = _at(b, t)[:, 0] - _at(b, s)[:, 0]
         expected = mittag_leffler(beta, -0.5 * k * k * abs(t - s) ** alpha).value
-        checks.append(_check(
+        checks.append(_mc_check(
             f"increment-charfun s={s} t={t} k={k}",
-            "increment-characteristic-function",
-            expected, float(np.mean(emp)), 3.0 * se))
+            "increment-characteristic-function", expected, np.cos(k * incr)))
     return checks
 
 
+def _marginal_cdf(beta: float, hurst: float, t: float, y) -> np.ndarray:
+    """P(B_1(t) <= y) = int Phi(y / (sqrt(tau) t^H)) M_beta(tau) dtau, by the
+    M-Wright quadrature rule; Phi(y / t^H) at beta = 1."""
+    u = np.asarray(y) / t ** hurst
+    if beta == 1.0:
+        return ndtr(u)
+    nodes, weights, mvals = m_wright_quad_rule(beta)
+    inv_sd, wm = 1.0 / np.sqrt(nodes), weights * mvals
+    blocks = np.split(u, np.arange(_CDF_BLOCK, u.size, _CDF_BLOCK))
+    return np.concatenate([ndtr(b[:, None] * inv_sd) @ wm for b in blocks])
+
+
 def suite_representation(beta=0.5, alpha=1.5, dim=1, paths=10_000, seed=42, **_):
+    """One-sample KS against the analytic marginal and two-sample KS between
+    independent batches, at t = 0.5 and 1; each accepts at 0.01."""
     # imported here, so that starting the CLI does not load scipy.stats
-    from scipy.stats import ks_2samp
+    from scipy.stats import ks_2samp, kstest
 
     params = ModelParams(beta, alpha, dim)
-    grid = GridSpec(t_max=1.0, n_steps=16)
-    prod = np.empty((paths, grid.n_steps + 1))
-    subo = np.empty((paths, grid.n_steps + 1))
-    for i in range(paths):
-        prod[i] = ggbm_path_product(params, grid, SeedSpec(seed, 2 * i)).values[:, 0]
-        subo[i] = ggbm_path_subordinated(
-            params, grid, SeedSpec(seed, 2 * i + 1)).values[:, 0]
+    first = ggbm_paths(params, _GRID, paths, SeedSpec(seed, 0))
+    second = ggbm_paths(params, _GRID, paths, SeedSpec(seed, 1))
     checks = []
     for t in (0.5, 1.0):
-        idx = int(round(t / grid.dt))
-        stat = ks_2samp(prod[:, idx], subo[:, idx])
+        x = _at(first, t)[:, 0]
+        one = kstest(x, lambda y: _marginal_cdf(beta, params.hurst, t, y))
         checks.append(_check(
-            f"two-sample-ks t={t}", "representation-equivalence",
-            1.0, 1.0 if stat.pvalue > 0.01 else 0.0, 0.0))
+            f"one-sample-ks t={t}", "marginal-scale-mixture-law",
+            1.0, 1.0 if one.pvalue > 0.01 else 0.0, 0.0))
+        two = ks_2samp(x, _at(second, t)[:, 0])
+        checks.append(_check(
+            f"two-sample-ks t={t}", "independent-batches-agree",
+            1.0, 1.0 if two.pvalue > 0.01 else 0.0, 0.0))
     return checks
 
 
@@ -198,6 +215,7 @@ def suite_green(beta=0.5, alpha=1.5, dim=3, paths=100_000, seed=42,
 
 SUITES = {
     "specfun": suite_specfun,
+    "laplace": suite_laplace,
     "moments": suite_moments,
     "covariance": suite_covariance,
     "charfun": suite_charfun,

@@ -132,6 +132,14 @@ def test_verify_specfun_passes(tmp_path):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_verify_representation_beta_one_passes(tmp_path):
+    """At beta = 1 the analytic marginal is Gaussian."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "representation", "--beta", "1",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+
 def test_verify_unknown_suite_usage_error():
     result = run_cli(["verify", "nonsense"])
     assert result.returncode == 2

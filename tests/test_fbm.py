@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ggbm import DomainError, GridSpec, SeedSpec, generate_fbm, rescale_path
+from ggbm import DomainError, GridSpec, SeedSpec, generate_fbm
 from ggbm.fbm import (_fgn_autocov, _fgn_circulant, fbm_cholesky_factor,
                       fbm_covariance, sample_fbm_batch)
 from ggbm.randvar import make_stream
@@ -155,13 +155,6 @@ def test_marginal_variance_on_path_ensemble():
         for i in range(n)])
     se = (vals ** 2).std(ddof=1) / math.sqrt(n)
     assert abs((vals ** 2).mean() - 1.0) <= 4.0 * se
-
-
-def test_rescale_path_self_similarity():
-    path = generate_fbm(0.75, GridSpec(1.0, 16), 1, SeedSpec(8, 0))
-    scaled = rescale_path(path, 4.0)
-    assert scaled.times[-1] == pytest.approx(4.0)
-    assert np.allclose(scaled.values, 4.0 ** 0.75 * path.values)
 
 
 def test_path_to_csv_roundtrip():

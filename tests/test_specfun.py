@@ -64,6 +64,41 @@ def test_mittag_leffler_domain_errors():
         mittag_leffler(0.5, 1.0)
 
 
+def _mittag_leffler_mpmath(mpmath, beta, x):
+    """E_beta(-x) by its series in mpmath at 60 digits.  The terms are
+    log-concave in n, so the first shrinking term below 1e-30 of the sum
+    ends the sum."""
+    with mpmath.workdps(60):
+        b, t = mpmath.mpf(beta), mpmath.mpf(x)
+        total, power, prev, k = mpmath.mpf(0), mpmath.mpf(1), mpmath.inf, 0
+        while True:
+            term = power * mpmath.rgamma(b * k + 1)  # power = (-x)^k
+            total += term
+            if abs(term) < prev and abs(term) < 1e-30 * abs(total):
+                return float(total)
+            prev, power, k = abs(term), -power * t, k + 1
+
+
+def test_mittag_leffler_error_bound_vs_mpmath():
+    """est_abs_error bounds the error of every series value, including the
+    rounding of each term's logarithm, on random (beta, z) with -z
+    log-uniform in [0.01, 50] and at (0.6, -4.79)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    betas = np.concatenate([[0.6], rng.uniform(0.05, 0.99, 400)])
+    xs = np.concatenate([[4.79], np.exp(rng.uniform(math.log(0.01), math.log(50.0), 400))])
+    n_series = 0
+    for beta, x in zip(betas.tolist(), xs.tolist()):
+        r = mittag_leffler(beta, -x)
+        if r.terms_used == 0:  # integral continuation
+            continue
+        n_series += 1
+        assert abs(r.value - _mittag_leffler_mpmath(mpmath, beta, x)) <= r.est_abs_error, \
+            (beta, x, r)
+    assert mittag_leffler(0.6, -4.79).terms_used > 0
+    assert n_series > 200
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
 def test_m_wright_half_is_gaussian(tau):
     expected = math.exp(-tau * tau / 4.0) / math.sqrt(math.pi)
