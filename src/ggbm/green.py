@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special import gammainccinv
 
 from .exceptions import DomainError
 from .model import ModelParams
@@ -40,30 +40,39 @@ def unit_sphere_area(d: int) -> float:
 # Test functions (continuous, bounded, integrable)
 # ---------------------------------------------------------------------------
 
+# L1 mass of |f| that a test function's reach may leave outside it
+_TAIL_MASS = 1e-12
+
+
 @dataclass(frozen=True)
 class TestFunction:
-    """A function R^d -> R with its sup- and L1-norms declared.
+    """A function R^d -> R with the facts the Green layer reads declared.
 
     eval_many maps an (m, d) array of points to an (m,) array of values.
-    l1_tail(R) bounds the L1 mass outside the ball of radius R around
-    `center`; it certifies truncation of the potential quadrature.
+    reach is the radius around `center` outside which |f| has L1 mass at
+    most _TAIL_MASS; it truncates the potential quadrature.  mean_upper(v)
+    bounds E[f(x + Z)], Z ~ N(0, v I), for every x and for arrays of v; it
+    bounds the Monte Carlo truncation tail, and defaults to
+    min(sup_norm, l1_norm (2 pi v)^(-d/2)), which holds for every f.
     """
 
     eval_many: Callable[[np.ndarray], np.ndarray]
     sup_norm: float
     l1_norm: float
     dim: int
+    reach: float
     kind: str = "custom"
     center: np.ndarray = None
-    l1_tail: Callable[[float], float] = None
-    # optional: v -> upper bound on E[f(x + Z)], Z ~ N(0, v I), any x
-    mean_upper: Callable[[float], float] = None
+    mean_upper: Callable[[np.ndarray], np.ndarray] = None
 
     def __post_init__(self):
         if self.center is None:
             object.__setattr__(self, "center", np.zeros(self.dim))
-        if self.l1_tail is None:
-            object.__setattr__(self, "l1_tail", lambda R: self.l1_norm)
+        if self.mean_upper is None:
+            # the values, not self: dataclasses.replace keeps this bound
+            sup, l1, d = self.sup_norm, self.l1_norm, self.dim
+            object.__setattr__(self, "mean_upper", lambda v: np.minimum(
+                sup, l1 * (2.0 * math.pi * v) ** (-0.5 * d)))
 
     @property
     def cl_norm(self) -> float:
@@ -74,35 +83,6 @@ class TestFunction:
         if pts.ndim == 1:
             return float(self.eval_many(pts[None, :])[0])
         return self.eval_many(pts)
-
-    def tail_radius(self, eps: float) -> float:
-        """Radius R with l1_tail(R) <= eps, found by doubling + bisection."""
-        lo, hi = 0.0, 1.0
-        while self.l1_tail(hi) > eps:
-            hi *= 2.0
-            if hi > 1e12:
-                raise DomainError("tail radius not found; l1_tail does not decay")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.l1_tail(mid) > eps:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    def shifted(self, h) -> "TestFunction":
-        """The function y -> f(y + h)."""
-        h = np.asarray(h, dtype=float)
-        return TestFunction(
-            eval_many=lambda pts: self.eval_many(pts + h),
-            sup_norm=self.sup_norm,
-            l1_norm=self.l1_norm,
-            dim=self.dim,
-            kind=self.kind,
-            center=self.center - h,
-            l1_tail=self.l1_tail,
-            mean_upper=self.mean_upper,  # a bound for every x, so also after a shift
-        )
 
 
 def gaussian_test_function(sigma: float, dim: int, center=None,
@@ -117,16 +97,16 @@ def gaussian_test_function(sigma: float, dim: int, center=None,
         d2 = np.sum((pts - c) ** 2, axis=-1)
         return amplitude * np.exp(-0.5 * d2 / (sigma * sigma))
 
-    def tail(R):
-        # mass outside |y - c| > R, exactly via the regularized upper gamma
-        return l1 * float(gammaincc(0.5 * dim, 0.5 * (R / sigma) ** 2))
+    # the mass outside |y - c| > R is l1 * gammaincc(d/2, R^2 / (2 sigma^2))
+    reach = (sigma * math.sqrt(2.0 * gammainccinv(0.5 * dim, _TAIL_MASS / l1))
+             if l1 > _TAIL_MASS else 0.0)
 
     def mean_upper(v):
         # E[f(x+Z)] = A sigma^d (sigma^2+v)^(-d/2) exp(...) <= the prefactor
         return amplitude * sigma ** dim * (sigma * sigma + v) ** (-0.5 * dim)
 
     return TestFunction(eval_many=ev, sup_norm=amplitude, l1_norm=l1, dim=dim,
-                        kind=f"gaussian(sigma={sigma:g})", center=c, l1_tail=tail,
+                        reach=reach, kind=f"gaussian(sigma={sigma:g})", center=c,
                         mean_upper=mean_upper)
 
 
@@ -151,11 +131,8 @@ def bump_test_function(radius: float, dim: int, center=None,
     shell, _ = quad(lambda u: profile(np.array([u]))[0] * u ** (dim - 1), 0.0, 1.0)
     l1 = amplitude * unit_sphere_area(dim) * radius ** dim * shell
 
-    def tail(R):
-        return 0.0 if R >= radius else l1
-
     return TestFunction(eval_many=ev, sup_norm=amplitude, l1_norm=l1, dim=dim,
-                        kind=f"bump(radius={radius:g})", center=c, l1_tail=tail)
+                        reach=radius, kind=f"bump(radius={radius:g})", center=c)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +149,6 @@ class GreenDensity:
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "GreenDensity":
-        if not params.green_exists:
-            raise DomainError(params.failed_green_constraint())
         D = green_constant(params.beta, params.alpha, params.dim)
         return cls(params=params, D=D,
                    exponent=params.dim - 2.0 / params.alpha)
@@ -203,10 +178,8 @@ def time_integral_kernel(alpha: float, d: int, tau: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 # Quadrature control for the potential integral: target absolute/relative
-# tolerance, L1 mass of |f| left outside the truncation radius, and the cap
-# on the angular rule size.
+# tolerance and the cap on the angular rule size.
 _POTENTIAL_TOL = 1e-10
-_TAIL_MASS = 1e-12
 _MAX_ANGULAR = 192
 
 
@@ -271,7 +244,7 @@ def potential(gd: GreenDensity, f: TestFunction, x) -> float:
     x = np.asarray(x, dtype=float)
     alpha, d = gd.params.alpha, gd.params.dim
     # truncation radius around x: everything but _TAIL_MASS of |f| inside
-    reach = float(np.linalg.norm(x - f.center)) + f.tail_radius(_TAIL_MASS)
+    reach = float(np.linalg.norm(x - f.center)) + f.reach
     u_max = reach ** (2.0 / alpha)
 
     def integrand(u):

@@ -34,16 +34,17 @@ class ModelParams:
 
     @property
     def green_exists(self) -> bool:
-        if self.beta == 1.0 and self.alpha == 1.0:
-            return self.dim >= 3
-        return self.dim * self.alpha > 2.0 and 1.0 < self.alpha <= 2.0
+        return self.failed_green_constraint() is None
 
     def failed_green_constraint(self) -> str | None:
-        """Name of the first violated admissibility inequality, or None."""
-        if self.green_exists:
-            return None
+        """The first violated admissibility inequality of the Green measure,
+        or None when it exists.  This is the one statement of the rule.
+        """
         if self.beta == 1.0 and self.alpha == 1.0:
-            return f"requires d >= 3 in the Brownian case (got d = {self.dim})"
+            return (None if self.dim >= 3 else
+                    f"requires d >= 3 in the Brownian case (got d = {self.dim})")
         if not 1.0 < self.alpha <= 2.0:
             return f"requires 1 < alpha <= 2 (got alpha = {self.alpha:g})"
-        return f"requires d*alpha > 2 (got d*alpha = {self.dim * self.alpha:g})"
+        if self.dim * self.alpha <= 2.0:
+            return f"requires d*alpha > 2 (got d*alpha = {self.dim * self.alpha:g})"
+        return None

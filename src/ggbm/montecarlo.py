@@ -3,8 +3,9 @@
 Paths are sampled on one geometric clock from _T_MIN to t_max, in
 fixed-size chunks with one counter-based stream per chunk.  Every chunk
 returns the same four sums (the trapezoid integral on the grid and its
-difference from the half grid, each with its square), and a pairwise tree
-reduces them, so the result is bit-identical for any worker count.
+difference from the half grid, each with its square), and math.fsum adds
+each sum over the chunks in chunk order, so the result is bit-identical for
+any worker count.
 Truncation at t_max is accounted for by an analytic tail bound reported
 separately from the statistical error.
 """
@@ -31,7 +32,6 @@ __all__ = [
     "build_time_grid",
     "estimate_potential_mc",
     "tail_bound",
-    "pairwise_sum",
 ]
 
 # The time grid: 0, then geometric from _T_MIN to t_max with at least
@@ -73,7 +73,6 @@ class Estimate:
     discretization_bound: float
     t_max: float
     seed: SeedSpec
-    discretization_note: str = ""
 
     def to_dict(self, params: ModelParams | None = None,
                 f: TestFunction | None = None, x=None) -> dict:
@@ -96,19 +95,6 @@ class Estimate:
                   "stream_index": self.seed.stream_index},
         )
         return out
-
-
-def pairwise_sum(values) -> float:
-    """Deterministic pairwise tree reduction of a list of floats."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
 
 
 def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
@@ -158,9 +144,9 @@ def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
     """Upper bound on int_{t_max}^inf E[f(x + B(t))] dt, valid for every x.
 
     Closed form when the scale-mixture moment of order -d/2 is finite
-    (d = 1, or beta = 1); otherwise a certified coarser bound:
-    E[f(x+B(t))] <= int min(sup|f|, ||f||_1 (2 pi y t^a)^(-d/2)) M_beta(y) dy
-    (or the function's own Gaussian-mean bound when it declares one),
+    (d = 1, or beta = 1); otherwise the function's Gaussian-mean bound
+    averaged over the scale mixture,
+    E[f(x+B(t))] <= int f.mean_upper(y t^a) M_beta(y) dy,
     integrated over t numerically.
     """
     d, alpha, beta = params.dim, params.alpha, params.beta
@@ -176,13 +162,8 @@ def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
 
     nodes, weights, mvals = m_wright_quad_rule(beta)
 
-    if f.mean_upper is not None:
-        def per_t(t):
-            return float(np.dot(weights, f.mean_upper(nodes * t ** alpha) * mvals))
-    else:
-        def per_t(t):
-            dens = f.l1_norm * (2.0 * math.pi * nodes * t ** alpha) ** (-0.5 * d)
-            return float(np.dot(weights, np.minimum(f.sup_norm, dens) * mvals))
+    def per_t(t):
+        return float(np.dot(weights, f.mean_upper(nodes * t ** alpha) * mvals))
 
     val, err = quad(per_t, t_max, np.inf, epsabs=1e-12, epsrel=1e-9, limit=300)
     return val + err
@@ -193,10 +174,12 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     """Estimate E[int_0^inf f(x + B(t)) dt] by truncated path integration.
 
     Deterministic given (spec, seed): chunk i uses stream seed.substream(i)
-    and chunk results are combined by a fixed pairwise tree.
+    and chunk results are added in chunk order by math.fsum.
     """
     if not params.green_exists:
         raise DomainError(params.failed_green_constraint())
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     x = np.asarray(x, dtype=float)
     times = build_time_grid(spec)
     w_fine = _trapezoid_weights(times)
@@ -216,18 +199,13 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         return tuple(float(np.add.reduce(v))
                      for v in (fine, fine * fine, diff, diff * diff))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(job) for job in chunks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_chunk, chunks))
 
     n = spec.n_paths
-    total, total_sq, dsum, dsq = (pairwise_sum(col) for col in zip(*results))
+    total, total_sq, dsum, dsq = (math.fsum(col) for col in zip(*results))
     mean, std_error = _mean_and_se(total, total_sq, n)
     dmean, dse = _mean_and_se(dsum, dsq, n)
-    note = (f"grid-vs-half-grid difference on {n} paths: "
-            f"{dmean:.3e} +- {dse:.3e}")
 
     return Estimate(
         mean=mean,
@@ -237,5 +215,4 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         discretization_bound=abs(dmean) + 2.0 * dse,
         t_max=spec.t_max,
         seed=spec.seed,
-        discretization_note=note,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .exceptions import DomainError, SingularMatrixError
 from .fbm import GridSpec, Path, _fbm_values, fbm_covariance
@@ -118,14 +118,14 @@ def fdd_density(params: ModelParams, times, theta) -> float:
     n = len(t)
     th = _check_theta(theta, n, params.dim)
     R = fbm_covariance(t, params.hurst)
-    sign, logdet = np.linalg.slogdet(R)
-    if sign <= 0 or not np.isfinite(logdet):
-        raise SingularMatrixError("covariance matrix gamma_alpha is singular")
     try:
-        cf = cho_factor(R, lower=True)
+        L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    q = float(np.sum(th * cho_solve(cf, th)))
+        raise SingularMatrixError("covariance matrix gamma_alpha is singular") from exc
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    # potrs, not solve_triangular: scipy's trsm wakes its OpenBLAS threads,
+    # which then spin and double the CPU time of every later call
+    q = float(np.sum(th * cho_solve((L, True), th)))
     d, nd = params.dim, n * params.dim
     pref = (2.0 * math.pi) ** (-0.5 * nd) * math.exp(-0.5 * d * logdet)
     if params.beta == 1.0:

@@ -25,6 +25,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .exceptions import ConvergenceError, DomainError, PoleError
+from .model import ModelParams
 
 __all__ = [
     "EvalResult",
@@ -392,20 +393,14 @@ def time_kernel_constant(alpha: float, d: int) -> float:
 def green_constant(beta: float, alpha: float, d: int) -> float:
     """D(beta, alpha, d) = C(alpha, d) * Gamma(1 - 1/alpha) / Gamma(1 - beta/alpha).
 
-    Defined for d*alpha > 2 with 1 < alpha <= 2, and at the Brownian
-    boundary beta = alpha = 1 (d >= 3) where the gamma ratio is taken as
-    its limit value 1, recovering the classical Brownian constant.
+    Defined where ModelParams.failed_green_constraint() is None: d*alpha > 2
+    with 1 < alpha <= 2, and the Brownian boundary beta = alpha = 1 (d >= 3),
+    where the gamma ratio is taken as its limit value 1, recovering the
+    classical Brownian constant.
     """
+    failed = ModelParams(beta, alpha, d).failed_green_constraint()
+    if failed is not None:
+        raise DomainError(failed)
     if beta == 1.0 and alpha == 1.0:
-        if d < 3:
-            raise DomainError(
-                f"requires d >= 3 in the Brownian case, got d = {d}"
-            )
         return time_kernel_constant(alpha, d)
-    if not 1.0 < alpha <= 2.0:
-        raise DomainError(f"requires 1 < alpha <= 2, got alpha = {alpha:g}")
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"requires 0 < beta <= 1, got beta = {beta:g}")
-    if d * alpha <= 2.0:
-        raise DomainError(f"requires d*alpha > 2, got d*alpha = {d * alpha:g}")
     return time_kernel_constant(alpha, d) * m_wright_moment(beta, -1.0 / alpha)

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import gammaincc
 
 from ggbm import DomainError, GreenDensity, ModelParams, \
     bump_test_function, continuity_constant, gaussian_test_function, \
     green_density_at, green_measure_of_ball, potential, time_integral_kernel
 from ggbm import green
-from ggbm.green import _sphere_rule, unit_sphere_area
+from ggbm.green import _TAIL_MASS, _sphere_rule, unit_sphere_area
 from ggbm.specfun import green_constant
 
 
@@ -34,17 +35,40 @@ def test_gaussian_test_function_norms():
     assert f.sup_norm == 1.0
     assert f.l1_norm == pytest.approx((2.0 * math.pi * 4.0) ** 1.5, rel=1e-14)
     assert f(np.zeros(3)) == pytest.approx(1.0)
-    assert f.l1_tail(0.0) == pytest.approx(f.l1_norm, rel=1e-12)
-    assert f.l1_tail(100.0) < 1e-12
-    r = f.tail_radius(1e-10)
-    assert f.l1_tail(r) <= 1e-10
+    # the mass outside the reach, by radial quadrature of the profile
+    outside, _ = quad(lambda r: 4.0 * math.pi * r * r * math.exp(-r * r / 8.0),
+                      f.reach, np.inf, epsabs=0.0, epsrel=1e-10)
+    assert 0.5 * _TAIL_MASS <= outside <= _TAIL_MASS * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 1.0, 7.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("amplitude", [1e-9, 1.0, 1e4])
+def test_gaussian_reach_leaves_tail_mass(sigma, d, amplitude):
+    """Outside the reach the L1 mass is at most _TAIL_MASS (up to the
+    rounding of gammainccinv and gammaincc) and at least half of it."""
+    f = gaussian_test_function(sigma, d, amplitude=amplitude)
+    outside = f.l1_norm * gammaincc(0.5 * d, 0.5 * (f.reach / sigma) ** 2)
+    assert 0.5 * _TAIL_MASS <= outside <= _TAIL_MASS * (1.0 + 1e-12)
+
+
+def test_gaussian_reach_zero_below_tail_mass():
+    # all of the L1 mass fits under _TAIL_MASS, so nothing needs a reach
+    sigma, d = 0.5, 3
+    amplitude = 0.75 * _TAIL_MASS / (2.0 * math.pi * sigma * sigma) ** 1.5
+    f = gaussian_test_function(sigma, d, amplitude=amplitude)
+    assert f.reach == 0.0
+    assert 0.5 * _TAIL_MASS <= f.l1_norm <= _TAIL_MASS
+    assert potential(GreenDensity.from_params(ModelParams(0.5, 1.5, d)),
+                     f, np.zeros(d)) == 0.0
 
 
 def test_bump_test_function_support():
     f = bump_test_function(1.5, 2)
     assert f(np.zeros(2)) == pytest.approx(1.0)
     assert f(np.array([2.0, 0.0])) == 0.0
-    assert f.l1_tail(1.5) == 0.0
+    assert f.reach == 1.5
+    assert f(np.array([1.5, 0.0])) == 0.0  # the support ends at the reach
     # L1 norm agrees with direct radial quadrature
     val, _ = quad(
         lambda r: f(np.array([r, 0.0])) * 2.0 * math.pi * r, 0.0, 1.5)

@@ -9,24 +9,12 @@ from scipy.integrate import quad
 from ggbm import DomainError, GreenDensity, ModelParams, PerpetualSpec, \
     SeedSpec, estimate_potential_mc, gaussian_test_function, potential, \
     tail_bound
-from ggbm import blas
+from ggbm import blas, green
 from ggbm.fbm import sample_fbm_batch
 from ggbm.montecarlo import _CHUNK_SIZE, _STEPS_PER_DECADE, _T_MIN, \
-    _chunk_path_integrals, _trapezoid_weights, build_time_grid, pairwise_sum
+    _chunk_path_integrals, _trapezoid_weights, build_time_grid
 from ggbm.randvar import make_stream, sample_y_beta_array
-
-
-def test_pairwise_sum_matches_fsum():
-    rng = np.random.default_rng(1)
-    vals = list(rng.standard_normal(1000) * rng.uniform(1e-8, 1e8, 1000))
-    assert pairwise_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-12)
-    assert pairwise_sum([]) == 0.0
-    assert pairwise_sum([3.5]) == 3.5
-
-
-def test_pairwise_sum_order_of_combination_is_fixed():
-    vals = [0.1 * i for i in range(17)]
-    assert pairwise_sum(vals) == pairwise_sum(list(vals))
+from ggbm.specfun import m_wright_quad_rule
 
 
 def test_build_time_grid_structure():
@@ -99,7 +87,6 @@ def test_discretization_bound_uses_every_path():
     diff = np.concatenate(diffs)
     expected = abs(diff.mean()) + 2.0 * diff.std(ddof=1) / math.sqrt(len(diff))
     assert est.discretization_bound == pytest.approx(expected, rel=1e-9)
-    assert f"on {2 * _CHUNK_SIZE} paths" in est.discretization_note
 
 
 def test_tail_bound_brownian_closed_form():
@@ -119,7 +106,6 @@ def test_tail_bound_dominates_true_tail():
     bound = tail_bound(params, f, T)
     # exact mean at x = center: E[f(B(t))] with variance Y t^alpha per
     # component, averaged over Y by quadrature
-    from ggbm.specfun import m_wright_quad_rule
     nodes, weights, mvals = m_wright_quad_rule(0.5)
 
     def mean_at_center(t):
@@ -167,13 +153,34 @@ def test_estimate_leaves_blas_thread_count(threads):
     assert blas.threads() == before
 
 
-def test_tail_bound_of_shifted_function_unchanged():
-    """The Gaussian-mean bound holds for every x, so a shift keeps it."""
+def test_custom_test_function_gets_default_mean_bound():
+    """A function declared with its norms and reach only is bounded by
+    E f(x+Z) <= min(sup, l1 (2 pi v)^(-d/2)), the bound for every f."""
     params = ModelParams(0.5, 1.5, 3)
-    f = gaussian_test_function(1.0, 3)
-    g = f.shifted([0.5, -1.0, 2.0])
-    assert g.mean_upper is f.mean_upper
-    assert tail_bound(params, g, 20.0) == tail_bound(params, f, 20.0)
+    g = gaussian_test_function(0.8, 3, amplitude=2.0)
+    f = green.TestFunction(eval_many=g.eval_many, sup_norm=g.sup_norm,
+                           l1_norm=g.l1_norm, dim=3, reach=g.reach)
+    gd = GreenDensity.from_params(params)
+    v = potential(gd, f, np.zeros(3))
+    assert math.isfinite(v) and v == potential(gd, g, np.zeros(3))
+
+    nodes, weights, mvals = m_wright_quad_rule(0.5)
+
+    def per_t(t):
+        dens = f.l1_norm * (2.0 * math.pi * nodes * t ** 1.5) ** -1.5
+        return float(np.dot(weights, np.minimum(f.sup_norm, dens) * mvals))
+
+    val, err = quad(per_t, 20.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=300)
+    assert tail_bound(params, f, 20.0) == pytest.approx(val + err, rel=1e-9)
+    # the declared Gaussian bound is the tighter one
+    assert tail_bound(params, g, 20.0) < tail_bound(params, f, 20.0)
+
+
+def test_estimate_requires_positive_threads():
+    spec = PerpetualSpec(t_max=10.0, n_paths=16, seed=SeedSpec(0, 0))
+    with pytest.raises(DomainError):
+        estimate_potential_mc(ModelParams(0.5, 1.5, 3), gaussian_test_function(1.0, 3),
+                              np.zeros(3), spec, threads=0)
 
 
 def test_estimate_seed_sensitivity():

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erfcx, gammaln
 
-from ggbm import DomainError, gamma, green_constant, m_wright, \
+from ggbm import DomainError, ModelParams, gamma, green_constant, m_wright, \
     m_wright_moment, mittag_leffler, time_kernel_constant
 from ggbm import specfun
 from ggbm.exceptions import PoleError
@@ -243,7 +243,16 @@ def test_green_constant_reference_value():
 
 
 def test_green_constant_domain_errors():
-    with pytest.raises(DomainError):
-        green_constant(0.5, 1.5, 1)   # d*alpha <= 2
-    with pytest.raises(DomainError):
-        green_constant(0.5, 0.9, 3)   # alpha <= 1 with beta < 1
+    """green_constant raises the message of the one admissibility rule,
+    ModelParams.failed_green_constraint, for each rule it can violate."""
+    for beta, alpha, d in [
+        (1.0, 1.0, 2),   # Brownian case needs d >= 3
+        (0.5, 0.9, 3),   # alpha <= 1 with beta < 1
+        (1.0, 0.5, 8),   # alpha <= 1 off the Brownian point
+        (0.5, 1.5, 1),   # d*alpha <= 2
+    ]:
+        message = ModelParams(beta, alpha, d).failed_green_constraint()
+        assert message is not None
+        with pytest.raises(DomainError) as exc:
+            green_constant(beta, alpha, d)
+        assert str(exc.value) == message
