@@ -157,23 +157,30 @@ def sample_fbm_batch(
     i.i.d. components, by batched Cholesky (H=1 degenerates to a line).
     The stream use is a single standard_normal draw of fixed shape.
 
-    The factorization and one GEMM for all paths run with BLAS pinned to
-    one thread, so the values do not depend on the BLAS thread count;
-    parallelism comes from calling this on several chunks.  The GEMM is
-    written L @ z.T rather than z @ L.T: same products, but OpenBLAS then
-    packs the small factor instead of the whole batch.  The result is a
-    view of that time-major (len(times), n_paths, dim) product.
+    The values are stored component-major: the result is a view of a
+    C-contiguous (dim, len(times), n_paths) buffer, which
+    `.transpose(2, 1, 0)` recovers, so a caller can work on it in place,
+    one contiguous component plane at a time.  Each plane is one GEMM
+    written straight into the buffer, L @ z[k::dim].T rather than
+    z[k::dim] @ L.T: same products, but OpenBLAS then packs the small
+    factor instead of the whole batch.  The GEMMs and the factorization
+    run with BLAS pinned to one thread, so the values do not depend on the
+    BLAS thread count; parallelism comes from calling this on several
+    chunks.
     """
     t = np.asarray(times, dtype=float)
     n = len(t)
+    out = np.empty((dim, n, n_paths))
     if hurst == 1.0:
         xi = rng.standard_normal((n_paths, 1, dim))
-        return t[None, :, None] * xi
+        np.multiply(t[None, :, None], xi.transpose(2, 1, 0), out=out)
+        return out.transpose(2, 1, 0)
     z = rng.standard_normal((n_paths * dim, n))
     with blas.single_threaded():
         L = fbm_cholesky_factor(hurst, t)
-        vals = L @ z.T  # (n, n_paths*dim)
-    return vals.reshape(n, n_paths, dim).transpose(1, 0, 2)
+        for k in range(dim):
+            np.matmul(L, z[k::dim].T, out=out[k])
+    return out.transpose(2, 1, 0)
 
 
 def _fbm_values(hurst: float, grid: GridSpec, dim: int,

@@ -94,8 +94,16 @@ def gaussian_test_function(sigma: float, dim: int, center=None,
     l1 = amplitude * (2.0 * math.pi * sigma * sigma) ** (0.5 * dim)
 
     def ev(pts):
-        d2 = np.sum((pts - c) ** 2, axis=-1)
-        return amplitude * np.exp(-0.5 * d2 / (sigma * sigma))
+        # one temporary, in the layout of pts, then in-place steps in the
+        # order of A * exp(-0.5 * |pts - c|^2 / sigma^2)
+        diff = pts - c
+        np.square(diff, out=diff)
+        d2 = np.sum(diff, axis=-1)
+        d2 *= -0.5
+        d2 /= sigma * sigma
+        np.exp(d2, out=d2)
+        d2 *= amplitude
+        return d2
 
     # the mass outside |y - c| > R is l1 * gammaincc(d/2, R^2 / (2 sigma^2))
     reach = (sigma * math.sqrt(2.0 * gammainccinv(0.5 * dim, _TAIL_MASS / l1))

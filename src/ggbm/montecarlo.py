@@ -1,11 +1,14 @@
 """Monte Carlo estimation of the perpetual integral int_0^inf f(x + B(t)) dt.
 
 Paths are sampled on one geometric clock from _T_MIN to t_max, in
-fixed-size chunks with one counter-based stream per chunk.  Every chunk
-returns the same four sums (the trapezoid integral on the grid and its
-difference from the half grid, each with its square), and math.fsum adds
-each sum over the chunks in chunk order, so the result is bit-identical for
-any worker count.
+fixed-size chunks with one counter-based stream per chunk.  A chunk's
+points stay in the component-major (d, times, paths) buffer the fBm
+sampler writes: they are scaled and shifted in place, f reads each
+component as a contiguous plane, and the trapezoid sums run over
+contiguous rows.  Every chunk returns the same four sums (the trapezoid
+integral on the grid and its difference from the half grid, each with its
+square), and math.fsum adds each sum over the chunks in chunk order, so
+the result is bit-identical for any worker count.
 Truncation at t_max is accounted for by an analytic tail bound reported
 separately from the statistical error.
 """
@@ -123,21 +126,30 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 def _chunk_path_integrals(params: ModelParams, f: TestFunction, x: np.ndarray,
                           times: np.ndarray, rng: np.random.Generator,
-                          n: int) -> np.ndarray:
-    """(n, len(times)) values of f along product-representation paths, the
-    raw matrix, so the caller can integrate it on the grid and on subgrids.
+                          n: int) -> tuple[float, np.ndarray]:
+    """f(x), the value of every path at t = 0, and the (len(times) - 1, n)
+    values of f along product-representation paths at times[1:], the raw
+    matrix, so the caller can integrate it on the grid and on subgrids.
 
-    The points are built time-major, (len(times), n, d), which is the memory
-    order of sample_fbm_batch's output, so scaling by sqrt(Y) streams through
-    memory; the returned matrix is a transposed view.
+    The points stay where sample_fbm_batch put them, component-major
+    (d, len(times) - 1, n): scaling by sqrt(Y) and shifting by x run in
+    place, and f sees the buffer as an (m, d) view whose components are
+    contiguous planes.
     """
+    d, m = params.dim, len(times) - 1
     y = sample_y_beta_array(params.beta, rng, n)
-    vals = sample_fbm_batch(params.hurst, times[1:], params.dim, n, rng)
-    pts = np.empty((len(times), n, params.dim))
-    pts[0] = x
-    np.multiply(np.sqrt(y)[:, None], vals.transpose(1, 0, 2), out=pts[1:])
-    pts[1:] += x
-    return f.eval_many(pts.reshape(-1, params.dim)).reshape(len(times), n).T
+    pts = sample_fbm_batch(params.hurst, times[1:], d, n, rng).transpose(2, 1, 0)
+    pts *= np.sqrt(y)
+    pts += x[:, None, None]
+    fv = f.eval_many(pts.reshape(d, m * n).T).reshape(m, n)
+    return f(x), fv
+
+
+def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-path trapezoid sums, f0 at the first node and the rows of fv at
+    the others.  einsum, not BLAS: an unpinned matrix-vector product would
+    wake OpenBLAS's other threads, which then spin idle for the chunk."""
+    return w[0] * f0 + np.einsum("j,ji->i", w[1:], fv)
 
 
 def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
@@ -191,11 +203,10 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     def run_chunk(job):
         idx, n = job
         rng = make_stream(spec.seed.substream(idx))
-        fv = _chunk_path_integrals(params, f, x, times, rng, n)
-        # einsum, not BLAS: an unpinned matrix-vector product would wake
-        # OpenBLAS's other threads, which then spin idle for the chunk
-        fine = np.einsum("ij,j->i", fv, w_fine)
-        diff = fine - np.einsum("ij,j->i", fv[:, ::2], w_coarse)
+        f0, fv = _chunk_path_integrals(params, f, x, times, rng, n)
+        fine = _trapezoid(f0, fv, w_fine)
+        # the coarse grid times[::2] is t = 0 and then every second row of fv
+        diff = fine - _trapezoid(f0, fv[1::2], w_coarse)
         return tuple(float(np.add.reduce(v))
                      for v in (fine, fine * fine, diff, diff * diff))
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ggbm import DomainError, GridSpec, SeedSpec, generate_fbm
+from ggbm import DomainError, GridSpec, SeedSpec, blas, generate_fbm
 from ggbm.fbm import (_fgn_autocov, _fgn_circulant, fbm_cholesky_factor,
                       fbm_covariance, sample_fbm_batch)
 from ggbm.randvar import make_stream
@@ -86,6 +86,29 @@ def test_fbm_batch_matches_per_path_reference():
     # the a priori bound on a K-term sum: K eps sum_k |L_ik z_k|
     bound = len(times) * np.finfo(float).eps * np.abs(L).sum(axis=1) * np.abs(z).max()
     assert np.all(np.abs(v - ref) <= bound[None, :, None])
+
+
+@pytest.mark.parametrize("hurst", [0.7, 1.0])
+def test_fbm_batch_is_component_major(hurst):
+    """The result is a view of a C-contiguous (dim, len(times), n_paths)
+    buffer."""
+    v = sample_fbm_batch(hurst, np.linspace(0.1, 3.0, 57), 3, 5,
+                         make_stream(SeedSpec(29, 0)))
+    assert v.shape == (5, 57, 3)
+    assert v.transpose(2, 1, 0).flags.c_contiguous
+
+
+def test_fbm_batch_equals_one_gemm():
+    """One GEMM per component gives the bits of the one GEMM over every
+    path and component, on the same single-threaded BLAS."""
+    times = np.geomspace(1e-3, 50.0, 302)
+    n_paths, dim = 64, 3
+    v = sample_fbm_batch(0.75, times, dim, n_paths, make_stream(SeedSpec(3, 1)))
+    z = make_stream(SeedSpec(3, 1)).standard_normal((n_paths * dim, len(times)))
+    with blas.single_threaded():
+        ref = fbm_cholesky_factor(0.75, times) @ z.T
+    assert np.array_equal(v.transpose(1, 0, 2),
+                          ref.reshape(len(times), n_paths, dim))
 
 
 def test_fgn_autocov_matches_mpmath():

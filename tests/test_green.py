@@ -63,6 +63,19 @@ def test_gaussian_reach_zero_below_tail_mass():
                      f, np.zeros(d)) == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_eval_matches_reference_expression(d):
+    """The in-place evaluator gives the bits of the one-line expression, on
+    C-contiguous points and on a component-major (strided) view."""
+    sigma, amplitude = 0.7, 2.5
+    c = np.linspace(-0.3, 0.4, d)
+    f = gaussian_test_function(sigma, d, center=c, amplitude=amplitude)
+    planes = 1.5 * np.random.default_rng(5).standard_normal((d, 1000))
+    for pts in (np.ascontiguousarray(planes.T), planes.T):
+        ref = amplitude * np.exp(-0.5 * np.sum((pts - c) ** 2, axis=-1) / (sigma * sigma))
+        assert np.array_equal(f.eval_many(pts), ref)
+
+
 def test_bump_test_function_support():
     f = bump_test_function(1.5, 2)
     assert f(np.zeros(2)) == pytest.approx(1.0)

@@ -61,13 +61,14 @@ def test_chunk_f_values_match_per_path_reference():
     x = np.array([0.3, -0.2, 0.1])
     times = build_time_grid(PerpetualSpec(t_max=3.0, n_paths=1, seed=SeedSpec(0, 0)))
     n = 6
-    fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(8, 1)), n)
+    f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(8, 1)), n)
+    assert fv.shape == (len(times) - 1, n)
     rng = make_stream(SeedSpec(8, 1))
     y = sample_y_beta_array(params.beta, rng, n)
     vals = sample_fbm_batch(params.hurst, times[1:], 3, n, rng)
     for p in range(n):
         pts = np.vstack([x, np.sqrt(y[p]) * vals[p] + x])
-        assert np.array_equal(fv[p], f.eval_many(pts))
+        assert np.array_equal(np.concatenate([[f0], fv[:, p]]), f.eval_many(pts))
 
 
 def test_discretization_bound_uses_every_path():
@@ -80,8 +81,9 @@ def test_discretization_bound_uses_every_path():
     times = build_time_grid(spec)
     diffs = []
     for idx in range(2):
-        fv = _chunk_path_integrals(params, f, x, times,
-                                   make_stream(spec.seed.substream(idx)), _CHUNK_SIZE)
+        f0, fv = _chunk_path_integrals(params, f, x, times,
+                                       make_stream(spec.seed.substream(idx)), _CHUNK_SIZE)
+        fv = np.vstack([np.full(_CHUNK_SIZE, f0), fv]).T  # (paths, times)
         diffs.append(fv @ _trapezoid_weights(times)
                      - fv[:, ::2] @ _trapezoid_weights(times[::2]))
     diff = np.concatenate(diffs)
@@ -141,6 +143,19 @@ def test_estimate_deterministic_across_threads():
     assert e1.mean == e8.mean
     assert e1.std_error == e8.std_error
     assert e1.discretization_bound == e8.discretization_bound
+
+
+def test_estimate_pinned_values():
+    """Mean, SE and discretization bound at seed 42, as the time-major chunk
+    layout computed them; the component-major layout may move only the
+    order of the trapezoid sums."""
+    params = ModelParams(0.5, 1.5, 3)
+    f = gaussian_test_function(1.0, 3)
+    spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
+    est = estimate_potential_mc(params, f, np.zeros(3), spec)
+    assert est.mean == pytest.approx(1.5779099744402245, rel=1e-12)
+    assert est.std_error == pytest.approx(0.024989474259830523, rel=1e-12)
+    assert est.discretization_bound == pytest.approx(0.0011651860922567868, rel=1e-12)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
