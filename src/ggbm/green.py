@@ -49,11 +49,10 @@ class TestFunction:
     """A function R^d -> R with the facts the Green layer reads declared.
 
     eval_many maps an (m, d) array of points to an (m,) array of values.
-    reach is the radius around `center` outside which |f| has L1 mass at
-    most _TAIL_MASS; it truncates the potential quadrature.  mean_upper(v)
-    bounds E[f(x + Z)], Z ~ N(0, v I), for every x and for arrays of v; it
-    bounds the Monte Carlo truncation tail, and defaults to
-    min(sup_norm, l1_norm (2 pi v)^(-d/2)), which holds for every f.
+    sup_norm and l1_norm are norms of |f|; reach is the radius around
+    `center` outside which |f| has L1 mass at most _TAIL_MASS.  spread >= 0
+    states E[f(x + Z)] <= min(sup_norm, l1_norm (2 pi (spread + v))^(-d/2))
+    for Z ~ N(0, v I) and every x; spread = 0 holds for every f.
     """
 
     eval_many: Callable[[np.ndarray], np.ndarray]
@@ -63,16 +62,11 @@ class TestFunction:
     reach: float
     kind: str = "custom"
     center: np.ndarray = None
-    mean_upper: Callable[[np.ndarray], np.ndarray] = None
+    spread: float = 0.0
 
     def __post_init__(self):
         if self.center is None:
             object.__setattr__(self, "center", np.zeros(self.dim))
-        if self.mean_upper is None:
-            # the values, not self: dataclasses.replace keeps this bound
-            sup, l1, d = self.sup_norm, self.l1_norm, self.dim
-            object.__setattr__(self, "mean_upper", lambda v: np.minimum(
-                sup, l1 * (2.0 * math.pi * v) ** (-0.5 * d)))
 
     @property
     def cl_norm(self) -> float:
@@ -87,11 +81,12 @@ class TestFunction:
 
 def gaussian_test_function(sigma: float, dim: int, center=None,
                            amplitude: float = 1.0) -> TestFunction:
-    """f(y) = A exp(-|y - c|^2 / (2 sigma^2))."""
+    """f(y) = A exp(-|y - c|^2 / (2 sigma^2)), spread sigma^2: its mean at
+    variance v is at most |A| sigma^d (sigma^2 + v)^(-d/2)."""
     if sigma <= 0.0:
         raise DomainError(f"sigma must be positive, got {sigma:g}")
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    l1 = amplitude * (2.0 * math.pi * sigma * sigma) ** (0.5 * dim)
+    l1 = abs(amplitude) * (2.0 * math.pi * sigma * sigma) ** (0.5 * dim)
 
     def ev(pts):
         # one temporary, in the layout of pts, then in-place steps in the
@@ -109,13 +104,9 @@ def gaussian_test_function(sigma: float, dim: int, center=None,
     reach = (sigma * math.sqrt(2.0 * gammainccinv(0.5 * dim, _TAIL_MASS / l1))
              if l1 > _TAIL_MASS else 0.0)
 
-    def mean_upper(v):
-        # E[f(x+Z)] = A sigma^d (sigma^2+v)^(-d/2) exp(...) <= the prefactor
-        return amplitude * sigma ** dim * (sigma * sigma + v) ** (-0.5 * dim)
-
-    return TestFunction(eval_many=ev, sup_norm=amplitude, l1_norm=l1, dim=dim,
+    return TestFunction(eval_many=ev, sup_norm=abs(amplitude), l1_norm=l1, dim=dim,
                         reach=reach, kind=f"gaussian(sigma={sigma:g})", center=c,
-                        mean_upper=mean_upper)
+                        spread=sigma * sigma)
 
 
 def bump_test_function(radius: float, dim: int, center=None,
@@ -137,9 +128,9 @@ def bump_test_function(radius: float, dim: int, center=None,
         return amplitude * profile(u)
 
     shell, _ = quad(lambda u: profile(np.array([u]))[0] * u ** (dim - 1), 0.0, 1.0)
-    l1 = amplitude * unit_sphere_area(dim) * radius ** dim * shell
+    l1 = abs(amplitude) * unit_sphere_area(dim) * radius ** dim * shell
 
-    return TestFunction(eval_many=ev, sup_norm=amplitude, l1_norm=l1, dim=dim,
+    return TestFunction(eval_many=ev, sup_norm=abs(amplitude), l1_norm=l1, dim=dim,
                         reach=radius, kind=f"bump(radius={radius:g})", center=c)
 
 

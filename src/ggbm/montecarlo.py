@@ -20,14 +20,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import beta as beta_function, betainc
 
 from .exceptions import DomainError
 from .fbm import sample_fbm_batch
 from .green import TestFunction
 from .model import ModelParams
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
-from .specfun import m_wright_moment, m_wright_quad_rule
+from .specfun import m_wright_quad_rule
 
 __all__ = [
     "PerpetualSpec",
@@ -155,30 +155,34 @@ def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
 def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
     """Upper bound on int_{t_max}^inf E[f(x + B(t))] dt, valid for every x.
 
-    Closed form when the scale-mixture moment of order -d/2 is finite
-    (d = 1, or beta = 1); otherwise the function's Gaussian-mean bound
-    averaged over the scale mixture,
-    E[f(x+B(t))] <= int f.mean_upper(y t^a) M_beta(y) dy,
-    integrated over t numerically.
+    Given Y = tau, the mean is at most min(sup, c (s + tau t^a)^(-d/2)) with
+    c = l1 (2 pi)^(-d/2) and s = f.spread.  Its time integral at each node
+    of the M-Wright rule is in closed form: sup (t* - t_max)^+, with t*
+    where the two bounds cross, plus the decay from t0 = max(t_max, t*) on,
+    c tau^(-d/2) t0^(1-p) / (p-1) with p = d a/2 at s = 0, and
+    c/a tau^(-1/a) s^(-b) B(b, 1/a) I_x(b, 1/a) with b = d/2 - 1/a and
+    x = s / (s + tau t0^a) at s > 0.
     """
-    d, alpha, beta = params.dim, params.alpha, params.beta
+    d, alpha = params.dim, params.alpha
     if d * alpha <= 2.0:
         raise DomainError(f"requires d*alpha > 2, got d*alpha = {d * alpha:g}")
-    p = 0.5 * d * alpha
-
-    # closed-form rate where the moment of order -d/2 is finite: d = 1, or
-    # beta = 1, where every moment is 1
-    if beta == 1.0 or d < 2:
-        c = f.l1_norm * (2.0 * math.pi) ** (-0.5 * d) * m_wright_moment(beta, -0.5 * d)
-        return c * t_max ** (1.0 - p) / (p - 1.0)
-
-    nodes, weights, mvals = m_wright_quad_rule(beta)
-
-    def per_t(t):
-        return float(np.dot(weights, f.mean_upper(nodes * t ** alpha) * mvals))
-
-    val, err = quad(per_t, t_max, np.inf, epsabs=1e-12, epsrel=1e-9, limit=300)
-    return val + err
+    sup, s = f.sup_norm, f.spread
+    if sup == 0.0:  # f = 0
+        return 0.0
+    c = f.l1_norm * (2.0 * math.pi) ** (-0.5 * d)
+    tau, weights, mvals = m_wright_quad_rule(params.beta)
+    # the variance tau t^a at which the two bounds cross
+    v_star = max((c / sup) ** (2.0 / d) - s, 0.0)
+    t_star = (v_star / tau) ** (1.0 / alpha)
+    t0 = np.maximum(t_max, t_star)
+    if s == 0.0:
+        p = 0.5 * d * alpha
+        decay = c * tau ** (-0.5 * d) * t0 ** (1.0 - p) / (p - 1.0)
+    else:
+        a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
+        decay = (c * a * tau ** -a * s ** -b * beta_function(b, a)
+                 * betainc(b, a, s / (s + tau * t0 ** alpha)))
+    return float(np.dot(weights, (sup * np.maximum(t_star - t_max, 0.0) + decay) * mvals))
 
 
 def estimate_potential_mc(params: ModelParams, f: TestFunction, x,

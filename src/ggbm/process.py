@@ -84,7 +84,7 @@ ggbm_path_subordinated = ggbm_path_product
 
 def _scale_mixture_integral(beta: float, power: float, q: float) -> float:
     """int_0^inf tau^(-power) exp(-q/(2 tau)) M_beta(tau) dtau by the cached
-    fixed rule.  q > 0; diverges as q -> 0 when power >= 1.
+    fixed rule.  q > 0 for beta < 1; diverges as q -> 0 when power >= 1.
     """
     nodes, weights, mvals = m_wright_quad_rule(beta)
     with np.errstate(over="ignore"):
@@ -110,7 +110,7 @@ def fdd_density(params: ModelParams, times, theta) -> float:
     """Joint density of the process at the given times, evaluated at theta
     (an n x d array of positions).
 
-    Where theta is 0 the value is finite only for n*d = 1 (beta < 1), the
+    Where theta is 0 and beta < 1 the value is finite only for n*d = 1, the
     scale-mixture moment of order -1/2; for n*d >= 2 the scale mixture
     diverges there and +inf is returned.
     """
@@ -128,9 +128,7 @@ def fdd_density(params: ModelParams, times, theta) -> float:
     q = float(np.sum(th * cho_solve((L, True), th)))
     d, nd = params.dim, n * params.dim
     pref = (2.0 * math.pi) ** (-0.5 * nd) * math.exp(-0.5 * d * logdet)
-    if params.beta == 1.0:
-        return pref * math.exp(-0.5 * q)
-    if q == 0.0:
+    if q == 0.0 and params.beta < 1.0:
         return math.inf if nd >= 2 else pref * m_wright_moment(params.beta, -0.5)
     return pref * _scale_mixture_integral(params.beta, 0.5 * nd, q)
 

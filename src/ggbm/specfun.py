@@ -340,13 +340,20 @@ def _mw_rule_cached(beta: float):
     return nodes, weights, values
 
 
+# M_1 = delta(tau - 1), the limit of M_beta: node 1, weight 1, value 1
+_POINT_MASS_RULE = (np.broadcast_to(1.0, (1,)),) * 3
+
+
 def m_wright_quad_rule(beta: float):
     """Fixed quadrature rule (nodes, weights, M_beta(nodes)) covering the
-    effective support of M_beta.  Cached per beta; intended for integrals
-    of the form int phi(tau) M_beta(tau) dtau with smooth-away-from-zero phi.
+    effective support of M_beta, 0 < beta <= 1.  Cached per beta; intended
+    for integrals of the form int phi(tau) M_beta(tau) dtau with
+    smooth-away-from-zero phi.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"m_wright_quad_rule requires 0 < beta < 1, got {beta:g}")
+    if not 0.0 < beta <= 1.0:
+        raise DomainError(f"m_wright_quad_rule requires 0 < beta <= 1, got {beta:g}")
+    if beta == 1.0:
+        return _POINT_MASS_RULE
     return _mw_rule_cached(float(beta))
 
 
@@ -401,6 +408,4 @@ def green_constant(beta: float, alpha: float, d: int) -> float:
     failed = ModelParams(beta, alpha, d).failed_green_constraint()
     if failed is not None:
         raise DomainError(failed)
-    if beta == 1.0 and alpha == 1.0:
-        return time_kernel_constant(alpha, d)
     return time_kernel_constant(alpha, d) * m_wright_moment(beta, -1.0 / alpha)

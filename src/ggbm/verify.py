@@ -161,10 +161,8 @@ def suite_charfun(beta=0.5, alpha=1.5, dim=1, paths=100_000, seed=42, **_):
 
 def _marginal_cdf(beta: float, hurst: float, t: float, y) -> np.ndarray:
     """P(B_1(t) <= y) = int Phi(y / (sqrt(tau) t^H)) M_beta(tau) dtau, by the
-    M-Wright quadrature rule; Phi(y / t^H) at beta = 1."""
+    M-Wright quadrature rule."""
     u = np.asarray(y) / t ** hurst
-    if beta == 1.0:
-        return ndtr(u)
     nodes, weights, mvals = m_wright_quad_rule(beta)
     inv_sd, wm = 1.0 / np.sqrt(nodes), weights * mvals
     blocks = np.split(u, np.arange(_CDF_BLOCK, u.size, _CDF_BLOCK))

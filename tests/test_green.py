@@ -1,6 +1,7 @@
 """Tests for the Green density, potentials and ball measures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from scipy.special import gammaincc
 
 from ggbm import DomainError, GreenDensity, ModelParams, \
     bump_test_function, continuity_constant, gaussian_test_function, \
-    green_density_at, green_measure_of_ball, potential, time_integral_kernel
+    green_density_at, green_measure_of_ball, potential, tail_bound, \
+    time_integral_kernel
 from ggbm import green
 from ggbm.green import _TAIL_MASS, _sphere_rule, unit_sphere_area
 from ggbm.specfun import green_constant
@@ -86,6 +88,25 @@ def test_bump_test_function_support():
     val, _ = quad(
         lambda r: f(np.array([r, 0.0])) * 2.0 * math.pi * r, 0.0, 1.5)
     assert f.l1_norm == pytest.approx(val, rel=1e-8)
+
+
+@pytest.mark.parametrize("make_f", [gaussian_test_function, bump_test_function],
+                         ids=["gaussian", "bump"])
+def test_signed_test_function_norms(make_f):
+    """sup_norm and l1_norm are the norms of |f|: amplitude -1 gives the
+    norms, reach and tail bound of amplitude 1 and the negated potential;
+    amplitude 0 gives V = 0 and a zero tail.  No warning is raised."""
+    params = ModelParams(0.5, 1.5, 3)
+    gd = GreenDensity.from_params(params)
+    x = np.zeros(3)
+    pos, neg, zero = (make_f(1.0, 3, amplitude=a) for a in (1.0, -1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (neg.sup_norm, neg.l1_norm, neg.reach) == (pos.sup_norm, pos.l1_norm, pos.reach)
+        assert potential(gd, neg, x) == pytest.approx(-potential(gd, pos, x), rel=1e-12)
+        assert tail_bound(params, neg, 50.0) == tail_bound(params, pos, 50.0) > 0.0
+        assert potential(gd, zero, x) == 0.0
+        assert tail_bound(params, zero, 50.0) == 0.0
 
 
 def test_green_density_values():

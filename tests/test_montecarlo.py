@@ -1,14 +1,15 @@
 """Tests for the perpetual-integral Monte Carlo estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad_vec
 
 from ggbm import DomainError, GreenDensity, ModelParams, PerpetualSpec, \
-    SeedSpec, estimate_potential_mc, gaussian_test_function, potential, \
-    tail_bound
+    SeedSpec, bump_test_function, estimate_potential_mc, \
+    gaussian_test_function, potential, tail_bound
 from ggbm import blas, green
 from ggbm.fbm import sample_fbm_batch
 from ggbm.montecarlo import _CHUNK_SIZE, _STEPS_PER_DECADE, _T_MIN, \
@@ -91,32 +92,101 @@ def test_discretization_bound_uses_every_path():
     assert est.discretization_bound == pytest.approx(expected, rel=1e-9)
 
 
+def _rule_tail(params, log_mean, t_max, v_split=0.0):
+    """Reference for tail_bound: sum_i w_i M_i int_{t_max}^inf mean(tau_i t^a) dt
+    over the M-Wright rule, every node its own adaptive integral in
+    u = log t (one quad_vec over the vector of nodes), split where the
+    node's variance tau_i t^a reaches v_split.  log_mean maps log v to the
+    log of the mean at variance v; both integrals must converge."""
+    tau, weights, mvals = m_wright_quad_rule(params.beta)
+    alpha, lo = params.alpha, math.log(t_max)
+    with np.errstate(divide="ignore"):
+        u0 = np.maximum(lo, (np.log(v_split) - np.log(tau)) / alpha)
+
+    def g(u):
+        return weights * mvals * np.exp(u + log_mean(alpha * u + np.log(tau)))
+
+    head, _, info_head = quad_vec(lambda w: (u0 - lo) * g(lo + w * (u0 - lo)), 0.0, 1.0,
+                                  epsabs=1e-300, epsrel=1e-12, norm="max", full_output=True)
+    tail, _, info_tail = quad_vec(lambda v: g(u0 + v), 0.0, np.inf,
+                                  epsabs=1e-300, epsrel=1e-12, norm="max", full_output=True)
+    assert info_head.success and info_tail.success
+    return math.fsum(head) + math.fsum(tail)
+
+
+def _default_bound_tail(params, f, t_max):
+    """_rule_tail of min(sup, l1 (2 pi (spread + v))^(-d/2)), split where the
+    two bounds cross."""
+    d, s = params.dim, f.spread
+    log_c = math.log(f.l1_norm) - 0.5 * d * math.log(2.0 * math.pi)
+
+    def log_mean(log_v):
+        log_sv = log_v + np.log1p(s * np.exp(-log_v))  # log(s + v)
+        return np.minimum(math.log(f.sup_norm), log_c - 0.5 * d * log_sv)
+
+    v_star = max(math.exp(2.0 / d * (log_c - math.log(f.sup_norm))) - s, 0.0)
+    return _rule_tail(params, log_mean, t_max, v_star)
+
+
+def _gaussian_heat_tail(params, sigma, amplitude, r, t_max):
+    """_rule_tail of the exact heat mean of A exp(-|y|^2 / (2 sigma^2)) at
+    distance r from its centre,
+    A sigma^d (sigma^2 + v)^(-d/2) exp(-r^2 / (2 (sigma^2 + v)))."""
+    d, s = params.dim, sigma * sigma
+
+    def log_mean(log_v):
+        inv_v = np.exp(-log_v)
+        return (math.log(amplitude * sigma ** d) - 0.5 * d * (log_v + np.log1p(s * inv_v))
+                - 0.5 * r * r * inv_v / (1.0 + s * inv_v))
+
+    return _rule_tail(params, log_mean, t_max)
+
+
+def _norms_only(g):
+    """g declared with its norms and reach only, so with spread 0."""
+    return green.TestFunction(eval_many=g.eval_many, sup_norm=g.sup_norm,
+                              l1_norm=g.l1_norm, dim=g.dim, reach=g.reach)
+
+
 def test_tail_bound_brownian_closed_form():
-    # beta = 1, d = 3: int_T^inf ||f||_1 (2 pi t)^{-3/2} dt in closed form
+    # beta = 1, d = 3, unit Gaussian: the heat mean at the centre is
+    # (1 + t)^(-3/2), whose tail is 2 / sqrt(1 + T); with spread 0 the bound
+    # is int_T^inf ||f||_1 (2 pi t)^(-3/2) dt = ||f||_1 (2 pi)^(-3/2) 2 T^(-1/2)
     params = ModelParams(1.0, 1.0, 3)
     f = gaussian_test_function(1.0, 3)
     T = 50.0
+    assert tail_bound(params, f, T) == pytest.approx(2.0 / math.sqrt(1.0 + T), rel=1e-12)
     expected = f.l1_norm * (2.0 * math.pi) ** -1.5 * 2.0 * T ** -0.5
-    assert tail_bound(params, f, T) == pytest.approx(expected, rel=1e-12)
+    assert tail_bound(params, _norms_only(f), T) == pytest.approx(expected, rel=1e-12)
 
 
 def test_tail_bound_dominates_true_tail():
-    # the bound must exceed the exact tail integral of the mean
+    """The bound is the exact tail of the mean at the Gaussian's centre and
+    strictly above it off the centre."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     T = 50.0
     bound = tail_bound(params, f, T)
-    # exact mean at x = center: E[f(B(t))] with variance Y t^alpha per
-    # component, averaged over Y by quadrature
-    nodes, weights, mvals = m_wright_quad_rule(0.5)
+    assert bound == pytest.approx(_gaussian_heat_tail(params, 1.0, 1.0, 0.0, T), rel=1e-12)
+    for r in (0.5, 2.0):
+        assert bound > _gaussian_heat_tail(params, 1.0, 1.0, r, T) * (1.0 + 1e-9)
 
-    def mean_at_center(t):
-        v = nodes * t ** 1.5
-        return float(np.dot(weights, (1.0 + v) ** -1.5 * mvals))
 
-    exact, _ = quad(mean_at_center, T, np.inf, epsabs=1e-12, epsrel=1e-9)
-    assert bound >= exact
-    assert bound <= 2.0 * exact  # and is not wildly loose here
+@pytest.mark.parametrize("T", [10.0, 50.0])
+@pytest.mark.parametrize("make_f", [
+    lambda d: gaussian_test_function(1.0, d),
+    lambda d: gaussian_test_function(0.6, d, amplitude=2.0),
+    lambda d: bump_test_function(1.0, d),
+], ids=["gaussian", "gaussian-0.6-A2", "bump"])
+@pytest.mark.parametrize("triple", [(0.5, 1.5, 3), (0.8, 1.2, 2), (1.0, 1.0, 3), (1.0, 1.5, 2)],
+                         ids=lambda t: "-".join(map(str, t)))
+def test_tail_bound_closed_form_matches_per_node_reference(triple, make_f, T):
+    params = ModelParams(*triple)
+    f = make_f(params.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = tail_bound(params, f, T)
+    assert bound == pytest.approx(_default_bound_tail(params, f, T), rel=1e-12)
 
 
 def test_tail_bound_decreases_in_horizon():
@@ -173,21 +243,15 @@ def test_custom_test_function_gets_default_mean_bound():
     E f(x+Z) <= min(sup, l1 (2 pi v)^(-d/2)), the bound for every f."""
     params = ModelParams(0.5, 1.5, 3)
     g = gaussian_test_function(0.8, 3, amplitude=2.0)
-    f = green.TestFunction(eval_many=g.eval_many, sup_norm=g.sup_norm,
-                           l1_norm=g.l1_norm, dim=3, reach=g.reach)
+    f = _norms_only(g)
+    assert f.spread == 0.0
     gd = GreenDensity.from_params(params)
     v = potential(gd, f, np.zeros(3))
     assert math.isfinite(v) and v == potential(gd, g, np.zeros(3))
 
-    nodes, weights, mvals = m_wright_quad_rule(0.5)
-
-    def per_t(t):
-        dens = f.l1_norm * (2.0 * math.pi * nodes * t ** 1.5) ** -1.5
-        return float(np.dot(weights, np.minimum(f.sup_norm, dens) * mvals))
-
-    val, err = quad(per_t, 20.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=300)
-    assert tail_bound(params, f, 20.0) == pytest.approx(val + err, rel=1e-9)
-    # the declared Gaussian bound is the tighter one
+    assert tail_bound(params, f, 20.0) == pytest.approx(
+        _default_bound_tail(params, f, 20.0), rel=1e-12)
+    # the Gaussian's declared spread gives the tighter bound
     assert tail_bound(params, g, 20.0) < tail_bound(params, f, 20.0)
 
 

@@ -196,6 +196,20 @@ def test_m_wright_quad_rule_equals_scalar_per_node(beta):
     assert np.all((diff <= 1e-12 * np.abs(scalar)) | (diff <= 1e-300))
 
 
+def test_m_wright_quad_rule_point_mass_at_beta_one():
+    """M_1 is delta(tau - 1): one node 1, weight 1, value 1, shared and
+    read-only, built without the cached series rule."""
+    misses = specfun._mw_rule_cached.cache_info().misses
+    rule = m_wright_quad_rule(1.0)
+    assert rule is m_wright_quad_rule(1.0)
+    for a in rule:
+        assert a.shape == (1,) and a[0] == 1.0 and not a.flags.writeable
+    assert specfun._mw_rule_cached.cache_info().misses == misses
+    for beta in (0.0, 1.5):
+        with pytest.raises(DomainError):
+            m_wright_quad_rule(beta)
+
+
 def test_m_wright_quad_rule_makes_no_scalar_calls(monkeypatch):
     def refuse(*args):
         raise AssertionError("the rule build called m_wright per node")
