@@ -1,5 +1,9 @@
-"""Analytic side of the potential identity: Green density, potentials by
-quadrature, and the time-integral kernel in closed form.
+"""Analytic side of the potential identity: Green density, potentials and
+the time-integral kernel.
+
+The potential of a Gaussian test function is in closed form in every
+dimension; any other f (the bump, a custom f) goes through a radial
+quadrature over sphere cubatures, implemented for d <= 3.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainccinv
+from scipy.special import betainc, gammainccinv, gammaln, hyp1f1
 
 from .exceptions import DomainError
 from .model import ModelParams
@@ -52,7 +56,9 @@ class TestFunction:
     sup_norm and l1_norm are norms of |f|; reach is the radius around
     `center` outside which |f| has L1 mass at most _TAIL_MASS.  spread >= 0
     states E[f(x + Z)] <= min(sup_norm, l1_norm (2 pi (spread + v))^(-d/2))
-    for Z ~ N(0, v I) and every x; spread = 0 holds for every f.
+    for Z ~ N(0, v I) and every x; spread = 0 holds for every f.  gaussian
+    states f(y) = f(center) exp(-|y - center|^2 / (2 spread)), spread > 0,
+    and gives f the potential in closed form.
     """
 
     eval_many: Callable[[np.ndarray], np.ndarray]
@@ -63,10 +69,13 @@ class TestFunction:
     kind: str = "custom"
     center: np.ndarray = None
     spread: float = 0.0
+    gaussian: bool = False
 
     def __post_init__(self):
         if self.center is None:
             object.__setattr__(self, "center", np.zeros(self.dim))
+        if self.gaussian and not self.spread > 0.0:
+            raise DomainError(f"a Gaussian needs spread > 0, got {self.spread:g}")
 
     @property
     def cl_norm(self) -> float:
@@ -106,7 +115,7 @@ def gaussian_test_function(sigma: float, dim: int, center=None,
 
     return TestFunction(eval_many=ev, sup_norm=abs(amplitude), l1_norm=l1, dim=dim,
                         reach=reach, kind=f"gaussian(sigma={sigma:g})", center=c,
-                        spread=sigma * sigma)
+                        spread=sigma * sigma, gaussian=True)
 
 
 def bump_test_function(radius: float, dim: int, center=None,
@@ -213,19 +222,55 @@ def _sphere_rule(d: int, m: int):
     return nodes, w
 
 
-def _sphere_average(f: TestFunction, x: np.ndarray, r: float, d: int) -> float:
-    """Surface integral of f over the sphere of radius r around x, adaptively
-    refined until two successive rules agree.
+@functools.lru_cache(maxsize=None)
+def _cap_rule(d: int, m: int):
+    """Reference rule on [-1, 1] for a spherical cap (d = 2, 3): in d = 2,
+    m midpoints for the angle over the half-angle; in d = 3, m Gauss-Legendre
+    nodes for the cosine of the polar angle, then cos and sin of 2m uniform
+    azimuths.  Cached per (d, m), so the arrays are shared and read-only.
     """
-    if d == 1:
-        nodes, w = _sphere_rule(1, 0)
-        return float(np.dot(w, f.eval_many(x[None, :] + r * nodes)))
+    if d == 2:
+        rule = ((2.0 * np.arange(m) + 1.0) / m - 1.0, np.full(m, 2.0 / m))
+    elif d == 3:
+        phi = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
+        rule = (*np.polynomial.legendre.leggauss(m), np.cos(phi), np.sin(phi))
+    else:
+        raise DomainError(f"sphere cubature implemented for d <= 3, got d = {d}")
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _cap_nodes(frame: np.ndarray, cos_max: float, m: int):
+    """Nodes and weights on the cap of the unit sphere around the pole
+    frame[:, 0] of angular radius arccos(cos_max), from _cap_rule."""
+    d = frame.shape[0]
+    rule = _cap_rule(d, m)
+    if d == 2:
+        t, wt = rule
+        half = math.acos(cos_max)
+        local = np.stack([np.cos(half * t), np.sin(half * t)], axis=1)
+        w = half * wt
+    else:
+        t, wt, cphi, sphi = rule
+        mu = cos_max + 0.5 * (1.0 - cos_max) * (t + 1.0)
+        smu = np.sqrt(1.0 - mu * mu)
+        local = np.stack([np.repeat(mu, 2 * m), np.outer(smu, cphi).ravel(),
+                          np.outer(smu, sphi).ravel()], axis=1)
+        w = np.repeat(0.5 * (1.0 - cos_max) * wt * (math.pi / m), 2 * m)
+    return local @ frame.T, w
+
+
+def _surface_integral(f: TestFunction, x: np.ndarray, r: float, rule) -> float:
+    """Integral of f(x + r w) over the unit-sphere nodes and weights rule(m),
+    with m doubled from 12 until two successive rules agree.
+    """
     m = 12
-    nodes, w = _sphere_rule(d, m)
+    nodes, w = rule(m)
     prev = float(np.dot(w, f.eval_many(x[None, :] + r * nodes)))
     while m < _MAX_ANGULAR:
         m *= 2
-        nodes, w = _sphere_rule(d, m)
+        nodes, w = rule(m)
         cur = float(np.dot(w, f.eval_many(x[None, :] + r * nodes)))
         if abs(cur - prev) <= _POTENTIAL_TOL * max(1.0, abs(cur)):
             return cur
@@ -233,26 +278,59 @@ def _sphere_average(f: TestFunction, x: np.ndarray, r: float, d: int) -> float:
     return prev
 
 
+def _gaussian_potential(gd: GreenDensity, f: TestFunction, x: np.ndarray) -> float:
+    """V(f, x) for f(y) = A exp(-|y - c|^2 / (2 s)): D * A (2 pi s)^(d/2) times
+    E|x - c + sqrt(s) Z|^(-p), p = d - 2/alpha, the negative moment of a
+    noncentral chi, (2 s)^(-p/2) Gamma((d - p)/2) / Gamma(d/2)
+    * 1F1(p/2; d/2; -|x - c|^2 / (2 s)), with (d - p)/2 = 1/alpha.
+    """
+    alpha, d, p, s = gd.params.alpha, gd.params.dim, gd.exponent, f.spread
+    amplitude = float(f.eval_many(f.center[None, :])[0])
+    z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
+    moment = ((2.0 * s) ** (-0.5 * p) * math.exp(gammaln(1.0 / alpha) - gammaln(0.5 * d))
+              * hyp1f1(0.5 * p, 0.5 * d, -z))
+    return gd.D * amplitude * (2.0 * math.pi * s) ** (0.5 * d) * moment
+
+
 def potential(gd: GreenDensity, f: TestFunction, x) -> float:
-    """V(f, x) = D * int f(x + y) |y|^(2/alpha - d) dy by radial quadrature.
+    """V(f, x) = D * int f(x + y) |y|^(2/alpha - d) dy: in closed form for a
+    Gaussian, by radial quadrature for any other f.
 
     The substitution u = r^(2/alpha) removes the origin singularity exactly:
     the integral becomes (alpha/2) * int_0^inf S(u^(alpha/2)) du with S the
-    spherical surface integral of f(x + .).
+    spherical surface integral of f(x + .).  Only radii within the reach of
+    the center count; when x is outside the reach, only the cap of each
+    sphere that lies inside it.
     """
     x = np.asarray(x, dtype=float)
+    if f.gaussian:
+        return _gaussian_potential(gd, f, x)
     alpha, d = gd.params.alpha, gd.params.dim
-    # truncation radius around x: everything but _TAIL_MASS of |f| inside
-    reach = float(np.linalg.norm(x - f.center)) + f.reach
-    u_max = reach ** (2.0 / alpha)
+    s = float(np.linalg.norm(x - f.center))
+    u_max = (s + f.reach) ** (2.0 / alpha)
+    if s <= f.reach:
+        u_min = 0.0
+
+        def sphere(r):
+            return _surface_integral(f, x, r, functools.partial(_sphere_rule, d))
+    else:
+        u_min = (s - f.reach) ** (2.0 / alpha)
+        # an orthonormal frame whose first axis points from x to the center
+        frame = np.linalg.qr(np.column_stack([f.center - x, np.eye(d)]))[0]
+        frame[:, 0] = (f.center - x) / s
+
+        def sphere(r):
+            cos_max = (r * r + s * s - f.reach ** 2) / (2.0 * r * s)
+            cos_max = min(1.0, max(-1.0, cos_max))
+            return _surface_integral(f, x, r, functools.partial(_cap_nodes, frame, cos_max))
 
     def integrand(u):
         r = u ** (0.5 * alpha)
         if r == 0.0:
             r = 1e-300
-        return _sphere_average(f, x, r, d)
+        return sphere(r)
 
-    val, _ = quad(integrand, 0.0, u_max, epsabs=_POTENTIAL_TOL, epsrel=_POTENTIAL_TOL,
+    val, _ = quad(integrand, u_min, u_max, epsabs=_POTENTIAL_TOL, epsrel=_POTENTIAL_TOL,
                   limit=300)
     return gd.D * 0.5 * alpha * val
 
@@ -277,16 +355,20 @@ def _cap_measure(d: int, rho: float, s: float, r: float) -> float:
         return unit_sphere_area(d)
     if rho <= s - r:
         return 0.0
-    m = (rho * rho + s * s - r * r) / (2.0 * rho * s)
-    m = min(1.0, max(-1.0, m))
     if d == 1:
         # the two directions, with +1 pointing from x toward c
         return (1.0 if abs(s - rho) <= r else 0.0) + (1.0 if s + rho <= r else 0.0)
-    if d == 2:
-        return 2.0 * math.acos(m)
-    if d == 3:
-        return 2.0 * math.pi * (1.0 - m)
-    raise DomainError(f"ball measure implemented for d <= 3, got d = {d}")
+    m = (rho * rho + s * s - r * r) / (2.0 * rho * s)
+    m = min(1.0, max(-1.0, m))
+    # the cap of half-angle theta = arccos(m) <= pi/2 measures half the
+    # sphere times I_{sin^2 theta}((d-1)/2, 1/2); above pi/2, the complement.
+    # Near the equator sin^2 theta loses the digits of m, so there the same
+    # measure is taken as 1 - sign(m) I_{m^2}(1/2, (d-1)/2) half spheres.
+    area = unit_sphere_area(d)
+    if m * m < 0.5:
+        return 0.5 * area * (1.0 - math.copysign(betainc(0.5, 0.5 * (d - 1), m * m), m))
+    cap = 0.5 * area * betainc(0.5 * (d - 1), 0.5, (1.0 - m) * (1.0 + m))
+    return cap if m > 0.0 else area - cap
 
 
 def green_measure_of_ball(gd: GreenDensity, x, center, r: float) -> float:

@@ -337,6 +337,9 @@ def _mw_rule_cached(beta: float):
     values, _, _ = _series(_mw_coefficients, beta, nodes)
     for i in np.flatnonzero(np.isnan(values)):
         values[i] = _mw_integral(beta, float(nodes[i])).value
+    # cached and shared by every caller for this beta, so read-only
+    for a in (nodes, weights, values):
+        a.flags.writeable = False
     return nodes, weights, values
 
 
@@ -346,9 +349,9 @@ _POINT_MASS_RULE = (np.broadcast_to(1.0, (1,)),) * 3
 
 def m_wright_quad_rule(beta: float):
     """Fixed quadrature rule (nodes, weights, M_beta(nodes)) covering the
-    effective support of M_beta, 0 < beta <= 1.  Cached per beta; intended
-    for integrals of the form int phi(tau) M_beta(tau) dtau with
-    smooth-away-from-zero phi.
+    effective support of M_beta, 0 < beta <= 1.  Cached per beta, so the
+    arrays are shared and read-only; intended for integrals of the form
+    int phi(tau) M_beta(tau) dtau with smooth-away-from-zero phi.
     """
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"m_wright_quad_rule requires 0 < beta <= 1, got {beta:g}")

@@ -195,6 +195,15 @@ def test_estimate_potential_json(tmp_path):
     assert abs(payload["mean"] - payload["analytic_potential"]) <= budget
 
 
+def test_estimate_potential_four_dimensions(tmp_path):
+    """The Gaussian potential is in closed form in every dimension."""
+    out = tmp_path / "est.json"
+    assert main(["estimate-potential", "--dim", "4", "--paths", "2048",
+                 "--out", str(out)]) == 0
+    v = json.loads(out.read_text())["analytic_potential"]
+    assert math.isfinite(v) and v > 0.0
+
+
 def test_estimate_potential_transience_error():
     result = run_cli(["estimate-potential", "--beta", "0.5",
                       "--alpha", "1.5", "--dim", "1", "--paths", "16"])

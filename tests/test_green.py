@@ -1,5 +1,6 @@
 """Tests for the Green density, potentials and ball measures."""
 
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,7 @@ from ggbm import DomainError, GreenDensity, ModelParams, \
     green_density_at, green_measure_of_ball, potential, tail_bound, \
     time_integral_kernel
 from ggbm import green
-from ggbm.green import _TAIL_MASS, _sphere_rule, unit_sphere_area
+from ggbm.green import _TAIL_MASS, _cap_measure, _cap_rule, _sphere_rule, unit_sphere_area
 from ggbm.specfun import green_constant
 
 
@@ -24,6 +25,12 @@ def gaussian_center_potential(gd, sigma):
     alpha, d = gd.params.alpha, gd.params.dim
     return (gd.D * unit_sphere_area(d) * 2.0 ** (1.0 / alpha - 1.0)
             * math.gamma(1.0 / alpha) * sigma ** (2.0 / alpha))
+
+
+def by_quadrature(f):
+    """f without the Gaussian fact, so its potential goes through the radial
+    quadrature."""
+    return dataclasses.replace(f, gaussian=False)
 
 
 def test_unit_sphere_area():
@@ -61,8 +68,11 @@ def test_gaussian_reach_zero_below_tail_mass():
     f = gaussian_test_function(sigma, d, amplitude=amplitude)
     assert f.reach == 0.0
     assert 0.5 * _TAIL_MASS <= f.l1_norm <= _TAIL_MASS
-    assert potential(GreenDensity.from_params(ModelParams(0.5, 1.5, d)),
-                     f, np.zeros(d)) == 0.0
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
+    # the quadrature stops at the reach; the closed form keeps the tiny value
+    assert potential(gd, by_quadrature(f), np.zeros(d)) == 0.0
+    assert potential(gd, f, np.zeros(d)) == pytest.approx(
+        amplitude * gaussian_center_potential(gd, sigma), rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -192,14 +202,109 @@ def test_sphere_rule_cached_read_only(d, m):
     assert math.isclose(w.sum(), unit_sphere_area(d), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("d,x", [(2, [0.7, -0.3]), (3, [0.4, 0.2, -0.5])])
+@pytest.mark.parametrize("d,x", [(2, [0.7, -0.3]), (3, [0.4, 0.2, -0.5]),
+                                 (2, [6.0, -8.0]), (3, [6.0, 0.0, -8.0])])
 def test_potential_same_with_cached_rules(d, x, monkeypatch):
+    """The quadrature uses whole spheres from x inside the reach (about 7.7)
+    and caps from x at distance 10, outside it."""
     gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
-    f = gaussian_test_function(1.0, d)
+    f = by_quadrature(gaussian_test_function(1.0, d))
+    assert f.reach < 10.0
     first = potential(gd, f, x)
     assert potential(gd, f, x) == first
     monkeypatch.setattr(green, "_sphere_rule", _sphere_rule.__wrapped__)
+    monkeypatch.setattr(green, "_cap_rule", _cap_rule.__wrapped__)
     assert potential(gd, f, x) == first
+
+
+@pytest.mark.parametrize("d,m", [(2, 24), (3, 48)])
+def test_cap_rule_cached_read_only(d, m):
+    rule = _cap_rule(d, m)
+    assert all(a is b for a, b in zip(_cap_rule(d, m), rule))
+    assert not any(a.flags.writeable for a in rule)
+    assert all(np.array_equal(a, b) for a, b in zip(rule, _cap_rule.__wrapped__(d, m)))
+
+
+@pytest.mark.parametrize("beta,alpha,d", [(1.0, 1.2, 4), (1.0, 1.8, 4),
+                                          (1.0, 1.5, 5)])
+@pytest.mark.parametrize("offset", [0.0, 1.3])
+def test_gaussian_potential_vs_time_integral_high_dim(beta, alpha, d, offset):
+    """At beta = 1, V(f, x) = int_0^inf E f(x + B^H_t) dt with Var B^H_t = t^alpha
+    and the Gaussian mean in closed form: one quad, independent of both the
+    closed form and the radial quadrature."""
+    gd = GreenDensity.from_params(ModelParams(beta, alpha, d))
+    sigma = 0.8
+    c = np.linspace(-0.2, 0.3, d)
+    x = c + offset * np.ones(d) / math.sqrt(d)
+    v = potential(gd, gaussian_test_function(sigma, d, center=c), x)
+
+    def mean_at_t(t):
+        var = sigma * sigma + t ** alpha
+        return (sigma * sigma / var) ** (0.5 * d) * math.exp(-0.5 * offset ** 2 / var)
+
+    direct, _ = quad(mean_at_t, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=300)
+    assert v == pytest.approx(direct, rel=1e-8)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gaussian_potential_exact_in_amplitude_sign(d):
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
+    c, x = np.full(d, 0.3), np.full(d, -0.4)
+    pos, neg, zero = (gaussian_test_function(0.9, d, center=c, amplitude=a)
+                      for a in (2.0, -2.0, 0.0))
+    assert potential(gd, pos, x) > 0.0
+    assert potential(gd, neg, x) == -potential(gd, pos, x)
+    assert potential(gd, zero, x) == 0.0
+
+
+def test_gaussian_fact_survives_replace_and_needs_spread():
+    f = gaussian_test_function(1.0, 3)
+    traced = dataclasses.replace(f, eval_many=lambda pts: f.eval_many(pts))
+    assert traced.gaussian
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
+    assert potential(gd, traced, np.ones(3)) == potential(gd, f, np.ones(3))
+    with pytest.raises(DomainError):
+        dataclasses.replace(f, spread=0.0)
+
+
+def test_potential_quadrature_limited_to_three_dimensions():
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 4))
+    for x in (np.zeros(4), np.full(4, 2.0)):
+        with pytest.raises(DomainError):
+            potential(gd, bump_test_function(1.0, 4), x)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("distance", [0.8, 5.0, 20.0, 50.0, 200.0])
+def test_potential_quadrature_matches_gaussian_closed_form(d, distance):
+    """The quadrature on a Gaussian, near and far: from 5 on, x lies outside
+    the reach and only caps of the spheres meet f."""
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
+    f = gaussian_test_function(1.0, d, center=np.array([0.5, 1.5, 3.0][:d]))
+    x = f.center + distance * np.ones(d) / math.sqrt(d)
+    assert potential(gd, by_quadrature(f), x) == pytest.approx(potential(gd, f, x),
+                                                               rel=1e-10)
+
+
+@pytest.mark.parametrize("distance", [3.0, 10.0, 30.0])
+def test_potential_far_bump_vs_radial_oracle(distance):
+    """d = 3, alpha = 1.5: the sphere average of |x - y|^(-p) over |y - c| = rho
+    is in closed form, so V is one radial quad over the bump's profile,
+    V = D 2 pi / (s q) int_0^1 f(rho) rho ((s + rho)^q - |s - rho|^q) drho with
+    q = 2 - p and s = |x - c|."""
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
+    c = np.array([0.5, 1.5, 3.0])
+    f = bump_test_function(1.0, 3, center=c)
+    q = 2.0 - gd.exponent
+
+    def shell(rho):
+        return (math.exp(1.0 - 1.0 / (1.0 - rho * rho))
+                * rho * ((distance + rho) ** q - abs(distance - rho) ** q))
+
+    radial, _ = quad(shell, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+    expected = gd.D * 2.0 * math.pi / (distance * q) * radial
+    x = c + distance * np.array([0.6, 0.0, -0.8])
+    assert potential(gd, f, x) == pytest.approx(expected, rel=1e-10)
 
 
 def test_potential_positive_and_decaying():
@@ -262,6 +367,31 @@ def test_green_measure_ball_far_apart_vs_density():
     approx = green_density_at(gd, x, c) * vol
     val = green_measure_of_ball(gd, x, c, r)
     assert val == pytest.approx(approx, rel=1e-3)
+
+
+def test_cap_measure_reproduces_two_and_three_dimensional_formulas():
+    """One betainc formula gives 2 theta on S^1 and 2 pi (1 - cos theta) on S^2."""
+    for s, r in [(0.3, 0.2), (0.3, 0.9), (1.0, 1.7), (2.5, 0.9), (7.0, 6.999)]:
+        for rho in np.linspace(abs(s - r), s + r, 401)[1:-1]:
+            if rho <= r - s:
+                continue
+            m = min(1.0, max(-1.0, (rho * rho + s * s - r * r) / (2.0 * rho * s)))
+            assert _cap_measure(2, rho, s, r) == pytest.approx(2.0 * math.acos(m), rel=1e-14)
+            assert _cap_measure(3, rho, s, r) == pytest.approx(
+                2.0 * math.pi * (1.0 - m), rel=1e-14)
+
+
+@pytest.mark.parametrize("beta,alpha,d", [(0.5, 1.5, 4), (0.7, 1.8, 5)])
+def test_green_measure_ball_off_center_tends_to_concentric(beta, alpha, d):
+    gd = GreenDensity.from_params(ModelParams(beta, alpha, d))
+    concentric = green_measure_of_ball(gd, np.zeros(d), np.zeros(d), 1.0)
+    assert concentric == pytest.approx(gd.D * unit_sphere_area(d) * 0.5 * alpha, rel=1e-14)
+    for offset in (1e-1, 1e-2, 1e-3, 1e-4):
+        x = np.zeros(d)
+        x[-1] = offset
+        # the measure is even in the offset, so it moves by O(offset^2)
+        assert abs(green_measure_of_ball(gd, x, np.zeros(d), 1.0) / concentric - 1.0) \
+            <= offset ** 2
 
 
 def test_green_measure_ball_monotone_in_radius():

@@ -210,6 +210,19 @@ def test_m_wright_quad_rule_point_mass_at_beta_one():
             m_wright_quad_rule(beta)
 
 
+@pytest.mark.parametrize("beta", [0.25, 0.5])
+def test_m_wright_quad_rule_cached_read_only(beta):
+    """The cached rule is shared by every caller for its beta, so no caller
+    can edit it in place."""
+    rule = m_wright_quad_rule(beta)
+    again = m_wright_quad_rule(beta)
+    assert all(a is b for a, b in zip(rule, again))
+    for a in rule:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
 def test_m_wright_quad_rule_makes_no_scalar_calls(monkeypatch):
     def refuse(*args):
         raise AssertionError("the rule build called m_wright per node")
