@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, gammainccinv, gammaln, hyp1f1
 
 from .exceptions import DomainError
@@ -136,6 +135,10 @@ def bump_test_function(radius: float, dim: int, center=None,
         u = np.sqrt(np.sum((pts - c) ** 2, axis=-1)) / radius
         return amplitude * profile(u)
 
+    # imported at first use, so that starting the CLI does not load
+    # scipy.integrate; likewise below and in specfun and verify
+    from scipy.integrate import quad
+
     shell, _ = quad(lambda u: profile(np.array([u]))[0] * u ** (dim - 1), 0.0, 1.0)
     l1 = abs(amplitude) * unit_sphere_area(dim) * radius ** dim * shell
 
@@ -185,8 +188,8 @@ def time_integral_kernel(alpha: float, d: int, tau: float, r: float) -> float:
 # Potentials
 # ---------------------------------------------------------------------------
 
-# Quadrature control for the potential integral: target absolute/relative
-# tolerance and the cap on the angular rule size.
+# Quadrature control for the potential integral: the tolerance, relative to
+# the value and to f's sup norm, and the cap on the angular rule size.
 _POTENTIAL_TOL = 1e-10
 _MAX_ANGULAR = 192
 
@@ -272,7 +275,7 @@ def _surface_integral(f: TestFunction, x: np.ndarray, r: float, rule) -> float:
         m *= 2
         nodes, w = rule(m)
         cur = float(np.dot(w, f.eval_many(x[None, :] + r * nodes)))
-        if abs(cur - prev) <= _POTENTIAL_TOL * max(1.0, abs(cur)):
+        if abs(cur - prev) <= _POTENTIAL_TOL * max(f.sup_norm, abs(cur)):
             return cur
         prev = cur
     return prev
@@ -305,6 +308,8 @@ def potential(gd: GreenDensity, f: TestFunction, x) -> float:
     x = np.asarray(x, dtype=float)
     if f.gaussian:
         return _gaussian_potential(gd, f, x)
+    from scipy.integrate import quad
+
     alpha, d = gd.params.alpha, gd.params.dim
     s = float(np.linalg.norm(x - f.center))
     u_max = (s + f.reach) ** (2.0 / alpha)
@@ -330,8 +335,8 @@ def potential(gd: GreenDensity, f: TestFunction, x) -> float:
             r = 1e-300
         return sphere(r)
 
-    val, _ = quad(integrand, u_min, u_max, epsabs=_POTENTIAL_TOL, epsrel=_POTENTIAL_TOL,
-                  limit=300)
+    val, _ = quad(integrand, u_min, u_max, epsabs=_POTENTIAL_TOL * f.sup_norm,
+                  epsrel=_POTENTIAL_TOL, limit=300)
     return gd.D * 0.5 * alpha * val
 
 
@@ -385,6 +390,8 @@ def green_measure_of_ball(gd: GreenDensity, x, center, r: float) -> float:
     s = float(np.linalg.norm(x - c))
     if s == 0.0:
         return gd.D * unit_sphere_area(d) * 0.5 * alpha * r ** (2.0 / alpha)
+
+    from scipy.integrate import quad
 
     lo, hi = max(0.0, s - r), s + r
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .exceptions import ConvergenceError, DomainError, PoleError
@@ -205,6 +204,8 @@ def _ml_spectral(beta: float, x: float) -> EvalResult:
         E_beta(-x) = sin(b*pi)/pi * x
                      * int_0^inf e^(-s) s^(b-1) / (s^(2b) + 2 x s^b cos(b*pi) + x^2) ds.
     """
+    from scipy.integrate import quad
+
     c = math.cos(beta * math.pi)
     pref = math.sin(beta * math.pi) / math.pi * x
 
@@ -273,6 +274,8 @@ def _mw_integral(beta: float, tau: float) -> EvalResult:
         M_beta(tau) = tau^(b/(1-b)) / ((1-b) pi)
                       * int_0^pi a(th) exp(-a(th) tau^(1/(1-b))) dth.
     """
+    from scipy.integrate import quad
+
     lam = tau ** (1.0 / (1.0 - beta))
 
     def integrand(theta):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from . import green as green_mod
@@ -36,6 +35,8 @@ def moment_quadrature(beta: float, delta: float) -> float:
     """int_0^inf tau^delta M_beta(tau) dtau by adaptive quadrature; the
     origin singularity for delta < 0 is removed by u = tau^(delta+1).
     """
+    from scipy.integrate import quad
+
     p = delta + 1.0
     lo, _ = quad(lambda u: m_wright(beta, u ** (1.0 / p)).value, 0.0, 1.0,
                  epsabs=1e-11, epsrel=1e-10, limit=200)
@@ -205,6 +206,11 @@ def suite_green(beta=0.5, alpha=1.5, dim=3, paths=100_000, seed=42,
     checks = [_check(
         f"perpetual-integral beta={beta} alpha={alpha} d={dim}",
         "potential-identity", analytic, est.mean, budget)]
+    # how wide the budget is against V, and how it splits
+    checks[0].update(budget_rel=budget / analytic,
+                     se_share=3.0 * est.std_error / budget,
+                     tail_share=est.tail_bound / budget,
+                     disc_share=est.discretization_bound / budget)
     checks.append(_check(
         "brownian-constant", "classical-brownian-green-function",
         1.0 / (2.0 * math.pi), green_constant(1.0, 1.0, 3), 1e-12))

@@ -22,14 +22,15 @@ def run_cli(args, env=None):
 
 
 def test_import_does_not_load_scipy_stats():
-    """scipy.stats is loaded only by the suite that needs it, not at CLI
-    start."""
+    """scipy.stats and scipy.integrate are loaded only by the code that
+    needs them, not at CLI start."""
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, ggbm.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, ggbm.cli; "
+         "print('scipy.stats' in sys.modules, 'scipy.integrate' in sys.modules)"],
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_eval_ml_text(capsys):

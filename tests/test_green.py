@@ -307,6 +307,17 @@ def test_potential_far_bump_vs_radial_oracle(distance):
     assert potential(gd, f, x) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("amplitude", [1e-9, 1e-6, 1e3])
+def test_potential_quadrature_scales_with_amplitude(amplitude):
+    """The quadrature's tolerances follow f's sup norm, so V(A f) / A is V(f)
+    for a small amplitude as for a large one."""
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 2))
+    x = np.array([3.0, 3.0])
+    unit = potential(gd, bump_test_function(1.0, 2), x)
+    scaled = potential(gd, bump_test_function(1.0, 2, amplitude=amplitude), x)
+    assert scaled / amplitude == pytest.approx(unit, rel=1e-9)
+
+
 def test_potential_positive_and_decaying():
     gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
     f = gaussian_test_function(1.0, 3)

@@ -216,16 +216,16 @@ def test_estimate_deterministic_across_threads():
 
 
 def test_estimate_pinned_values():
-    """Mean, SE and discretization bound at seed 42, as the time-major chunk
-    layout computed them; the component-major layout may move only the
-    order of the trapezoid sums."""
+    """Mean, SE and discretization bound at seed 42 on the clock of
+    _STEPS_PER_DECADE = 32 intervals per decade (131 grid points at
+    t_max = 10); a change of the clock or of the draws moves them."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
     est = estimate_potential_mc(params, f, np.zeros(3), spec)
-    assert est.mean == pytest.approx(1.5779099744402245, rel=1e-12)
-    assert est.std_error == pytest.approx(0.024989474259830523, rel=1e-12)
-    assert est.discretization_bound == pytest.approx(0.0011651860922567868, rel=1e-12)
+    assert est.mean == pytest.approx(1.5944430837889363, rel=1e-12)
+    assert est.std_error == pytest.approx(0.02526038763929152, rel=1e-12)
+    assert est.discretization_bound == pytest.approx(0.0034368592919932044, rel=1e-12)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -293,6 +293,18 @@ def test_estimate_consistent_with_analytic_potential():
     v = potential(gd, f, np.zeros(3))
     budget = 3.0 * est.std_error + est.tail_bound + est.discretization_bound
     assert abs(est.mean - v) <= budget
+
+
+@pytest.mark.parametrize("beta,alpha,dim", [(0.5, 1.5, 3), (0.8, 1.2, 2),
+                                            (0.9, 2.0, 2), (1.0, 1.0, 3)])
+def test_clock_resolution_keeps_discretization_below_se(beta, alpha, dim):
+    """The clock is fine enough that its discretization bound is at most half
+    of 3 SE at 20 000 paths: the path count, not the grid, sets the budget."""
+    params = ModelParams(beta, alpha, dim)
+    f = gaussian_test_function(1.0, dim)
+    spec = PerpetualSpec(t_max=50.0, n_paths=20_000, seed=SeedSpec(42, 0))
+    est = estimate_potential_mc(params, f, np.zeros(dim), spec, threads=2)
+    assert est.discretization_bound <= 0.5 * 3.0 * est.std_error
 
 
 def test_estimate_requires_transient_params():
