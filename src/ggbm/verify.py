@@ -2,7 +2,8 @@
 
 Each check is a dict {name, anchor, expected, observed, tolerance, pass}
 so reports serialize directly to JSON.  Anchors name the mathematical
-identity being exercised.
+identity being exercised.  The perpetual-integral check of suite_green
+also reports its budget over V and the share of each term in it.
 
 The law suites draw their paths from `process.ggbm_paths` on `_GRID`,
 which holds every time they check, and compare them with the analytic law.
@@ -207,7 +208,7 @@ def suite_green(beta=0.5, alpha=1.5, dim=3, paths=100_000, seed=42,
         f"perpetual-integral beta={beta} alpha={alpha} d={dim}",
         "potential-identity", analytic, est.mean, budget)]
     # how wide the budget is against V, and how it splits
-    checks[0].update(budget_rel=budget / analytic,
+    checks[0].update(budget_rel=float(budget / analytic),
                      se_share=3.0 * est.std_error / budget,
                      tail_share=est.tail_bound / budget,
                      disc_share=est.discretization_bound / budget)

@@ -164,6 +164,12 @@ def test_verify_green_identical_under_blas_thread_counts(tmp_path):
         assert result.returncode == 0, result.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    # the identity check carries its budget over V and the budget's split
+    check = json.loads(outs[0])["checks"][0]
+    assert check["budget_rel"] == pytest.approx(check["tolerance"] / check["expected"],
+                                                rel=1e-12)
+    shares = (check["se_share"], check["tail_share"], check["disc_share"])
+    assert min(shares) > 0.0 and sum(shares) == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("args", [
