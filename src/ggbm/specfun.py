@@ -11,7 +11,9 @@ once; the scalar functions call it with one node, the quadrature rule
 with all of its nodes.  Where the series cancels or overflows, each
 function has an integral continuation (the spectral form of E_beta,
 Kanter's form of M_beta) in which the powers of order 1/beta are
-cancelled analytically, so both stay finite as beta -> 0.
+cancelled analytically, so both stay finite as beta -> 0.  Kanter's form
+is an array kernel too, `_mw_integral`: two fixed theta rules shared by
+every node, with adaptive quad only at the nodes where they disagree.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ _FIRST_ROWS = 32
 _RULE_PANELS = 64
 _RULE_NODES = 16
 _CUTOFF_TOL = 1e-40
+# Kanter's integral over theta in (0, pi): _KANTER_NODES Gauss-Legendre
+# nodes on panels graded geometrically from _KANTER_EDGE to pi/2 and
+# mirrored about pi/2.  The grading toward 0 resolves the flat minimum of
+# a(theta), around which the integrand narrows as tau grows; the grading
+# toward pi resolves the blow-up of a(theta), which sharpens as beta -> 0.
+# A node whose fine and coarse sums differ by more than _KANTER_RTOL
+# relative goes to adaptive quad.
+_KANTER_EDGE = 1e-3
+_KANTER_HALF_PANELS = 16
+_KANTER_NODES = 20
+_KANTER_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,14 @@ def gamma(x: float) -> float:
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"gamma pole at x = {x:g}")
     return math.gamma(x)
+
+
+def _gauss_legendre(edges: np.ndarray, n: int):
+    """Nodes and weights of the composite n-point Gauss-Legendre rule on
+    the panels between consecutive edges."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +287,68 @@ def kanter_a(beta: float, theta):
     )
 
 
-def _mw_integral(beta: float, tau: float) -> EvalResult:
-    """M_beta(tau) for tau > 0 from Kanter's integral form of the one-sided
-    stable density, with the change of variables to tau carried out on
-    paper, so that no power of order 1/beta of tau is taken:
+@lru_cache(maxsize=1)
+def _kanter_rules():
+    """(theta, weight) of the fine theta rule and of the coarse one, whose
+    panels join the fine panels in pairs, so the two share no node."""
+    half = np.geomspace(_KANTER_EDGE, 0.5 * math.pi, _KANTER_HALF_PANELS + 1)
+    fine = np.concatenate([[0.0], half, math.pi - half[-2::-1], [math.pi]])
+    return _gauss_legendre(fine, _KANTER_NODES), _gauss_legendre(fine[::2], _KANTER_NODES)
+
+
+def _mw_integral(beta: float, tau: np.ndarray):
+    """M_beta at every tau > 0 of an array from Kanter's integral form of
+    the one-sided stable density, with the change of variables to tau
+    carried out on paper, so that no power of order 1/beta of tau is taken:
 
         M_beta(tau) = tau^(b/(1-b)) / ((1-b) pi)
                       * int_0^pi a(th) exp(-a(th) tau^(1/(1-b))) dth.
+
+    With lam = tau^(1/(1-b)) and a0 = a(0+) = (1-b) b^(b/(1-b)), the
+    minimum of a, the kernel integrates a exp(-(a - a0) lam) and multiplies
+    by exp(-a0 lam) in closed form, so each value is accurate relative to
+    its own size however far out in the tail.  a(theta) is evaluated once
+    on the fine and the coarse rule of _kanter_rules, and the normalized
+    integrand is summed on both at every node at once; the fine sum gives
+    the value and the difference of the two sums its error.  A node where
+    they differ by more than _KANTER_RTOL relative, or where lam
+    overflows, goes to the adaptive quad of _mw_quad instead (a non-finite
+    a(theta) makes both sums NaN, which fails the same check).  Returns
+    arrays (value, est_abs_error).
     """
+    tau = np.asarray(tau, dtype=float)
+    a0 = (1.0 - beta) * beta ** (beta / (1.0 - beta))
+    log_tau = np.log(tau)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = np.exp(log_tau / (1.0 - beta))
+        sums = []
+        for theta, weight in _kanter_rules():
+            a = kanter_a(beta, theta)
+            sums.append(np.sum(a * np.exp(-(a - a0) * lam[:, None]) * weight, axis=1))
+        fine, coarse = sums
+        scale = np.exp(beta / (1.0 - beta) * log_tau - a0 * lam
+                       - math.log((1.0 - beta) * math.pi))
+        value, err = scale * fine, scale * np.abs(fine - coarse)
+        passed = np.isfinite(lam) & (np.abs(fine - coarse) <= _KANTER_RTOL * fine)
+    for i in np.flatnonzero(~passed):
+        value[i], err[i] = _mw_quad(beta, float(tau[i]))
+    return value, err
+
+
+def _mw_quad(beta: float, tau: float):
+    """Kanter's integral at one tau > 0 by adaptive quad: the fallback where
+    the fixed rules of _mw_integral fail their check.  Its absolute
+    tolerance is met long before the relative one in the far tail, where
+    the integral is about exp(-a0 lam).  Returns (value, est_abs_error)."""
     from scipy.integrate import quad
 
-    lam = tau ** (1.0 / (1.0 - beta))
+    try:
+        lam = tau ** (1.0 / (1.0 - beta))
+    except OverflowError:
+        raise ConvergenceError(
+            f"m_wright failed at beta={beta:g}, tau={tau:g}: "
+            f"tau^(1/(1-beta)) overflows"
+        ) from None
 
     def integrand(theta):
         a = kanter_a(beta, theta)
@@ -289,7 +361,13 @@ def _mw_integral(beta: float, tau: float) -> EvalResult:
         raise ConvergenceError(
             f"m_wright failed at beta={beta:g}, tau={tau:g}"
         )
-    return EvalResult(value, pref * err, 0)
+    return value, pref * err
+
+
+def _mw_integral_at(beta: float, tau: float) -> EvalResult:
+    """_mw_integral at one node."""
+    value, err = _mw_integral(beta, np.array([tau]))
+    return EvalResult(float(value[0]), float(err[0]), 0)
 
 
 def m_wright(beta: float, tau: float) -> EvalResult:
@@ -305,7 +383,7 @@ def m_wright(beta: float, tau: float) -> EvalResult:
         raise DomainError(f"m_wright requires tau >= 0, got {tau:g}")
     if tau == 0.0:
         return EvalResult(1.0 / gamma(1.0 - beta), 0.0, 1)
-    return _series_or_integral(_mw_coefficients, _mw_integral, beta, tau)
+    return _series_or_integral(_mw_coefficients, _mw_integral_at, beta, tau)
 
 
 def m_wright_cutoff(beta: float) -> float:
@@ -328,18 +406,10 @@ def _mw_rule_cached(beta: float):
     edges = np.concatenate(
         [[0.0], np.geomspace(1e-14, t_hi, _RULE_PANELS)]
     )
-    x, w = np.polynomial.legendre.leggauss(_RULE_NODES)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    nodes, weights = _gauss_legendre(edges, _RULE_NODES)
     values, _, _ = _series(_mw_coefficients, beta, nodes)
-    for i in np.flatnonzero(np.isnan(values)):
-        values[i] = _mw_integral(beta, float(nodes[i])).value
+    tail = np.isnan(values)
+    values[tail], _ = _mw_integral(beta, nodes[tail])
     # cached and shared by every caller for this beta, so read-only
     for a in (nodes, weights, values):
         a.flags.writeable = False

@@ -10,7 +10,7 @@ from scipy.special import erfcx, gammaln
 from ggbm import DomainError, ModelParams, gamma, green_constant, m_wright, \
     m_wright_moment, mittag_leffler, time_kernel_constant
 from ggbm import specfun
-from ggbm.exceptions import PoleError
+from ggbm.exceptions import ConvergenceError, PoleError
 from ggbm.specfun import m_wright_cutoff, m_wright_quad_rule
 from ggbm.verify import moment_quadrature
 
@@ -180,12 +180,41 @@ def test_m_wright_quad_rule_values_match_mpmath(beta):
         assert mvals[i] == pytest.approx(ref, rel=1e-6), (beta, nodes[i])
 
 
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.8])
+def test_m_wright_quad_rule_far_tail_matches_mpmath(beta):
+    """The far-tail nodes come from Kanter's integral, accurate relative to
+    their own size."""
+    mpmath = pytest.importorskip("mpmath")
+    nodes, _, mvals = m_wright_quad_rule(beta)
+    tail = np.flatnonzero(mvals <= 1e-20)
+    for i in tail[np.linspace(0, tail.size - 1, 3).astype(int)]:
+        ref = _m_wright_mpmath(mpmath, beta, nodes[i], mvals[i])
+        assert mvals[i] == pytest.approx(ref, rel=1e-10, abs=0.0), (beta, nodes[i])
+
+
 def test_m_wright_quad_rule_half_is_gaussian():
     nodes, _, mvals = m_wright_quad_rule(0.5)
     expected = np.exp(-nodes * nodes / 4.0) / math.sqrt(math.pi)
-    # the far tail (values below 1e-20) comes from the integral continuation
-    # at its absolute tolerance
-    np.testing.assert_allclose(mvals, expected, rtol=1e-8, atol=1e-20)
+    np.testing.assert_allclose(mvals, expected, rtol=1e-8)
+
+
+def _no_adaptive_quad(*args):
+    raise AssertionError("Kanter's kernel fell back to adaptive quad")
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.3, 0.7, 0.9])
+def test_kanter_kernel_matches_adaptive_quad(monkeypatch, beta):
+    """The array kernel of Kanter's integral, with no fallback, against its
+    adaptive-quad fallback, past the mode and where M_beta > 1e-4, so that
+    the quad's absolute tolerance does not bind."""
+    nodes, _, mvals = m_wright_quad_rule(beta)
+    tau = nodes[(nodes > 1.25) & (mvals > 1e-4)]
+    tau = tau[np.linspace(0, tau.size - 1, 6).astype(int)]
+    ref = [specfun._mw_quad(beta, float(t))[0] for t in tau]
+    monkeypatch.setattr(specfun, "_mw_quad", _no_adaptive_quad)
+    value, err = specfun._mw_integral(beta, tau)
+    np.testing.assert_allclose(value, ref, rtol=1e-9)
+    assert np.all(err <= 1e-12 * value)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.8, 0.97])
@@ -230,6 +259,22 @@ def test_m_wright_quad_rule_makes_no_scalar_calls(monkeypatch):
     nodes, weights, mvals = specfun._mw_rule_cached.__wrapped__(0.5)
     assert np.all(np.isfinite(mvals))
     assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+def test_m_wright_quad_rule_needs_no_adaptive_quad(monkeypatch, beta):
+    """The fixed theta rules of Kanter's kernel pass their check at every
+    far-tail node of these rules, so the build runs no per-node quad."""
+    monkeypatch.setattr(specfun, "_mw_quad", _no_adaptive_quad)
+    nodes, weights, mvals = specfun._mw_rule_cached.__wrapped__(beta)
+    assert np.all(np.isfinite(mvals))
+    assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_m_wright_overflow_is_convergence_error():
+    # tau^(1/(1-beta)) = 5^1000 overflows a float
+    with pytest.raises(ConvergenceError):
+        m_wright(0.999, 5.0)
 
 
 @pytest.mark.parametrize("beta", [np.float64(0.001855027861893177), 0.005])
