@@ -1,16 +1,18 @@
 """Monte Carlo estimation of the perpetual integral int_0^inf f(x + B(t)) dt.
 
-Paths are sampled on one geometric clock from _T_MIN to t_max, in
-fixed-size chunks with one counter-based stream per chunk.  A chunk's
-points stay in the component-major (d, times, paths) buffer the fBm
-sampler writes: they are scaled and shifted in place, f reads each
-component as a contiguous plane, and the trapezoid sums run over
-contiguous rows.  Every chunk returns the same four sums (the trapezoid
-integral on the grid and its difference from the half grid, each with its
-square), and math.fsum adds each sum over the chunks in chunk order, so
-the result is bit-identical for any worker count.
-Truncation at t_max is accounted for by an analytic tail bound reported
-separately from the statistical error.
+B = sqrt(Y_beta) B_H, H = alpha/2, so by self-similarity V_beta = m V_1 with
+m = E[Y^(-1/alpha)] and V_1 the potential of B_H: only fBm paths are sampled,
+on one geometric clock from _T_MIN to t_max, in fixed-size chunks with one
+counter-based stream per chunk, and every term of the estimate is scaled by
+m.  A chunk's points stay in the component-major (d, times, paths) buffer
+the fBm sampler writes: they are shifted in place, f reads each component
+as a contiguous plane, and the trapezoid sums run over contiguous rows.
+Every chunk returns the same four sums (the trapezoid integral on the grid
+and its difference from the half grid, each with its square), and
+math.fsum adds each sum over the chunks in chunk order, so the result is
+bit-identical for any worker count.  Truncation at t_max is accounted for
+by an analytic tail bound, added to the mean where it is exact (a
+Gaussian's centre) and reported apart from the statistical error elsewhere.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .exceptions import DomainError
 from .fbm import sample_fbm_batch
 from .green import TestFunction
 from .model import ModelParams
+# not called here, but perfbench/spans.py patches both names on this module
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
-from .specfun import m_wright_quad_rule
+from .specfun import m_wright_moment, m_wright_quad_rule
 
 __all__ = [
     "PerpetualSpec",
@@ -69,7 +72,7 @@ class PerpetualSpec:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo result with its certifiable error decomposition."""
+    """Monte Carlo result and its error budget; an exact tail is in mean, tail_bound 0."""
 
     mean: float
     std_error: float
@@ -130,18 +133,15 @@ def _chunk_path_integrals(params: ModelParams, f: TestFunction, x: np.ndarray,
                           times: np.ndarray, rng: np.random.Generator,
                           n: int) -> tuple[float, np.ndarray]:
     """f(x), the value of every path at t = 0, and the (len(times) - 1, n)
-    values of f along product-representation paths at times[1:], the raw
+    values of f along the fBm paths x + B_H(t) at times[1:], the raw
     matrix, so the caller can integrate it on the grid and on subgrids.
 
     The points stay where sample_fbm_batch put them, component-major
-    (d, len(times) - 1, n): scaling by sqrt(Y) and shifting by x run in
-    place, and f sees the buffer as an (m, d) view whose components are
-    contiguous planes.
+    (d, len(times) - 1, n): the shift by x runs in place, and f sees the
+    buffer as an (m, d) view whose components are contiguous planes.
     """
     d, m = params.dim, len(times) - 1
-    y = sample_y_beta_array(params.beta, rng, n)
     pts = sample_fbm_batch(params.hurst, times[1:], d, n, rng).transpose(2, 1, 0)
-    pts *= np.sqrt(y)
     pts += x[:, None, None]
     fv = f.eval_many(pts.reshape(d, m * n).T).reshape(m, n)
     return f(x), fv
@@ -155,15 +155,14 @@ def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
-    """Upper bound on int_{t_max}^inf E[f(x + B(t))] dt, valid for every x.
-
-    Given Y = tau, the mean is at most min(sup, c (s + tau t^a)^(-d/2)) with
-    c = l1 (2 pi)^(-d/2) and s = f.spread.  Its time integral at each node
-    of the M-Wright rule is in closed form: sup (t* - t_max)^+, with t*
-    where the two bounds cross, plus the decay from t0 = max(t_max, t*) on,
-    c tau^(-d/2) t0^(1-p) / (p-1) with p = d a/2 at s = 0, and
-    c/a tau^(-1/a) s^(-b) B(b, 1/a) I_x(b, 1/a) with b = d/2 - 1/a and
-    x = s / (s + tau t0^a) at s > 0.
+    """Upper bound on m int_{t_max}^inf |E[f(x + B_H(t))]| dt for every x,
+    m = E[Y^(-1/a)]: the factored potential's part beyond t_max.  The mean
+    is at most min(sup, c (s + t^a)^(-d/2)), c = l1 (2 pi)^(-d/2), s = f.spread,
+    with equality at a Gaussian's centre.  Its time integral is
+    sup (t* - t_max)^+, with t* where the two bounds cross, plus the decay
+    from t0 = max(t_max, t*) on, c t0^(1-p) / (p-1) with p = d a/2 at s = 0,
+    and c/a s^(-b) B(b, 1/a) I_x(b, 1/a) with b = d/2 - 1/a and
+    x = s / (s + t0^a) at s > 0.
     """
     d, alpha = params.dim, params.alpha
     if d * alpha <= 2.0:
@@ -172,19 +171,16 @@ def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
     if sup == 0.0:  # f = 0
         return 0.0
     c = f.l1_norm * (2.0 * math.pi) ** (-0.5 * d)
-    tau, weights, mvals = m_wright_quad_rule(params.beta)
-    # the variance tau t^a at which the two bounds cross
-    v_star = max((c / sup) ** (2.0 / d) - s, 0.0)
-    t_star = (v_star / tau) ** (1.0 / alpha)
-    t0 = np.maximum(t_max, t_star)
+    t_star = max((c / sup) ** (2.0 / d) - s, 0.0) ** (1.0 / alpha)
+    t0 = max(t_max, t_star)
     if s == 0.0:
         p = 0.5 * d * alpha
-        decay = c * tau ** (-0.5 * d) * t0 ** (1.0 - p) / (p - 1.0)
+        decay = c * t0 ** (1.0 - p) / (p - 1.0)
     else:
         a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
-        decay = (c * a * tau ** -a * s ** -b * beta_function(b, a)
-                 * betainc(b, a, s / (s + tau * t0 ** alpha)))
-    return float(np.dot(weights, (sup * np.maximum(t_star - t_max, 0.0) + decay) * mvals))
+        decay = c * a * s ** -b * beta_function(b, a) * betainc(b, a, s / (s + t0 ** alpha))
+    m = m_wright_moment(params.beta, -1.0 / alpha)
+    return float(m * (sup * max(t_star - t_max, 0.0) + decay))
 
 
 def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
@@ -223,13 +219,17 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     total, total_sq, dsum, dsq = (math.fsum(col) for col in zip(*results))
     mean, std_error = _mean_and_se(total, total_sq, n)
     dmean, dse = _mean_and_se(dsum, dsq, n)
+    m = m_wright_moment(params.beta, -1.0 / params.alpha)
+    mean, tail = m * mean, tail_bound(params, f, spec.t_max)
+    if f.gaussian and np.array_equal(x, f.center):  # the tail of |f| is exact there
+        mean, tail = mean + math.copysign(tail, f(x)), 0.0
 
     return Estimate(
         mean=mean,
-        std_error=std_error,
+        std_error=m * std_error,
         n_paths=n,
-        tail_bound=tail_bound(params, f, spec.t_max),
-        discretization_bound=abs(dmean) + 2.0 * dse,
+        tail_bound=tail,
+        discretization_bound=m * (abs(dmean) + 2.0 * dse),
         t_max=spec.t_max,
         seed=spec.seed,
     )

@@ -14,8 +14,9 @@ from ggbm import blas, green
 from ggbm.fbm import sample_fbm_batch
 from ggbm.montecarlo import _CHUNK_SIZE, _STEPS_PER_DECADE, _T_MIN, \
     _chunk_path_integrals, _trapezoid_weights, build_time_grid
-from ggbm.randvar import make_stream, sample_y_beta_array
-from ggbm.specfun import m_wright_quad_rule
+from ggbm.randvar import make_stream
+from ggbm.specfun import m_wright_moment, m_wright_quad_rule
+from ggbm.verify import run_suite
 
 
 def test_build_time_grid_structure():
@@ -55,8 +56,8 @@ def test_perpetual_spec_validation():
 
 
 def test_chunk_f_values_match_per_path_reference():
-    """Each row is f along its own path x + sqrt(Y_p) B_p, with B_p = 0 at
-    t = 0, in the same arithmetic as a per-path loop."""
+    """Each row is f along its own fBm path x + B_p, with B_p = 0 at t = 0,
+    in the same arithmetic as a per-path loop; no Y is drawn."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     x = np.array([0.3, -0.2, 0.1])
@@ -65,15 +66,15 @@ def test_chunk_f_values_match_per_path_reference():
     f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(8, 1)), n)
     assert fv.shape == (len(times) - 1, n)
     rng = make_stream(SeedSpec(8, 1))
-    y = sample_y_beta_array(params.beta, rng, n)
     vals = sample_fbm_batch(params.hurst, times[1:], 3, n, rng)
     for p in range(n):
-        pts = np.vstack([x, np.sqrt(y[p]) * vals[p] + x])
+        pts = np.vstack([x, vals[p] + x])
         assert np.array_equal(np.concatenate([[f0], fv[:, p]]), f.eval_many(pts))
 
 
 def test_discretization_bound_uses_every_path():
-    """The grid-vs-half-grid estimate is taken over all paths of all chunks."""
+    """The grid-vs-half-grid estimate is taken over all paths of all chunks,
+    scaled by m = E[Y^(-1/alpha)] like the rest of the estimate."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     x = np.zeros(3)
@@ -89,15 +90,21 @@ def test_discretization_bound_uses_every_path():
                      - fv[:, ::2] @ _trapezoid_weights(times[::2]))
     diff = np.concatenate(diffs)
     expected = abs(diff.mean()) + 2.0 * diff.std(ddof=1) / math.sqrt(len(diff))
+    expected *= m_wright_moment(params.beta, -1.0 / params.alpha)
     assert est.discretization_bound == pytest.approx(expected, rel=1e-9)
 
 
 def _rule_tail(params, log_mean, t_max, v_split=0.0):
-    """Reference for tail_bound: sum_i w_i M_i int_{t_max}^inf mean(tau_i t^a) dt
-    over the M-Wright rule, every node its own adaptive integral in
-    u = log t (one quad_vec over the vector of nodes), split where the
-    node's variance tau_i t^a reaches v_split.  log_mean maps log v to the
-    log of the mean at variance v; both integrals must converge."""
+    """Reference for tail_bound: m int_{t_max}^inf mean(t^a) dt with
+    m = E[Y^(-1/a)], the fBm tail of the factored potential.  The integral
+    is sum_i w_i M_i int_{t_max}^inf mean(tau_i t^a) dt over the M-Wright
+    rule at beta = 1 (ModelParams(1, a, d), one node), every node its own
+    adaptive integral in u = log t (one quad_vec over the vector of nodes),
+    split where the node's variance tau_i t^a reaches v_split.  log_mean
+    maps log v to the log of the mean at variance v; both integrals must
+    converge."""
+    m = m_wright_moment(params.beta, -1.0 / params.alpha)
+    params = ModelParams(1.0, params.alpha, params.dim)
     tau, weights, mvals = m_wright_quad_rule(params.beta)
     alpha, lo = params.alpha, math.log(t_max)
     with np.errstate(divide="ignore"):
@@ -111,7 +118,7 @@ def _rule_tail(params, log_mean, t_max, v_split=0.0):
     tail, _, info_tail = quad_vec(lambda v: g(u0 + v), 0.0, np.inf,
                                   epsabs=1e-300, epsrel=1e-12, norm="max", full_output=True)
     assert info_head.success and info_tail.success
-    return math.fsum(head) + math.fsum(tail)
+    return m * (math.fsum(head) + math.fsum(tail))
 
 
 def _default_bound_tail(params, f, t_max):
@@ -216,16 +223,66 @@ def test_estimate_deterministic_across_threads():
 
 
 def test_estimate_pinned_values():
-    """Mean, SE and discretization bound at seed 42 on the clock of
-    _STEPS_PER_DECADE = 32 intervals per decade (131 grid points at
-    t_max = 10); a change of the clock or of the draws moves them."""
+    """Mean (with the exact tail beyond t_max folded in), SE and
+    discretization bound at seed 42 on the clock of _STEPS_PER_DECADE = 32
+    intervals per decade (131 grid points at t_max = 10); a change of the
+    clock or of the draws moves them."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
     est = estimate_potential_mc(params, f, np.zeros(3), spec)
-    assert est.mean == pytest.approx(1.5944430837889363, rel=1e-12)
-    assert est.std_error == pytest.approx(0.02526038763929152, rel=1e-12)
-    assert est.discretization_bound == pytest.approx(0.0034368592919932044, rel=1e-12)
+    assert est.mean == pytest.approx(2.2867304278678753, rel=1e-12)
+    assert est.std_error == pytest.approx(0.020643011351355222, rel=1e-12)
+    assert est.discretization_bound == pytest.approx(0.007826942675405445, rel=1e-12)
+    assert est.tail_bound == 0.0
+
+
+def test_estimate_factors_through_fbm():
+    """V_beta = E[Y^(-1/alpha)] V_1: on the same seed the estimate at beta
+    is the beta = 1 (fBm) estimate times the moment, term by term."""
+    f = gaussian_test_function(1.0, 3)
+    spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
+    est = estimate_potential_mc(ModelParams(0.5, 1.5, 3), f, np.zeros(3), spec)
+    fbm = estimate_potential_mc(ModelParams(1.0, 1.5, 3), f, np.zeros(3), spec)
+    m = m_wright_moment(0.5, -1.0 / 1.5)
+    assert m > 1.0
+    assert est.mean == pytest.approx(m * fbm.mean, rel=1e-14, abs=0.0)
+    assert est.std_error == pytest.approx(m * fbm.std_error, rel=1e-14, abs=0.0)
+    assert est.discretization_bound == pytest.approx(m * fbm.discretization_bound,
+                                                     rel=1e-14, abs=0.0)
+
+
+def test_folded_tail_takes_the_amplitude_sign():
+    """The exact tail at a Gaussian's centre is added with f's sign: the
+    estimate is linear in the amplitude, a negative one included."""
+    params = ModelParams(0.5, 1.5, 3)
+    spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
+    one, neg = (estimate_potential_mc(params, gaussian_test_function(0.8, 3, amplitude=a),
+                                      np.zeros(3), spec) for a in (1.0, -2.0))
+    assert one.tail_bound == 0.0 and neg.tail_bound == 0.0
+    assert neg.mean == pytest.approx(-2.0 * one.mean, rel=1e-14, abs=0.0)
+    assert neg.std_error == pytest.approx(2.0 * one.std_error, rel=1e-14, abs=0.0)
+
+
+def test_off_centre_tail_stays_in_the_budget():
+    """Away from a Gaussian's centre, and for any f not declared Gaussian,
+    the tail is a one-sided bound reported apart from the mean."""
+    params = ModelParams(0.5, 1.5, 3)
+    f = gaussian_test_function(1.0, 3)
+    spec = PerpetualSpec(t_max=10.0, n_paths=256, seed=SeedSpec(42, 0))
+    for g, x in ((f, np.array([0.5, 0.0, 0.0])), (_norms_only(f), np.zeros(3)),
+                 (bump_test_function(1.0, 3), np.zeros(3))):
+        est = estimate_potential_mc(params, g, x, spec)
+        assert est.tail_bound == tail_bound(params, g, spec.t_max) > 0.0
+
+
+def test_green_budget_within_two_percent():
+    """The certified budget 3 SE + tail + disc is within 2 % of V at
+    (0.8, 1.2, 2), where the tail decays only like T^(-0.2)."""
+    rep = run_suite("green", beta=0.8, alpha=1.2, dim=2, paths=100_000, seed=42, threads=2)
+    check = rep["checks"][0]
+    assert rep["pass"]
+    assert check["budget_rel"] <= 0.02
 
 
 @pytest.mark.parametrize("threads", [1, 2])
