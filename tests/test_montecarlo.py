@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from ggbm import DomainError, GreenDensity, ModelParams, PerpetualSpec, \
-    SeedSpec, bump_test_function, estimate_potential_mc, \
+import scipy.integrate
+from scipy.special import beta as beta_function, betainc
+
+from ggbm import ConvergenceError, DomainError, GreenDensity, ModelParams, \
+    PerpetualSpec, SeedSpec, bump_test_function, estimate_potential_mc, \
     gaussian_test_function, potential, tail_bound
 from ggbm import blas, green
 from ggbm.fbm import sample_fbm_batch
-from ggbm.montecarlo import _CHUNK_SIZE, _STEPS_PER_DECADE, _T_MIN, \
-    _chunk_path_integrals, _trapezoid_weights, build_time_grid
+from ggbm.montecarlo import _CHUNK_SIZE, _GAUSSIAN_STEPS_PER_DECADE, \
+    _STEPS_PER_DECADE, _T_MIN, _chunk_path_integrals, _gaussian_grid_bias, \
+    _trapezoid_weights, build_time_grid
 from ggbm.randvar import make_stream
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
 from ggbm.verify import run_suite
@@ -72,15 +76,24 @@ def test_chunk_f_values_match_per_path_reference():
         assert np.array_equal(np.concatenate([[f0], fv[:, p]]), f.eval_many(pts))
 
 
+def _gaussian_mean_along_fbm(params, sigma, amplitude, r, times):
+    """The exact mean of A exp(-|y - c|^2 / (2 sigma^2)) along x + B_H(t),
+    |x - c| = r: A (s / (s + t^a))^(d/2) exp(-r^2 / (2 (s + t^a)))."""
+    s, v = sigma * sigma, sigma * sigma + times ** params.alpha
+    return amplitude * (s / v) ** (0.5 * params.dim) * np.exp(-0.5 * r * r / v)
+
+
 def test_discretization_bound_uses_every_path():
     """The grid-vs-half-grid estimate is taken over all paths of all chunks,
-    scaled by m = E[Y^(-1/alpha)] like the rest of the estimate."""
+    on a Gaussian's clock of _GAUSSIAN_STEPS_PER_DECADE, less its exact mean
+    sum_j w_j g(t_j) on the grid minus the same on the half grid, and scaled
+    by m = E[Y^(-1/alpha)] like the rest of the estimate."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     x = np.zeros(3)
     spec = PerpetualSpec(t_max=10.0, n_paths=2 * _CHUNK_SIZE, seed=SeedSpec(42, 0))
     est = estimate_potential_mc(params, f, x, spec)
-    times = build_time_grid(spec)
+    times = build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE)
     diffs = []
     for idx in range(2):
         f0, fv = _chunk_path_integrals(params, f, x, times,
@@ -88,7 +101,9 @@ def test_discretization_bound_uses_every_path():
         fv = np.vstack([np.full(_CHUNK_SIZE, f0), fv]).T  # (paths, times)
         diffs.append(fv @ _trapezoid_weights(times)
                      - fv[:, ::2] @ _trapezoid_weights(times[::2]))
-    diff = np.concatenate(diffs)
+    g = _gaussian_mean_along_fbm(params, 1.0, 1.0, 0.0, times)
+    diff = (np.concatenate(diffs) - g @ _trapezoid_weights(times)
+            + g[::2] @ _trapezoid_weights(times[::2]))
     expected = abs(diff.mean()) + 2.0 * diff.std(ddof=1) / math.sqrt(len(diff))
     expected *= m_wright_moment(params.beta, -1.0 / params.alpha)
     assert est.discretization_bound == pytest.approx(expected, rel=1e-9)
@@ -223,18 +238,120 @@ def test_estimate_deterministic_across_threads():
 
 
 def test_estimate_pinned_values():
-    """Mean (with the exact tail beyond t_max folded in), SE and
-    discretization bound at seed 42 on the clock of _STEPS_PER_DECADE = 32
-    intervals per decade (131 grid points at t_max = 10); a change of the
-    clock or of the draws moves them."""
+    """Mean (with the exact tail beyond t_max and the exact grid bias folded
+    in), SE and discretization bound at seed 42 on a Gaussian's clock of
+    _GAUSSIAN_STEPS_PER_DECADE = 16 intervals per decade (67 grid points at
+    t_max = 10); a change of the clock, the fold or the draws moves them."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
+    assert len(build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE)) == 67
     est = estimate_potential_mc(params, f, np.zeros(3), spec)
-    assert est.mean == pytest.approx(2.2867304278678753, rel=1e-12)
-    assert est.std_error == pytest.approx(0.020643011351355222, rel=1e-12)
-    assert est.discretization_bound == pytest.approx(0.007826942675405445, rel=1e-12)
+    assert est.mean == pytest.approx(2.258176868720655, rel=1e-12)
+    assert est.std_error == pytest.approx(0.01951763366127518, rel=1e-12)
+    assert est.discretization_bound == pytest.approx(0.006173820701609091, rel=1e-12)
     assert est.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("case", ["bump", "custom"])
+def test_non_gaussian_estimate_pinned_values(case):
+    """Any f not declared Gaussian keeps the _STEPS_PER_DECADE = 32 clock
+    and no bias fold: mean, SE, disc and the one-sided tail at seed 42 are
+    the values of the estimator before the Gaussian fold existed."""
+    params = ModelParams(0.5, 1.5, 3)
+    spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
+    if case == "bump":
+        f, x = bump_test_function(1.0, 3), np.zeros(3)
+        expected = (0.833164094701295, 0.008823023617499225,
+                    0.002652842204902225, 0.006775588782775673)
+    else:
+        f = _norms_only(gaussian_test_function(0.8, 3, amplitude=2.0))
+        x = np.array([0.5, 0.0, 0.0])
+        expected = (2.966054957612662, 0.0318930149464942,
+                    0.00947924172940458, 0.09113730903891966)
+    est = estimate_potential_mc(params, f, x, spec)
+    got = (est.mean, est.std_error, est.discretization_bound, est.tail_bound)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("triple", [(0.5, 1.5, 3), (0.8, 1.2, 2), (0.9, 2.0, 2), (1.0, 1.0, 3)],
+                         ids=lambda t: "-".join(map(str, t)))
+@pytest.mark.parametrize("T", [10.0, 50.0])
+def test_grid_bias_integral_matches_incomplete_beta(triple, T):
+    """At a Gaussian's centre the fold's int_0^T g dt, recovered as the grid
+    sum minus the fine bias, is s^(d/2) (1/a) s^(-b) B(b, 1/a) (1 - I_z(b, 1/a))
+    with b = d/2 - 1/a and z = s / (s + T^a): a closed form that shares
+    nothing with the 1F1 of the potential or with quad.  The coarse bias
+    is the same integral against the half grid's sum."""
+    params = ModelParams(*triple)
+    d, alpha, sigma = params.dim, params.alpha, 0.8
+    f = gaussian_test_function(sigma, d)
+    times = build_time_grid(PerpetualSpec(T, 1, SeedSpec(0, 0)), _GAUSSIAN_STEPS_PER_DECADE)
+    w_fine, w_coarse = _trapezoid_weights(times), _trapezoid_weights(times[::2])
+    b_fine, b_coarse = _gaussian_grid_bias(params, f, np.zeros(d), times, w_fine, w_coarse)
+    g = _gaussian_mean_along_fbm(params, sigma, 1.0, 0.0, times)
+    s, a, b = sigma * sigma, 1.0 / alpha, 0.5 * d - 1.0 / alpha
+    exact = (s ** (0.5 * d) * a * s ** -b * beta_function(b, a)
+             * (1.0 - betainc(b, a, s / (s + T ** alpha))))
+    assert math.fsum(w_fine * g) - b_fine == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert math.fsum(w_coarse * g[::2]) - b_coarse == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert 0.0 < b_fine < b_coarse  # the grid over-weights the convex decay
+
+
+@pytest.mark.parametrize("x", [np.zeros(3), np.array([0.8, -0.3, 0.5])], ids=["centre", "off"])
+def test_raw_grid_mean_reproduces_exact_grid_sum(x):
+    """The premise of the fold: at beta = 1 the per-path trapezoid sums on a
+    Gaussian's clock average to sum_j w_j g(t_j) within 3 SE, at the centre
+    and off it."""
+    params = ModelParams(1.0, 1.5, 3)
+    f = gaussian_test_function(1.0, 3, center=np.array([0.1, 0.2, -0.1]))
+    times = build_time_grid(PerpetualSpec(50.0, 1, SeedSpec(0, 0)), _GAUSSIAN_STEPS_PER_DECADE)
+    w = _trapezoid_weights(times)
+    f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(5, 0)), 8192)
+    trap = w[0] * f0 + w[1:] @ fv
+    se = trap.std(ddof=1) / math.sqrt(len(trap))
+    exact = w @ _gaussian_mean_along_fbm(params, 1.0, 1.0, float(np.linalg.norm(x - f.center)),
+                                         times)
+    assert abs(trap.mean() - exact) <= 3.0 * se
+
+
+def test_grid_bias_fold_is_linear_in_the_amplitude_off_centre():
+    """Off a Gaussian's centre the bias fold takes amplitude and sign from
+    f(c): amplitude -2 gives -2 times the amplitude-1 estimate, with the
+    one-sided tail and the disc term scaled by 2."""
+    params = ModelParams(0.5, 1.5, 3)
+    spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
+    x = np.array([0.4, -0.6, 0.2])
+    one, neg = (estimate_potential_mc(params, gaussian_test_function(0.8, 3, amplitude=a),
+                                      x, spec) for a in (1.0, -2.0))
+    assert one.tail_bound > 0.0
+    assert neg.mean == pytest.approx(-2.0 * one.mean, rel=1e-14, abs=0.0)
+    assert neg.std_error == pytest.approx(2.0 * one.std_error, rel=1e-14, abs=0.0)
+    assert neg.tail_bound == pytest.approx(2.0 * one.tail_bound, rel=1e-14, abs=0.0)
+    assert neg.discretization_bound == pytest.approx(2.0 * one.discretization_bound,
+                                                     rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("failure", ["large-error", "warning"])
+def test_grid_bias_fold_rejects_unconverged_quad(monkeypatch, failure):
+    """The fold trusts its quad only when it converged: an error estimate
+    above 1e-10 max(|value|, sup |f|), or quad's warning message, raises."""
+    real_quad = scipy.integrate.quad
+    bump = bump_test_function(1.0, 3)
+
+    def quad(*args, **kwargs):
+        res = real_quad(*args, **kwargs)
+        if failure == "large-error":
+            return (res[0], 1e-6 * abs(res[0])) + tuple(res[2:])
+        return tuple(res) + ("The maximum number of subdivisions has been achieved.",)
+
+    monkeypatch.setattr(scipy.integrate, "quad", quad)
+    spec = PerpetualSpec(t_max=10.0, n_paths=16, seed=SeedSpec(0, 0))
+    with pytest.raises(ConvergenceError):
+        estimate_potential_mc(ModelParams(0.5, 1.5, 3), gaussian_test_function(1.0, 3),
+                              np.zeros(3), spec)
+    # a bump never reaches the fold
+    estimate_potential_mc(ModelParams(0.5, 1.5, 3), bump, np.zeros(3), spec)
 
 
 def test_estimate_factors_through_fbm():
