@@ -2,7 +2,7 @@
 
 B = sqrt(Y_beta) B_H, H = alpha/2, so by self-similarity V_beta = m V_1 with
 m = E[Y^(-1/alpha)] and V_1 the potential of B_H: only fBm paths are sampled,
-on one geometric clock from _T_MIN to t_max, in fixed-size chunks with one
+on one geometric clock up to t_max (see _clock), in fixed-size chunks with one
 counter-based stream per chunk, and every term of the estimate is scaled by
 m.  A chunk's points stay in the component-major (d, times, paths) buffer
 the fBm sampler writes: they are shifted in place, f reads each component
@@ -17,8 +17,11 @@ Gaussian's centre) and reported apart from the statistical error elsewhere.
 For a Gaussian f the mean along the paths is known at every t, so the
 trapezoid's grid bias on the grid and on the half grid is computed, not
 estimated: it is subtracted from the mean and from the grid-vs-half-grid
-difference, and the clock only has to keep the variance low, which it does
-at half the density every other f needs.
+difference, and the clock only has to keep the variance low.  It does so
+at half the density every other f needs, and it starts where fBm's
+variance t^alpha reaches a tenth of f's spread: before that f(x + B(t)) is
+almost the constant f(x) on every path, so those decades add points to
+every path but no variance to the estimate.
 """
 
 from __future__ import annotations
@@ -53,9 +56,12 @@ __all__ = [
 # f's grid bias is exact and subtracted, so its clock runs at 16, where
 # the discretization term measured on the folded values stays below that
 # bound too (8 does not); any other f keeps 32, which at 16 would widen
-# its budget by more than the time it saves.
+# its budget by more than the time it saves.  Every other f's clock starts
+# at _T_MIN; a Gaussian's starts where t^alpha is _GAUSSIAN_START_SPREAD
+# times its spread, clamped to [_T_MIN, t_max / 10] (see _clock).
 _STEPS_PER_DECADE = 32
 _GAUSSIAN_STEPS_PER_DECADE = 16
+_GAUSSIAN_START_SPREAD = 0.1
 _T_MIN = 1e-3
 # paths per chunk, each chunk with its own stream
 _CHUNK_SIZE = 2048
@@ -126,16 +132,32 @@ def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     return total / n, math.sqrt(var / n)
 
 
-def build_time_grid(spec: PerpetualSpec,
-                    steps_per_decade: int = _STEPS_PER_DECADE) -> np.ndarray:
-    """0 followed by a geometric grid from _T_MIN to t_max, with at least
-    steps_per_decade intervals per decade and an even interval count, so
-    grid[::2] is a nested coarsening.  The estimator passes
-    _GAUSSIAN_STEPS_PER_DECADE for a Gaussian f, whose grid bias is exact.
+def build_time_grid(spec: PerpetualSpec, steps_per_decade: int = _STEPS_PER_DECADE,
+                    t_start: float = _T_MIN) -> np.ndarray:
+    """0 followed by a geometric grid from t_start (< t_max) to t_max, with
+    at least steps_per_decade intervals per decade and an even interval
+    count, so grid[::2] is a nested coarsening.  _clock chooses the density
+    and the start for each f.
     """
-    n = math.ceil(steps_per_decade * math.log10(spec.t_max / _T_MIN))
+    n = math.ceil(steps_per_decade * math.log10(spec.t_max / t_start))
     n += 1 - n % 2  # odd, so with the interval from 0 the count is even
-    return np.concatenate([[0.0], np.geomspace(_T_MIN, spec.t_max, n + 1)])
+    return np.concatenate([[0.0], np.geomspace(t_start, spec.t_max, n + 1)])
+
+
+def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndarray:
+    """The estimator's time grid for f.  Any f not declared Gaussian gets
+    _STEPS_PER_DECADE from _T_MIN.  A Gaussian, whose grid bias is exact and
+    folded out, gets _GAUSSIAN_STEPS_PER_DECADE from
+    t0 = max(_T_MIN, min((_GAUSSIAN_START_SPREAD s)^(1/alpha), t_max / 10)),
+    s = f.spread: the first interval [0, t0] is one trapezoid whose bias is
+    folded out like every other, and before t0 the paths have moved too
+    little against f's width to add variance.
+    """
+    if not f.gaussian:
+        return build_time_grid(spec)
+    t0 = (_GAUSSIAN_START_SPREAD * f.spread) ** (1.0 / params.alpha)
+    return build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE,
+                           max(_T_MIN, min(t0, 0.1 * spec.t_max)))
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -247,8 +269,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     x = np.asarray(x, dtype=float)
-    times = build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE if f.gaussian
-                            else _STEPS_PER_DECADE)
+    times = _clock(params, f, spec)
     w_fine = _trapezoid_weights(times)
     w_coarse = _trapezoid_weights(times[::2])
 

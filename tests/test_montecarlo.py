@@ -16,7 +16,7 @@ from ggbm import ConvergenceError, DomainError, GreenDensity, ModelParams, \
 from ggbm import blas, green
 from ggbm.fbm import sample_fbm_batch
 from ggbm.montecarlo import _CHUNK_SIZE, _GAUSSIAN_STEPS_PER_DECADE, \
-    _STEPS_PER_DECADE, _T_MIN, _chunk_path_integrals, _gaussian_grid_bias, \
+    _STEPS_PER_DECADE, _T_MIN, _chunk_path_integrals, _clock, _gaussian_grid_bias, \
     _trapezoid_weights, build_time_grid
 from ggbm.randvar import make_stream
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
@@ -85,7 +85,7 @@ def _gaussian_mean_along_fbm(params, sigma, amplitude, r, times):
 
 def test_discretization_bound_uses_every_path():
     """The grid-vs-half-grid estimate is taken over all paths of all chunks,
-    on a Gaussian's clock of _GAUSSIAN_STEPS_PER_DECADE, less its exact mean
+    on the estimator's clock for a Gaussian, less its exact mean
     sum_j w_j g(t_j) on the grid minus the same on the half grid, and scaled
     by m = E[Y^(-1/alpha)] like the rest of the estimate."""
     params = ModelParams(0.5, 1.5, 3)
@@ -93,7 +93,7 @@ def test_discretization_bound_uses_every_path():
     x = np.zeros(3)
     spec = PerpetualSpec(t_max=10.0, n_paths=2 * _CHUNK_SIZE, seed=SeedSpec(42, 0))
     est = estimate_potential_mc(params, f, x, spec)
-    times = build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE)
+    times = _clock(params, f, spec)
     diffs = []
     for idx in range(2):
         f0, fv = _chunk_path_integrals(params, f, x, times,
@@ -240,16 +240,17 @@ def test_estimate_deterministic_across_threads():
 def test_estimate_pinned_values():
     """Mean (with the exact tail beyond t_max and the exact grid bias folded
     in), SE and discretization bound at seed 42 on a Gaussian's clock of
-    _GAUSSIAN_STEPS_PER_DECADE = 16 intervals per decade (67 grid points at
-    t_max = 10); a change of the clock, the fold or the draws moves them."""
+    _GAUSSIAN_STEPS_PER_DECADE = 16 intervals per decade from where t^alpha
+    is a tenth of the spread (29 grid points at t_max = 10); a change of the
+    clock, the fold or the draws moves them."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
-    assert len(build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE)) == 67
+    assert len(_clock(params, f, spec)) == 29
     est = estimate_potential_mc(params, f, np.zeros(3), spec)
-    assert est.mean == pytest.approx(2.258176868720655, rel=1e-12)
-    assert est.std_error == pytest.approx(0.01951763366127518, rel=1e-12)
-    assert est.discretization_bound == pytest.approx(0.006173820701609091, rel=1e-12)
+    assert est.mean == pytest.approx(2.287629036885547, rel=1e-12)
+    assert est.std_error == pytest.approx(0.02079484523396366, rel=1e-12)
+    assert est.discretization_bound == pytest.approx(0.00652476686299243, rel=1e-12)
     assert est.tail_bound == 0.0
 
 
@@ -305,7 +306,7 @@ def test_raw_grid_mean_reproduces_exact_grid_sum(x):
     and off it."""
     params = ModelParams(1.0, 1.5, 3)
     f = gaussian_test_function(1.0, 3, center=np.array([0.1, 0.2, -0.1]))
-    times = build_time_grid(PerpetualSpec(50.0, 1, SeedSpec(0, 0)), _GAUSSIAN_STEPS_PER_DECADE)
+    times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     w = _trapezoid_weights(times)
     f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(5, 0)), 8192)
     trap = w[0] * f0 + w[1:] @ fv
@@ -313,6 +314,94 @@ def test_raw_grid_mean_reproduces_exact_grid_sum(x):
     exact = w @ _gaussian_mean_along_fbm(params, 1.0, 1.0, float(np.linalg.norm(x - f.center)),
                                          times)
     assert abs(trap.mean() - exact) <= 3.0 * se
+
+
+def _exact_grid_moments(params, sigma, r, times, w):
+    """Exact mean and variance of the per-path sum w . f(x + B_H(times)) for
+    f(y) = exp(-|y - c|^2 / (2 sigma^2)) at |x - c| = r.  The mean is w . g;
+    the second moment is w^T C w with
+    C_jk = (s^2 / D)^(d/2) exp(-r^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
+    s = sigma^2, where K = [[a_j, k_jk], [k_jk, a_k]] is fBm's covariance at
+    (t_j, t_k), a_j = t_j^alpha, and D = det(s I + K)."""
+    d, s = params.dim, sigma * sigma
+    a = times ** params.alpha
+    aj, ak = a[:, None], a[None, :]
+    k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
+    det = (s + aj) * (s + ak) - k * k
+    c = (s * s / det) ** (0.5 * d) * np.exp(-0.5 * r * r * (2.0 * s + aj + ak - 2.0 * k) / det)
+    g = _gaussian_mean_along_fbm(params, sigma, 1.0, r, times)
+    return w @ g, w @ (c - np.outer(g, g)) @ w
+
+
+def _grid_sds(params, sigma, r, times):
+    """Exact per-path SD of the trapezoid sum on times, and of its difference
+    from the half grid's sum."""
+    w = _trapezoid_weights(times)
+    w_diff = w.copy()
+    w_diff[::2] -= _trapezoid_weights(times[::2])
+    return tuple(math.sqrt(_exact_grid_moments(params, sigma, r, times, v)[1])
+                 for v in (w, w_diff))
+
+
+def test_exact_grid_variance_matches_sampled_paths():
+    """The closed-form grid variance is the variance of the per-path sums the
+    estimator draws, off a Gaussian's centre, at beta = 1."""
+    params = ModelParams(1.0, 1.2, 2)
+    f = gaussian_test_function(0.5, 2)
+    x = np.array([1.0, -0.5])
+    times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
+    w = _trapezoid_weights(times)
+    mean, var = _exact_grid_moments(params, 0.5, float(np.linalg.norm(x)), times, w)
+    f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(6, 0)), 8192)
+    trap = w[0] * f0 + w[1:] @ fv
+    assert trap.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / len(trap)))
+    assert trap.std(ddof=1) == pytest.approx(math.sqrt(var), rel=0.05)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.8, 2.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gaussian_clock_start_keeps_the_grid_variance(alpha, dim):
+    """Starting a Gaussian's clock where t^alpha is a tenth of its spread,
+    not at _T_MIN, drops points but leaves the exact per-path SD within
+    0.5 % and the expected disc / (half of 3 SE), 2.8 SD(diff) / (1.5 SD),
+    within 0.02: the decades before the start carry no variance."""
+    params = ModelParams(1.0, alpha, dim)
+    spec = PerpetualSpec(50.0, 1, SeedSpec(0, 0))
+    full = build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE)
+    for sigma in (0.3, 1.0, 3.0):
+        times = _clock(params, gaussian_test_function(sigma, dim), spec)
+        assert len(times) < len(full)
+        for r in (0.0, 1.5):
+            sd, sd_diff = _grid_sds(params, sigma, r, times)
+            sd_full, sd_diff_full = _grid_sds(params, sigma, r, full)
+            assert sd == pytest.approx(sd_full, rel=0.005)
+            assert 2.8 * sd_diff / (1.5 * sd) == pytest.approx(
+                2.8 * sd_diff_full / (1.5 * sd_full), abs=0.02)
+
+
+@pytest.mark.parametrize("sigma,t_max,start", [
+    (0.01, 50.0, _T_MIN),  # (s / 10)^(1 / alpha) below _T_MIN
+    (3.0, 0.5, 0.05),  # (s / 10)^(1 / alpha) above t_max / 10
+    (1.0, 1.5 * _T_MIN, _T_MIN),  # t_max / 10 below _T_MIN
+    (1.0, 50.0, 0.1 ** (1.0 / 1.5)),
+], ids=["spread-below-t-min", "t-max-over-10", "t-max-near-t-min", "interior"])
+def test_gaussian_clock_start_clamps(sigma, t_max, start):
+    """A Gaussian's clock starts at max(_T_MIN, min((s / 10)^(1/alpha),
+    t_max / 10)) at 16 intervals per decade; a start at _T_MIN gives the
+    very grid of build_time_grid's default start.  Every other f keeps
+    build_time_grid's default clock, byte for byte."""
+    params = ModelParams(0.5, 1.5, 3)
+    spec = PerpetualSpec(t_max, 1, SeedSpec(0, 0))
+    times = _clock(params, gaussian_test_function(sigma, 3), spec)
+    assert times[0] == 0.0 and times[1] == pytest.approx(start, rel=1e-15)
+    assert times[-1] == t_max
+    assert np.all(np.diff(times) > 0.0)
+    assert (len(times) - 1) % 2 == 0
+    assert len(times) - 2 >= _GAUSSIAN_STEPS_PER_DECADE * math.log10(t_max / start)
+    if start == _T_MIN:
+        assert times.tobytes() == build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE).tobytes()
+    bump = _clock(params, bump_test_function(1.0, 3), spec)
+    assert bump.tobytes() == build_time_grid(spec).tobytes()
 
 
 def test_grid_bias_fold_is_linear_in_the_amplitude_off_centre():
