@@ -3,7 +3,8 @@ the time-integral kernel.
 
 The potential of a Gaussian test function is in closed form in every
 dimension; any other f (the bump, a custom f) goes through a radial
-quadrature over sphere cubatures, implemented for d <= 3.
+quadrature with one cubature on each sphere, over the cap that meets f's
+reach (the whole sphere while it lies inside), implemented for d = 2, 3.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc, gammainccinv, gammaln, hyp1f1
 
-from .exceptions import DomainError
+from .exceptions import ConvergenceError, DomainError
 from .model import ModelParams
 from .specfun import gamma, green_constant, time_kernel_constant
 
@@ -195,50 +196,20 @@ _MAX_ANGULAR = 192
 
 
 @functools.lru_cache(maxsize=None)
-def _sphere_rule(d: int, m: int):
-    """Unit-sphere nodes and weights summing to the sphere area (d <= 3).
-    Cached per (d, m), so the arrays are shared and read-only.
-    """
-    if d == 1:
-        nodes, w = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    elif d == 2:
-        ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        nodes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        w = np.full(m, 2.0 * math.pi / m)
-    elif d == 3:
-        mu, wmu = np.polynomial.legendre.leggauss(m)
-        phi = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
-        smu = np.sqrt(1.0 - mu ** 2)
-        nodes = np.stack(
-            [
-                np.outer(smu, np.cos(phi)).ravel(),
-                np.outer(smu, np.sin(phi)).ravel(),
-                np.repeat(mu, 2 * m),
-            ],
-            axis=1,
-        )
-        w = np.outer(wmu, np.full(2 * m, 2.0 * math.pi / (2 * m))).ravel()
-    else:
-        raise DomainError(f"sphere cubature implemented for d <= 3, got d = {d}")
-    nodes.flags.writeable = False
-    w.flags.writeable = False
-    return nodes, w
-
-
-@functools.lru_cache(maxsize=None)
 def _cap_rule(d: int, m: int):
-    """Reference rule on [-1, 1] for a spherical cap (d = 2, 3): in d = 2,
-    m midpoints for the angle over the half-angle; in d = 3, m Gauss-Legendre
-    nodes for the cosine of the polar angle, then cos and sin of 2m uniform
-    azimuths.  Cached per (d, m), so the arrays are shared and read-only.
+    """Reference rule on [-1, 1] for a spherical cap (d = 2, 3): m
+    Gauss-Legendre nodes, for the angle over the half-angle in d = 2 and for
+    the cosine of the polar angle in d = 3, then in d = 3 the cos and sin of
+    2m uniform azimuths.  Cached per (d, m), so the arrays are shared and
+    read-only.
     """
     if d == 2:
-        rule = ((2.0 * np.arange(m) + 1.0) / m - 1.0, np.full(m, 2.0 / m))
+        rule = np.polynomial.legendre.leggauss(m)
     elif d == 3:
         phi = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
         rule = (*np.polynomial.legendre.leggauss(m), np.cos(phi), np.sin(phi))
     else:
-        raise DomainError(f"sphere cubature implemented for d <= 3, got d = {d}")
+        raise DomainError(f"sphere cubature implemented for d = 2, 3, got d = {d}")
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -266,7 +237,8 @@ def _cap_nodes(frame: np.ndarray, cos_max: float, m: int):
 
 def _surface_integral(f: TestFunction, x: np.ndarray, r: float, rule) -> float:
     """Integral of f(x + r w) over the unit-sphere nodes and weights rule(m),
-    with m doubled from 12 until two successive rules agree.
+    with m doubled from 12 until two successive rules agree; raises
+    ConvergenceError when m reaches _MAX_ANGULAR first.
     """
     m = 12
     nodes, w = rule(m)
@@ -278,7 +250,8 @@ def _surface_integral(f: TestFunction, x: np.ndarray, r: float, rule) -> float:
         if abs(cur - prev) <= _POTENTIAL_TOL * max(f.sup_norm, abs(cur)):
             return cur
         prev = cur
-    return prev
+    raise ConvergenceError(f"sphere of radius {r:g} around x: no agreement "
+                           f"at {_MAX_ANGULAR} angular nodes")
 
 
 def _gaussian_potential(gd: GreenDensity, f: TestFunction, x: np.ndarray) -> float:
@@ -301,9 +274,9 @@ def potential(gd: GreenDensity, f: TestFunction, x) -> float:
 
     The substitution u = r^(2/alpha) removes the origin singularity exactly:
     the integral becomes (alpha/2) * int_0^inf S(u^(alpha/2)) du with S the
-    spherical surface integral of f(x + .).  Only radii within the reach of
-    the center count; when x is outside the reach, only the cap of each
-    sphere that lies inside it.
+    spherical surface integral of f(x + .).  Only radii that meet the reach
+    of the center count, and on each sphere only the cap that lies inside
+    it: the whole sphere while it stays inside the reach.
     """
     x = np.asarray(x, dtype=float)
     if f.gaussian:
@@ -312,22 +285,21 @@ def potential(gd: GreenDensity, f: TestFunction, x) -> float:
 
     alpha, d = gd.params.alpha, gd.params.dim
     s = float(np.linalg.norm(x - f.center))
+    u_min = max(s - f.reach, 0.0) ** (2.0 / alpha)
     u_max = (s + f.reach) ** (2.0 / alpha)
-    if s <= f.reach:
-        u_min = 0.0
-
-        def sphere(r):
-            return _surface_integral(f, x, r, functools.partial(_sphere_rule, d))
-    else:
-        u_min = (s - f.reach) ** (2.0 / alpha)
-        # an orthonormal frame whose first axis points from x to the center
-        frame = np.linalg.qr(np.column_stack([f.center - x, np.eye(d)]))[0]
+    # an orthonormal frame whose first axis points from x to the center;
+    # at s = 0 every sphere is whole and any frame will do
+    frame = np.linalg.qr(np.column_stack([f.center - x, np.eye(d)]))[0]
+    if s > 0.0:
         frame[:, 0] = (f.center - x) / s
+    whole = functools.lru_cache(maxsize=None)(functools.partial(_cap_nodes, frame, -1.0))
 
-        def sphere(r):
-            cos_max = (r * r + s * s - f.reach ** 2) / (2.0 * r * s)
-            cos_max = min(1.0, max(-1.0, cos_max))
-            return _surface_integral(f, x, r, functools.partial(_cap_nodes, frame, cos_max))
+    def sphere(r):
+        if r <= f.reach - s:
+            return _surface_integral(f, x, r, whole)
+        cos_max = (r * r + s * s - f.reach ** 2) / (2.0 * r * s)
+        cos_max = min(1.0, max(-1.0, cos_max))
+        return _surface_integral(f, x, r, functools.partial(_cap_nodes, frame, cos_max))
 
     def integrand(u):
         r = u ** (0.5 * alpha)

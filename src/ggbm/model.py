@@ -27,6 +27,7 @@ class ModelParams:
             raise DomainError(f"requires 0 < alpha <= 2, got alpha = {self.alpha:g}")
         if self.dim < 1 or int(self.dim) != self.dim:
             raise DomainError(f"requires integer dim >= 1, got dim = {self.dim}")
+        object.__setattr__(self, "dim", int(self.dim))
 
     @property
     def hurst(self) -> float:

@@ -7,14 +7,14 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.special import gammaincc
+from scipy.special import gammaincc, hyp2f1
 
-from ggbm import DomainError, GreenDensity, ModelParams, \
+from ggbm import ConvergenceError, DomainError, GreenDensity, ModelParams, \
     bump_test_function, continuity_constant, gaussian_test_function, \
     green_density_at, green_measure_of_ball, potential, tail_bound, \
     time_integral_kernel
 from ggbm import green
-from ggbm.green import _TAIL_MASS, _cap_measure, _cap_rule, _sphere_rule, unit_sphere_area
+from ggbm.green import _TAIL_MASS, _cap_measure, _cap_nodes, _cap_rule, unit_sphere_area
 from ggbm.specfun import green_constant
 
 
@@ -192,27 +192,16 @@ def test_potential_off_center_vs_time_integral():
     assert v == pytest.approx(direct, rel=1e-8)
 
 
-@pytest.mark.parametrize("d,m", [(1, 0), (2, 24), (3, 48)])
-def test_sphere_rule_cached_read_only(d, m):
-    nodes, w = _sphere_rule(d, m)
-    assert _sphere_rule(d, m)[0] is nodes
-    assert not nodes.flags.writeable and not w.flags.writeable
-    fresh_nodes, fresh_w = _sphere_rule.__wrapped__(d, m)
-    assert np.array_equal(nodes, fresh_nodes) and np.array_equal(w, fresh_w)
-    assert math.isclose(w.sum(), unit_sphere_area(d), rel_tol=1e-12)
-
-
 @pytest.mark.parametrize("d,x", [(2, [0.7, -0.3]), (3, [0.4, 0.2, -0.5]),
                                  (2, [6.0, -8.0]), (3, [6.0, 0.0, -8.0])])
 def test_potential_same_with_cached_rules(d, x, monkeypatch):
-    """The quadrature uses whole spheres from x inside the reach (about 7.7)
-    and caps from x at distance 10, outside it."""
+    """From x inside the reach (about 7.7) the quadrature takes whole spheres,
+    then caps once they cross its edge; from x at distance 10, caps only."""
     gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
     f = by_quadrature(gaussian_test_function(1.0, d))
     assert f.reach < 10.0
     first = potential(gd, f, x)
     assert potential(gd, f, x) == first
-    monkeypatch.setattr(green, "_sphere_rule", _sphere_rule.__wrapped__)
     monkeypatch.setattr(green, "_cap_rule", _cap_rule.__wrapped__)
     assert potential(gd, f, x) == first
 
@@ -223,6 +212,8 @@ def test_cap_rule_cached_read_only(d, m):
     assert all(a is b for a, b in zip(_cap_rule(d, m), rule))
     assert not any(a.flags.writeable for a in rule)
     assert all(np.array_equal(a, b) for a, b in zip(rule, _cap_rule.__wrapped__(d, m)))
+    _, w = _cap_nodes(np.eye(d), -1.0, m)
+    assert math.isclose(w.sum(), unit_sphere_area(d), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("beta,alpha,d", [(1.0, 1.2, 4), (1.0, 1.8, 4),
@@ -286,25 +277,56 @@ def test_potential_quadrature_matches_gaussian_closed_form(d, distance):
                                                                rel=1e-10)
 
 
-@pytest.mark.parametrize("distance", [3.0, 10.0, 30.0])
-def test_potential_far_bump_vs_radial_oracle(distance):
-    """d = 3, alpha = 1.5: the sphere average of |x - y|^(-p) over |y - c| = rho
-    is in closed form, so V is one radial quad over the bump's profile,
-    V = D 2 pi / (s q) int_0^1 f(rho) rho ((s + rho)^q - |s - rho|^q) drho with
-    q = 2 - p and s = |x - c|."""
-    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
-    c = np.array([0.5, 1.5, 3.0])
-    f = bump_test_function(1.0, 3, center=c)
-    q = 2.0 - gd.exponent
+def bump_radial_oracle(gd, distance):
+    """V of the radius-1 unit bump from x at |x - c| = distance, as one radial
+    quad over the bump's profile: V = D int_0^1 f(rho) rho^(d-1) A(rho) drho,
+    with A(rho) the integral of |x - y|^(-p) over the sphere |y - c| = rho in
+    closed form.  In d = 3, A = 2 pi ((s + rho)^q - |s - rho|^q) / (s rho q)
+    with q = 2 - p; in d = 2, A = 2 pi (s^2 + rho^2)^(-q)
+    2F1(q/2, q/2 + 1/2; 1; (2 s rho / (s^2 + rho^2))^2) with q = p/2; at s = 0
+    both are area(S^(d-1)) rho^(-p).
+    """
+    d, p, s = gd.params.dim, gd.exponent, distance
+
+    def sphere(rho):
+        if s == 0.0:
+            return unit_sphere_area(d) * rho ** (-p)
+        if d == 3:
+            q = 2.0 - p
+            return 2.0 * math.pi * ((s + rho) ** q - abs(s - rho) ** q) / (s * rho * q)
+        q = 0.5 * p
+        a = s * s + rho * rho
+        return 2.0 * math.pi * a ** (-q) * hyp2f1(0.5 * q, 0.5 * q + 0.5, 1.0,
+                                                    (2.0 * s * rho / a) ** 2)
 
     def shell(rho):
-        return (math.exp(1.0 - 1.0 / (1.0 - rho * rho))
-                * rho * ((distance + rho) ** q - abs(distance - rho) ** q))
+        return math.exp(1.0 - 1.0 / (1.0 - rho * rho)) * rho ** (d - 1) * sphere(rho)
 
-    radial, _ = quad(shell, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
-    expected = gd.D * 2.0 * math.pi / (distance * q) * radial
-    x = c + distance * np.array([0.6, 0.0, -0.8])
-    assert potential(gd, f, x) == pytest.approx(expected, rel=1e-10)
+    radial, _ = quad(shell, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200,
+                     points=[s] if 0.0 < s < 1.0 else None)
+    return gd.D * radial
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("distance", [0.0, 0.5, 0.99, 3.0, 10.0, 30.0])
+def test_potential_bump_vs_radial_oracle(d, distance):
+    """alpha = 1.5, from x at the center, inside the reach and outside it."""
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
+    c = np.array([0.5, 1.5, 3.0][:d])
+    f = bump_test_function(1.0, d, center=c)
+    direction = np.array([0.6, -0.8]) if d == 2 else np.array([0.6, 0.0, -0.8])
+    x = c + distance * direction
+    assert potential(gd, f, x) == pytest.approx(bump_radial_oracle(gd, distance),
+                                                rel=1e-12)
+
+
+def test_potential_quadrature_raises_when_spheres_do_not_converge(monkeypatch):
+    """A sphere whose angular rule still moves at _MAX_ANGULAR nodes raises
+    instead of returning its last value."""
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
+    monkeypatch.setattr(green, "_MAX_ANGULAR", 24)
+    with pytest.raises(ConvergenceError):
+        potential(gd, bump_test_function(1.0, 3), np.array([0.99, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("amplitude", [1e-9, 1e-6, 1e3])

@@ -24,6 +24,12 @@ def test_model_params_validation():
         ModelParams(0.5, 2.1, 1)
     with pytest.raises(DomainError):
         ModelParams(0.5, 1.5, 0)
+    # an integral float dim is admitted and stored as an int, since the
+    # density and the path sampler use it as an array size
+    params = ModelParams(0.5, 1.5, 3.0)
+    assert params.dim == 3 and type(params.dim) is int
+    assert marginal_density(params, np.array([0.3, 0.2, -0.1]), 1.0) > 0.0
+    assert ggbm_paths(params, GridSpec(1.0, 8), 2, SeedSpec(4, 0)).shape[-1] == 3
 
 
 def test_model_params_derived():
