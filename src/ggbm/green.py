@@ -88,6 +88,16 @@ class TestFunction:
         return self.eval_many(pts)
 
 
+def as_point(params: ModelParams, f: TestFunction, x) -> np.ndarray:
+    """x as a float point, once f and x are both in R^d, d = params.dim;
+    raises DomainError otherwise."""
+    x = np.asarray(x, dtype=float)
+    if f.dim != params.dim or x.shape != (params.dim,):
+        raise DomainError(f"f has dim {f.dim} and x has shape {x.shape}, "
+                          f"but the process has dim {params.dim}")
+    return x
+
+
 def gaussian_test_function(sigma: float, dim: int, center=None,
                            amplitude: float = 1.0) -> TestFunction:
     """f(y) = A exp(-|y - c|^2 / (2 sigma^2)), spread sigma^2: its mean at
@@ -278,7 +288,7 @@ def potential(gd: GreenDensity, f: TestFunction, x) -> float:
     of the center count, and on each sphere only the cap that lies inside
     it: the whole sphere while it stays inside the reach.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_point(gd.params, f, x)
     if f.gaussian:
         return _gaussian_potential(gd, f, x)
     from scipy.integrate import quad

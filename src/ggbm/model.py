@@ -12,8 +12,11 @@ class ModelParams:
     """The parameter triple of the process family.
 
     beta in (0, 1], alpha in (0, 2], dim >= 1.  ``green_exists`` tells
-    whether the closed-form Green measure applies: d*alpha > 2 with
-    1 < alpha <= 2, or the Brownian boundary beta = alpha = 1 with d >= 3.
+    whether the closed-form Green measure applies: d*alpha > 2, and
+    alpha > 1 when beta < 1, where E[Y^(-1/alpha)] = Gamma(1 - 1/alpha) /
+    Gamma(1 - beta/alpha) is finite.  At beta = 1 the process is fBm, Y = 1,
+    and d*alpha > 2 alone makes int^inf t^(-d alpha/2) dt finite; the
+    Brownian point beta = alpha = 1, d >= 3, is one case of it.
     """
 
     beta: float
@@ -41,11 +44,8 @@ class ModelParams:
         """The first violated admissibility inequality of the Green measure,
         or None when it exists.  This is the one statement of the rule.
         """
-        if self.beta == 1.0 and self.alpha == 1.0:
-            return (None if self.dim >= 3 else
-                    f"requires d >= 3 in the Brownian case (got d = {self.dim})")
-        if not 1.0 < self.alpha <= 2.0:
-            return f"requires 1 < alpha <= 2 (got alpha = {self.alpha:g})"
+        if self.beta < 1.0 and not self.alpha > 1.0:
+            return f"requires alpha > 1 when beta < 1 (got alpha = {self.alpha:g})"
         if self.dim * self.alpha <= 2.0:
             return f"requires d*alpha > 2 (got d*alpha = {self.dim * self.alpha:g})"
         return None

@@ -10,18 +10,17 @@ as a contiguous plane, and the trapezoid sums run over contiguous rows.
 Every chunk returns the same four sums (the trapezoid integral on the grid
 and its difference from the half grid, each with its square), and
 math.fsum adds each sum over the chunks in chunk order, so the result is
-bit-identical for any worker count.  Truncation at t_max is accounted for
-by an analytic tail bound, added to the mean where it is exact (a
-Gaussian's centre) and reported apart from the statistical error elsewhere.
+bit-identical for any worker count.  The truncation at t_max enters the
+budget as a one-sided analytic tail bound.
 
-For a Gaussian f the mean along the paths is known at every t, so the
-trapezoid's grid bias on the grid and on the half grid is computed, not
-estimated: it is subtracted from the mean and from the grid-vs-half-grid
-difference, and the clock only has to keep the variance low.  It does so
-at half the density every other f needs, and it starts where fBm's
-variance t^alpha reaches a tenth of f's spread: before that f(x + B(t)) is
-almost the constant f(x) on every path, so those decades add points to
-every path but no variance to the estimate.
+For a Gaussian f the mean g along the paths is known at every t and x, so
+the estimator swaps the grid's exact mean sum_j w_j g(t_j) for the whole
+integral of g: grid bias and tail are exact and in the mean, the tail bound
+is 0, and the grid-vs-half-grid difference is taken less its exact mean.
+The clock then only has to keep the variance low.  It does so at half the
+density every other f needs, and it starts where fBm's variance t^alpha
+reaches a tenth of f's spread: before that f(x + B(t)) is almost the
+constant f(x) on every path, so those decades add points but no variance.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from scipy.special import beta as beta_function, betainc
 
 from .exceptions import ConvergenceError, DomainError
 from .fbm import sample_fbm_batch
-from .green import TestFunction
+from .green import TestFunction, as_point
 from .model import ModelParams
 # not called here, but perfbench/spans.py patches both names on this module
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
@@ -53,7 +52,7 @@ __all__ = [
 # _STEPS_PER_DECADE intervals per decade.  A chunk costs linearly in the
 # grid size for draws and f and quadratically for the fBm GEMM; at 32 the
 # discretization bound stays below half of 3 SE at 2e4 paths.  A Gaussian
-# f's grid bias is exact and subtracted, so its clock runs at 16, where
+# f's grid bias is exact and folded out, so its clock runs at 16, where
 # the discretization term measured on the folded values stays below that
 # bound too (8 does not); any other f keeps 32, which at 16 would widen
 # its budget by more than the time it saves.  Every other f's clock starts
@@ -65,7 +64,7 @@ _GAUSSIAN_START_SPREAD = 0.1
 _T_MIN = 1e-3
 # paths per chunk, each chunk with its own stream
 _CHUNK_SIZE = 2048
-# relative (to max(|value|, sup |f|)) error the grid-bias integral must reach
+# relative error the integral of a Gaussian's mean must reach
 _BIAS_TOL = 1e-10
 
 
@@ -91,9 +90,10 @@ class PerpetualSpec:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo result and its error budget.  An exact tail is in mean,
-    with tail_bound 0; so is a Gaussian f's exact grid bias, and
-    discretization_bound is then measured on the bias-corrected values."""
+    """Monte Carlo result and its error budget.  For a Gaussian f the exact
+    tail and grid bias are in mean, tail_bound is 0 and discretization_bound
+    is measured on the bias-corrected values; for any other f tail_bound is
+    the one-sided bound of tail_bound()."""
 
     mean: float
     std_error: float
@@ -146,8 +146,8 @@ def build_time_grid(spec: PerpetualSpec, steps_per_decade: int = _STEPS_PER_DECA
 
 def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndarray:
     """The estimator's time grid for f.  Any f not declared Gaussian gets
-    _STEPS_PER_DECADE from _T_MIN.  A Gaussian, whose grid bias is exact and
-    folded out, gets _GAUSSIAN_STEPS_PER_DECADE from
+    _STEPS_PER_DECADE from _T_MIN.  A Gaussian, whose mean is exact and
+    folded in, gets _GAUSSIAN_STEPS_PER_DECADE from
     t0 = max(_T_MIN, min((_GAUSSIAN_START_SPREAD s)^(1/alpha), t_max / 10)),
     s = f.spread: the first interval [0, t0] is one trapezoid whose bias is
     folded out like every other, and before t0 the paths have moved too
@@ -193,39 +193,37 @@ def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w[0] * f0 + np.einsum("j,ji->i", w[1:], fv)
 
 
-def _gaussian_grid_bias(params: ModelParams, f: TestFunction, x: np.ndarray,
-                        times: np.ndarray, w_fine: np.ndarray,
-                        w_coarse: np.ndarray) -> tuple[float, float]:
-    """The trapezoid's exact bias sum_j w_j g(t_j) - int_0^T g dt on the grid
-    and on the half grid, for a Gaussian f with amplitude A = f(c) and
-    spread s, whose mean along the fBm is
-    g(t) = A (s / (s + t^a))^(d/2) exp(-|x - c|^2 / (2 (s + t^a))).
-    The integral is its own quad in log t, not taken from the potential,
-    so that the potential's closed form stays an independent check; a quad
-    that does not converge raises ConvergenceError.
+def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
+                   times: np.ndarray) -> tuple[np.ndarray, float]:
+    """A Gaussian f's exact mean along x + B_H(t) on the clock, and its
+    integral over the whole time axis.  With A = f(c), s = f.spread and
+    v = s / (s + t^a) the mean is A v^(d/2) exp(-z v), z = |x - c|^2 / (2 s),
+    and its integral A s^(1/a) / a int_0^1 exp(-z v) v^(b-1) (1-v)^(1/a-1) dv,
+    b = d/2 - 1/a: two quads with the algebraic end weights, split at
+    v = min(1/2, (2b + 50) / z).  Far from the centre exp(-z v) peaks in a
+    sliver of [0, 1], which one quad misses; past the split it is below
+    e^-(2b+50), so the first quad holds the peak.  Not the potential's 1F1,
+    which stays an independent check.  A warning, or an error estimate above
+    _BIAS_TOL of the value, raises ConvergenceError.
     """
     from scipy.integrate import quad  # at first use, as in green and specfun
 
     d, alpha, s = params.dim, params.alpha, f.spread
-    amplitude = f(f.center)
-    r2 = float(np.sum((x - f.center) ** 2))
-
-    def g_dt(u):  # g(t) dt with t = e^u, which fits g's power-law decay
-        t = math.exp(u)
-        v = s + t ** alpha
-        return amplitude * (s / v) ** (0.5 * d) * math.exp(-0.5 * r2 / v) * t
-
-    res = quad(g_dt, -math.inf, math.log(times[-1]), epsabs=0.1 * _BIAS_TOL * f.sup_norm,
-               epsrel=0.1 * _BIAS_TOL, limit=200, full_output=1)
-    integral, err = res[0], res[1]
+    z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
+    a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
+    split = min(0.5, (2.0 * b + 50.0) / max(z, 1.0))
+    opts = dict(weight="alg", epsabs=0.0, epsrel=0.1 * _BIAS_TOL, full_output=1)
+    parts = (quad(lambda v: math.exp(-z * v) * (1.0 - v) ** (a - 1.0), 0.0, split,
+                  wvar=(b - 1.0, 0.0), **opts),
+             quad(lambda v: math.exp(-z * v) * v ** (b - 1.0), split, 1.0,
+                  wvar=(0.0, a - 1.0), **opts))
+    integral, err = (math.fsum(p[i] for p in parts) for i in (0, 1))
     # a fourth item is quad's warning message
-    if len(res) > 3 or not err <= _BIAS_TOL * max(abs(integral), f.sup_norm):
+    if any(len(p) > 3 for p in parts) or not err <= _BIAS_TOL * integral:
         raise ConvergenceError(
-            f"grid-bias integral did not converge: {integral:g} +- {err:g}")
-    v = s + times ** alpha
-    gbar = amplitude * (s / v) ** (0.5 * d) * np.exp(-0.5 * r2 / v)
-    return (math.fsum(w_fine * gbar) - integral,
-            math.fsum(w_coarse * gbar[::2]) - integral)
+            f"integral of the Gaussian's mean did not converge: {integral:g} +- {err:g}")
+    amplitude, v = f(f.center), s / (s + times ** alpha)
+    return amplitude * v ** (0.5 * d) * np.exp(-z * v), amplitude * s ** a * a * integral
 
 
 def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
@@ -268,7 +266,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         raise DomainError(params.failed_green_constraint())
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
-    x = np.asarray(x, dtype=float)
+    x = as_point(params, f, x)
     times = _clock(params, f, spec)
     w_fine = _trapezoid_weights(times)
     w_coarse = _trapezoid_weights(times[::2])
@@ -293,16 +291,16 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     total, total_sq, dsum, dsq = (math.fsum(col) for col in zip(*results))
     mean, std_error = _mean_and_se(total, total_sq, n)
     dmean, dse = _mean_and_se(dsum, dsq, n)
-    if f.gaussian:  # the grid bias is exact: fold it out of both means
-        b_fine, b_coarse = _gaussian_grid_bias(params, f, x, times, w_fine, w_coarse)
-        mean, dmean = mean - b_fine, dmean - (b_fine - b_coarse)
+    if f.gaussian:  # the mean is exact: swap the grid's for the whole integral
+        g, integral = _gaussian_mean(params, f, x, times)
+        fine, coarse = math.fsum(w_fine * g), math.fsum(w_coarse * g[::2])
+        mean, dmean, tail = mean - fine + integral, dmean - (fine - coarse), 0.0
+    else:
+        tail = tail_bound(params, f, spec.t_max)
     m = m_wright_moment(params.beta, -1.0 / params.alpha)
-    mean, tail = m * mean, tail_bound(params, f, spec.t_max)
-    if f.gaussian and np.array_equal(x, f.center):  # the tail of |f| is exact there
-        mean, tail = mean + math.copysign(tail, f(x)), 0.0
 
     return Estimate(
-        mean=mean,
+        mean=m * mean,
         std_error=m * std_error,
         n_paths=n,
         tail_bound=tail,

@@ -476,10 +476,10 @@ def time_kernel_constant(alpha: float, d: int) -> float:
 def green_constant(beta: float, alpha: float, d: int) -> float:
     """D(beta, alpha, d) = C(alpha, d) * Gamma(1 - 1/alpha) / Gamma(1 - beta/alpha).
 
-    Defined where ModelParams.failed_green_constraint() is None: d*alpha > 2
-    with 1 < alpha <= 2, and the Brownian boundary beta = alpha = 1 (d >= 3),
-    where the gamma ratio is taken as its limit value 1, recovering the
-    classical Brownian constant.
+    Defined where ModelParams.failed_green_constraint() is None: d*alpha > 2,
+    and alpha > 1 when beta < 1.  At beta = 1 (fBm) the gamma ratio is taken
+    as its limit value 1 for every alpha, so D = C(alpha, d); at alpha = 1,
+    d = 3 that is the classical Brownian constant 1/(2 pi).
     """
     failed = ModelParams(beta, alpha, d).failed_green_constraint()
     if failed is not None:

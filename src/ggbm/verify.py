@@ -2,8 +2,8 @@
 
 Each check is a dict {name, anchor, expected, observed, tolerance, pass}
 so reports serialize directly to JSON.  Anchors name the mathematical
-identity being exercised.  The perpetual-integral check of suite_green
-also reports its budget over V and the share of each term in it.
+identity being exercised.  The perpetual-integral checks of suite_green
+also report their budget over V and the share of each term in it.
 
 The law suites draw their paths from `process.ggbm_paths` on `_GRID`,
 which holds every time they check, and compare them with the analytic law.
@@ -194,28 +194,37 @@ def suite_representation(beta=0.5, alpha=1.5, dim=1, paths=10_000, seed=42, **_)
     return checks
 
 
+def _potential_check(name, params, f, spec, threads):
+    """The perpetual integral of f from x = 0 against the analytic potential
+    within the certified budget, with the budget over V and the share of
+    each term in it."""
+    x = np.zeros(params.dim)
+    analytic = green_mod.potential(green_mod.GreenDensity.from_params(params), f, x)
+    est = mc.estimate_potential_mc(params, f, x, spec, threads=threads)
+    budget = 3.0 * est.std_error + est.tail_bound + est.discretization_bound
+    check = _check(name, "potential-identity", analytic, est.mean, budget)
+    check.update(budget_rel=float(budget / analytic),
+                 se_share=3.0 * est.std_error / budget,
+                 tail_share=est.tail_bound / budget,
+                 disc_share=est.discretization_bound / budget)
+    return check
+
+
 def suite_green(beta=0.5, alpha=1.5, dim=3, paths=100_000, seed=42,
                 t_max=50.0, threads=1, **_):
+    """The potential identity for a unit Gaussian centred at x = 0 and for
+    one centred at 1.5 e_1, on the same paths, then the Brownian constant."""
     params = ModelParams(beta, alpha, dim)
-    f = green_mod.gaussian_test_function(1.0, dim)
-    gd = green_mod.GreenDensity.from_params(params)
-    analytic = green_mod.potential(gd, f, np.zeros(dim))
     spec = mc.PerpetualSpec(t_max=t_max, n_paths=paths, seed=SeedSpec(seed, 0))
-    est = mc.estimate_potential_mc(params, f, np.zeros(dim), spec,
-                                   threads=threads)
-    budget = 3.0 * est.std_error + est.tail_bound + est.discretization_bound
-    checks = [_check(
-        f"perpetual-integral beta={beta} alpha={alpha} d={dim}",
-        "potential-identity", analytic, est.mean, budget)]
-    # how wide the budget is against V, and how it splits
-    checks[0].update(budget_rel=float(budget / analytic),
-                     se_share=3.0 * est.std_error / budget,
-                     tail_share=est.tail_bound / budget,
-                     disc_share=est.discretization_bound / budget)
-    checks.append(_check(
-        "brownian-constant", "classical-brownian-green-function",
-        1.0 / (2.0 * math.pi), green_constant(1.0, 1.0, 3), 1e-12))
-    return checks
+    tag = f"beta={beta} alpha={alpha} d={dim}"
+    off = green_mod.gaussian_test_function(1.0, dim, center=1.5 * np.eye(dim)[0])
+    return [
+        _potential_check(f"perpetual-integral {tag}", params,
+                         green_mod.gaussian_test_function(1.0, dim), spec, threads),
+        _potential_check(f"perpetual-integral off-centre {tag}", params, off, spec, threads),
+        _check("brownian-constant", "classical-brownian-green-function",
+               1.0 / (2.0 * math.pi), green_constant(1.0, 1.0, 3), 1e-12),
+    ]
 
 
 SUITES = {

@@ -191,8 +191,7 @@ def test_sample_identical_under_blas_thread_counts(args):
 
 
 def test_estimate_potential_json(tmp_path):
-    """At the Gaussian's centre the exact tail is in the mean; off the
-    centre it stays a one-sided bound in the budget."""
+    """A Gaussian's exact tail is in the mean, at its centre and off it."""
     for x in ("", "0.5,0,0"):
         out = tmp_path / "est.json"
         assert main(["estimate-potential", "--beta", "1.0", "--alpha", "1.0",
@@ -202,10 +201,7 @@ def test_estimate_potential_json(tmp_path):
         assert payload["n_paths"] == 2048
         assert payload["mean"] > 0.0
         assert payload["std_error"] > 0.0
-        if x:
-            assert payload["tail_bound"] > 0.0
-        else:
-            assert payload["tail_bound"] == 0.0
+        assert payload["tail_bound"] == 0.0
         budget = (3.0 * payload["std_error"] + payload["tail_bound"]
                   + payload["discretization_bound"])
         assert abs(payload["mean"] - payload["analytic_potential"]) <= budget

@@ -306,6 +306,13 @@ def test_green_constant_brownian_case():
         1.0 / (2.0 * math.pi), abs=1e-12)
 
 
+def test_green_constant_fbm_below_alpha_one():
+    """At beta = 1 the process is fBm and d*alpha > 2 is the only condition:
+    alpha = 0.8 in d = 3 is admitted, and D is the time-kernel constant."""
+    assert ModelParams(1.0, 0.8, 3).green_exists
+    assert green_constant(1.0, 0.8, 3) == time_kernel_constant(0.8, 3)
+
+
 def test_green_constant_reference_value():
     # beta=0.5, alpha=1.5, d=2: C(3/2,2) * Gamma(1/3)/Gamma(2/3)
     c = time_kernel_constant(1.5, 2)
@@ -320,7 +327,7 @@ def test_green_constant_domain_errors():
     for beta, alpha, d in [
         (1.0, 1.0, 2),   # Brownian case needs d >= 3
         (0.5, 0.9, 3),   # alpha <= 1 with beta < 1
-        (1.0, 0.5, 8),   # alpha <= 1 off the Brownian point
+        (1.0, 0.5, 4),   # d*alpha <= 2 for fBm with alpha < 1
         (0.5, 1.5, 1),   # d*alpha <= 2
     ]:
         message = ModelParams(beta, alpha, d).failed_green_constraint()
