@@ -2,16 +2,19 @@
 
 B = sqrt(Y_beta) B_H, H = alpha/2, so by self-similarity V_beta = m V_1 with
 m = E[Y^(-1/alpha)] and V_1 the potential of B_H: only fBm paths are sampled,
-on one geometric clock up to t_max (see _clock), in fixed-size chunks with one
-counter-based stream per chunk, and every term of the estimate is scaled by
-m.  A chunk's points stay in the component-major (d, times, paths) buffer
-the fBm sampler writes: they are shifted in place, f reads each component
-as a contiguous plane, and the trapezoid sums run over contiguous rows.
-Every chunk returns the same four sums (the trapezoid integral on the grid
-and its difference from the half grid, each with its square), and
-math.fsum adds each sum over the chunks in chunk order, so the result is
-bit-identical for any worker count.  The truncation at t_max enters the
-budget as a one-sided analytic tail bound.
+on one geometric clock up to t_max (see _clock), and every term of the
+estimate is scaled by m.  The paths come in chunks of _CHUNK_SIZE, one
+stream per chunk, and a chunk is walked in blocks of _BLOCK_SIZE paths
+drawn one after the other from that stream, so that a block's normals, its
+points and f's temporaries stay in cache.  A block's points stay in the
+component-major (d, times, paths) buffer the fBm sampler writes: they are
+shifted in place, f reads each component as a contiguous plane, and the
+trapezoid sums run over contiguous rows.  The blocks fill the chunk's
+per-path values, and every chunk returns the same four sums of them (the
+trapezoid integral on the grid and its difference from the half grid,
+each with its square); math.fsum adds each sum over the chunks in chunk
+order, so the result is bit-identical for any worker count.  The
+truncation at t_max enters the budget as a one-sided analytic tail bound.
 
 For a Gaussian f the mean g along the paths is known at every t and x, so
 the estimator swaps the grid's exact mean sum_j w_j g(t_j) for the whole
@@ -64,6 +67,12 @@ _GAUSSIAN_START_SPREAD = 0.1
 _T_MIN = 1e-3
 # paths per chunk, each chunk with its own stream
 _CHUNK_SIZE = 2048
+# paths per block within a chunk: a block's normals, points and f values
+# fit in L2.  It divides _CHUNK_SIZE and is a multiple of 64, and with
+# block edges on multiples of 64 every path's value is bit-identical to
+# one whole-chunk GEMM; 399-path blocks changed the last bits of some
+# values at (0.8, 1.2, 2), so the block is a fixed count, not a byte size.
+_BLOCK_SIZE = 256
 # relative error the integral of a Gaussian's mean must reach
 _BIAS_TOL = 1e-10
 
@@ -172,8 +181,9 @@ def _chunk_path_integrals(params: ModelParams, f: TestFunction, x: np.ndarray,
                           times: np.ndarray, rng: np.random.Generator,
                           n: int) -> tuple[float, np.ndarray]:
     """f(x), the value of every path at t = 0, and the (len(times) - 1, n)
-    values of f along the fBm paths x + B_H(t) at times[1:], the raw
-    matrix, so the caller can integrate it on the grid and on subgrids.
+    values of f along n fBm paths x + B_H(t) at times[1:] drawn from rng,
+    the raw matrix, so the caller can integrate it on the grid and on
+    subgrids.  The estimator calls it once per block.
 
     The points stay where sample_fbm_batch put them, component-major
     (d, len(times) - 1, n): the shift by x runs in place, and f sees the
@@ -191,6 +201,25 @@ def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
     the others.  einsum, not BLAS: an unpinned matrix-vector product would
     wake OpenBLAS's other threads, which then spin idle for the chunk."""
     return w[0] * f0 + np.einsum("j,ji->i", w[1:], fv)
+
+
+def _chunk_sums(params: ModelParams, f: TestFunction, x: np.ndarray, times: np.ndarray,
+                weights: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,
+                n: int) -> tuple[float, ...]:
+    """One chunk's four sums over its n paths: the trapezoid integral on
+    the grid (weights[0]) and its difference from the half grid
+    (weights[1]), each with its square.  The paths are drawn from rng and
+    evaluated _BLOCK_SIZE at a time; their per-path values fill chunk-long
+    arrays, each reduced once."""
+    w_fine, w_coarse = weights
+    fine, diff = np.empty(n), np.empty(n)
+    for lo in range(0, n, _BLOCK_SIZE):
+        hi = min(lo + _BLOCK_SIZE, n)
+        f0, fv = _chunk_path_integrals(params, f, x, times, rng, hi - lo)
+        fine[lo:hi] = _trapezoid(f0, fv, w_fine)
+        # the coarse grid times[::2] is t = 0 and then every second row of fv
+        diff[lo:hi] = fine[lo:hi] - _trapezoid(f0, fv[1::2], w_coarse)
+    return tuple(float(np.add.reduce(v)) for v in (fine, fine * fine, diff, diff * diff))
 
 
 def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
@@ -277,12 +306,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     def run_chunk(job):
         idx, n = job
         rng = make_stream(spec.seed.substream(idx))
-        f0, fv = _chunk_path_integrals(params, f, x, times, rng, n)
-        fine = _trapezoid(f0, fv, w_fine)
-        # the coarse grid times[::2] is t = 0 and then every second row of fv
-        diff = fine - _trapezoid(f0, fv[1::2], w_coarse)
-        return tuple(float(np.add.reduce(v))
-                     for v in (fine, fine * fine, diff, diff * diff))
+        return _chunk_sums(params, f, x, times, (w_fine, w_coarse), rng, n)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run_chunk, chunks))
