@@ -4,7 +4,7 @@ B = sqrt(Y_beta) B_H, H = alpha/2, so by self-similarity V_beta = m V_1 with
 m = E[Y^(-1/alpha)] and V_1 the potential of B_H: only fBm paths are sampled,
 on one geometric clock up to t_max (see _clock), and every term of the
 estimate is scaled by m.  The paths come in chunks of _CHUNK_SIZE, one
-stream per chunk, and a chunk is walked in blocks of _BLOCK_SIZE paths
+SFC64 stream per chunk, and a chunk is walked in blocks of _BLOCK_SIZE paths
 drawn one after the other from that stream, so that a block's normals, its
 points and f's temporaries stay in cache.  A block's points stay in the
 component-major (d, times, paths) buffer the fBm sampler writes: they are

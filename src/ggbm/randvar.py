@@ -1,8 +1,8 @@
 """Exact samplers: one-sided stable variables and the scale variable Y_beta.
 
-Streams are counter-based (Philox) and derived from a (master_seed,
-stream_index) pair, so any number of streams can be used in parallel with
-results independent of scheduling.
+Streams are SFC64 generators seeded by a SeedSequence whose entropy is
+the master seed and whose spawn key is the stream index, so any number of
+streams can be used in parallel with results independent of scheduling.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ class SeedSpec:
     """Master seed plus a stream index.
 
     Distinct stream indices under one master seed give statistically
-    independent Philox streams; the derivation is platform independent.
+    independent streams: SeedSequence hashes (master_seed, stream_index)
+    into each SFC64 state, and the derivation is platform independent.
     """
 
     master_seed: int
@@ -40,9 +41,11 @@ class SeedSpec:
 
 
 def make_stream(seed: SeedSpec) -> np.random.Generator:
-    """Philox generator keyed by (master_seed, stream_index)."""
-    key = (seed.stream_index << 64) | seed.master_seed
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 generator seeded by SeedSequence(master_seed) with spawn key
+    (stream_index,).  Successive draws continue one sequence, so two draws
+    of a and b rows equal one draw of a + b rows."""
+    entropy = np.random.SeedSequence(seed.master_seed, spawn_key=(seed.stream_index,))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def sample_one_sided_stable(beta: float, rng: np.random.Generator, size=None):

@@ -26,6 +26,28 @@ def test_make_stream_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("rows", [(1, 7), (64, 192), (255, 1)])
+def test_make_stream_draws_continue_one_sequence(rows):
+    """The Monte Carlo blocks draw a chunk's normals a block at a time:
+    standard_normal((a, m)) then ((b, m)) must be one ((a + b, m)) draw."""
+    (a, b), m = rows, 41
+    rng = make_stream(SeedSpec(42, 3))
+    parts = np.vstack([rng.standard_normal((a, m)), rng.standard_normal((b, m))])
+    whole = make_stream(SeedSpec(42, 3)).standard_normal((a + b, m))
+    assert np.array_equal(parts, whole)
+
+
+def test_make_stream_seeds_are_distinct():
+    """Distinct stream indices and distinct master seeds give distinct
+    draws, and the largest SeedSpec builds a stream."""
+    draws = [make_stream(SeedSpec(*s)).standard_normal(16)
+             for s in ((0, 0), (0, 1), (1, 0), (1, 1), (2 ** 64 - 1, 0), (0, 2 ** 64 - 1))]
+    assert len({d.tobytes() for d in draws}) == len(draws)
+    top = make_stream(SeedSpec(2 ** 64 - 1, 2 ** 64 - 1)).standard_normal(16)
+    assert np.all(np.isfinite(top))
+    assert not any(np.array_equal(top, d) for d in draws)
+
+
 @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
 def test_stable_laplace_transform(beta):
     # E[exp(-s S)] = exp(-s^beta) for the one-sided stable variable
