@@ -228,12 +228,16 @@ def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
     integral over the whole time axis.  With A = f(c), s = f.spread and
     v = s / (s + t^a) the mean is A v^(d/2) exp(-z v), z = |x - c|^2 / (2 s),
     and its integral A s^(1/a) / a int_0^1 exp(-z v) v^(b-1) (1-v)^(1/a-1) dv,
-    b = d/2 - 1/a: two quads with the algebraic end weights, split at
-    v = min(1/2, (2b + 50) / z).  Far from the centre exp(-z v) peaks in a
-    sliver of [0, 1], which one quad misses; past the split it is below
-    e^-(2b+50), so the first quad holds the peak.  Not the potential's 1F1,
-    which stays an independent check.  A warning, or an error estimate above
-    _BIAS_TOL of the value, raises ConvergenceError.
+    b = d/2 - 1/a: two quads split at v = min(1/2, (2b + 50) / z).  Far from
+    the centre exp(-z v) peaks in a sliver of [0, 1], which one quad misses;
+    past the split it is below e^-(2b+50), so the first quad holds the
+    peak.  The second carries (1-v)^(1/a-1) as an algebraic end weight.
+    The first carries v^(b-1) as one only where b < 1: from b = 1 on it is
+    regular at 0, and as a weight at b of about 12 and more QUADPACK's
+    weighted rule reports roundoff on a converged value (d = 24 and 30 far
+    from the centre), so there it is a plain quad.  Not the potential's
+    1F1, which stays an independent check.  A warning, or an error estimate
+    above _BIAS_TOL of the value, raises ConvergenceError.
     """
     from scipy.integrate import quad  # at first use, as in green and specfun
 
@@ -241,11 +245,15 @@ def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
     z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
     a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
     split = min(0.5, (2.0 * b + 50.0) / max(z, 1.0))
-    opts = dict(weight="alg", epsabs=0.0, epsrel=0.1 * _BIAS_TOL, full_output=1)
-    parts = (quad(lambda v: math.exp(-z * v) * (1.0 - v) ** (a - 1.0), 0.0, split,
-                  wvar=(b - 1.0, 0.0), **opts),
-             quad(lambda v: math.exp(-z * v) * v ** (b - 1.0), split, 1.0,
-                  wvar=(0.0, a - 1.0), **opts))
+    opts = dict(epsabs=0.0, epsrel=0.1 * _BIAS_TOL, full_output=1)
+    if b < 1.0:
+        head = quad(lambda v: math.exp(-z * v) * (1.0 - v) ** (a - 1.0), 0.0, split,
+                    weight="alg", wvar=(b - 1.0, 0.0), **opts)
+    else:
+        head = quad(lambda v: math.exp(-z * v) * v ** (b - 1.0) * (1.0 - v) ** (a - 1.0),
+                    0.0, split, **opts)
+    parts = (head, quad(lambda v: math.exp(-z * v) * v ** (b - 1.0), split, 1.0,
+                        weight="alg", wvar=(0.0, a - 1.0), **opts))
     integral, err = (math.fsum(p[i] for p in parts) for i in (0, 1))
     # a fourth item is quad's warning message
     if any(len(p) > 3 for p in parts) or not err <= _BIAS_TOL * integral:

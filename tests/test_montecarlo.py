@@ -353,7 +353,26 @@ def test_gaussian_mean_integral_far_from_the_centre(alpha, dim, z):
     assert integral == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("x", [np.zeros(3), np.array([0.8, -0.3, 0.5])], ids=["centre", "off"])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("dim", [20, 24, 30])
+def test_gaussian_mean_integral_in_high_dimension(alpha, dim):
+    """With b = d/2 - 1/a of 6 to 15, v^(b-1) is regular at 0 and the head
+    quad carries it in the integrand: as an algebraic end weight QUADPACK
+    reported roundoff and the fold raised at 13 of these 120 points (d = 30,
+    and d = 24 at z = 500).  Every point converges and matches mpmath's
+    B(b, 1/a) 1F1(b; b + 1/a; -z) from the centre out to z = 1e12."""
+    params = ModelParams(1.0, alpha, dim)
+    a, b = 1.0 / alpha, 0.5 * dim - 1.0 / alpha
+    for z in (0.0, 0.5, 20.0, 500.0, 5e3, 1e5, 1e8, 1e12):
+        f = gaussian_test_function(1.0, dim, center=np.array([math.sqrt(2.0 * z)]
+                                                             + [0.0] * (dim - 1)))
+        _, integral = _gaussian_mean(params, f, np.zeros(dim), np.zeros(1))
+        with mpmath.workdps(30):
+            exact = float(a * mpmath.beta(b, a) * mpmath.hyp1f1(b, b + a, -z))
+        assert integral == pytest.approx(exact, rel=1e-13, abs=0.0), z
+
+
+@pytest.mark.parametrize("x",[np.zeros(3), np.array([0.8, -0.3, 0.5])], ids=["centre", "off"])
 def test_raw_grid_mean_reproduces_exact_grid_sum(x):
     """The premise of the fold: at beta = 1 the per-path trapezoid sums on a
     Gaussian's clock average to sum_j w_j g(t_j) within 3 SE, at the centre
