@@ -177,13 +177,11 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def _chunk_path_integrals(params: ModelParams, f: TestFunction, x: np.ndarray,
-                          times: np.ndarray, rng: np.random.Generator,
-                          n: int) -> tuple[float, np.ndarray]:
-    """f(x), the value of every path at t = 0, and the (len(times) - 1, n)
-    values of f along n fBm paths x + B_H(t) at times[1:] drawn from rng,
-    the raw matrix, so the caller can integrate it on the grid and on
-    subgrids.  The estimator calls it once per block.
+def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
+                  times: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The (len(times) - 1, n) values of f along n fBm paths x + B_H(t) at
+    times[1:] drawn from rng, the raw matrix, so the caller can integrate
+    it on the grid and on subgrids (every path is f(x) at t = 0).
 
     The points stay where sample_fbm_batch put them, component-major
     (d, len(times) - 1, n): the shift by x runs in place, and f sees the
@@ -192,8 +190,7 @@ def _chunk_path_integrals(params: ModelParams, f: TestFunction, x: np.ndarray,
     d, m = params.dim, len(times) - 1
     pts = sample_fbm_batch(params.hurst, times[1:], d, n, rng).transpose(2, 1, 0)
     pts += x[:, None, None]
-    fv = f.eval_many(pts.reshape(d, m * n).T).reshape(m, n)
-    return f(x), fv
+    return f.eval_many(pts.reshape(d, m * n).T).reshape(m, n)
 
 
 def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -212,10 +209,10 @@ def _chunk_sums(params: ModelParams, f: TestFunction, x: np.ndarray, times: np.n
     evaluated _BLOCK_SIZE at a time; their per-path values fill chunk-long
     arrays, each reduced once."""
     w_fine, w_coarse = weights
-    fine, diff = np.empty(n), np.empty(n)
+    f0, fine, diff = f(x), np.empty(n), np.empty(n)
     for lo in range(0, n, _BLOCK_SIZE):
         hi = min(lo + _BLOCK_SIZE, n)
-        f0, fv = _chunk_path_integrals(params, f, x, times, rng, hi - lo)
+        fv = _block_values(params, f, x, times, rng, hi - lo)
         fine[lo:hi] = _trapezoid(f0, fv, w_fine)
         # the coarse grid times[::2] is t = 0 and then every second row of fv
         diff[lo:hi] = fine[lo:hi] - _trapezoid(f0, fv[1::2], w_coarse)

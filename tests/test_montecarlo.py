@@ -17,7 +17,7 @@ from ggbm import ConvergenceError, DomainError, GreenDensity, ModelParams, \
 from ggbm import blas, green
 from ggbm.fbm import sample_fbm_batch
 from ggbm.montecarlo import _BLOCK_SIZE, _CHUNK_SIZE, _GAUSSIAN_STEPS_PER_DECADE, \
-    _STEPS_PER_DECADE, _T_MIN, _chunk_path_integrals, _chunk_sums, _clock, \
+    _STEPS_PER_DECADE, _T_MIN, _block_values, _chunk_sums, _clock, \
     _gaussian_mean, _trapezoid, _trapezoid_weights, build_time_grid
 from ggbm.randvar import make_stream
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
@@ -68,7 +68,7 @@ def test_chunk_f_values_match_per_path_reference():
     x = np.array([0.3, -0.2, 0.1])
     times = build_time_grid(PerpetualSpec(t_max=3.0, n_paths=1, seed=SeedSpec(0, 0)))
     n = 6
-    f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(8, 1)), n)
+    f0, fv = f(x), _block_values(params, f, x, times, make_stream(SeedSpec(8, 1)), n)
     assert fv.shape == (len(times) - 1, n)
     rng = make_stream(SeedSpec(8, 1))
     vals = sample_fbm_batch(params.hurst, times[1:], 3, n, rng)
@@ -100,7 +100,7 @@ def test_blocks_change_no_bits(case, n_paths):
         n = min(_CHUNK_SIZE, n_paths - lo)
         stream = spec.seed.substream(idx)
         got = _chunk_sums(params, f, x, times, weights, make_stream(stream), n)
-        f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(stream), n)
+        f0, fv = f(x), _block_values(params, f, x, times, make_stream(stream), n)
         fine = _trapezoid(f0, fv, weights[0])
         diff = fine - _trapezoid(f0, fv[1::2], weights[1])
         assert got == tuple(float(np.add.reduce(v))
@@ -127,8 +127,8 @@ def test_discretization_bound_uses_every_path():
     times = _clock(params, f, spec)
     diffs = []
     for idx in range(2):
-        f0, fv = _chunk_path_integrals(params, f, x, times,
-                                       make_stream(spec.seed.substream(idx)), _CHUNK_SIZE)
+        f0, fv = f(x), _block_values(params, f, x, times,
+                                     make_stream(spec.seed.substream(idx)), _CHUNK_SIZE)
         fv = np.vstack([np.full(_CHUNK_SIZE, f0), fv]).T  # (paths, times)
         diffs.append(fv @ _trapezoid_weights(times)
                      - fv[:, ::2] @ _trapezoid_weights(times[::2]))
@@ -381,7 +381,7 @@ def test_raw_grid_mean_reproduces_exact_grid_sum(x):
     f = gaussian_test_function(1.0, 3, center=np.array([0.1, 0.2, -0.1]))
     times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     w = _trapezoid_weights(times)
-    f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(5, 0)), 8192)
+    f0, fv = f(x), _block_values(params, f, x, times, make_stream(SeedSpec(5, 0)), 8192)
     trap = w[0] * f0 + w[1:] @ fv
     se = trap.std(ddof=1) / math.sqrt(len(trap))
     exact = w @ _gaussian_mean_along_fbm(params, 1.0, 1.0, float(np.linalg.norm(x - f.center)),
@@ -425,7 +425,7 @@ def test_exact_grid_variance_matches_sampled_paths():
     times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     w = _trapezoid_weights(times)
     mean, var = _exact_grid_moments(params, 0.5, float(np.linalg.norm(x)), times, w)
-    f0, fv = _chunk_path_integrals(params, f, x, times, make_stream(SeedSpec(6, 0)), 8192)
+    f0, fv = f(x), _block_values(params, f, x, times, make_stream(SeedSpec(6, 0)), 8192)
     trap = w[0] * f0 + w[1:] @ fv
     assert trap.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / len(trap)))
     assert trap.std(ddof=1) == pytest.approx(math.sqrt(var), rel=0.05)
