@@ -19,11 +19,16 @@ def test_seed_spec_substream():
 
 
 def test_make_stream_deterministic():
+    """Same seed, same draws; distinct stream indices and distinct master
+    seeds give distinct draws, up to the largest SeedSpec."""
     a = make_stream(SeedSpec(11, 2)).standard_normal(8)
     b = make_stream(SeedSpec(11, 2)).standard_normal(8)
-    c = make_stream(SeedSpec(11, 3)).standard_normal(8)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    top = 2 ** 64 - 1
+    seeds = ((11, 2), (11, 3), (12, 2), (0, 0), (top, 0), (0, top), (top, top))
+    draws = [make_stream(SeedSpec(*s)).standard_normal(8) for s in seeds]
+    assert np.all(np.isfinite(draws))
+    assert len({d.tobytes() for d in draws}) == len(seeds)
 
 
 @pytest.mark.parametrize("rows", [(1, 7), (64, 192), (255, 1)])
@@ -35,17 +40,6 @@ def test_make_stream_draws_continue_one_sequence(rows):
     parts = np.vstack([rng.standard_normal((a, m)), rng.standard_normal((b, m))])
     whole = make_stream(SeedSpec(42, 3)).standard_normal((a + b, m))
     assert np.array_equal(parts, whole)
-
-
-def test_make_stream_seeds_are_distinct():
-    """Distinct stream indices and distinct master seeds give distinct
-    draws, and the largest SeedSpec builds a stream."""
-    draws = [make_stream(SeedSpec(*s)).standard_normal(16)
-             for s in ((0, 0), (0, 1), (1, 0), (1, 1), (2 ** 64 - 1, 0), (0, 2 ** 64 - 1))]
-    assert len({d.tobytes() for d in draws}) == len(draws)
-    top = make_stream(SeedSpec(2 ** 64 - 1, 2 ** 64 - 1)).standard_normal(16)
-    assert np.all(np.isfinite(top))
-    assert not any(np.array_equal(top, d) for d in draws)
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
