@@ -109,41 +109,42 @@ def _gauss_legendre(edges: np.ndarray, n: int):
 # ---------------------------------------------------------------------------
 
 def _ml_coefficients(beta: float, n: np.ndarray):
-    """log|c_n| and sign(c_n) of E_beta(-tau) = sum_n c_n tau^n,
-    c_n = (-1)^n / Gamma(beta*n + 1)."""
+    """(log B_n, s_n) of E_beta(-tau) = sum_n s_n B_n tau^n:
+    B_n = 1/Gamma(beta*n + 1) and s_n = (-1)^n."""
     return -gammaln(beta * n + 1.0), np.where(n % 2, -1.0, 1.0)
 
 
 def _mw_coefficients(beta: float, n: np.ndarray):
-    """log|c_n| and sign(c_n) of M_beta(tau) = sum_n c_n tau^n,
-    c_n = (-1)^n / (n! Gamma(1 - b(n+1))), with the reciprocal gamma
-    computed by reflection: 1/Gamma(1 - b(n+1)) = Gamma(b(n+1)) sin(pi b(n+1)) / pi.
-    Where b(n+1) is an integer the coefficient is 0 and log|c_n| is -inf.
+    """(log B_n, s_n) of M_beta(tau) = sum_n s_n B_n tau^n, whose
+    coefficient (-1)^n / (n! Gamma(1 - b(n+1))) is written by reflection,
+    1/Gamma(1 - z) = Gamma(z) sin(pi z) / pi, as B_n = Gamma(b(n+1)) / (n! pi)
+    and s_n = (-1)^n sin(pi b(n+1)).  s_n vanishes where b(n+1) is an
+    integer; B_n never does.
     """
     zb = beta * (n + 1.0)
     r = np.round(zb)
     # sin(pi*zb) with argument reduction; exactly 0.0 at integers
     sin_part = np.sin(np.pi * (zb - r)) * np.where(r % 2, -1.0, 1.0)
-    with np.errstate(divide="ignore"):
-        log_c = (gammaln(zb) - gammaln(n + 1.0) + np.log(np.abs(sin_part))
-                 - math.log(math.pi))
-    return log_c, np.sign(sin_part) * np.where(n % 2, -1.0, 1.0)
+    log_b = gammaln(zb) - gammaln(n + 1.0) - math.log(math.pi)
+    return log_b, sin_part * np.where(n % 2, -1.0, 1.0)
 
 
 def _series(coefficients, beta: float, tau: np.ndarray):
-    """Power series sum_n c_n tau^n at every tau > 0 at once, with
-    (log|c_n|, sign c_n) = coefficients(beta, n).  Returns arrays (value,
-    est_abs_error, terms_used); the value is clamped at 0, since both
-    functions summed here are nonnegative.
+    """Power series sum_n s_n B_n tau^n at every tau > 0 at once, with
+    (log B_n, s_n) = coefficients(beta, n), B_n > 0 and |s_n| <= 1.
+    Returns arrays (value, est_abs_error, terms_used); the value is clamped
+    at 0, since both functions summed here are nonnegative.
 
     The terms of all unfinished nodes are built in blocks of rows n, at
     most _BLOCK_TERMS terms per block, with a row count that starts at
-    _FIRST_ROWS and doubles.  Each node stops at the first row where its
-    last nonzero term is negligible against both the sum and the largest
-    term.  The value is NaN, and the integral continuation must be used,
-    where a term heads for overflow before that row, where the largest
-    term exceeds the sum by more than _CANCELLATION_LIMIT, or where
-    _MAX_TERMS pass without stopping.
+    _FIRST_ROWS and doubles.  Each node stops at the first row where the
+    bound B_n tau^n on its term is negligible against both the sum and the
+    largest term, and that bound is the truncation part of the error.  The
+    bound never vanishes, so a coefficient that s_n makes zero or tiny does
+    not stop the sum early.  The value is NaN, and the integral
+    continuation must be used, where a term heads for overflow before that
+    row, where the largest term exceeds the sum by more than
+    _CANCELLATION_LIMIT, or where _MAX_TERMS pass without stopping.
     """
     tau = np.asarray(tau, dtype=float)
     log_tau = np.log(tau)
@@ -151,34 +152,29 @@ def _series(coefficients, beta: float, tau: np.ndarray):
     err = np.full(tau.size, np.nan)
     terms = np.zeros(tau.size, dtype=np.int64)
     live = np.arange(tau.size)
-    # per live node: running sum, largest |term|, last nonzero |term|, and
-    # sum |term| (|n log tau| + |log c_n| + 1): exp() passes the rounding of
-    # each term's logarithm on to the term, so eps times this bounds it
+    # per live node: running sum, largest |term|, and sum |term|
+    # (|n log tau| + |log B_n| + 1): exp() passes the rounding of each
+    # term's logarithm on to the term, so eps times this bounds it
     total = np.zeros(tau.size)
     peak = np.zeros(tau.size)
-    last = np.full(tau.size, np.inf)
     spread = np.zeros(tau.size)
     start, rows = 0, _FIRST_ROWS
     while live.size and start < _MAX_TERMS:
         m = min(rows, max(1, _BLOCK_TERMS // live.size), _MAX_TERMS - start)
         n = np.arange(start, start + m)
-        log_c, sign = coefficients(beta, n)
-        log_mag = n[:, None] * log_tau[live] + log_c[:, None]
+        log_b, sign = coefficients(beta, n)
+        log_mag = n[:, None] * log_tau[live] + log_b[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            term = sign[:, None] * np.exp(np.where(log_mag > -745.0, log_mag, -np.inf))
+            bound = np.exp(log_mag)
+            term = sign[:, None] * bound
             mag = np.abs(term)
             # the carried state is row 0, so every sum runs in term order
             sums = np.cumsum(np.vstack([total, term]), axis=0)[1:]
             peaks = np.maximum.accumulate(np.vstack([peak, mag]), axis=0)[1:]
-            scale = np.abs(n[:, None] * log_tau[live]) + np.abs(log_c)[:, None] + 1.0
-            spreads = np.cumsum(np.vstack([spread, np.where(mag > 0.0, mag * scale, 0.0)]),
-                                axis=0)[1:]
-            nz_row = np.maximum.accumulate(
-                np.where(term != 0.0, np.arange(m)[:, None], -1), axis=0)
-            lasts = np.where(nz_row >= 0,
-                             np.take_along_axis(mag, np.maximum(nz_row, 0), axis=0), last)
-            stop = ((n[:, None] >= 4) & (lasts < 1e-17 * np.maximum(np.abs(sums), 1e-300))
-                    & (lasts <= peaks * 1e-16))
+            scale = np.abs(n[:, None] * log_tau[live]) + np.abs(log_b)[:, None] + 1.0
+            spreads = np.cumsum(np.vstack([spread, mag * scale]), axis=0)[1:]
+            stop = ((n[:, None] >= 4) & (bound < 1e-17 * np.maximum(np.abs(sums), 1e-300))
+                    & (bound <= peaks * 1e-16))
         over = log_mag > 700.0
         k_stop = np.where(stop.any(axis=0), stop.argmax(axis=0), m)
         k_over = np.where(over.any(axis=0), over.argmax(axis=0), m)
@@ -188,13 +184,12 @@ def _series(coefficients, beta: float, tau: np.ndarray):
         good = pk / np.maximum(np.abs(tot), 1e-300) <= _CANCELLATION_LIMIT
         node = live[ok[good]]
         value[node] = np.maximum(tot[good], 0.0)
-        err[node] = (lasts[k, ok][good] + pk[good] * 1e-16
+        err[node] = (bound[k, ok][good] + pk[good] * 1e-16
                      + spreads[k, ok][good] * np.finfo(float).eps)
         terms[node] = start + k[good] + 1
         going = np.minimum(k_stop, k_over) == m
         live = live[going]
-        total, peak, last = sums[-1, going], peaks[-1, going], lasts[-1, going]
-        spread = spreads[-1, going]
+        total, peak, spread = sums[-1, going], peaks[-1, going], spreads[-1, going]
         start += m
         rows *= 2
     return value, err, terms
