@@ -77,7 +77,7 @@ def suite_specfun(**_):
             checks.append(_check(
                 f"moment beta={beta} delta={delta}",
                 "generalized-moment-identity", mom, quad_mom,
-                1e-6 * abs(mom)))
+                1e-9 * abs(mom)))
     # complete monotonicity proxy: strictly decreasing on [-50, 0]
     for beta in (0.3, 0.5, 0.7):
         zs = np.linspace(-50.0, 0.0, 101)
@@ -107,7 +107,7 @@ def suite_laplace(paths=1_000_000, seed=42, **_):
             rhs = float(np.dot(weights, np.exp(-s * nodes) * mvals))
             checks.append(_check(
                 f"laplace-transform beta={beta} s={s}",
-                "laplace-transform-identity", lhs, rhs, 1e-6))
+                "laplace-transform-identity", lhs, rhs, 1e-10))
     rng = make_stream(SeedSpec(seed, 500))
     for beta in (0.5, 0.7):
         y = sample_y_beta_array(beta, rng, paths)

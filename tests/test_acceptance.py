@@ -78,7 +78,7 @@ def test_criterion_3_time_integral_closed_form():
 
 def test_criterion_4_moment_identity():
     """Quadrature of the scale-density moments vs the Gamma-ratio closed
-    form, rel err <= 1e-6, including the orders -1/alpha used by the
+    form, rel err <= 1e-9, including the orders -1/alpha used by the
     potential constant."""
     worst = 0.0
     for beta in (0.3, 0.5, 0.7):
@@ -87,18 +87,18 @@ def test_criterion_4_moment_identity():
             expected = m_wright_moment(beta, delta)
             observed = moment_quadrature(beta, delta)
             worst = max(worst, abs(observed - expected) / abs(expected))
-    report("criterion 4: moment identity", worst <= 1e-6,
+    report("criterion 4: moment identity", worst <= 1e-9,
            f"worst rel err {worst:.2e}")
 
 
 def test_criterion_5_laplace_identity():
-    """E_beta(-s) vs quadrature over the scale density, <= 1e-6; and vs
+    """E_beta(-s) vs quadrature over the scale density, <= 1e-10; and vs
     the exact sampler at 10^6 draws within 3 standard errors."""
     rep = run_suite("laplace", paths=1_000_000, seed=42)
     failed = [c["name"] for c in rep["checks"] if not c["pass"]]
     report("criterion 5: Laplace identity", rep["pass"],
            "failed checks: " + ", ".join(failed) if failed
-           else f"{len(rep['checks'])} checks: quadrature within 1e-6, "
+           else f"{len(rep['checks'])} checks: quadrature within 1e-10, "
                 "sampler within 3*SE")
 
 

@@ -135,7 +135,7 @@ def test_m_wright_moment_vs_quadrature():
         for delta in (-0.6, -0.5, 1.5):
             mom = m_wright_moment(beta, delta)
             assert moment_quadrature(beta, delta) == pytest.approx(
-                mom, rel=1e-6)
+                mom, rel=1e-9)
 
 
 def test_m_wright_moment_divergent_order():
@@ -145,10 +145,18 @@ def test_m_wright_moment_divergent_order():
         m_wright_moment(0.5, -1.5)
 
 
-def test_m_wright_quad_rule_integrates_density():
-    for beta in (0.002, 0.005, 0.3, 0.5, 0.7):
-        nodes, weights, mvals = m_wright_quad_rule(beta)
-        assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
+# Known defect, kept visible: toward beta = 1 the rule's log-spaced panels
+# miss mass as M_beta narrows onto tau = 1 (ROADMAP item 4, step 2).
+_RULE_MASS_BAND = pytest.mark.xfail(
+    strict=True, reason="rule mass off by more than 1e-10 on 0.88-0.95")
+
+
+@pytest.mark.parametrize("beta", [0.002, 0.005] + [
+    pytest.param(k / 100, marks=_RULE_MASS_BAND) if 88 <= k <= 95 else k / 100
+    for k in range(1, 96)])
+def test_m_wright_quad_rule_integrates_density(beta):
+    nodes, weights, mvals = m_wright_quad_rule(beta)
+    assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-10)
 
 
 def _m_wright_mpmath(mpmath, beta, tau, value):
@@ -168,6 +176,21 @@ def _m_wright_mpmath(mpmath, beta, tau, value):
             if (k > 5 and log_env[k] < log_env.max()
                     and abs(power) * mpmath.gamma(b * (k + 1)) < 1e-25 * abs(total)):
                 return float(total)
+
+
+def test_m_wright_within_reported_error_vs_mpmath():
+    """Each value within its own reported error, at round beta too, where
+    some coefficients of the series vanish; values that underflow to 0
+    are skipped, since the oracle scales its precision by the value."""
+    mpmath = pytest.importorskip("mpmath")
+    betas = sorted({k / 100 for k in range(1, 81)} | {1 / k for k in range(2, 51)})
+    for beta in betas:
+        for tau in (1.0, 2.0, 3.0):
+            r = m_wright(beta, tau)
+            if r.value == 0.0:
+                continue
+            ref = _m_wright_mpmath(mpmath, beta, tau, r.value)
+            assert abs(r.value - ref) <= r.est_abs_error + 1e-12 * ref, (beta, tau, r, ref)
 
 
 @pytest.mark.parametrize("beta", [0.005, 0.1, 0.5, 0.8, 0.97])
