@@ -270,9 +270,9 @@ def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
     and c/a s^(-b) B(b, 1/a) I_x(b, 1/a) with b = d/2 - 1/a and
     x = s / (s + t0^a) at s > 0.
     """
+    if not params.green_exists:
+        raise DomainError(params.failed_green_constraint())
     d, alpha = params.dim, params.alpha
-    if d * alpha <= 2.0:
-        raise DomainError(f"requires d*alpha > 2, got d*alpha = {d * alpha:g}")
     sup, s = f.sup_norm, f.spread
     if sup == 0.0:  # f = 0
         return 0.0

@@ -255,6 +255,9 @@ def test_tail_bound_requires_transience():
     with pytest.raises(DomainError):
         tail_bound(ModelParams(0.5, 1.5, 1), gaussian_test_function(1.0, 1),
                    10.0)
+    with pytest.raises(DomainError, match="requires alpha > 1 when beta < 1"):
+        tail_bound(ModelParams(0.5, 0.9, 3), gaussian_test_function(1.0, 3),
+                   10.0)
 
 
 def test_estimate_deterministic_across_threads():
