@@ -8,12 +8,15 @@ two model constants built from them.
 Both functions are summed by one power-series kernel, `_series`, which
 takes the coefficients of either and sums every node of an array at
 once; the scalar functions call it with one node, the quadrature rule
-with all of its nodes.  Where the series cancels or overflows, each
-function has an integral continuation (the spectral form of E_beta,
-Kanter's form of M_beta) in which the powers of order 1/beta are
-cancelled analytically, so both stay finite as beta -> 0.  Kanter's form
-is an array kernel too, `_mw_integral`: two fixed theta rules shared by
-every node, with adaptive quad only at the nodes where they disagree.
+with all of its nodes.  Each coefficient comes as (log B_n, s_n), with
+c_n = s_n B_n, B_n > 0 and |s_n| <= 1, and a node stops where the bound
+B_n tau^n is negligible; M_beta's coefficients vanish wherever beta(n+1)
+is an integer, but their bound never does.  Where the series cancels or
+overflows, each function has an integral continuation (the spectral form
+of E_beta, Kanter's form of M_beta) in which the powers of order 1/beta
+are cancelled analytically, so both stay finite as beta -> 0.  Kanter's
+form is an array kernel too, `_mw_integral`: two fixed theta rules shared
+by every node, with adaptive quad only at the nodes where they disagree.
 """
 
 from __future__ import annotations
