@@ -17,6 +17,15 @@ of E_beta, Kanter's form of M_beta) in which the powers of order 1/beta
 are cancelled analytically, so both stay finite as beta -> 0.  Kanter's
 form is an array kernel too, `_mw_integral`: two fixed theta rules shared
 by every node, with adaptive quad only at the nodes where they disagree.
+
+A node whose cancellation is already certain leaves the series early.
+Each caller passes the scale of a proven ceiling, |f(tau)| * scale <= 1,
+and a node exits to the integral once its largest term times that scale
+passes 2 _CANCELLATION_LIMIT, where the cancellation test at its stop row
+would reject it anyway, so the exit changes no value.  The ceilings:
+E_beta(-x) <= 1, since E_beta(-x) is completely monotone in x and 1 at
+x = 0 (scale 1); and M_beta(tau) <= 1/(e (1-b) tau) (scale e (1-b) tau),
+since in Kanter's form a exp(-a lam) <= 1/(e lam) for every theta.
 """
 
 from __future__ import annotations
@@ -52,7 +61,10 @@ _MAX_TERMS = 20000
 # The series kernel builds at most this many terms per block, in a
 # row count that starts at _FIRST_ROWS and doubles, so a one-node call does
 # not build thousands of rows and a many-node call stays small in memory.
-_BLOCK_TERMS = 1 << 12
+# At 8192 the first block of a 1024-node rule is 8 rows deep, so the
+# 70-77 % of its nodes that lie below tau = 1e-3, which stop within 5-7
+# terms, finish in that block.
+_BLOCK_TERMS = 1 << 13
 _FIRST_ROWS = 32
 # The M-Wright quadrature rule: _RULE_PANELS log-spaced panels up to the
 # radius past which M_beta < _CUTOFF_TOL, each with _RULE_NODES
@@ -99,10 +111,20 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
+@lru_cache(maxsize=4)
+def _legendre(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], built once per n and
+    read-only, since every caller shares it."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_legendre(edges: np.ndarray, n: int):
     """Nodes and weights of the composite n-point Gauss-Legendre rule on
     the panels between consecutive edges."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre(n)
     mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
@@ -132,9 +154,10 @@ def _mw_coefficients(beta: float, n: np.ndarray):
     return log_b, sin_part * np.where(n % 2, -1.0, 1.0)
 
 
-def _series(coefficients, beta: float, tau: np.ndarray):
+def _series(coefficients, beta: float, tau: np.ndarray, scale: np.ndarray):
     """Power series sum_n s_n B_n tau^n at every tau > 0 at once, with
-    (log B_n, s_n) = coefficients(beta, n), B_n > 0 and |s_n| <= 1.
+    (log B_n, s_n) = coefficients(beta, n), B_n > 0 and |s_n| <= 1, of a
+    function f with the proven ceiling |f(tau)| * scale <= 1 at each node.
     Returns arrays (value, est_abs_error, terms_used); the value is clamped
     at 0, since both functions summed here are nonnegative.
 
@@ -148,9 +171,22 @@ def _series(coefficients, beta: float, tau: np.ndarray):
     continuation must be used, where a term heads for overflow before that
     row, where the largest term exceeds the sum by more than
     _CANCELLATION_LIMIT, or where _MAX_TERMS pass without stopping.
+
+    A node leaves the sum, with the value NaN, at the end of the first
+    block where its largest term times its scale exceeds
+    2 _CANCELLATION_LIMIT.  The callers' ceilings are E_beta(-x) <= 1
+    (scale 1) and M_beta(tau) <= 1/(e (1-b) tau) (scale e (1-b) tau, from
+    a exp(-a lam) <= 1/(e lam) in Kanter's form; see _mw_scale).  The
+    largest term never shrinks and the sum stays within rounding of
+    |f| <= 1/scale, so at its stop row such a node would fail the
+    cancellation test and end as NaN all the same: the exit changes no
+    result, and since every sum runs in term order, no other node's bits
+    either.  A scale of 0 never exits.  The test multiplies by the scale
+    and never divides by it, which would overflow at subnormal tau.
     """
     tau = np.asarray(tau, dtype=float)
     log_tau = np.log(tau)
+    scale = np.broadcast_to(np.asarray(scale, dtype=float), tau.shape)
     value = np.full(tau.size, np.nan)
     err = np.full(tau.size, np.nan)
     terms = np.zeros(tau.size, dtype=np.int64)
@@ -174,10 +210,12 @@ def _series(coefficients, beta: float, tau: np.ndarray):
             # the carried state is row 0, so every sum runs in term order
             sums = np.cumsum(np.vstack([total, term]), axis=0)[1:]
             peaks = np.maximum.accumulate(np.vstack([peak, mag]), axis=0)[1:]
-            scale = np.abs(n[:, None] * log_tau[live]) + np.abs(log_b)[:, None] + 1.0
-            spreads = np.cumsum(np.vstack([spread, mag * scale]), axis=0)[1:]
+            reach = np.abs(n[:, None] * log_tau[live]) + np.abs(log_b)[:, None] + 1.0
+            spreads = np.cumsum(np.vstack([spread, mag * reach]), axis=0)[1:]
             stop = ((n[:, None] >= 4) & (bound < 1e-17 * np.maximum(np.abs(sums), 1e-300))
                     & (bound <= peaks * 1e-16))
+            # an overflowed peak times a scale of 0 is NaN, which never exits
+            lost = peaks[-1] * scale[live] > 2.0 * _CANCELLATION_LIMIT
         over = log_mag > 700.0
         k_stop = np.where(stop.any(axis=0), stop.argmax(axis=0), m)
         k_over = np.where(over.any(axis=0), over.argmax(axis=0), m)
@@ -190,7 +228,7 @@ def _series(coefficients, beta: float, tau: np.ndarray):
         err[node] = (bound[k, ok][good] + pk[good] * 1e-16
                      + spreads[k, ok][good] * np.finfo(float).eps)
         terms[node] = start + k[good] + 1
-        going = np.minimum(k_stop, k_over) == m
+        going = (np.minimum(k_stop, k_over) == m) & ~lost
         live = live[going]
         total, peak, spread = sums[-1, going], peaks[-1, going], spreads[-1, going]
         start += m
@@ -198,9 +236,10 @@ def _series(coefficients, beta: float, tau: np.ndarray):
     return value, err, terms
 
 
-def _series_or_integral(coefficients, integral, beta: float, tau: float) -> EvalResult:
+def _series_or_integral(coefficients, integral, beta: float, tau: float,
+                        scale: float) -> EvalResult:
     """The series at one tau > 0, or integral(beta, tau) where it is NaN."""
-    value, err, terms = _series(coefficients, beta, np.array([tau]))
+    value, err, terms = _series(coefficients, beta, np.array([tau]), scale)
     if math.isnan(value[0]):
         return integral(beta, tau)
     return EvalResult(float(value[0]), float(err[0]), int(terms[0]))
@@ -264,7 +303,8 @@ def mittag_leffler(beta: float, z: float) -> EvalResult:
         return EvalResult(1.0, 0.0, 1)
     if beta == 1.0:
         return EvalResult(math.exp(z), abs(math.exp(z)) * 1e-16, 0)
-    return _series_or_integral(_ml_coefficients, _ml_spectral, beta, -z)
+    # E_beta(-x) <= 1: it is completely monotone in x and 1 at x = 0
+    return _series_or_integral(_ml_coefficients, _ml_spectral, beta, -z, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +402,14 @@ def _mw_quad(beta: float, tau: float):
     return value, pref * err
 
 
+def _mw_scale(beta: float, tau):
+    """The scale e (1-b) tau of the ceiling M_beta(tau) <= 1/(e (1-b) tau)
+    that _series exits on.  In Kanter's form (_mw_integral),
+    a exp(-a lam) <= 1/(e lam) for every theta, so the integral over
+    (0, pi) is at most pi/(e lam), and tau^(b/(1-b)) / lam = 1/tau."""
+    return math.e * (1.0 - beta) * tau
+
+
 def _mw_integral_at(beta: float, tau: float) -> EvalResult:
     """_mw_integral at one node."""
     value, err = _mw_integral(beta, np.array([tau]))
@@ -381,7 +429,8 @@ def m_wright(beta: float, tau: float) -> EvalResult:
         raise DomainError(f"m_wright requires tau >= 0, got {tau:g}")
     if tau == 0.0:
         return EvalResult(1.0 / gamma(1.0 - beta), 0.0, 1)
-    return _series_or_integral(_mw_coefficients, _mw_integral_at, beta, tau)
+    return _series_or_integral(_mw_coefficients, _mw_integral_at, beta, tau,
+                               _mw_scale(beta, tau))
 
 
 def m_wright_cutoff(beta: float) -> float:
@@ -405,7 +454,7 @@ def _mw_rule_cached(beta: float):
         [[0.0], np.geomspace(1e-14, t_hi, _RULE_PANELS)]
     )
     nodes, weights = _gauss_legendre(edges, _RULE_NODES)
-    values, _, _ = _series(_mw_coefficients, beta, nodes)
+    values, _, _ = _series(_mw_coefficients, beta, nodes, _mw_scale(beta, nodes))
     tail = np.isnan(values)
     values[tail], _ = _mw_integral(beta, nodes[tail])
     # cached and shared by every caller for this beta, so read-only

@@ -159,11 +159,79 @@ def test_m_wright_quad_rule_integrates_density(beta):
     assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-10)
 
 
+def _series_both_ways(coefficients, beta, tau, scale):
+    """_series with the exit on `scale` and with it off (scale 0), as bytes,
+    and the rows each built."""
+    out = []
+    for s in (scale, 0.0):
+        rows = []
+
+        def counted(beta, n):
+            rows.append(n.size)
+            return coefficients(beta, n)
+
+        arrays = specfun._series(counted, beta, tau, s)
+        out.append(([a.tobytes() for a in arrays], sum(rows)))
+    return out
+
+
+@pytest.mark.parametrize("beta", [k / 100 for k in range(1, 100)])
+def test_series_exit_changes_no_rule_node(beta):
+    """The series' exit on M_beta's ceiling leaves every node of the rule
+    with the same value, error and term count, bit for bit, as with the
+    exit off, and the ceiling e (1-b) tau M_beta(tau) <= 1 holds at every
+    node, from the series or from Kanter's integral."""
+    nodes, _, mvals = m_wright_quad_rule(beta)
+    scale = specfun._mw_scale(beta, nodes)
+    (on, _), (off, _) = _series_both_ways(specfun._mw_coefficients, beta, nodes, scale)
+    assert on == off
+    assert np.all(scale * mvals <= 1.0)
+
+
+@pytest.mark.parametrize("beta", [k / 20 for k in range(1, 20)])
+def test_series_exit_changes_no_scalar_value(beta):
+    """One node at a time, as m_wright and mittag_leffler call the series:
+    M_beta on tau in [1e-3, 20] and E_beta(-x) on x in [1e-3, 200], with
+    their ceilings 1/(e (1-b) tau) and 1, bit for bit as with the exit
+    off."""
+    for tau in np.geomspace(1e-3, 20.0, 30):
+        (on, _), (off, _) = _series_both_ways(specfun._mw_coefficients, beta, np.array([tau]),
+                                              specfun._mw_scale(beta, tau))
+        assert on == off, tau
+    for x in np.geomspace(1e-3, 200.0, 30):
+        (on, _), (off, _) = _series_both_ways(specfun._ml_coefficients, beta, np.array([x]), 1.0)
+        assert on == off, x
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+def test_series_exit_builds_fewer_rows(beta):
+    """The exit fires: nodes that end in Kanter's integral leave the sum
+    early, so a rule's series builds fewer rows than with the exit off."""
+    nodes, _, _ = m_wright_quad_rule(beta)
+    (_, rows_on), (_, rows_off) = _series_both_ways(
+        specfun._mw_coefficients, beta, nodes, specfun._mw_scale(beta, nodes))
+    assert rows_on < rows_off
+
+
+def _m_wright_envelope(beta, tau, value):
+    """log(tau^n Gamma(beta(n+1)) / n!), the size of the series terms of
+    M_beta(tau) but for their sine factors, for n = 0, 1, ... in doubling
+    blocks until it is past its maximum and below 1e-30 `value`, past
+    the row where _m_wright_mpmath stops.  The envelope is unimodal, so
+    its maximum there is its maximum over every n."""
+    size = 64
+    while True:
+        n = np.arange(float(size))
+        log_env = n * math.log(tau) - gammaln(n + 1.0) + gammaln(beta * (n + 1.0))
+        if log_env.argmax() < size - 1 and log_env[-1] < math.log(1e-30 * value):
+            return log_env
+        size *= 2
+
+
 def _m_wright_mpmath(mpmath, beta, tau, value):
     """M_beta(tau) by its series in mpmath, carrying enough digits to absorb
     the cancellation between the largest term and `value`."""
-    n = np.arange(100_000.0)
-    log_env = n * math.log(tau) - gammaln(n + 1.0) + gammaln(beta * (n + 1.0))
+    log_env = _m_wright_envelope(beta, tau, value)
     digits = int((log_env.max() - math.log(value)) / math.log(10.0)) + 25
     with mpmath.workdps(digits):
         b, t = mpmath.mpf(beta), mpmath.mpf(tau)

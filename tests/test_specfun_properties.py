@@ -1,10 +1,11 @@
 """Property tests of the special functions over their parameter ranges."""
 
 import math
+import sys
 
 import pytest
 
-from ggbm import m_wright
+from ggbm import m_wright, mittag_leffler
 from ggbm.specfun import m_wright_cutoff
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -13,7 +14,35 @@ st = hypothesis.strategies
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @hypothesis.given(beta=st.floats(0.001, 0.95), frac=st.floats(0.0, 1.0))
+@hypothesis.example(beta=0.5, frac=1.1125369292536007e-308)
 def test_m_wright_finite_and_nonnegative(beta, frac):
     tau = frac * m_wright_cutoff(beta)
     value = m_wright(beta, tau).value
     assert math.isfinite(value) and value >= 0.0, (beta, tau, value)
+
+
+def _check_mittag_leffler_in_unit_interval(beta, x):
+    value = mittag_leffler(beta, -x).value
+    assert math.isfinite(value) and 0.0 < value <= 1.0, (beta, x, value)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(beta=st.floats(sys.float_info.min, 1.0), x=st.floats(0.01, 50.0))
+@hypothesis.example(beta=0.5, x=5e-324)
+def test_mittag_leffler_finite_in_unit_interval(beta, x):
+    """E_beta(-x) is completely monotone in x and 1 at x = 0, so it lies
+    in (0, 1] on the range of x the analytic benchmark draws, and at the
+    smallest subnormal x.  The subnormal beta below make up the rest of
+    (0, 1]."""
+    _check_mittag_leffler_in_unit_interval(beta, x)
+
+
+# Known defect, kept visible: at subnormal beta the spectral integral
+# returns inf or raises ConvergenceError for x past about 1.
+@pytest.mark.xfail(strict=True, reason="E_beta(-x) not finite at subnormal beta")
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(beta=st.floats(0.0, sys.float_info.min, exclude_min=True, exclude_max=True),
+                  x=st.floats(0.01, 50.0))
+@hypothesis.example(beta=5e-324, x=1.0)
+def test_mittag_leffler_finite_in_unit_interval_at_subnormal_beta(beta, x):
+    _check_mittag_leffler_in_unit_interval(beta, x)
