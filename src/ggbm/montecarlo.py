@@ -18,8 +18,9 @@ truncation at t_max enters the budget as a one-sided analytic tail bound.
 
 For a Gaussian f the mean g along the paths is known at every t and x, so
 the estimator swaps the grid's exact mean sum_j w_j g(t_j) for the whole
-integral of g: grid bias and tail are exact and in the mean, the tail bound
-is 0, and the grid-vs-half-grid difference is taken less its exact mean.
+integral of g, a closed form: grid bias and tail are exact and in the mean,
+the tail bound is 0, and the grid-vs-half-grid difference is taken less
+its exact mean.
 The clock then only has to keep the variance low.  It does so at half the
 density every other f needs, and it starts where fBm's variance t^alpha
 reaches a tenth of f's spread: before that f(x + B(t)) is almost the
@@ -33,9 +34,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_function, betainc
+from scipy.special import beta as beta_function, betainc, hyp1f1
 
-from .exceptions import ConvergenceError, DomainError
+from .exceptions import DomainError
 from .fbm import sample_fbm_batch
 from .green import TestFunction, as_point
 from .model import ModelParams
@@ -53,7 +54,7 @@ __all__ = [
 
 # The time grid: 0, then geometric from _T_MIN to t_max with at least
 # _STEPS_PER_DECADE intervals per decade.  A chunk costs linearly in the
-# grid size for draws and f and quadratically for the fBm GEMM; at 32 the
+# grid size for draws and f and as its square for the fBm GEMM; at 32 the
 # discretization bound stays below half of 3 SE at 2e4 paths.  A Gaussian
 # f's grid bias is exact and folded out, so its clock runs at 16, where
 # the discretization term measured on the folded values stays below that
@@ -73,8 +74,6 @@ _CHUNK_SIZE = 2048
 # one whole-chunk GEMM; 399-path blocks changed the last bits of some
 # values at (0.8, 1.2, 2), so the block is a fixed count, not a byte size.
 _BLOCK_SIZE = 256
-# relative error the integral of a Gaussian's mean must reach
-_BIAS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -225,39 +224,18 @@ def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
     integral over the whole time axis.  With A = f(c), s = f.spread and
     v = s / (s + t^a) the mean is A v^(d/2) exp(-z v), z = |x - c|^2 / (2 s),
     and its integral A s^(1/a) / a int_0^1 exp(-z v) v^(b-1) (1-v)^(1/a-1) dv,
-    b = d/2 - 1/a: two quads split at v = min(1/2, (2b + 50) / z).  Far from
-    the centre exp(-z v) peaks in a sliver of [0, 1], which one quad misses;
-    past the split it is below e^-(2b+50), so the first quad holds the
-    peak.  The second carries (1-v)^(1/a-1) as an algebraic end weight.
-    The first carries v^(b-1) as one only where b < 1: from b = 1 on it is
-    regular at 0, and as a weight at b of about 12 and more QUADPACK's
-    weighted rule reports roundoff on a converged value (d = 24 and 30 far
-    from the centre), so there it is a plain quad.  Not the potential's
-    1F1, which stays an independent check.  A warning, or an error estimate
-    above _BIAS_TOL of the value, raises ConvergenceError.
+    b = d/2 - 1/a, is Euler's integral of Kummer's function (DLMF 13.4.1):
+    A s^(1/a) / a B(b, 1/a) 1F1(b; b + 1/a; -z).  The potential shares the
+    1F1 value but reaches its prefactor through D = C(a, d) E[Y^(-1/a)] and
+    Gamma(1/a) / Gamma(d/2), so the certificate checks the paper's constant
+    by a second route; the 1F1 itself is held to mpmath by the tests.
     """
-    from scipy.integrate import quad  # at first use, as in green and specfun
-
     d, alpha, s = params.dim, params.alpha, f.spread
     z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
     a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
-    split = min(0.5, (2.0 * b + 50.0) / max(z, 1.0))
-    opts = dict(epsabs=0.0, epsrel=0.1 * _BIAS_TOL, full_output=1)
-    if b < 1.0:
-        head = quad(lambda v: math.exp(-z * v) * (1.0 - v) ** (a - 1.0), 0.0, split,
-                    weight="alg", wvar=(b - 1.0, 0.0), **opts)
-    else:
-        head = quad(lambda v: math.exp(-z * v) * v ** (b - 1.0) * (1.0 - v) ** (a - 1.0),
-                    0.0, split, **opts)
-    parts = (head, quad(lambda v: math.exp(-z * v) * v ** (b - 1.0), split, 1.0,
-                        weight="alg", wvar=(0.0, a - 1.0), **opts))
-    integral, err = (math.fsum(p[i] for p in parts) for i in (0, 1))
-    # a fourth item is quad's warning message
-    if any(len(p) > 3 for p in parts) or not err <= _BIAS_TOL * integral:
-        raise ConvergenceError(
-            f"integral of the Gaussian's mean did not converge: {integral:g} +- {err:g}")
     amplitude, v = f(f.center), s / (s + times ** alpha)
-    return amplitude * v ** (0.5 * d) * np.exp(-z * v), amplitude * s ** a * a * integral
+    integral = amplitude * s ** a * a * beta_function(b, a) * hyp1f1(b, b + a, -z)
+    return amplitude * v ** (0.5 * d) * np.exp(-z * v), float(integral)
 
 
 def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:

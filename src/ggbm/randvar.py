@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .specfun import kanter_a
+from .specfun import check_beta, kanter_a
 
 __all__ = ["SeedSpec", "make_stream", "sample_one_sided_stable", "sample_y_beta_array"]
 
@@ -71,14 +71,14 @@ def sample_y_beta_array(beta: float, rng: np.random.Generator, n: int) -> np.nda
     Y = (W/a(theta))^(1-beta)
       = W^(1-beta) sin(theta) / (sin(beta*theta)^beta sin((1-beta)*theta)^(1-beta)),
     theta = pi*U.  No power of order 1/beta or 1/(1-beta) is taken, so
-    the draws stay finite and positive as beta -> 0 and beta -> 1.
+    the draws stay finite and positive as beta -> 0 and beta -> 1; below
+    specfun.BETA_MIN sin(beta*theta) underflows to 0, and such beta raise.
 
     For beta = 1 the law is the point mass at 1.  The random stream is
     advanced by the same amount (2n variates) in both branches so that
     downstream draws do not depend on beta.
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"requires 0 < beta <= 1, got beta = {beta:g}")
+    check_beta("sample_y_beta_array", beta)
     u = rng.random(n)
     w = rng.standard_exponential(n)
     if beta == 1.0:

@@ -20,7 +20,7 @@ from . import green as green_mod
 from . import montecarlo as mc
 from .fbm import GridSpec
 from .model import ModelParams
-from .process import ggbm_paths
+from .process import fdd_charfun, ggbm_paths
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
 from .specfun import (green_constant, m_wright, m_wright_cutoff,
                       m_wright_moment, m_wright_quad_rule, mittag_leffler,
@@ -158,6 +158,15 @@ def suite_charfun(beta=0.5, alpha=1.5, dim=1, paths=100_000, seed=42, **_):
         checks.append(_mc_check(
             f"increment-charfun s={s} t={t} k={k}",
             "increment-characteristic-function", expected, np.cos(k * incr)))
+    # the two-point law, with theta on the first component
+    times, first = (0.5, 1.0), (0.7, -0.4)
+    theta = np.zeros((2, dim))
+    theta[:, 0] = first
+    phase = sum(th * _at(b, t)[:, 0] for th, t in zip(first, times))
+    checks.append(_mc_check(
+        f"two-point-charfun t={times} theta={first}",
+        "finite-dimensional-characteristic-function",
+        fdd_charfun(params, times, theta), np.cos(phase)))
     return checks
 
 

@@ -33,6 +33,22 @@ def test_import_does_not_load_scipy_stats():
     assert result.stdout.strip() == "False False"
 
 
+def test_gaussian_estimate_does_not_load_scipy_integrate(tmp_path):
+    """A Gaussian's estimate and potential are closed forms and Monte Carlo:
+    estimate-potential runs no numerical quadrature and does not load
+    scipy.integrate."""
+    out = tmp_path / "est.json"
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ggbm.cli import main; "
+         f"main(['estimate-potential', '--paths', '256', '--seed', '0', '--out', {str(out)!r}]); "
+         "print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+    assert json.loads(out.read_text())["n_paths"] == 256
+
+
 def test_eval_ml_text(capsys):
     assert main(["eval", "ml", "--beta", "1.0", "--z", "-1.0"]) == 0
     out = capsys.readouterr().out.strip()

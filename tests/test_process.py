@@ -209,18 +209,6 @@ def test_fdd_charfun_one_point_identity():
             expected, rel=1e-12)
 
 
-def test_fdd_charfun_two_point_vs_mc():
-    params = ModelParams(0.5, 1.5, 1)
-    times = [0.5, 1.0]
-    theta = np.array([[0.7], [-0.4]])
-    n = 400_000
-    b = ggbm_paths(params, GridSpec(1.0, 2), n, SeedSpec(77, 0))[:, 1:, 0]
-    emp = np.cos(b @ theta[:, 0])
-    se = emp.std(ddof=1) / math.sqrt(n)
-    expected = fdd_charfun(params, times, theta)
-    assert abs(emp.mean() - expected) <= 4.0 * se
-
-
 def test_fdd_theta_shape_validation():
     params = ModelParams(0.5, 1.5, 2)
     with pytest.raises(DomainError):
