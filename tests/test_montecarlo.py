@@ -397,7 +397,7 @@ def test_gaussian_mean_integral_far_from_the_centre(alpha, dim, z):
 @pytest.mark.parametrize("dim", [20, 24, 30])
 def test_gaussian_mean_integral_in_high_dimension(alpha, dim):
     """With b = d/2 - 1/a of 6 to 15, B(b, 1/a) 1F1(b; b + 1/a; -z) falls
-    by up to 90 decades between the centre and z = 1e12; the closed form
+    by 75 to 163 decades between the centre and z = 1e12; the closed form
     matches mpmath's within 1e-13 at every point."""
     params = ModelParams(1.0, alpha, dim)
     a, b = 1.0 / alpha, 0.5 * dim - 1.0 / alpha
