@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, gammainccinv, gammaln, hyp1f1
+from scipy.special import gammainccinv, gammaln, hyp1f1, hyp2f1
 
 from .exceptions import ConvergenceError, DomainError
 from .model import ModelParams
@@ -88,14 +88,21 @@ class TestFunction:
         return self.eval_many(pts)
 
 
-def as_point(params: ModelParams, f: TestFunction, x) -> np.ndarray:
-    """x as a float point, once f and x are both in R^d, d = params.dim;
-    raises DomainError otherwise."""
+def _point(params: ModelParams, x) -> np.ndarray:
+    """x as a finite float point of R^d, d = params.dim; raises DomainError
+    otherwise."""
     x = np.asarray(x, dtype=float)
-    if f.dim != params.dim or x.shape != (params.dim,):
-        raise DomainError(f"f has dim {f.dim} and x has shape {x.shape}, "
-                          f"but the process has dim {params.dim}")
+    if x.shape != (params.dim,) or not np.isfinite(x).all():
+        raise DomainError(f"a point must be finite in dim {params.dim}, got {x}")
     return x
+
+
+def as_point(params: ModelParams, f: TestFunction, x) -> np.ndarray:
+    """x as a finite float point, once f and x are both in R^d, d = params.dim;
+    raises DomainError otherwise."""
+    if f.dim != params.dim:
+        raise DomainError(f"f has dim {f.dim}, but the process has dim {params.dim}")
+    return _point(params, x)
 
 
 def gaussian_test_function(sigma: float, dim: int, center=None,
@@ -177,8 +184,7 @@ class GreenDensity:
 
 
 def green_density_at(gd: GreenDensity, x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _point(gd.params, x), _point(gd.params, y)
     r = float(np.linalg.norm(x - y))
     if r == 0.0:
         raise DomainError("green density is singular at x = y")
@@ -334,53 +340,30 @@ def continuity_constant(gd: GreenDensity) -> float:
 # Green measure of balls
 # ---------------------------------------------------------------------------
 
-def _cap_measure(d: int, rho: float, s: float, r: float) -> float:
-    """Angular measure of directions w with |x + rho*w - c| <= r, |x-c| = s."""
-    if rho >= s + r or rho <= -1e-300:
-        return 0.0
-    if rho <= r - s:
-        return unit_sphere_area(d)
-    if rho <= s - r:
-        return 0.0
-    if d == 1:
-        # the two directions, with +1 pointing from x toward c
-        return (1.0 if abs(s - rho) <= r else 0.0) + (1.0 if s + rho <= r else 0.0)
-    m = (rho * rho + s * s - r * r) / (2.0 * rho * s)
-    m = min(1.0, max(-1.0, m))
-    # the cap of half-angle theta = arccos(m) <= pi/2 measures half the
-    # sphere times I_{sin^2 theta}((d-1)/2, 1/2); above pi/2, the complement.
-    # Near the equator sin^2 theta loses the digits of m, so there the same
-    # measure is taken as 1 - sign(m) I_{m^2}(1/2, (d-1)/2) half spheres.
-    area = unit_sphere_area(d)
-    if m * m < 0.5:
-        return 0.5 * area * (1.0 - math.copysign(betainc(0.5, 0.5 * (d - 1), m * m), m))
-    cap = 0.5 * area * betainc(0.5 * (d - 1), 0.5, (1.0 - m) * (1.0 + m))
-    return cap if m > 0.0 else area - cap
-
-
 def green_measure_of_ball(gd: GreenDensity, x, center, r: float) -> float:
     """Expected occupation time of the ball B(center, r) for the process
     started at x; finite for every admissible parameter triple.
 
-    Concentric case in closed form: D * area(S^(d-1)) * (alpha/2) * r^(2/alpha).
+    With s = |x - center|, a = 1/alpha and b = d/2 - a, the kernel's mean
+    over the sphere |y - center| = rho (Landkof 1972, ch. 1) integrates
+    term by term over rho (DLMF 15.2.1) to D * area(S^(d-1)) times
+      (alpha/2) r^(2/alpha) 2F1(b, -a; d/2; s^2/r^2)           for s <= r,
+      (r^d/d) s^(2/alpha - d) 2F1(b, 1 - a; d/2 + 1; r^2/s^2)  for s > r;
+    both give the same value at s = r by Gauss's sum (DLMF 15.4.20), since
+    c - a - b = 2/alpha > 0 in each.  scipy's hyp2f1 loses digits where
+    2/alpha is within about 1e-4 of 1 (alpha just below 2) and the
+    argument lies in (0.98, 1): about 1e-11 relative at alpha = 2 - 1e-5
+    and 1e-7 at alpha = 2 - 1e-9 (d = 30, s/r = 1.001).
     """
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r:g}")
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(center, dtype=float)
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {r:g}")
+    x, c = _point(gd.params, x), _point(gd.params, center)
     alpha, d = gd.params.alpha, gd.params.dim
+    a = 1.0 / alpha
+    b = 0.5 * d - a
     s = float(np.linalg.norm(x - c))
-    if s == 0.0:
-        return gd.D * unit_sphere_area(d) * 0.5 * alpha * r ** (2.0 / alpha)
-
-    from scipy.integrate import quad
-
-    lo, hi = max(0.0, s - r), s + r
-
-    def integrand(rho):
-        return rho ** (2.0 / alpha - 1.0) * _cap_measure(d, rho, s, r)
-
-    pts = [p for p in (abs(s - r), r - s) if lo < p < hi]
-    val, _ = quad(integrand, lo, hi, points=pts or None, limit=300,
-                  epsabs=1e-12, epsrel=1e-10)
-    return gd.D * val
+    scale = gd.D * unit_sphere_area(d)
+    if s <= r:
+        return scale * 0.5 * alpha * r ** (2.0 / alpha) * hyp2f1(b, -a, 0.5 * d, (s / r) ** 2)
+    return (scale / d * (r / s) ** d * s ** (2.0 / alpha)
+            * hyp2f1(b, 1.0 - a, 0.5 * d + 1.0, (r / s) ** 2))

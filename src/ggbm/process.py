@@ -42,8 +42,8 @@ def _check_times(times) -> np.ndarray:
         raise DomainError("times must be a nonempty 1-D array")
     if len(t) > _MAX_FDD_POINTS:
         raise DomainError(f"at most {_MAX_FDD_POINTS} time points supported")
-    if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-        raise DomainError("times must be strictly increasing and positive")
+    if not (np.isfinite(t).all() and t[0] > 0.0 and (np.diff(t) > 0.0).all()):
+        raise DomainError("times must be finite, strictly increasing and positive")
     return t
 
 
@@ -96,6 +96,8 @@ def _check_theta(theta, n: int, d: int) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
     if th.size != n * d:
         raise DomainError(f"theta has {th.size} values, expected {n} x {d}")
+    if not np.isfinite(th).all():
+        raise DomainError("theta must be finite")
     return th.reshape(n, d)
 
 

@@ -304,15 +304,15 @@ def _ml_spectral(beta: float, x: float) -> EvalResult:
 
 
 def mittag_leffler(beta: float, z: float) -> EvalResult:
-    """E_beta(z) for BETA_MIN <= beta <= 1 and z <= 0.
+    """E_beta(z) for BETA_MIN <= beta <= 1 and finite z <= 0.
 
     Uses the Taylor series while it is numerically safe, and falls back to
     the spectral integral representation on the negative axis when the
     series cancels or overflows.
     """
     check_beta("mittag_leffler", beta)
-    if z > 0.0:
-        raise DomainError(f"mittag_leffler requires z <= 0, got {z:g}")
+    if not -math.inf < z <= 0.0:
+        raise DomainError(f"mittag_leffler requires a finite z <= 0, got {z:g}")
     if z == 0.0:
         return EvalResult(1.0, 0.0, 1)
     if beta == 1.0:
@@ -431,7 +431,7 @@ def _mw_integral_at(beta: float, tau: float) -> EvalResult:
 
 
 def m_wright(beta: float, tau: float) -> EvalResult:
-    """M-Wright density M_beta(tau) for BETA_MIN <= beta < 1, tau >= 0.
+    """M-Wright density M_beta(tau) for BETA_MIN <= beta < 1 and finite tau >= 0.
 
     The Taylor series is reliable for small and moderate tau; beyond its
     cancellation range the value comes from Kanter's integral form of the
@@ -440,8 +440,8 @@ def m_wright(beta: float, tau: float) -> EvalResult:
     check_beta("m_wright", beta)
     if beta == 1.0:
         raise DomainError("m_wright requires beta < 1: M_1 is the point mass at 1")
-    if tau < 0.0:
-        raise DomainError(f"m_wright requires tau >= 0, got {tau:g}")
+    if not 0.0 <= tau < math.inf:
+        raise DomainError(f"m_wright requires a finite tau >= 0, got {tau:g}")
     if tau == 0.0:
         return EvalResult(1.0 / gamma(1.0 - beta), 0.0, 1)
     return _series_or_integral(_mw_coefficients, _mw_integral_at, beta, tau,

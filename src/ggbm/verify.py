@@ -18,6 +18,7 @@ from scipy.special import ndtr
 
 from . import green as green_mod
 from . import montecarlo as mc
+from .exceptions import DomainError
 from .fbm import GridSpec
 from .model import ModelParams
 from .process import fdd_charfun, ggbm_paths
@@ -250,6 +251,8 @@ SUITES = {
 def run_suite(name: str, **kwargs) -> dict:
     if name not in SUITES:
         raise KeyError(name)
+    if kwargs.get("paths", 2) < 2:
+        raise DomainError(f"a suite needs at least 2 paths, got {kwargs['paths']}")
     checks = SUITES[name](**kwargs)
     return {"suite": name, "checks": checks,
             "pass": all(c["pass"] for c in checks)}

@@ -88,6 +88,21 @@ def test_eval_domain_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["ml", "--z=-inf"], ["ml", "--z", "nan"],
+                                  ["mwright", "--tau", "nan"],
+                                  ["charfun", "--t", "nan", "--dim", "1", "--k", "1"]])
+def test_eval_non_finite_argument_exit_code(args, capsys):
+    assert main(["eval"] + args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["moments", "laplace", "representation"])
+@pytest.mark.parametrize("paths", ["0", "1"])
+def test_verify_too_few_paths_exit_code(suite, paths, capsys):
+    assert main(["verify", suite, "--paths", paths]) == 2
+    assert "at least 2 paths" in capsys.readouterr().err
+
+
 def test_eval_numeric_error_exit_code(capsys):
     # M_beta at beta -> 1 overflows in the integral continuation
     assert main(["eval", "mwright", "--beta", "0.999", "--tau", "5"]) == 2

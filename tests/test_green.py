@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
@@ -14,7 +15,7 @@ from ggbm import ConvergenceError, DomainError, GreenDensity, ModelParams, \
     green_density_at, green_measure_of_ball, potential, tail_bound, \
     time_integral_kernel
 from ggbm import green
-from ggbm.green import _TAIL_MASS, _cap_measure, _cap_nodes, _cap_rule, unit_sphere_area
+from ggbm.green import _TAIL_MASS, _cap_nodes, _cap_rule, unit_sphere_area
 from ggbm.specfun import green_constant
 
 
@@ -402,18 +403,6 @@ def test_green_measure_ball_far_apart_vs_density():
     assert val == pytest.approx(approx, rel=1e-3)
 
 
-def test_cap_measure_reproduces_two_and_three_dimensional_formulas():
-    """One betainc formula gives 2 theta on S^1 and 2 pi (1 - cos theta) on S^2."""
-    for s, r in [(0.3, 0.2), (0.3, 0.9), (1.0, 1.7), (2.5, 0.9), (7.0, 6.999)]:
-        for rho in np.linspace(abs(s - r), s + r, 401)[1:-1]:
-            if rho <= r - s:
-                continue
-            m = min(1.0, max(-1.0, (rho * rho + s * s - r * r) / (2.0 * rho * s)))
-            assert _cap_measure(2, rho, s, r) == pytest.approx(2.0 * math.acos(m), rel=1e-14)
-            assert _cap_measure(3, rho, s, r) == pytest.approx(
-                2.0 * math.pi * (1.0 - m), rel=1e-14)
-
-
 @pytest.mark.parametrize("beta,alpha,d", [(0.5, 1.5, 4), (0.7, 1.8, 5)])
 def test_green_measure_ball_off_center_tends_to_concentric(beta, alpha, d):
     gd = GreenDensity.from_params(ModelParams(beta, alpha, d))
@@ -433,3 +422,80 @@ def test_green_measure_ball_monotone_in_radius():
     c = np.zeros(2)
     vals = [green_measure_of_ball(gd, x, c, r) for r in (0.2, 0.5, 1.0)]
     assert vals[0] < vals[1] < vals[2]
+
+
+def ball_measure_mpmath(alpha, d, s, r):
+    """int over B(c, r) of |x - y|^(-p) dy / area(S^(d-1)), |x - c| = s, at
+    40 digits: the kernel's mean over the sphere |y - c| = rho,
+    max(s, rho)^(-p) 2F1(p/2, p/2 - d/2 + 1; d/2; (min/max)^2), integrated
+    numerically in rho, split at rho = s.  Below the split v = (rho/m)^d,
+    m = min(s, r), takes rho^(d-1) out; above it w = rho^(2/alpha) takes
+    out rho^(2/alpha - 1).  For alpha < 2 only: at alpha = 2 the sphere
+    mean is log-singular at rho = s."""
+    with mp.workdps(40):
+        alpha, s, r = mp.mpf(alpha), mp.mpf(s), mp.mpf(r)
+        p, h = d - 2 / alpha, mp.mpf(d) / 2
+
+        def mean(rho):
+            lo, hi = min(s, rho), max(s, rho)
+            return hi ** (-p) * mp.hyp2f1(p / 2, p / 2 - h + 1, h, (lo / hi) ** 2)
+
+        m = min(s, r)
+        total = m ** d / d * mp.quad(lambda v: mean(m * v ** (mp.mpf(1) / d)), [0, 1])
+        if s < r:
+            def shell(w):
+                rho = w ** (alpha / 2)
+                return mean(rho) * rho ** p
+            total += alpha / 2 * mp.quad(shell, [s ** (2 / alpha), r ** (2 / alpha)])
+        return float(total)
+
+
+@pytest.mark.parametrize("beta,alpha,d,s_over_r,r", [
+    (0.5, 1.5, 3, 0.3, 1.0), (0.5, 1.5, 3, 2.0, 1.0), (0.8, 1.2, 2, 1.0, 0.6),
+    (0.5, 1.5, 30, 1.0 - 1e-9, 1.0), (0.5, 1.5, 30, 1.0 + 1e-9, 1.0),
+    (1.0, 0.3, 8, 1e-4, 20.0), (0.7, 1.9, 4, 500.0, 2.0), (1.0, 0.5, 5, 0.999, 0.01)])
+def test_green_measure_ball_vs_mpmath_sphere_means(beta, alpha, d, s_over_r, r):
+    """The closed form against the radial integral of the kernel's sphere
+    means, inside, on and outside the sphere, up to d = 30."""
+    gd = GreenDensity.from_params(ModelParams(beta, alpha, d))
+    c = np.linspace(-1.0, 1.0, d)
+    x = c.copy()
+    x[0] += s_over_r * r
+    ref = gd.D * unit_sphere_area(d) * ball_measure_mpmath(alpha, d, s_over_r * r, r)
+    assert green_measure_of_ball(gd, x, c, r) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [1.0 - 1e-7, 1.0 + 1e-7, 1.0 - 1e-9])
+def test_green_measure_ball_at_its_sphere_vs_chord_integral(s):
+    """At (0.9, 2.0, 2) the kernel is 1/|x - y|, so in polar coordinates
+    around x the measure is D times the integral over the direction phi of
+    the length R(phi) of the ray's chord through the unit disk."""
+    gd = GreenDensity.from_params(ModelParams(0.9, 2.0, 2))
+    with mp.workdps(30):
+        sm = mp.mpf(s)
+        if s < 1.0:
+            chords = mp.quad(lambda phi: mp.sqrt(1 - (sm * mp.sin(phi)) ** 2) - sm * mp.cos(phi),
+                             [0, mp.pi / 2, mp.pi, 3 * mp.pi / 2, 2 * mp.pi])
+        else:
+            edge = mp.asin(1 / sm)
+            chords = mp.quad(lambda phi: 2 * mp.sqrt(1 - (sm * mp.sin(phi)) ** 2), [-edge, 0, edge])
+    val = green_measure_of_ball(gd, np.array([s, 0.0]), np.zeros(2), 1.0)
+    assert val == pytest.approx(gd.D * float(chords), rel=1e-13, abs=0.0)
+
+
+def test_green_ball_and_density_validate_their_inputs():
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
+    x, c = np.zeros(3), np.ones(3)
+    for bad in (np.zeros(2), np.zeros((1, 3)), np.zeros(4), np.array([0.0, math.nan, 0.0]),
+                np.array([math.inf, 0.0, 0.0])):
+        with pytest.raises(DomainError):
+            green_measure_of_ball(gd, bad, c, 1.0)
+        with pytest.raises(DomainError):
+            green_measure_of_ball(gd, x, bad, 1.0)
+        with pytest.raises(DomainError):
+            green_density_at(gd, bad, c)
+        with pytest.raises(DomainError):
+            green_density_at(gd, x, bad)
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            green_measure_of_ball(gd, x, c, r)

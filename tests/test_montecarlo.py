@@ -659,11 +659,12 @@ def test_estimate_certifies_near_the_transience_edge():
     assert abs(est.mean - v) <= budget <= 0.01 * v
 
 
-@pytest.mark.parametrize("f_dim,x", [(3, np.zeros(2)), (2, np.zeros(3)), (3, 0.0)],
-                         ids=["short-x", "f-dim", "scalar-x"])
+@pytest.mark.parametrize("f_dim,x", [(3, np.zeros(2)), (2, np.zeros(3)), (3, 0.0),
+                                     (3, np.array([0.0, math.nan, 0.0]))],
+                         ids=["short-x", "f-dim", "scalar-x", "nan-x"])
 def test_dimension_mismatch_is_a_domain_error(f_dim, x):
-    """f and x must live in R^d, d = params.dim: the estimator and the
-    potential say so with a DomainError."""
+    """f and x must live in R^d, d = params.dim, and x must be finite: the
+    estimator and the potential say so with a DomainError."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, f_dim)
     spec = PerpetualSpec(t_max=10.0, n_paths=16, seed=SeedSpec(0, 0))

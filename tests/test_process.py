@@ -48,6 +48,9 @@ def test_fdd_time_validation():
             fdd(params, [1.0, 0.5], np.zeros(2))
         with pytest.raises(DomainError):
             fdd(params, np.linspace(1.0, 2.0, 9), np.zeros(9))
+        for times in ([math.nan], [1.0, math.inf], [1.0, math.nan, 2.0]):
+            with pytest.raises(DomainError):
+                fdd(params, times, np.zeros(len(times)))
 
 
 def test_path_product_shape_and_determinism():
@@ -219,6 +222,10 @@ def test_fdd_theta_shape_validation():
         fdd_charfun(params, [1.0], [1.0, 0.0, 2.0])
     with pytest.raises(DomainError):
         fdd_charfun(params, [0.5, 1.0], np.zeros((2, 1)))
+    for fdd in (fdd_density, fdd_charfun):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                fdd(params, [0.5, 1.0], [[0.0, 1.0], [bad, 0.0]])
 
 
 def test_fdd_charfun_at_zero_is_one():

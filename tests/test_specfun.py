@@ -62,6 +62,16 @@ def test_mittag_leffler_domain_errors():
         mittag_leffler(1.2, -1.0)
     with pytest.raises(DomainError):
         mittag_leffler(0.5, 1.0)
+    for beta in (0.5, 1.0):
+        for z in (math.nan, -math.inf):
+            with pytest.raises(DomainError):
+                mittag_leffler(beta, z)
+
+
+def test_m_wright_domain_errors():
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            m_wright(0.5, tau)
 
 
 def _mittag_leffler_mpmath(mpmath, beta, x):
