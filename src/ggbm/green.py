@@ -2,14 +2,13 @@
 the time-integral kernel.
 
 The potential of a Gaussian test function is in closed form in every
-dimension; any other f (the bump, a custom f) goes through a radial
-quadrature with one cubature on each sphere, over the cap that meets f's
-reach (the whole sphere while it lies inside), implemented for d = 2, 3.
+dimension; any other radial f (the bump) goes through one radial quadrature
+of f's profile against the kernel's sphere means, also in every dimension.
+A custom f that is not radial has no potential here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -58,7 +57,10 @@ class TestFunction:
     states E[f(x + Z)] <= min(sup_norm, l1_norm (2 pi (spread + v))^(-d/2))
     for Z ~ N(0, v I) and every x; spread = 0 holds for every f.  gaussian
     states f(y) = f(center) exp(-|y - center|^2 / (2 spread)), spread > 0,
-    and gives f the potential in closed form.
+    and gives f the potential in closed form.  radial states that f(y)
+    depends on y only through |y - center|, and gives f the potential by
+    one radial quadrature.  center must be a finite point of R^dim and
+    reach >= 0.
     """
 
     eval_many: Callable[[np.ndarray], np.ndarray]
@@ -70,10 +72,13 @@ class TestFunction:
     center: np.ndarray = None
     spread: float = 0.0
     gaussian: bool = False
+    radial: bool = False
 
     def __post_init__(self):
-        if self.center is None:
-            object.__setattr__(self, "center", np.zeros(self.dim))
+        center = np.zeros(self.dim) if self.center is None else self.center
+        object.__setattr__(self, "center", _point(self.dim, center))
+        if not self.reach >= 0.0:
+            raise DomainError(f"a reach must be >= 0, got {self.reach:g}")
         if self.gaussian and not self.spread > 0.0:
             raise DomainError(f"a Gaussian needs spread > 0, got {self.spread:g}")
 
@@ -88,12 +93,11 @@ class TestFunction:
         return self.eval_many(pts)
 
 
-def _point(params: ModelParams, x) -> np.ndarray:
-    """x as a finite float point of R^d, d = params.dim; raises DomainError
-    otherwise."""
+def _point(dim: int, x) -> np.ndarray:
+    """x as a finite float point of R^dim; raises DomainError otherwise."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (params.dim,) or not np.isfinite(x).all():
-        raise DomainError(f"a point must be finite in dim {params.dim}, got {x}")
+    if x.shape != (dim,) or not np.isfinite(x).all():
+        raise DomainError(f"a point must be finite in dim {dim}, got {x}")
     return x
 
 
@@ -102,15 +106,16 @@ def as_point(params: ModelParams, f: TestFunction, x) -> np.ndarray:
     raises DomainError otherwise."""
     if f.dim != params.dim:
         raise DomainError(f"f has dim {f.dim}, but the process has dim {params.dim}")
-    return _point(params, x)
+    return _point(params.dim, x)
 
 
 def gaussian_test_function(sigma: float, dim: int, center=None,
                            amplitude: float = 1.0) -> TestFunction:
     """f(y) = A exp(-|y - c|^2 / (2 sigma^2)), spread sigma^2: its mean at
     variance v is at most |A| sigma^d (sigma^2 + v)^(-d/2)."""
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma:g}")
+    if not (0.0 < sigma < math.inf and math.isfinite(amplitude)):
+        raise DomainError(f"sigma must be positive and finite and the amplitude finite, "
+                          f"got {sigma:g} and {amplitude:g}")
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     l1 = abs(amplitude) * (2.0 * math.pi * sigma * sigma) ** (0.5 * dim)
 
@@ -132,14 +137,15 @@ def gaussian_test_function(sigma: float, dim: int, center=None,
 
     return TestFunction(eval_many=ev, sup_norm=abs(amplitude), l1_norm=l1, dim=dim,
                         reach=reach, kind=f"gaussian(sigma={sigma:g})", center=c,
-                        spread=sigma * sigma, gaussian=True)
+                        spread=sigma * sigma, gaussian=True, radial=True)
 
 
 def bump_test_function(radius: float, dim: int, center=None,
                        amplitude: float = 1.0) -> TestFunction:
     """Smooth bump A exp(1 - 1/(1 - (|y-c|/r)^2)) supported in |y-c| < r."""
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius:g}")
+    if not (0.0 < radius < math.inf and math.isfinite(amplitude)):
+        raise DomainError(f"radius must be positive and finite and the amplitude finite, "
+                          f"got {radius:g} and {amplitude:g}")
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
 
     def profile(u):
@@ -161,7 +167,8 @@ def bump_test_function(radius: float, dim: int, center=None,
     l1 = abs(amplitude) * unit_sphere_area(dim) * radius ** dim * shell
 
     return TestFunction(eval_many=ev, sup_norm=abs(amplitude), l1_norm=l1, dim=dim,
-                        reach=radius, kind=f"bump(radius={radius:g})", center=c)
+                        reach=radius, kind=f"bump(radius={radius:g})", center=c,
+                        radial=True)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +191,7 @@ class GreenDensity:
 
 
 def green_density_at(gd: GreenDensity, x, y) -> float:
-    x, y = _point(gd.params, x), _point(gd.params, y)
+    x, y = _point(gd.params.dim, x), _point(gd.params.dim, y)
     r = float(np.linalg.norm(x - y))
     if r == 0.0:
         raise DomainError("green density is singular at x = y")
@@ -205,69 +212,8 @@ def time_integral_kernel(alpha: float, d: int, tau: float, r: float) -> float:
 # Potentials
 # ---------------------------------------------------------------------------
 
-# Quadrature control for the potential integral: the tolerance, relative to
-# the value and to f's sup norm, and the cap on the angular rule size.
+# Relative tolerance of the radial quadrature of the potential
 _POTENTIAL_TOL = 1e-10
-_MAX_ANGULAR = 192
-
-
-@functools.lru_cache(maxsize=None)
-def _cap_rule(d: int, m: int):
-    """Reference rule on [-1, 1] for a spherical cap (d = 2, 3): m
-    Gauss-Legendre nodes, for the angle over the half-angle in d = 2 and for
-    the cosine of the polar angle in d = 3, then in d = 3 the cos and sin of
-    2m uniform azimuths.  Cached per (d, m), so the arrays are shared and
-    read-only.
-    """
-    if d == 2:
-        rule = np.polynomial.legendre.leggauss(m)
-    elif d == 3:
-        phi = 2.0 * math.pi * (np.arange(2 * m) + 0.5) / (2 * m)
-        rule = (*np.polynomial.legendre.leggauss(m), np.cos(phi), np.sin(phi))
-    else:
-        raise DomainError(f"sphere cubature implemented for d = 2, 3, got d = {d}")
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
-def _cap_nodes(frame: np.ndarray, cos_max: float, m: int):
-    """Nodes and weights on the cap of the unit sphere around the pole
-    frame[:, 0] of angular radius arccos(cos_max), from _cap_rule."""
-    d = frame.shape[0]
-    rule = _cap_rule(d, m)
-    if d == 2:
-        t, wt = rule
-        half = math.acos(cos_max)
-        local = np.stack([np.cos(half * t), np.sin(half * t)], axis=1)
-        w = half * wt
-    else:
-        t, wt, cphi, sphi = rule
-        mu = cos_max + 0.5 * (1.0 - cos_max) * (t + 1.0)
-        smu = np.sqrt(1.0 - mu * mu)
-        local = np.stack([np.repeat(mu, 2 * m), np.outer(smu, cphi).ravel(),
-                          np.outer(smu, sphi).ravel()], axis=1)
-        w = np.repeat(0.5 * (1.0 - cos_max) * wt * (math.pi / m), 2 * m)
-    return local @ frame.T, w
-
-
-def _surface_integral(f: TestFunction, x: np.ndarray, r: float, rule) -> float:
-    """Integral of f(x + r w) over the unit-sphere nodes and weights rule(m),
-    with m doubled from 12 until two successive rules agree; raises
-    ConvergenceError when m reaches _MAX_ANGULAR first.
-    """
-    m = 12
-    nodes, w = rule(m)
-    prev = float(np.dot(w, f.eval_many(x[None, :] + r * nodes)))
-    while m < _MAX_ANGULAR:
-        m *= 2
-        nodes, w = rule(m)
-        cur = float(np.dot(w, f.eval_many(x[None, :] + r * nodes)))
-        if abs(cur - prev) <= _POTENTIAL_TOL * max(f.sup_norm, abs(cur)):
-            return cur
-        prev = cur
-    raise ConvergenceError(f"sphere of radius {r:g} around x: no agreement "
-                           f"at {_MAX_ANGULAR} angular nodes")
 
 
 def _gaussian_potential(gd: GreenDensity, f: TestFunction, x: np.ndarray) -> float:
@@ -284,48 +230,48 @@ def _gaussian_potential(gd: GreenDensity, f: TestFunction, x: np.ndarray) -> flo
     return gd.D * amplitude * (2.0 * math.pi * s) ** (0.5 * d) * moment
 
 
+def _radial_potential(gd: GreenDensity, f: TestFunction, x: np.ndarray) -> float:
+    """V(f, x) for f(y) = phi(|y - c|): D area(S^(d-1)) int_0^reach phi(rho)
+    rho^(d-1) mean(rho) drho, with s = |x - c|, p = d - 2/alpha and the
+    kernel's mean over the sphere |y - c| = rho (Landkof 1972, ch. 1)
+      mean(rho) = max(s, rho)^(-p) 2F1(p/2, p/2 - d/2 + 1; d/2; (min/max)^2),
+    which is rho^(-p) at s = 0.  One quad, split at rho = s; raises
+    ConvergenceError when it does not reach its tolerance.
+    """
+    from scipy.integrate import quad
+
+    d, p = gd.params.dim, gd.exponent
+    s = float(np.linalg.norm(x - f.center))
+    axis = np.eye(d)[0]
+
+    def shell(rho):
+        phi = float(f.eval_many((f.center + rho * axis)[None, :])[0])
+        lo, hi = min(s, rho), max(s, rho)
+        mean = hi ** (-p) * (hyp2f1(0.5 * p, 0.5 * (p - d) + 1.0, 0.5 * d, (lo / hi) ** 2)
+                             if lo > 0.0 else 1.0)
+        return phi * rho ** (d - 1) * mean
+
+    # full_output returns QUADPACK's message in place of an IntegrationWarning
+    val, _, _, *failed = quad(shell, 0.0, f.reach, epsabs=0.0, epsrel=_POTENTIAL_TOL,
+                              limit=300, points=[s] if 0.0 < s < f.reach else None,
+                              full_output=1)
+    if failed:
+        raise ConvergenceError(f"radial quadrature of the potential at |x - c| = {s:g}: "
+                               f"{failed[0]}")
+    return gd.D * unit_sphere_area(d) * val
+
+
 def potential(gd: GreenDensity, f: TestFunction, x) -> float:
     """V(f, x) = D * int f(x + y) |y|^(2/alpha - d) dy: in closed form for a
-    Gaussian, by radial quadrature for any other f.
-
-    The substitution u = r^(2/alpha) removes the origin singularity exactly:
-    the integral becomes (alpha/2) * int_0^inf S(u^(alpha/2)) du with S the
-    spherical surface integral of f(x + .).  Only radii that meet the reach
-    of the center count, and on each sphere only the cap that lies inside
-    it: the whole sphere while it stays inside the reach.
+    declared Gaussian, by one radial quadrature for any other declared radial
+    f, in every dimension; raises DomainError for an f declared neither.
     """
     x = as_point(gd.params, f, x)
     if f.gaussian:
         return _gaussian_potential(gd, f, x)
-    from scipy.integrate import quad
-
-    alpha, d = gd.params.alpha, gd.params.dim
-    s = float(np.linalg.norm(x - f.center))
-    u_min = max(s - f.reach, 0.0) ** (2.0 / alpha)
-    u_max = (s + f.reach) ** (2.0 / alpha)
-    # an orthonormal frame whose first axis points from x to the center;
-    # at s = 0 every sphere is whole and any frame will do
-    frame = np.linalg.qr(np.column_stack([f.center - x, np.eye(d)]))[0]
-    if s > 0.0:
-        frame[:, 0] = (f.center - x) / s
-    whole = functools.lru_cache(maxsize=None)(functools.partial(_cap_nodes, frame, -1.0))
-
-    def sphere(r):
-        if r <= f.reach - s:
-            return _surface_integral(f, x, r, whole)
-        cos_max = (r * r + s * s - f.reach ** 2) / (2.0 * r * s)
-        cos_max = min(1.0, max(-1.0, cos_max))
-        return _surface_integral(f, x, r, functools.partial(_cap_nodes, frame, cos_max))
-
-    def integrand(u):
-        r = u ** (0.5 * alpha)
-        if r == 0.0:
-            r = 1e-300
-        return sphere(r)
-
-    val, _ = quad(integrand, u_min, u_max, epsabs=_POTENTIAL_TOL * f.sup_norm,
-                  epsrel=_POTENTIAL_TOL, limit=300)
-    return gd.D * 0.5 * alpha * val
+    if f.radial:
+        return _radial_potential(gd, f, x)
+    raise DomainError(f"the potential needs a Gaussian or radial f, got {f.kind}")
 
 
 def continuity_constant(gd: GreenDensity) -> float:
@@ -357,7 +303,7 @@ def green_measure_of_ball(gd: GreenDensity, x, center, r: float) -> float:
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"radius must be positive and finite, got {r:g}")
-    x, c = _point(gd.params, x), _point(gd.params, center)
+    x, c = _point(gd.params.dim, x), _point(gd.params.dim, center)
     alpha, d = gd.params.alpha, gd.params.dim
     a = 1.0 / alpha
     b = 0.5 * d - a

@@ -15,7 +15,7 @@ from ggbm import ConvergenceError, DomainError, GreenDensity, ModelParams, \
     green_density_at, green_measure_of_ball, potential, tail_bound, \
     time_integral_kernel
 from ggbm import green
-from ggbm.green import _TAIL_MASS, _cap_nodes, _cap_rule, unit_sphere_area
+from ggbm.green import _TAIL_MASS, unit_sphere_area
 from ggbm.specfun import green_constant
 
 
@@ -99,6 +99,41 @@ def test_bump_test_function_support():
     val, _ = quad(
         lambda r: f(np.array([r, 0.0])) * 2.0 * math.pi * r, 0.0, 1.5)
     assert f.l1_norm == pytest.approx(val, rel=1e-8)
+
+
+def _direct_test_function(scale, dim, center):
+    return green.TestFunction(eval_many=lambda pts: np.ones(len(pts)), sup_norm=1.0, l1_norm=1.0,
+                              dim=dim, reach=scale, center=center)
+
+
+@pytest.mark.parametrize("make_f", [gaussian_test_function, bump_test_function,
+                                    _direct_test_function], ids=["gaussian", "bump", "direct"])
+@pytest.mark.parametrize("center", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [5.0],
+                                    np.zeros((1, 3))], ids=["nan", "inf", "short", "2-d"])
+def test_test_function_center_is_a_finite_point(make_f, center):
+    """A centre that is not finite, or not of shape (dim,), is refused when
+    f is built, not broadcast or carried into a nan or zero potential."""
+    with pytest.raises(DomainError, match="finite in dim 3"):
+        make_f(1.0, 3, center=center)
+
+
+@pytest.mark.parametrize("reach", [math.nan, -1.0])
+def test_test_function_reach_is_not_negative(reach):
+    """A reach that is nan or negative is refused when f is built, not
+    carried into the radial quadrature's bounds."""
+    with pytest.raises(DomainError, match="reach"):
+        dataclasses.replace(bump_test_function(1.0, 3), reach=reach)
+
+
+@pytest.mark.parametrize("make_f", [gaussian_test_function, bump_test_function],
+                         ids=["gaussian", "bump"])
+@pytest.mark.parametrize("scale,amplitude", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                             (1.0, math.inf)])
+def test_factory_scale_and_amplitude_are_finite(make_f, scale, amplitude):
+    """A scale that is not positive and finite, or an amplitude that is not
+    finite, is refused, not carried into a nan or a ZeroDivisionError."""
+    with pytest.raises(DomainError, match="positive and finite"):
+        make_f(scale, 3, amplitude=amplitude)
 
 
 @pytest.mark.parametrize("make_f", [gaussian_test_function, bump_test_function],
@@ -193,30 +228,6 @@ def test_potential_off_center_vs_time_integral():
     assert v == pytest.approx(direct, rel=1e-8)
 
 
-@pytest.mark.parametrize("d,x", [(2, [0.7, -0.3]), (3, [0.4, 0.2, -0.5]),
-                                 (2, [6.0, -8.0]), (3, [6.0, 0.0, -8.0])])
-def test_potential_same_with_cached_rules(d, x, monkeypatch):
-    """From x inside the reach (about 7.7) the quadrature takes whole spheres,
-    then caps once they cross its edge; from x at distance 10, caps only."""
-    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
-    f = by_quadrature(gaussian_test_function(1.0, d))
-    assert f.reach < 10.0
-    first = potential(gd, f, x)
-    assert potential(gd, f, x) == first
-    monkeypatch.setattr(green, "_cap_rule", _cap_rule.__wrapped__)
-    assert potential(gd, f, x) == first
-
-
-@pytest.mark.parametrize("d,m", [(2, 24), (3, 48)])
-def test_cap_rule_cached_read_only(d, m):
-    rule = _cap_rule(d, m)
-    assert all(a is b for a, b in zip(_cap_rule(d, m), rule))
-    assert not any(a.flags.writeable for a in rule)
-    assert all(np.array_equal(a, b) for a, b in zip(rule, _cap_rule.__wrapped__(d, m)))
-    _, w = _cap_nodes(np.eye(d), -1.0, m)
-    assert math.isclose(w.sum(), unit_sphere_area(d), rel_tol=1e-12)
-
-
 @pytest.mark.parametrize("beta,alpha,d", [(1.0, 1.2, 4), (1.0, 1.8, 4),
                                           (1.0, 1.5, 5)])
 @pytest.mark.parametrize("offset", [0.0, 1.3])
@@ -259,23 +270,34 @@ def test_gaussian_fact_survives_replace_and_needs_spread():
         dataclasses.replace(f, spread=0.0)
 
 
-def test_potential_quadrature_limited_to_three_dimensions():
-    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 4))
-    for x in (np.zeros(4), np.full(4, 2.0)):
-        with pytest.raises(DomainError):
-            potential(gd, bump_test_function(1.0, 4), x)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_potential_refuses_non_radial_f(d):
+    """An f declared neither Gaussian nor radial has no potential, in any d;
+    the bump has a finite, positive one in d = 4 as in d = 2, 3."""
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
+    bump = bump_test_function(1.0, d)
+    for f in (dataclasses.replace(bump, radial=False),
+              dataclasses.replace(gaussian_test_function(1.0, d), gaussian=False, radial=False)):
+        with pytest.raises(DomainError, match="Gaussian or radial"):
+            potential(gd, f, np.zeros(d))
+    for x in (np.zeros(d), np.full(d, 2.0)):
+        v = potential(gd, bump, x)
+        assert math.isfinite(v) and v > 0.0
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
 @pytest.mark.parametrize("distance", [0.8, 5.0, 20.0, 50.0, 200.0])
 def test_potential_quadrature_matches_gaussian_closed_form(d, distance):
-    """The quadrature on a Gaussian, near and far: from 5 on, x lies outside
-    the reach and only caps of the spheres meet f."""
-    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, d))
-    f = gaussian_test_function(1.0, d, center=np.array([0.5, 1.5, 3.0][:d]))
+    """The radial quadrature on a Gaussian against its 1F1 closed form, near
+    and far, at alpha = 1.5, 1 and 2 wherever d alpha > 2."""
+    f = gaussian_test_function(1.0, d, center=np.resize([0.5, 1.5, 3.0], d))
     x = f.center + distance * np.ones(d) / math.sqrt(d)
-    assert potential(gd, by_quadrature(f), x) == pytest.approx(potential(gd, f, x),
-                                                               rel=1e-10)
+    for beta, alpha in ((0.5, 1.5), (1.0, 1.0), (0.5, 2.0)):
+        if d * alpha <= 2.0:
+            continue
+        gd = GreenDensity.from_params(ModelParams(beta, alpha, d))
+        assert potential(gd, by_quadrature(f), x) == pytest.approx(potential(gd, f, x),
+                                                                   rel=1e-10)
 
 
 def bump_radial_oracle(gd, distance):
@@ -321,18 +343,45 @@ def test_potential_bump_vs_radial_oracle(d, distance):
                                                 rel=1e-12)
 
 
-def test_potential_quadrature_raises_when_spheres_do_not_converge(monkeypatch):
-    """A sphere whose angular rule still moves at _MAX_ANGULAR nodes raises
-    instead of returning its last value."""
+def test_potential_quadrature_raises_when_it_does_not_converge():
+    """A radial profile that flips sign about 1e5 times inside its reach
+    raises instead of returning the quadrature's last value."""
     gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
-    monkeypatch.setattr(green, "_MAX_ANGULAR", 24)
-    with pytest.raises(ConvergenceError):
-        potential(gd, bump_test_function(1.0, 3), np.array([0.99, 0.0, 0.0]))
+    def flips(pts):
+        return np.sign(np.sin(1e5 * np.linalg.norm(pts, axis=-1)))
+
+    f = green.TestFunction(eval_many=flips, sup_norm=1.0, l1_norm=unit_sphere_area(3) / 3.0,
+                           dim=3, reach=1.0, radial=True)
+    for x in (np.zeros(3), np.array([0.5, 0.0, 0.0])):
+        with pytest.raises(ConvergenceError):
+            potential(gd, f, x)
+
+
+@pytest.mark.parametrize("beta,alpha,d", [(0.5, 1.5, 4), (0.5, 1.5, 5), (0.5, 1.5, 8),
+                                          (0.5, 2.0, 4), (0.7, 1.8, 5), (1.0, 0.5, 8)])
+@pytest.mark.parametrize("distance", [0.0, 0.5, 0.99, 1.5, 10.0])
+def test_potential_bump_vs_layer_cake(beta, alpha, d, distance):
+    """The bump is the layer cake f = int_0^1 (-phi'(rho)) 1{|y - c| < rho}
+    drho, so V(f, x) = int_0^1 (-phi'(rho)) G(x; c, rho) drho with G the ball
+    measure in closed form: other 2F1 parameters, integrated against phi'."""
+    gd = GreenDensity.from_params(ModelParams(beta, alpha, d))
+    c = np.linspace(-1.0, 1.0, d)
+    x = c.copy()
+    x[-1] += distance
+
+    def layer(rho):
+        slope = 2.0 * rho / (1.0 - rho * rho) ** 2 * math.exp(1.0 - 1.0 / (1.0 - rho * rho))
+        return slope * green_measure_of_ball(gd, x, c, rho)
+
+    ref, _ = quad(layer, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200,
+                  points=[distance] if 0.0 < distance < 1.0 else None)
+    assert potential(gd, bump_test_function(1.0, d, center=c), x) == pytest.approx(
+        ref, rel=1e-12)
 
 
 @pytest.mark.parametrize("amplitude", [1e-9, 1e-6, 1e3])
 def test_potential_quadrature_scales_with_amplitude(amplitude):
-    """The quadrature's tolerances follow f's sup norm, so V(A f) / A is V(f)
+    """The quadrature's tolerance is relative only, so V(A f) / A is V(f)
     for a small amplitude as for a large one."""
     gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 2))
     x = np.array([3.0, 3.0])
