@@ -129,6 +129,7 @@ def cmd_estimate_potential(args) -> int:
     payload = est.to_dict(params=params, f=f, x=x)
     gd = green_mod.GreenDensity.from_params(params)
     payload["analytic_potential"] = green_mod.potential(gd, f, x)
+    payload["budget"] = est.budget
     _emit(args, payload)
     return EXIT_OK
 

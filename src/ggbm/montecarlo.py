@@ -10,21 +10,24 @@ points and f's temporaries stay in cache.  A block's points stay in the
 component-major (d, times, paths) buffer the fBm sampler writes: they are
 shifted in place, f reads each component as a contiguous plane, and the
 trapezoid sums run over contiguous rows.  The blocks fill the chunk's
-per-path values, and every chunk returns the same four sums of them (the
-trapezoid integral on the grid and its difference from the half grid,
-each with its square); math.fsum adds each sum over the chunks in chunk
-order, so the result is bit-identical for any worker count.  The
-truncation at t_max enters the budget as a one-sided analytic tail bound.
+per-path values, and every chunk returns the same six sums of them (the
+first four powers of the trapezoid integral on the grid, and its
+difference from the half grid with its square); math.fsum adds each sum
+over the chunks in chunk order, so the result is bit-identical for any
+worker count.  The truncation at t_max enters the budget as a one-sided
+analytic tail bound, the grid error as the grid-vs-half-grid difference.
 
 For a Gaussian f the mean g along the paths is known at every t and x, so
 the estimator swaps the grid's exact mean sum_j w_j g(t_j) for the whole
-integral of g, a closed form: grid bias and tail are exact and in the mean,
-the tail bound is 0, and the grid-vs-half-grid difference is taken less
-its exact mean.
-The clock then only has to keep the variance low.  It does so at half the
-density every other f needs, and it starts where fBm's variance t^alpha
-reaches a tenth of f's spread: before that f(x + B(t)) is almost the
-constant f(x) on every path, so those decades add points but no variance.
+integral of g, a closed form: grid bias and tail are exact and in the
+mean, so the tail and discretization bounds are both 0 and the budget is
+3 SE.  The variance of the per-path sum is a closed form too
+(_gaussian_grid_moments), against which verify checks the sampled SE.
+The clock then only has to keep the variance low.  It does so at a
+quarter of the density every other f needs, and it starts where fBm's
+variance t^alpha reaches a tenth of f's spread: before that f(x + B(t))
+is almost the constant f(x) on every path, so those decades add points
+but no variance.
 """
 
 from __future__ import annotations
@@ -49,21 +52,26 @@ __all__ = [
     "Estimate",
     "build_time_grid",
     "estimate_potential_mc",
+    "exact_gaussian_moments",
     "tail_bound",
 ]
 
 # The time grid: 0, then geometric from _T_MIN to t_max with at least
 # _STEPS_PER_DECADE intervals per decade.  A chunk costs linearly in the
-# grid size for draws and f and as its square for the fBm GEMM; at 32 the
-# discretization bound stays below half of 3 SE at 2e4 paths.  A Gaussian
-# f's grid bias is exact and folded out, so its clock runs at 16, where
-# the discretization term measured on the folded values stays below that
-# bound too (8 does not); any other f keeps 32, which at 16 would widen
-# its budget by more than the time it saves.  Every other f's clock starts
-# at _T_MIN; a Gaussian's starts where t^alpha is _GAUSSIAN_START_SPREAD
-# times its spread, clamped to [_T_MIN, t_max / 10] (see _clock).
+# grid size for draws and f and as its square for the fBm GEMM.  At 32 the
+# radius-1 bump's discretization bound at 2e4 paths, seed 42, is 0.15 to
+# 0.76 of half of 3 SE at its centre at (0.5, 1.5, 3), (0.9, 2, 2) and
+# (1, 1, 3), and 0.07 to 0.96 at |x - c| = 1.5; at (0.8, 1.2, 2) it is
+# 1.55 and 1.34 times that, so there the grid, not the path count, sets
+# much of the budget.  A Gaussian f has no discretization term, its grid
+# bias being exact and folded out, so its clock only has to keep the
+# per-path variance low: at 8 per decade the per-path SD is 0.6 to 7.8 %
+# above 16's at t_max = 50, for half the points.  Every other f's clock
+# starts at _T_MIN; a Gaussian's starts where t^alpha is
+# _GAUSSIAN_START_SPREAD times its spread, clamped to [_T_MIN, t_max / 10]
+# (see _clock).
 _STEPS_PER_DECADE = 32
-_GAUSSIAN_STEPS_PER_DECADE = 16
+_GAUSSIAN_STEPS_PER_DECADE = 8
 _GAUSSIAN_START_SPREAD = 0.1
 _T_MIN = 1e-3
 # paths per chunk, each chunk with its own stream
@@ -99,9 +107,11 @@ class PerpetualSpec:
 @dataclass(frozen=True)
 class Estimate:
     """Monte Carlo result and its error budget.  For a Gaussian f the exact
-    tail and grid bias are in mean, tail_bound is 0 and discretization_bound
-    is measured on the bias-corrected values; for any other f tail_bound is
-    the one-sided bound of tail_bound()."""
+    tail and grid bias are in mean, so tail_bound and discretization_bound
+    are 0; for any other f tail_bound is the one-sided bound of tail_bound()
+    and discretization_bound the grid-vs-half-grid estimate.  kurtosis is
+    that of the per-path values, E[(v - mu)^4] / var^2, which sets the
+    sampling spread of std_error; to_dict leaves it out."""
 
     mean: float
     std_error: float
@@ -110,6 +120,12 @@ class Estimate:
     discretization_bound: float
     t_max: float
     seed: SeedSpec
+    kurtosis: float
+
+    @property
+    def budget(self) -> float:
+        """The certified half-width 3 SE + tail bound + discretization bound."""
+        return 3.0 * self.std_error + self.tail_bound + self.discretization_bound
 
     def to_dict(self, params: ModelParams | None = None,
                 f: TestFunction | None = None, x=None) -> dict:
@@ -138,6 +154,15 @@ def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
     """Sample mean and its standard error from the sum and sum of squares."""
     var = max(0.0, (total_sq - total * total / n) / max(1, n - 1))
     return total / n, math.sqrt(var / n)
+
+
+def _kurtosis(s1: float, s2: float, s3: float, s4: float, n: int) -> float:
+    """E[(v - mu)^4] / var^2 of n values from their power sums; nan when
+    the values are all equal."""
+    mu = s1 / n
+    var = s2 / n - mu * mu
+    m4 = (s4 - 4.0 * mu * s3 + 6.0 * mu * mu * s2) / n - 3.0 * mu ** 4
+    return m4 / (var * var) if var > 0.0 else math.nan
 
 
 def build_time_grid(spec: PerpetualSpec, steps_per_decade: int = _STEPS_PER_DECADE,
@@ -202,11 +227,11 @@ def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _chunk_sums(params: ModelParams, f: TestFunction, x: np.ndarray, times: np.ndarray,
                 weights: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,
                 n: int) -> tuple[float, ...]:
-    """One chunk's four sums over its n paths: the trapezoid integral on
-    the grid (weights[0]) and its difference from the half grid
-    (weights[1]), each with its square.  The paths are drawn from rng and
-    evaluated _BLOCK_SIZE at a time; their per-path values fill chunk-long
-    arrays, each reduced once."""
+    """One chunk's six sums over its n paths: the first four powers of the
+    trapezoid integral on the grid (weights[0]), and its difference from
+    the half grid (weights[1]) with its square.  The paths are drawn from
+    rng and evaluated _BLOCK_SIZE at a time; their per-path values fill
+    chunk-long arrays, each reduced once."""
     w_fine, w_coarse = weights
     f0, fine, diff = f(x), np.empty(n), np.empty(n)
     for lo in range(0, n, _BLOCK_SIZE):
@@ -215,7 +240,9 @@ def _chunk_sums(params: ModelParams, f: TestFunction, x: np.ndarray, times: np.n
         fine[lo:hi] = _trapezoid(f0, fv, w_fine)
         # the coarse grid times[::2] is t = 0 and then every second row of fv
         diff[lo:hi] = fine[lo:hi] - _trapezoid(f0, fv[1::2], w_coarse)
-    return tuple(float(np.add.reduce(v)) for v in (fine, fine * fine, diff, diff * diff))
+    sq = fine * fine
+    return tuple(float(np.add.reduce(v))
+                 for v in (fine, sq, sq * fine, sq * sq, diff, diff * diff))
 
 
 def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
@@ -236,6 +263,44 @@ def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
     amplitude, v = f(f.center), s / (s + times ** alpha)
     integral = amplitude * s ** a * a * beta_function(b, a) * hyp1f1(b, b + a, -z)
     return amplitude * v ** (0.5 * d) * np.exp(-z * v), float(integral)
+
+
+def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
+                           times: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Exact mean and variance of the per-path sum w . f(x + B_H(times)) for
+    a Gaussian f.  The mean is w . g (_gaussian_mean); the second moment is
+    w^T C w with C_jk = E f(x + B_j) f(x + B_k)
+    = A^2 (s^2 / D)^(d/2) exp(-|x - c|^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
+    A = f(c) and s = f.spread, where K = [[a_j, k_jk], [k_jk, a_k]] is fBm's
+    covariance at (t_j, t_k), a_j = t_j^alpha, and D = det(s I + K)."""
+    d, s = params.dim, f.spread
+    r2 = float(np.sum((x - f.center) ** 2))
+    a = times ** params.alpha
+    aj, ak = a[:, None], a[None, :]
+    k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
+    det = (s + aj) * (s + ak) - k * k
+    c = f(f.center) ** 2 * (s * s / det) ** (0.5 * d) * np.exp(
+        -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
+    g, _ = _gaussian_mean(params, f, x, times)
+    return float(w @ g), float(w @ (c - np.outer(g, g)) @ w)
+
+
+def exact_gaussian_moments(params: ModelParams, f: TestFunction, x,
+                           spec: PerpetualSpec) -> tuple[float, float]:
+    """The mean and standard error that estimate_potential_mc's estimate
+    has for a Gaussian f, in closed form: the mean is m int_0^inf g dt, the
+    whole integral the fold swaps in, and the standard error
+    m sqrt(var / n_paths), var the exact variance of the per-path trapezoid
+    sum on f's clock, m = E[Y^(-1/alpha)].  The variance is the first
+    moment that depends on the paths' two-time law."""
+    if not f.gaussian:
+        raise DomainError(f"{f.kind} is not declared Gaussian")
+    x = as_point(params, f, x)
+    times = _clock(params, f, spec)
+    _, integral = _gaussian_mean(params, f, x, times)
+    _, var = _gaussian_grid_moments(params, f, x, times, _trapezoid_weights(times))
+    m = m_wright_moment(params.beta, -1.0 / params.alpha)
+    return m * integral, m * math.sqrt(max(var, 0.0) / spec.n_paths)
 
 
 def tail_bound(params: ModelParams, f: TestFunction, t_max: float) -> float:
@@ -295,15 +360,14 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         results = list(pool.map(run_chunk, chunks))
 
     n = spec.n_paths
-    total, total_sq, dsum, dsq = (math.fsum(col) for col in zip(*results))
-    mean, std_error = _mean_and_se(total, total_sq, n)
-    dmean, dse = _mean_and_se(dsum, dsq, n)
+    s1, s2, s3, s4, dsum, dsq = (math.fsum(col) for col in zip(*results))
+    mean, std_error = _mean_and_se(s1, s2, n)
     if f.gaussian:  # the mean is exact: swap the grid's for the whole integral
         g, integral = _gaussian_mean(params, f, x, times)
-        fine, coarse = math.fsum(w_fine * g), math.fsum(w_coarse * g[::2])
-        mean, dmean, tail = mean - fine + integral, dmean - (fine - coarse), 0.0
+        mean, tail, disc = mean - math.fsum(w_fine * g) + integral, 0.0, 0.0
     else:
-        tail = tail_bound(params, f, spec.t_max)
+        dmean, dse = _mean_and_se(dsum, dsq, n)
+        tail, disc = tail_bound(params, f, spec.t_max), abs(dmean) + 2.0 * dse
     m = m_wright_moment(params.beta, -1.0 / params.alpha)
 
     return Estimate(
@@ -311,7 +375,8 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         std_error=m * std_error,
         n_paths=n,
         tail_bound=tail,
-        discretization_bound=m * (abs(dmean) + 2.0 * dse),
+        discretization_bound=m * disc,
         t_max=spec.t_max,
         seed=spec.seed,
+        kurtosis=_kurtosis(s1, s2, s3, s4, n),
     )

@@ -137,15 +137,23 @@ def suite_moments(beta=0.5, alpha=1.5, paths=100_000, seed=42, **_):
 
 
 def suite_covariance(beta=0.5, alpha=1.5, dim=2, paths=100_000, seed=42, **_):
+    """E[B(s) . B(t)] = d E[Y] K_st within 3 exact standard errors.  With
+    B = sqrt(Y) B_H and K fBm's covariance, X = Y sum_i B_Hi(s) B_Hi(t) has
+    Var X = E[Y^2] (d K_ss K_tt + d (d + 1) K_st^2) - (d E[Y] K_st)^2,
+    E[Y] = 1 / Gamma(1 + beta) and E[Y^2] = 2 / Gamma(1 + 2 beta)."""
     params = ModelParams(beta, alpha, dim)
     b = ggbm_paths(params, _GRID, paths, SeedSpec(seed, 901))
+    ey, ey2 = 1.0 / math.gamma(1.0 + beta), 2.0 / math.gamma(1.0 + 2.0 * beta)
     checks = []
     for (s, t) in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0)):
-        expected = dim / (2.0 * math.gamma(beta + 1.0)) * (
-            s ** alpha + t ** alpha - abs(t - s) ** alpha)
-        checks.append(_mc_check(
-            f"covariance s={s} t={t}", "covariance-identity",
-            expected, np.sum(_at(b, s) * _at(b, t), axis=1)))
+        kss, ktt = s ** alpha, t ** alpha
+        kst = 0.5 * (kss + ktt - abs(t - s) ** alpha)
+        expected = dim * ey * kst
+        var = ey2 * (dim * kss * ktt + dim * (dim + 1) * kst * kst) - expected * expected
+        checks.append(_check(
+            f"covariance s={s} t={t}", "covariance-identity", expected,
+            float(np.mean(np.sum(_at(b, s) * _at(b, t), axis=1))),
+            3.0 * math.sqrt(var / paths)))
     return checks
 
 
@@ -204,34 +212,56 @@ def suite_representation(beta=0.5, alpha=1.5, dim=1, paths=10_000, seed=42, **_)
     return checks
 
 
-def _potential_check(name, params, f, spec, threads):
-    """The perpetual integral of f from x = 0 against the analytic potential
-    within the certified budget, with the budget over V and the share of
-    each term in it."""
+def _potential_checks(tag, params, f, spec, threads):
+    """Three checks of a Gaussian f's perpetual integral from x = 0.
+
+    - The estimate against the analytic potential within the certified
+      budget, with the budget over V and the share of each term in it.
+    - The sampled SE against the exact SE of the grid variance, a check of
+      the two-time law of the paths on the estimator's clock, which the
+      mean does not see.  The sample SD's relative spread
+      is sqrt((kappa - 1) / (4 n)) for per-path kurtosis kappa; the check
+      allows three of it.
+    - The fold's m B(b, 1/alpha) s^(1/alpha) / alpha against the
+      potential's prefactor through D, both at f's centre, where the 1F1
+      they share is 1: a deterministic check at 1e-12.
+    """
     x = np.zeros(params.dim)
-    analytic = green_mod.potential(green_mod.GreenDensity.from_params(params), f, x)
+    gd = green_mod.GreenDensity.from_params(params)
+    analytic = green_mod.potential(gd, f, x)
     est = mc.estimate_potential_mc(params, f, x, spec, threads=threads)
-    budget = 3.0 * est.std_error + est.tail_bound + est.discretization_bound
-    check = _check(name, "potential-identity", analytic, est.mean, budget)
-    check.update(budget_rel=float(budget / analytic),
-                 se_share=3.0 * est.std_error / budget,
-                 tail_share=est.tail_bound / budget,
-                 disc_share=est.discretization_bound / budget)
-    return check
+    budget = est.budget
+    identity = _check(f"perpetual-integral {tag}", "potential-identity", analytic,
+                      est.mean, budget)
+    identity.update(budget_rel=float(budget / analytic),
+                    se_share=3.0 * est.std_error / budget,
+                    tail_share=est.tail_bound / budget,
+                    disc_share=est.discretization_bound / budget)
+    _, exact_se = mc.exact_gaussian_moments(params, f, x, spec)
+    spread = math.sqrt(max(est.kurtosis - 1.0, 0.0) / (4.0 * est.n_paths))
+    se = _check(f"standard-error {tag}", "grid-variance-identity", exact_se,
+                est.std_error, 3.0 * spread * exact_se)
+    se.update(kurtosis=float(est.kurtosis))
+    centre = green_mod.potential(gd, f, f.center)
+    prefactor = _check(f"potential-prefactor {tag}", "potential-prefactor-identity", centre,
+                       mc.exact_gaussian_moments(params, f, f.center, spec)[0],
+                       1e-12 * abs(centre))
+    return [identity, se, prefactor]
 
 
 def suite_green(beta=0.5, alpha=1.5, dim=3, paths=100_000, seed=42,
                 t_max=50.0, threads=1, **_):
-    """The potential identity for a unit Gaussian centred at x = 0 and for
-    one centred at 1.5 e_1, on the same paths, then the Brownian constant."""
+    """The potential identity, the exact SE and the prefactor for a unit
+    Gaussian centred at x = 0 and for one centred at 1.5 e_1, on the same
+    paths, then the Brownian constant."""
     params = ModelParams(beta, alpha, dim)
     spec = mc.PerpetualSpec(t_max=t_max, n_paths=paths, seed=SeedSpec(seed, 0))
     tag = f"beta={beta} alpha={alpha} d={dim}"
     off = green_mod.gaussian_test_function(1.0, dim, center=1.5 * np.eye(dim)[0])
     return [
-        _potential_check(f"perpetual-integral {tag}", params,
-                         green_mod.gaussian_test_function(1.0, dim), spec, threads),
-        _potential_check(f"perpetual-integral off-centre {tag}", params, off, spec, threads),
+        *_potential_checks(tag, params, green_mod.gaussian_test_function(1.0, dim),
+                           spec, threads),
+        *_potential_checks(f"off-centre {tag}", params, off, spec, threads),
         _check("brownian-constant", "classical-brownian-green-function",
                1.0 / (2.0 * math.pi), green_constant(1.0, 1.0, 3), 1e-12),
     ]

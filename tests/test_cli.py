@@ -201,9 +201,9 @@ def test_verify_green_identical_under_blas_thread_counts(tmp_path):
                                                 rel=1e-12)
     shares = (check["se_share"], check["tail_share"], check["disc_share"])
     assert sum(shares) == pytest.approx(1.0, rel=1e-12)
-    # the Gaussian's tail at its centre is exact, so it is in the mean
-    assert check["tail_share"] == 0.0
-    assert check["se_share"] > 0.0 and check["disc_share"] > 0.0
+    # the Gaussian's tail and grid bias are exact, so they are in the mean
+    assert check["tail_share"] == 0.0 and check["disc_share"] == 0.0
+    assert check["se_share"] == 1.0
 
 
 @pytest.mark.parametrize("args", [
@@ -222,7 +222,8 @@ def test_sample_identical_under_blas_thread_counts(args):
 
 
 def test_estimate_potential_json(tmp_path):
-    """A Gaussian's exact tail is in the mean, at its centre and off it."""
+    """A Gaussian's exact tail and grid bias are in the mean, at its centre
+    and off it, so the reported budget is 3 SE."""
     for x in ("", "0.5,0,0"):
         out = tmp_path / "est.json"
         assert main(["estimate-potential", "--beta", "1.0", "--alpha", "1.0",
@@ -233,9 +234,9 @@ def test_estimate_potential_json(tmp_path):
         assert payload["mean"] > 0.0
         assert payload["std_error"] > 0.0
         assert payload["tail_bound"] == 0.0
-        budget = (3.0 * payload["std_error"] + payload["tail_bound"]
-                  + payload["discretization_bound"])
-        assert abs(payload["mean"] - payload["analytic_potential"]) <= budget
+        assert payload["discretization_bound"] == 0.0
+        assert payload["budget"] == 3.0 * payload["std_error"]
+        assert abs(payload["mean"] - payload["analytic_potential"]) <= payload["budget"]
 
 
 def test_estimate_potential_four_dimensions(tmp_path):

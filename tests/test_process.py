@@ -231,3 +231,22 @@ def test_fdd_theta_shape_validation():
 def test_fdd_charfun_at_zero_is_one():
     params = ModelParams(0.5, 1.5, 2)
     assert fdd_charfun(params, [0.5, 1.0], np.zeros((2, 2))) == 1.0
+
+
+def test_covariance_suite_tolerance_is_the_exact_standard_error():
+    """The covariance suite holds the sample mean of Y B_H(s) . B_H(t) to 3
+    exact standard errors: the same at every seed, and at beta = 1 (Y = 1)
+    Isserlis' Var = d (K_ss K_tt + K_st^2) per path."""
+    from ggbm.verify import run_suite
+
+    def tolerances(beta, seed):
+        rep = run_suite("covariance", beta=beta, alpha=1.5, dim=3, paths=1000, seed=seed)
+        return [c["tolerance"] for c in rep["checks"]]
+
+    assert tolerances(0.5, 1) == tolerances(0.5, 2)
+    expected = []
+    for s, t in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0)):
+        kss, ktt = s ** 1.5, t ** 1.5
+        kst = 0.5 * (kss + ktt - abs(t - s) ** 1.5)
+        expected.append(3.0 * math.sqrt(3.0 * (kss * ktt + kst * kst) / 1000))
+    assert tolerances(1.0, 1) == pytest.approx(expected, rel=1e-14)
