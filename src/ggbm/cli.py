@@ -19,7 +19,7 @@ from . import green as green_mod
 from . import montecarlo as mc
 from . import verify as verify_mod
 from .exceptions import GgbmError
-from .fbm import GridSpec, generate_fbm
+from .fbm import GridSpec, generate_fbm, write_table
 from .model import ModelParams
 from .process import fdd_charfun, marginal_density
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
@@ -83,15 +83,11 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     seed = SeedSpec(_default_seed(args), 0)
     what = args.what
+    target = args.out if args.out else sys.stdout
     if what == "ybeta":
         rng = make_stream(seed)
         ys = sample_y_beta_array(args.beta, rng, args.n)
-        lines = "\n".join(f"{y:.17g}" for y in ys) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(lines)
-        else:
-            sys.stdout.write(lines)
+        write_table(target, ys[:, None])
         return EXIT_OK
     grid = GridSpec(t_max=args.t_max, n_steps=args.steps)
     if what == "fbm":
@@ -100,7 +96,7 @@ def cmd_sample(args) -> int:
         from .process import ggbm_path_product
         params = ModelParams(args.beta, args.alpha, args.dim)
         path = ggbm_path_product(params, grid, seed)
-    path.to_csv(args.out if args.out else sys.stdout)
+    path.to_csv(target)
     return EXIT_OK
 
 

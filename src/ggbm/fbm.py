@@ -2,7 +2,8 @@
 
 Uniform grids use the minimal circulant embedding of the increment process
 (Davies-Harte: exact in law, O(n log n), no BLAS, nonnegative-definite for
-every H < 1); dense Cholesky of the path covariance serves arbitrary grids.
+every H < 1), computed with real FFTs on the Hermitian half of the
+spectrum; dense Cholesky of the path covariance serves arbitrary grids.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .randvar import SeedSpec, make_stream
 __all__ = [
     "GridSpec",
     "Path",
+    "write_table",
     "generate_fbm",
     "fbm_covariance",
     "fbm_cholesky_factor",
@@ -63,15 +65,24 @@ class Path:
     def to_csv(self, target) -> None:
         """Write `t,x1,...,xd` rows with 17 significant digits."""
         header = "t," + ",".join(f"x{i + 1}" for i in range(self.dim))
-        rows = [header]
-        for t, row in zip(self.times, self.values):
-            rows.append(",".join(f"{v:.17g}" for v in (t, *row)))
-        text = "\n".join(rows) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)
+        write_table(target, np.column_stack([self.times, self.values]), header)
+
+
+def write_table(target, table: np.ndarray, header: str | None = None) -> None:
+    """Write the rows of a 2-D table, comma-separated with 17 significant
+    digits (the bytes of f"{v:.17g}"), each line ending in a newline, after
+    an optional header line; target is a stream or a file path.  One
+    %-template formats the whole table."""
+    rows, cols = table.shape
+    template = "\n".join([",".join(["%.17g"] * cols)] * rows)
+    text = template % tuple(table.ravel().tolist()) + "\n"
+    if header is not None:
+        text = header + "\n" + text
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w") as fh:
+            fh.write(text)
 
 
 def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:
@@ -92,26 +103,29 @@ def _fgn_circulant(hurst: float, n: int, dim: int,
                    rng: np.random.Generator) -> np.ndarray:
     """(n, dim) unit-spacing fractional Gaussian noise, i.i.d. components,
     by the minimal circulant embedding c = [gamma(0..n), gamma(n-1..1)] of
-    the autocovariance (Davies-Harte).  One standard_normal((dim, 2n))
-    draw, the same draws in the same order as one call per component.
+    the autocovariance (Davies-Harte).  c is real and symmetric, so its
+    eigenvalues are the real half spectrum rfft(c), and the noise is one
+    irfft of the (dim, n + 1) Hermitian half, the factor 2n folded into the
+    square roots.  One standard_normal((dim, 2n)) draw, the same draws in
+    the same order as one call per component.
     Raises EmbeddingError on negative circulant eigenvalues.
     """
     acf = _fgn_autocov(hurst, np.arange(n + 1))
     c = np.concatenate([acf, acf[n - 1:0:-1]])
-    g = np.fft.fft(c).real
+    g = np.fft.rfft(c).real
     if g.min() < -1e-9 * g.max():
         raise EmbeddingError(
             f"circulant embedding not nonnegative-definite (H={hurst:g}, n={n})"
         )
     g = np.maximum(g, 0.0)
     z = rng.standard_normal((dim, 2 * n))
-    w = np.zeros((dim, 2 * n), dtype=complex)
-    w[:, 0] = math.sqrt(g[0] / (2 * n)) * z[:, 0]
-    w[:, n] = math.sqrt(g[n] / (2 * n)) * z[:, 1]
-    x, y = z[:, 2:n + 1], z[:, n + 1:2 * n]
-    w[:, 1:n] = np.sqrt(g[1:n] / (4 * n)) * (x + 1j * y)
-    w[:, n + 1:] = np.conj(w[:, n - 1:0:-1])
-    return np.fft.fft(w, axis=1).real[:, :n].T
+    v = np.zeros((dim, n + 1), dtype=complex)
+    v.real[:, 0] = math.sqrt(2 * n * g[0]) * z[:, 0]
+    v.real[:, n] = math.sqrt(2 * n * g[n]) * z[:, 1]
+    s = np.sqrt(n * g[1:n])
+    np.multiply(s, z[:, 2:n + 1], out=v.real[:, 1:n])
+    np.multiply(-s, z[:, n + 1:2 * n], out=v.imag[:, 1:n])
+    return np.fft.irfft(v, 2 * n, axis=1)[:, :n].T
 
 
 def fbm_covariance(times: np.ndarray, hurst: float) -> np.ndarray:

@@ -10,12 +10,13 @@ points and f's temporaries stay in cache.  A block's points stay in the
 component-major (d, times, paths) buffer the fBm sampler writes: they are
 shifted in place, f reads each component as a contiguous plane, and the
 trapezoid sums run over contiguous rows.  The blocks fill the chunk's
-per-path values, and every chunk returns the same six sums of them (the
-first four powers of the trapezoid integral on the grid, and its
-difference from the half grid with its square); math.fsum adds each sum
-over the chunks in chunk order, so the result is bit-identical for any
-worker count.  The truncation at t_max enters the budget as a one-sided
-analytic tail bound, the grid error as the grid-vs-half-grid difference.
+per-path values, and every chunk returns the same sums of them (the first
+four powers of the trapezoid integral on the grid, and, for an f not
+declared Gaussian, its difference from the half grid with its square);
+math.fsum adds each sum over the chunks in chunk order, so the result is
+bit-identical for any worker count.  The truncation at t_max enters the
+budget as a one-sided analytic tail bound, the grid error as the
+grid-vs-half-grid difference.
 
 For a Gaussian f the mean g along the paths is known at every t and x, so
 the estimator swaps the grid's exact mean sum_j w_j g(t_j) for the whole
@@ -225,24 +226,29 @@ def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _chunk_sums(params: ModelParams, f: TestFunction, x: np.ndarray, times: np.ndarray,
-                weights: tuple[np.ndarray, np.ndarray], rng: np.random.Generator,
+                weights: tuple[np.ndarray, np.ndarray | None], rng: np.random.Generator,
                 n: int) -> tuple[float, ...]:
-    """One chunk's six sums over its n paths: the first four powers of the
-    trapezoid integral on the grid (weights[0]), and its difference from
-    the half grid (weights[1]) with its square.  The paths are drawn from
-    rng and evaluated _BLOCK_SIZE at a time; their per-path values fill
-    chunk-long arrays, each reduced once."""
+    """One chunk's sums over its n paths: the first four powers of the
+    trapezoid integral on the grid (weights[0]), then, unless weights[1] is
+    None (a declared Gaussian has no discretization term), its difference
+    from the half grid (weights[1]) with its square.  The paths are drawn
+    from rng and evaluated _BLOCK_SIZE at a time; their per-path values
+    fill chunk-long arrays, each reduced once."""
     w_fine, w_coarse = weights
-    f0, fine, diff = f(x), np.empty(n), np.empty(n)
+    f0, fine = f(x), np.empty(n)
+    diff = None if w_coarse is None else np.empty(n)
     for lo in range(0, n, _BLOCK_SIZE):
         hi = min(lo + _BLOCK_SIZE, n)
         fv = _block_values(params, f, x, times, rng, hi - lo)
         fine[lo:hi] = _trapezoid(f0, fv, w_fine)
-        # the coarse grid times[::2] is t = 0 and then every second row of fv
-        diff[lo:hi] = fine[lo:hi] - _trapezoid(f0, fv[1::2], w_coarse)
+        if diff is not None:
+            # the coarse grid times[::2] is t = 0 and then every second row of fv
+            diff[lo:hi] = fine[lo:hi] - _trapezoid(f0, fv[1::2], w_coarse)
     sq = fine * fine
-    return tuple(float(np.add.reduce(v))
-                 for v in (fine, sq, sq * fine, sq * sq, diff, diff * diff))
+    sums = [fine, sq, sq * fine, sq * sq]
+    if diff is not None:
+        sums += [diff, diff * diff]
+    return tuple(float(np.add.reduce(v)) for v in sums)
 
 
 def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
@@ -346,7 +352,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     x = as_point(params, f, x)
     times = _clock(params, f, spec)
     w_fine = _trapezoid_weights(times)
-    w_coarse = _trapezoid_weights(times[::2])
+    w_coarse = None if f.gaussian else _trapezoid_weights(times[::2])
 
     chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
               for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
@@ -360,13 +366,13 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         results = list(pool.map(run_chunk, chunks))
 
     n = spec.n_paths
-    s1, s2, s3, s4, dsum, dsq = (math.fsum(col) for col in zip(*results))
+    s1, s2, s3, s4, *dsums = (math.fsum(col) for col in zip(*results))
     mean, std_error = _mean_and_se(s1, s2, n)
     if f.gaussian:  # the mean is exact: swap the grid's for the whole integral
         g, integral = _gaussian_mean(params, f, x, times)
         mean, tail, disc = mean - math.fsum(w_fine * g) + integral, 0.0, 0.0
     else:
-        dmean, dse = _mean_and_se(dsum, dsq, n)
+        dmean, dse = _mean_and_se(*dsums, n)
         tail, disc = tail_bound(params, f, spec.t_max), abs(dmean) + 2.0 * dse
     m = m_wright_moment(params.beta, -1.0 / params.alpha)
 

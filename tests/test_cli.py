@@ -5,9 +5,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import ggbm.cli
 from ggbm.cli import main
+from ggbm.randvar import SeedSpec, make_stream, sample_y_beta_array
 
 CLI = [sys.executable, "-m", "ggbm.cli"]
 
@@ -120,6 +123,31 @@ def test_sample_ybeta_reproducible(tmp_path):
     vals = [float(v) for v in out1.read_text().split()]
     assert len(vals) == 20
     assert all(v > 0.0 for v in vals)
+
+
+_YBETA_EDGES = [-0.0, 5e-324, 1e-300, 1e308, 0.5, 2.0 / 3.0]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stream", "file"])
+@pytest.mark.parametrize("values", ["draws", "edges", "empty"])
+def test_sample_ybeta_bytes_match_per_value_writer(values, to_file, tmp_path,
+                                                   capsys, monkeypatch):
+    """`sample ybeta` writes the bytes of one f-string per value, the
+    reference kept here: on real draws, on edge values (-0.0, the smallest
+    subnormal, a tiny and a huge normal) and on an empty sample, whose
+    output is one newline."""
+    n = {"draws": 300, "edges": len(_YBETA_EDGES), "empty": 0}[values]
+    if values == "edges":
+        monkeypatch.setattr(ggbm.cli, "sample_y_beta_array",
+                            lambda beta, rng, n: np.array(_YBETA_EDGES))
+        ys = np.array(_YBETA_EDGES)
+    else:
+        ys = sample_y_beta_array(0.7, make_stream(SeedSpec(5, 0)), n)
+    args = ["sample", "ybeta", "--beta", "0.7", "-n", str(n), "--seed", "5"]
+    out = tmp_path / "y.txt"
+    assert main(args + (["--out", str(out)] if to_file else [])) == 0
+    text = out.read_bytes().decode() if to_file else capsys.readouterr().out
+    assert text == "\n".join(f"{y:.17g}" for y in ys) + "\n"
 
 
 def test_sample_fbm_csv_shape(tmp_path):

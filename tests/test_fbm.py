@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from ggbm import DomainError, GridSpec, SeedSpec, blas, generate_fbm
-from ggbm.fbm import (_fgn_autocov, _fgn_circulant, fbm_cholesky_factor,
+from ggbm import DomainError, EmbeddingError, GridSpec, SeedSpec, blas, generate_fbm
+from ggbm import fbm
+from ggbm.fbm import (Path, _fgn_autocov, _fgn_circulant, fbm_cholesky_factor,
                       fbm_covariance, sample_fbm_batch)
 from ggbm.randvar import make_stream
 
@@ -147,6 +148,59 @@ def test_fgn_circulant_batch_matches_per_component_loop(n):
     assert np.array_equal(batch, loop)
 
 
+def _fgn_complex_fft(hurst, n, dim, rng):
+    """The reference for _fgn_circulant: the same embedding and draws by two
+    full-length complex FFTs, eigenvalues fft(c).real and noise fft(w).real
+    of the full Hermitian w.  Returns the noise, the eigenvalues g[0..n] and
+    the draws."""
+    acf = _fgn_autocov(hurst, np.arange(n + 1))
+    c = np.concatenate([acf, acf[n - 1:0:-1]])
+    g = np.maximum(np.fft.fft(c).real, 0.0)
+    z = rng.standard_normal((dim, 2 * n))
+    w = np.zeros((dim, 2 * n), dtype=complex)
+    w[:, 0] = math.sqrt(g[0] / (2 * n)) * z[:, 0]
+    w[:, n] = math.sqrt(g[n] / (2 * n)) * z[:, 1]
+    x, y = z[:, 2:n + 1], z[:, n + 1:2 * n]
+    w[:, 1:n] = np.sqrt(g[1:n] / (4 * n)) * (x + 1j * y)
+    w[:, n + 1:] = np.conj(w[:, n - 1:0:-1])
+    return np.fft.fft(w, axis=1).real[:, :n].T, g[:n + 1], z
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.5, 0.97, 1 - 1e-9])
+@pytest.mark.parametrize("n", [1, 2, 3, 443, 4096])
+def test_fgn_circulant_matches_complex_fft(hurst, n):
+    """The irfft of the Hermitian half gives the complex-FFT noise within
+    1e-13 of its size, plus what the eigenvalues' own rounding moves.  rfft
+    and fft round the eigenvalues differently by about 1e-16 of the largest;
+    near H = 1 the others are about 1e-9 of it and their square roots carry
+    that at up to 4e-12 of the noise (n = 3), so the test bounds that part
+    from the two spectra and the draws: output j moves by at most
+    (|dV_0| + |dV_n| + 2 sum_k |dV_k|) / 2n."""
+    dim = 3
+    got = _fgn_circulant(hurst, n, dim, make_stream(SeedSpec(8, 0)))
+    ref, g_ref, z = _fgn_complex_fft(hurst, n, dim, make_stream(SeedSpec(8, 0)))
+    acf = _fgn_autocov(hurst, np.arange(n + 1))
+    g = np.maximum(np.fft.rfft(np.concatenate([acf, acf[n - 1:0:-1]])).real, 0.0)
+    assert np.abs(g - g_ref).max() <= 1e-15 * g_ref.max()
+    ds = np.abs(np.sqrt(g) - np.sqrt(g_ref))
+    x, y = np.abs(z[:, 2:n + 1]), np.abs(z[:, n + 1:2 * n])
+    moved = (math.sqrt(2 * n) * (ds[0] * np.abs(z[:, 0]) + ds[n] * np.abs(z[:, 1]))
+             + 2 * math.sqrt(n) * ((x + y) @ ds[1:n])) / (2 * n)
+    assert got.shape == ref.shape == (n, dim)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max() + moved)
+
+
+def test_embedding_error_on_negative_eigenvalue(monkeypatch):
+    """An autocovariance whose circulant embedding has a negative
+    eigenvalue (c = [1, 0.9, 0, ..., 0, 0.9] has 1 - 1.8 at k = n) raises
+    EmbeddingError instead of being clipped to a wrong law."""
+    monkeypatch.setattr(fbm, "_fgn_autocov",
+                        lambda hurst, lags: np.where(lags == 0, 1.0,
+                                                     np.where(lags == 1, 0.9, 0.0)))
+    with pytest.raises(EmbeddingError, match="not nonnegative-definite"):
+        _fgn_circulant(0.5, 4, 1, make_stream(SeedSpec(0, 0)))
+
+
 @pytest.mark.parametrize("hurst", [0.2, 0.8, 0.95, 0.999])
 def test_fbm_law_on_uniform_grid(hurst):
     """200 000 i.i.d. components of one path: the empirical covariance
@@ -190,6 +244,37 @@ def test_path_to_csv_roundtrip():
     back = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",")
     assert np.allclose(back[:, 0], path.times)
     assert np.allclose(back[:, 1:], path.values)
+
+
+def _csv_per_value(times, values):
+    """The reference for Path.to_csv's bytes: one f-string per value."""
+    rows = ["t," + ",".join(f"x{i + 1}" for i in range(values.shape[1]))]
+    for t, row in zip(times, values):
+        rows.append(",".join(f"{v:.17g}" for v in (t, *row)))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stream", "file"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_path_to_csv_bytes_match_per_value_writer(dim, to_file, tmp_path):
+    """The one-template writer gives the per-value f-string bytes, on a
+    sampled path and on edge values: -0.0, the smallest subnormal, a tiny
+    and a huge normal."""
+    path = generate_fbm(0.7, GridSpec(2.5, 40), dim, SeedSpec(6, 0))
+    values = path.values.copy()
+    edges = np.array([-0.0, 5e-324, 1e-300, 1e308, -1e308, -5e-324])
+    values.ravel()[1:1 + len(edges)] = edges
+    path = Path(times=path.times, values=values, hurst=path.hurst, seed=path.seed)
+    if to_file:
+        out = tmp_path / "p.csv"
+        path.to_csv(str(out))
+        text = out.read_bytes().decode()
+    else:
+        buf = io.StringIO()
+        path.to_csv(buf)
+        text = buf.getvalue()
+    assert text == _csv_per_value(path.times, path.values)
+    assert ",-0" in text and "4.9406564584124654e-324" in text
 
 
 def test_hurst_validation():
