@@ -72,17 +72,23 @@ def write_table(target, table: np.ndarray, header: str | None = None) -> None:
     """Write the rows of a 2-D table, comma-separated with 17 significant
     digits (the bytes of f"{v:.17g}"), each line ending in a newline, after
     an optional header line; target is a stream or a file path.  One
-    %-template formats the whole table."""
-    rows, cols = table.shape
-    template = "\n".join([",".join(["%.17g"] * cols)] * rows)
-    text = template % tuple(table.ravel().tolist()) + "\n"
-    if header is not None:
-        text = header + "\n" + text
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
+    %-template formats each block of _WRITE_ROWS rows, so the text in
+    memory is bounded by the block, whatever the table's length."""
+    if not hasattr(target, "write"):
         with open(target, "w") as fh:
-            fh.write(text)
+            return write_table(fh, table, header)
+    rows, cols = table.shape
+    row = ",".join(["%.17g"] * cols)
+    if header is not None:
+        target.write(header + "\n")
+    # an empty table is one empty block, a lone newline
+    for lo in range(0, max(rows, 1), _WRITE_ROWS):
+        block = table[lo:lo + _WRITE_ROWS]
+        target.write("\n".join([row] * len(block)) % tuple(block.ravel().tolist()) + "\n")
+
+
+# rows per formatted block of write_table: a 4096-step path is one block
+_WRITE_ROWS = 8192
 
 
 def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:

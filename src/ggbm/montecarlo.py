@@ -18,12 +18,19 @@ bit-identical for any worker count.  The truncation at t_max enters the
 budget as a one-sided analytic tail bound, the grid error as the
 grid-vs-half-grid difference.
 
-For a Gaussian f the mean g along the paths is known at every t and x, so
-the estimator swaps the grid's exact mean sum_j w_j g(t_j) for the whole
-integral of g, a closed form: grid bias and tail are exact and in the
-mean, so the tail and discretization bounds are both 0 and the budget is
-3 SE.  The variance of the per-path sum is a closed form too
-(_gaussian_grid_moments), against which verify checks the sampled SE.
+A Gaussian f factorises over components and B_H is isotropic, so the
+estimator samples only the component B_1 along x - c and integrates the
+other d - 1 out in closed form (conditional Monte Carlo):
+E[f(x + B(t)) | B_1] = A rho(t) exp(-(r + B_1(t))^2 / (2 s)), with
+r = |x - c|, A = f(c), s = f.spread and rho(t) = (s / (s + t^alpha))^((d-1)/2).
+The per-path values keep their mean and lose variance, for a d-th of the
+normals and GEMMs (_block_values).  The mean g along the paths is known at
+every t and x, so the estimator swaps the grid's exact mean
+sum_j w_j g(t_j) for the whole integral of g, a closed form: grid bias and
+tail are exact and in the mean, so the tail and discretization bounds are
+both 0 and the budget is 3 SE.  The variance of the per-path sum is a
+closed form too (_gaussian_grid_moments), against which verify checks the
+sampled SE.
 The clock then only has to keep the variance low.  It does so at a
 quarter of the density every other f needs, and it starts where fBm's
 variance t^alpha reaches a tenth of f's spread: before that f(x + B(t))
@@ -203,19 +210,45 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
-                  times: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The (len(times) - 1, n) values of f along n fBm paths x + B_H(t) at
-    times[1:] drawn from rng, the raw matrix, so the caller can integrate
-    it on the grid and on subgrids (every path is f(x) at t = 0).
+                  times: np.ndarray):
+    """The block sampler for f from x on the clock: a function (rng, n) ->
+    the (len(times) - 1, n) per-path values at times[1:] of n fBm paths
+    drawn from rng, the raw matrix, so the caller can integrate it on the
+    grid and on subgrids (every path is f(x) at t = 0).
 
-    The points stay where sample_fbm_batch put them, component-major
+    For an f not declared Gaussian a value is f(x + B_H(t)) itself.  The
+    points stay where sample_fbm_batch put them, component-major
     (d, len(times) - 1, n): the shift by x runs in place, and f sees the
     buffer as an (m, d) view whose components are contiguous planes.
+
+    A declared Gaussian factorises over components, and B_H is isotropic,
+    so with the kept axis along x - c, r = |x - c|, A = f(c) and
+    s = f.spread, the other d - 1 components integrate out in closed form:
+    E[f(x + B(t)) | B_1] = A rho(t) exp(-(r + B_1(t))^2 / (2 s)),
+    rho(t) = (s / (s + t^alpha))^((d - 1) / 2).  A value is this
+    conditional mean along one sampled component, with the same mean and a
+    variance never larger (Rao-Blackwell); rho is computed here, once.
     """
     d, m = params.dim, len(times) - 1
-    pts = sample_fbm_batch(params.hurst, times[1:], d, n, rng).transpose(2, 1, 0)
-    pts += x[:, None, None]
-    return f.eval_many(pts.reshape(d, m * n).T).reshape(m, n)
+    if not f.gaussian:
+        def values(rng: np.random.Generator, n: int) -> np.ndarray:
+            pts = sample_fbm_batch(params.hurst, times[1:], d, n, rng).transpose(2, 1, 0)
+            pts += x[:, None, None]
+            return f.eval_many(pts.reshape(d, m * n).T).reshape(m, n)
+        return values
+    s = f.spread
+    r = math.sqrt(float(np.sum((x - f.center) ** 2)))
+    scale = f(f.center) * (s / (s + times[1:] ** params.alpha)) ** (0.5 * (d - 1))
+
+    def values(rng: np.random.Generator, n: int) -> np.ndarray:
+        b = sample_fbm_batch(params.hurst, times[1:], 1, n, rng).transpose(2, 1, 0)[0]
+        b += r
+        np.square(b, out=b)
+        b *= -0.5 / s
+        np.exp(b, out=b)
+        b *= scale[:, None]
+        return b
+    return values
 
 
 def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -225,21 +258,21 @@ def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w[0] * f0 + np.einsum("j,ji->i", w[1:], fv)
 
 
-def _chunk_sums(params: ModelParams, f: TestFunction, x: np.ndarray, times: np.ndarray,
-                weights: tuple[np.ndarray, np.ndarray | None], rng: np.random.Generator,
-                n: int) -> tuple[float, ...]:
+def _chunk_sums(values, f0: float, weights: tuple[np.ndarray, np.ndarray | None],
+                rng: np.random.Generator, n: int) -> tuple[float, ...]:
     """One chunk's sums over its n paths: the first four powers of the
     trapezoid integral on the grid (weights[0]), then, unless weights[1] is
     None (a declared Gaussian has no discretization term), its difference
-    from the half grid (weights[1]) with its square.  The paths are drawn
-    from rng and evaluated _BLOCK_SIZE at a time; their per-path values
-    fill chunk-long arrays, each reduced once."""
+    from the half grid (weights[1]) with its square.  The per-path values
+    come from the block sampler values (_block_values), _BLOCK_SIZE paths
+    at a time drawn from rng, with f0 = f(x) at t = 0; they fill
+    chunk-long arrays, each reduced once."""
     w_fine, w_coarse = weights
-    f0, fine = f(x), np.empty(n)
+    fine = np.empty(n)
     diff = None if w_coarse is None else np.empty(n)
     for lo in range(0, n, _BLOCK_SIZE):
         hi = min(lo + _BLOCK_SIZE, n)
-        fv = _block_values(params, f, x, times, rng, hi - lo)
+        fv = values(rng, hi - lo)
         fine[lo:hi] = _trapezoid(f0, fv, w_fine)
         if diff is not None:
             # the coarse grid times[::2] is t = 0 and then every second row of fv
@@ -273,19 +306,24 @@ def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
 
 def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
                            times: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """Exact mean and variance of the per-path sum w . f(x + B_H(times)) for
-    a Gaussian f.  The mean is w . g (_gaussian_mean); the second moment is
-    w^T C w with C_jk = E f(x + B_j) f(x + B_k)
-    = A^2 (s^2 / D)^(d/2) exp(-|x - c|^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
-    A = f(c) and s = f.spread, where K = [[a_j, k_jk], [k_jk, a_k]] is fBm's
-    covariance at (t_j, t_k), a_j = t_j^alpha, and D = det(s I + K)."""
+    """Exact mean and variance of the per-path sum w . h(times) that the
+    estimator draws for a Gaussian f, h(t) = A rho(t) exp(-(r + B_1(t))^2 / (2 s))
+    the conditional mean of f(x + B_H(t)) given the component B_1 along
+    x - c (_block_values), r = |x - c|, A = f(c), s = f.spread and
+    rho(t) = (s / (s + t^alpha))^((d - 1) / 2).  The mean is w . g
+    (_gaussian_mean), as for f itself; the second moment is w^T C w with
+    C_jk = E h(t_j) h(t_k)
+    = A^2 rho_j rho_k (s^2 / D)^(1/2) exp(-r^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
+    where K = [[a_j, k_jk], [k_jk, a_k]] is fBm's covariance at (t_j, t_k),
+    a_j = t_j^alpha, and D = det(s I + K)."""
     d, s = params.dim, f.spread
     r2 = float(np.sum((x - f.center) ** 2))
     a = times ** params.alpha
     aj, ak = a[:, None], a[None, :]
     k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
     det = (s + aj) * (s + ak) - k * k
-    c = f(f.center) ** 2 * (s * s / det) ** (0.5 * d) * np.exp(
+    rho = (s / (s + a)) ** (0.5 * (d - 1))
+    c = f(f.center) ** 2 * np.outer(rho, rho) * np.sqrt(s * s / det) * np.exp(
         -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
     g, _ = _gaussian_mean(params, f, x, times)
     return float(w @ g), float(w @ (c - np.outer(g, g)) @ w)
@@ -296,9 +334,12 @@ def exact_gaussian_moments(params: ModelParams, f: TestFunction, x,
     """The mean and standard error that estimate_potential_mc's estimate
     has for a Gaussian f, in closed form: the mean is m int_0^inf g dt, the
     whole integral the fold swaps in, and the standard error
-    m sqrt(var / n_paths), var the exact variance of the per-path trapezoid
-    sum on f's clock, m = E[Y^(-1/alpha)].  The variance is the first
-    moment that depends on the paths' two-time law."""
+    m sqrt(var / n_paths), m = E[Y^(-1/alpha)] and var the exact variance
+    of the per-path trapezoid sum on f's clock.  That sum is of the
+    conditional mean of f(x + B_H(t)) given the one component the estimator
+    samples, A rho(t) exp(-(r + B_1(t))^2 / (2 s)) (_block_values), whose
+    variance is at most f's own.  The variance is the first moment that
+    depends on the paths' two-time law."""
     if not f.gaussian:
         raise DomainError(f"{f.kind} is not declared Gaussian")
     x = as_point(params, f, x)
@@ -354,16 +395,20 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     w_fine = _trapezoid_weights(times)
     w_coarse = None if f.gaussian else _trapezoid_weights(times[::2])
 
+    values, f0 = _block_values(params, f, x, times), f(x)
     chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
               for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
 
     def run_chunk(job):
         idx, n = job
         rng = make_stream(spec.seed.substream(idx))
-        return _chunk_sums(params, f, x, times, (w_fine, w_coarse), rng, n)
+        return _chunk_sums(values, f0, (w_fine, w_coarse), rng, n)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_chunk, chunks))
+    if threads == 1:  # no pool: the same streams and sums in the calling thread
+        results = list(map(run_chunk, chunks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run_chunk, chunks))
 
     n = spec.n_paths
     s1, s2, s3, s4, *dsums = (math.fsum(col) for col in zip(*results))

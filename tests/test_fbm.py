@@ -277,6 +277,32 @@ def test_path_to_csv_bytes_match_per_value_writer(dim, to_file, tmp_path):
     assert ",-0" in text and "4.9406564584124654e-324" in text
 
 
+@pytest.mark.parametrize("block", [1, 3, 7, 41, 42])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stream", "file"])
+def test_write_table_blocks_change_no_bytes(block, to_file, tmp_path, monkeypatch):
+    """A table written in blocks of rows gives the bytes of one block, with
+    and without a header, for blocks that divide the 42 rows, that do not,
+    and that hold them all; an empty table stays a lone newline."""
+    path = generate_fbm(0.7, GridSpec(2.5, 41), 2, SeedSpec(6, 0))
+    table = np.column_stack([path.times, path.values])
+
+    def written(table, header):
+        if to_file:
+            out = tmp_path / "t.csv"
+            fbm.write_table(str(out), table, header)
+            return out.read_bytes().decode()
+        buf = io.StringIO()
+        fbm.write_table(buf, table, header)
+        return buf.getvalue()
+
+    whole = {h: written(table, h) for h in (None, "t,x1,x2")}
+    assert whole["t,x1,x2"] == _csv_per_value(path.times, path.values)
+    monkeypatch.setattr(fbm, "_WRITE_ROWS", block)
+    for header, text in whole.items():
+        assert written(table, header) == text
+    assert written(np.empty((0, 1)), None) == "\n"
+
+
 def test_hurst_validation():
     with pytest.raises(DomainError):
         generate_fbm(0.0, GridSpec(1.0, 8), 1, SeedSpec(0, 0))
