@@ -73,8 +73,9 @@ __all__ = [
 # 1.55 and 1.34 times that, so there the grid, not the path count, sets
 # much of the budget.  A Gaussian f has no discretization term, its grid
 # bias being exact and folded out, so its clock only has to keep the
-# per-path variance low: at 8 per decade the per-path SD is 0.6 to 7.8 %
-# above 16's at t_max = 50, for half the points.  Every other f's clock
+# per-path variance low: at 8 per decade the SD of its conditioned
+# per-path sum is 0.8 to 3.1 % above 16's at the four triples above,
+# x = c and t_max = 50, for half the points.  Every other f's clock
 # starts at _T_MIN; a Gaussian's starts where t^alpha is
 # _GAUSSIAN_START_SPREAD times its spread, clamped to [_T_MIN, t_max / 10]
 # (see _clock).
