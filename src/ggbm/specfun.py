@@ -1,31 +1,24 @@
 """Special functions used throughout the package.
 
-Provides the Euler gamma function, the Mittag-Leffler function on the
-negative real axis, the M-Wright probability density on [0, inf) with a
-cached quadrature rule over its support, its generalized moments, and the
-two model constants built from them.
+Provides the Euler gamma function, the M-Wright probability density
+M_beta on [0, inf) with a cached quadrature rule over its support, the
+Mittag-Leffler function on the negative real axis as that rule's Laplace
+sum, the generalized moments of M_beta, and the two model constants.
 
-Both functions are summed by one power-series kernel, `_series`, which
-takes the coefficients of either and sums every node of an array at
-once; the scalar functions call it with one node, the quadrature rule
-with all of its nodes.  Each coefficient comes as (log B_n, s_n), with
-c_n = s_n B_n, B_n > 0 and |s_n| <= 1, and a node stops where the bound
-B_n tau^n is negligible; M_beta's coefficients vanish wherever beta(n+1)
-is an integer, but their bound never does.  Where the series cancels or
-overflows, each function has an integral continuation (the spectral form
-of E_beta, Kanter's form of M_beta) in which the powers of order 1/beta
-are cancelled analytically, so both stay finite as beta -> 0.  Kanter's
-form is an array kernel too, `_mw_integral`: two fixed theta rules shared
-by every node, with adaptive quad only at the nodes where they disagree.
+M_beta has two array kernels, which m_wright calls with one node and the
+rule with all of its nodes: the power series `_series` for small and
+moderate tau, and Kanter's integral `_mw_integral`, formed from
+logarithms so that no power of order 1/beta or 1/(1-beta) is taken, on
+theta panels that follow log a(theta), with adaptive quad only where a
+fine and a coarse rule disagree.  A node goes to Kanter's integral where
+the series cancels, overflows or would run long (_mw_values).
 
-A node whose cancellation is already certain leaves the series early.
-Each caller passes the scale of a proven ceiling, |f(tau)| * scale <= 1,
-and a node exits to the integral once its largest term times that scale
-passes 2 _CANCELLATION_LIMIT, where the cancellation test at its stop row
-would reject it anyway, so the exit changes no value.  The ceilings:
-E_beta(-x) <= 1, since E_beta(-x) is completely monotone in x and 1 at
-x = 0 (scale 1); and M_beta(tau) <= 1/(e (1-b) tau) (scale e (1-b) tau),
-since in Kanter's form a exp(-a lam) <= 1/(e lam) for every theta.
+E_beta(-x) = int_0^inf exp(-x tau) M_beta(tau) dtau (Mainardi, Mura &
+Pagnini 2010), so E_beta, the characteristic functions and the densities
+of the process share one evaluator, the rule.  Toward beta = 1 M_beta
+narrows onto tau = 1; the rule puts panels on that spike and holds its
+unit mass to _MASS_TOL up to _BETA_MAX.  beta in (_BETA_MAX, 1) is a
+DomainError for the rule and everything built on it.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, rgamma
 
 from .exceptions import ConvergenceError, DomainError, PoleError
 from .model import ModelParams
@@ -56,42 +49,49 @@ __all__ = [
 
 # The smallest beta that mittag_leffler, m_wright, the quadrature rule and
 # the Y sampler take.  Below the smallest normal float beta keeps only a
-# few bits: E_beta(-x) overflows to inf or its integral fails, M_beta from
-# Kanter's integral is silently low (16 % at beta = 5e-324, tau = 1, 0.8 %
-# at 1e-322) and the sampler returns non-finite draws.  So a subnormal beta
-# is a DomainError.
+# few bits: M_beta from Kanter's integral was silently low (16 % at
+# beta = 5e-324, tau = 1, 0.8 % at 1e-322) and the sampler returns
+# non-finite draws.  So a subnormal beta is a DomainError.
 BETA_MIN = sys.float_info.min
+# The largest beta below 1 that the quadrature rule, and so mittag_leffler
+# and every density built on it, takes; m_wright and the sampler take more.
+_BETA_MAX = 0.999
 
 # Series summation is abandoned when the largest term exceeds the running
 # sum by this factor; it caps the cancellation loss at ~6 digits so at
 # least 10 good digits survive in float64.
 _CANCELLATION_LIMIT = 1e6
 _MAX_TERMS = 20000
-# The series kernel builds at most this many terms per block, in a
-# row count that starts at _FIRST_ROWS and doubles, so a one-node call does
-# not build thousands of rows and a many-node call stays small in memory.
-# At 8192 the first block of a 1024-node rule is 8 rows deep, so the
-# 70-77 % of its nodes that lie below tau = 1e-3, which stop within 5-7
-# terms, finish in that block.
+_SERIES_REACH = 0.4  # see _mw_values
+# The series kernel builds at most this many terms per block, in a row
+# count that starts at _FIRST_ROWS and doubles: a one-node call builds few
+# rows, and the first block of a 1024-node rule, 8 rows deep, finishes the
+# 70-77 % of its nodes that lie below tau = 1e-3.
 _BLOCK_TERMS = 1 << 13
 _FIRST_ROWS = 32
-# The M-Wright quadrature rule: _RULE_PANELS log-spaced panels up to the
-# radius past which M_beta < _CUTOFF_TOL, each with _RULE_NODES
-# Gauss-Legendre nodes.
+# The M-Wright quadrature rule: _RULE_PANELS panels up to the radius past
+# which M_beta < _CUTOFF_TOL, each with _RULE_NODES Gauss-Legendre nodes
+# (_rule_edges).  Its mass must be 1 within _MASS_TOL.
 _RULE_PANELS = 64
 _RULE_NODES = 16
 _CUTOFF_TOL = 1e-40
-# Kanter's integral over theta in (0, pi): _KANTER_NODES Gauss-Legendre
-# nodes on panels graded geometrically from _KANTER_EDGE to pi/2 and
-# mirrored about pi/2.  The grading toward 0 resolves the flat minimum of
-# a(theta), around which the integrand narrows as tau grows; the grading
-# toward pi resolves the blow-up of a(theta), which sharpens as beta -> 0.
-# A node whose fine and coarse sums differ by more than _KANTER_RTOL
-# relative goes to adaptive quad.
-_KANTER_EDGE = 1e-3
-_KANTER_HALF_PANELS = 16
-_KANTER_NODES = 20
+_SPIKE_PANELS = 12
+_POLE_PANELS = 6
+_SPIKE_DEPTH = 30.0
+_MASS_TOL = 1e-10
+# Kanter's integrand u exp(-u) peaks where d = log(a/a0) = -log u0, over a
+# width of order 1 in d, or where u0 > 1 at theta = 0+, over 1/u0.  Its
+# theta panels end where d crosses 2^-20 ... 1/2 and every integer up to
+# _KANTER_DEPTH, four past the deepest peak the rule has, with a fine and
+# a coarse rule of _KANTER_NODES Gauss-Legendre nodes on each.
+_KANTER_DEPTH = int(_SPIKE_DEPTH) + 4
+_KANTER_NODES = (14, 11)
 _KANTER_RTOL = 1e-12
+# mittag_leffler: the relative error of the rule's Laplace sum beyond its
+# mass error, and the x past which the one-term asymptote takes over.
+_ML_RTOL = 1e-12
+_ML_ASYMPTOTE = 1e15
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -145,14 +145,8 @@ def _gauss_legendre(edges: np.ndarray, n: int):
 
 
 # ---------------------------------------------------------------------------
-# One power series for both functions
+# M-Wright function M_beta on [0, inf): its series and Kanter's integral
 # ---------------------------------------------------------------------------
-
-def _ml_coefficients(beta: float, n: np.ndarray):
-    """(log B_n, s_n) of E_beta(-tau) = sum_n s_n B_n tau^n:
-    B_n = 1/Gamma(beta*n + 1) and s_n = (-1)^n."""
-    return -gammaln(beta * n + 1.0), np.where(n % 2, -1.0, 1.0)
-
 
 def _mw_coefficients(beta: float, n: np.ndarray):
     """(log B_n, s_n) of M_beta(tau) = sum_n s_n B_n tau^n, whose
@@ -169,35 +163,27 @@ def _mw_coefficients(beta: float, n: np.ndarray):
     return log_b, sin_part * np.where(n % 2, -1.0, 1.0)
 
 
-def _series(coefficients, beta: float, tau: np.ndarray, scale: np.ndarray):
-    """Power series sum_n s_n B_n tau^n at every tau > 0 at once, with
-    (log B_n, s_n) = coefficients(beta, n), B_n > 0 and |s_n| <= 1, of a
-    function f with the proven ceiling |f(tau)| * scale <= 1 at each node.
-    Returns arrays (value, est_abs_error, terms_used); the value is clamped
-    at 0, since both functions summed here are nonnegative.
+def _series(beta: float, tau: np.ndarray, scale: np.ndarray):
+    """The power series sum_n s_n B_n tau^n of M_beta at every tau > 0 at
+    once, (log B_n, s_n) = _mw_coefficients(beta, n), given the scale of
+    the ceiling M_beta(tau) * scale <= 1 at each node (_mw_scale).
+    Returns arrays (value, est_abs_error, terms_used); the value is
+    clamped at 0.
 
     The terms of all unfinished nodes are built in blocks of rows n, at
-    most _BLOCK_TERMS terms per block, with a row count that starts at
-    _FIRST_ROWS and doubles.  Each node stops at the first row where the
-    bound B_n tau^n on its term is negligible against both the sum and the
-    largest term, and that bound is the truncation part of the error.  The
-    bound never vanishes, so a coefficient that s_n makes zero or tiny does
-    not stop the sum early.  The value is NaN, and the integral
-    continuation must be used, where a term heads for overflow before that
-    row, where the largest term exceeds the sum by more than
-    _CANCELLATION_LIMIT, or where _MAX_TERMS pass without stopping.
-
-    A node leaves the sum, with the value NaN, at the end of the first
-    block where its largest term times its scale exceeds
-    2 _CANCELLATION_LIMIT.  The callers' ceilings are E_beta(-x) <= 1
-    (scale 1) and M_beta(tau) <= 1/(e (1-b) tau) (scale e (1-b) tau, from
-    a exp(-a lam) <= 1/(e lam) in Kanter's form; see _mw_scale).  The
-    largest term never shrinks and the sum stays within rounding of
-    |f| <= 1/scale, so at its stop row such a node would fail the
-    cancellation test and end as NaN all the same: the exit changes no
-    result, and since every sum runs in term order, no other node's bits
-    either.  A scale of 0 never exits.  The test multiplies by the scale
-    and never divides by it, which would overflow at subnormal tau.
+    most _BLOCK_TERMS terms per block, in a row count that starts at
+    _FIRST_ROWS and doubles.  A node stops at the first row where the bound
+    B_n tau^n, which never vanishes, is negligible against both the sum and
+    the largest term, and that bound is the truncation part of the error.
+    The value is NaN where a term heads for overflow before that row, where
+    the largest term exceeds the sum by more than _CANCELLATION_LIMIT, or
+    where _MAX_TERMS pass.  A node also leaves, as NaN, at the end of the
+    first block where its largest term times its scale exceeds
+    2 _CANCELLATION_LIMIT: the largest term never shrinks and the sum stays
+    within rounding of 1/scale, so it would fail the cancellation test all
+    the same, and since every sum runs in term order, no other node's bits
+    change.  A scale of 0 never exits; the test multiplies by the scale,
+    since dividing would overflow at subnormal tau.
     """
     tau = np.asarray(tau, dtype=float)
     log_tau = np.log(tau)
@@ -216,7 +202,7 @@ def _series(coefficients, beta: float, tau: np.ndarray, scale: np.ndarray):
     while live.size and start < _MAX_TERMS:
         m = min(rows, max(1, _BLOCK_TERMS // live.size), _MAX_TERMS - start)
         n = np.arange(start, start + m)
-        log_b, sign = coefficients(beta, n)
+        log_b, sign = _mw_coefficients(beta, n)
         log_mag = n[:, None] * log_tau[live] + log_b[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.exp(log_mag)
@@ -251,192 +237,132 @@ def _series(coefficients, beta: float, tau: np.ndarray, scale: np.ndarray):
     return value, err, terms
 
 
-def _series_or_integral(coefficients, integral, beta: float, tau: float,
-                        scale: float) -> EvalResult:
-    """The series at one tau > 0, or integral(beta, tau) where it is NaN."""
-    value, err, terms = _series(coefficients, beta, np.array([tau]), scale)
-    if math.isnan(value[0]):
-        return integral(beta, tau)
-    return EvalResult(float(value[0]), float(err[0]), int(terms[0]))
+def _kanter_log_a(beta: float, theta):
+    """log a(theta) = b/(1-b) log(sin(b th)/sin(th)) + log(sin((1-b) th)/sin(th)),
+    whose ratios of sines stay in range where the powers of kanter_a's
+    textbook form underflow (0/0 near b = 1).  For b >= 1/2 the first ratio
+    minus 1 is formed exactly, -2 cos((1+b) th/2) sin((1-b) th/2)/sin(th),
+    so its logarithm keeps its digits where b/(1-b) multiplies it."""
+    c = 1.0 - beta
+    s = np.sin(theta)
+    if beta < 0.5:
+        first = np.log(np.sin(beta * theta) / s)
+    else:
+        first = np.log1p(-2.0 * np.cos(0.5 * (1.0 + beta) * theta) * np.sin(0.5 * c * theta) / s)
+    return beta / c * first + np.log(np.sin(c * theta) / s)
 
-
-# ---------------------------------------------------------------------------
-# Mittag-Leffler function E_beta on the negative real axis
-# ---------------------------------------------------------------------------
-
-def _ml_spectral(beta: float, x: float) -> EvalResult:
-    """E_beta(-x) for x > 0, 0 < beta < 1, from the spectral (completely
-    monotone) representation
-
-        E_beta(-x) = int_0^inf exp(-r x^(1/beta)) K_beta(r) dr,
-        K_beta(r) = sin(b*pi)/pi * r^(b-1) / (r^(2b) + 2 r^b cos(b*pi) + 1),
-
-    with r = s / x^(1/beta) substituted on paper, so that no power of order
-    1/beta of x is taken:
-
-        E_beta(-x) = sin(b*pi)/pi * x
-                     * int_0^inf e^(-s) s^(b-1) / (s^(2b) + 2 x s^b cos(b*pi) + x^2) ds.
-    """
-    from scipy.integrate import quad
-
-    c = math.cos(beta * math.pi)
-    pref = math.sin(beta * math.pi) / math.pi * x
-
-    # s in (0,1): substitute w = s^beta to remove the endpoint singularity
-    def low(w):
-        return np.exp(-w ** (1.0 / beta)) / (w * w + 2.0 * x * w * c + x * x)
-
-    def high(s):
-        sb = s ** beta
-        return s ** (beta - 1.0) * np.exp(-s) / (sb * sb + 2.0 * x * sb * c + x * x)
-
-    # relative tolerance only: the integrals scale like 1/x^2 for large x
-    v1, e1 = quad(low, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
-    v2, e2 = quad(high, 1.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-    value = pref * (v1 / beta + v2)
-    err = pref * (e1 / beta + e2)
-    if err > 1e-8:
-        raise ConvergenceError(
-            f"Mittag-Leffler integral representation did not converge at "
-            f"beta={beta:g}, z={-x:g} (err={err:.2e})"
-        )
-    return EvalResult(value, err, 0)
-
-
-def mittag_leffler(beta: float, z: float) -> EvalResult:
-    """E_beta(z) for BETA_MIN <= beta <= 1 and finite z <= 0.
-
-    Uses the Taylor series while it is numerically safe, and falls back to
-    the spectral integral representation on the negative axis when the
-    series cancels or overflows.
-    """
-    check_beta("mittag_leffler", beta)
-    if not -math.inf < z <= 0.0:
-        raise DomainError(f"mittag_leffler requires a finite z <= 0, got {z:g}")
-    if z == 0.0:
-        return EvalResult(1.0, 0.0, 1)
-    if beta == 1.0:
-        return EvalResult(math.exp(z), abs(math.exp(z)) * 1e-16, 0)
-    # E_beta(-x) <= 1: it is completely monotone in x and 1 at x = 0
-    return _series_or_integral(_ml_coefficients, _ml_spectral, beta, -z, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# M-Wright function M_beta on [0, inf)
-# ---------------------------------------------------------------------------
 
 def kanter_a(beta: float, theta):
-    """Kanter's auxiliary function on (0, pi).
-
+    """Kanter's auxiliary function on (0, pi),
     a(theta) = sin(b*th)^(b/(1-b)) * sin((1-b)*th) / sin(th)^(1/(1-b)),
-    increasing from (1-b)*b^(b/(1-b)) at 0+ to +inf at pi-.
-    """
-    b = beta
-    return (
-        np.sin(b * theta) ** (b / (1.0 - b))
-        * np.sin((1.0 - b) * theta)
-        / np.sin(theta) ** (1.0 / (1.0 - b))
-    )
+    increasing from a0 = (1-b)*b^(b/(1-b)) at 0+ to +inf at pi-; taken as
+    exp(_kanter_log_a), so it is finite wherever a is."""
+    return np.exp(_kanter_log_a(beta, theta))
 
 
-@lru_cache(maxsize=1)
-def _kanter_rules():
-    """(theta, weight) of the fine theta rule and of the coarse one, whose
-    panels join the fine panels in pairs, so the two share no node."""
-    half = np.geomspace(_KANTER_EDGE, 0.5 * math.pi, _KANTER_HALF_PANELS + 1)
-    fine = np.concatenate([[0.0], half, math.pi - half[-2::-1], [math.pi]])
-    return _gauss_legendre(fine, _KANTER_NODES), _gauss_legendre(fine[::2], _KANTER_NODES)
+def _log_a0(beta: float) -> float:
+    """log a0 = log a(0+) = log(1-b) + b/(1-b) log b, the minimum of log a."""
+    return math.log(1.0 - beta) + beta / (1.0 - beta) * math.log(beta)
+
+
+def _log_u0(beta: float, tau):
+    """log u0 = log(a0 lam), lam = tau^(1/(1-b)), at tau > 0; neither lam
+    nor a0 is formed."""
+    return _log_a0(beta) + np.log(tau) / (1.0 - beta)
+
+
+@lru_cache(maxsize=32)
+def _kanter_rules(beta: float):
+    """((d, weight) at the nodes of the fine and the coarse rule, reach) of
+    Kanter's integral: the panels end where d, increasing on (0, pi),
+    crosses the levels of _KANTER_DEPTH, read off a table of d; reach is d
+    at the table's end, pi - 1e-15, as near pi as a float resolves."""
+    table = np.concatenate([np.geomspace(1e-8, 0.5 * math.pi, 400),
+                            math.pi - np.geomspace(0.5 * math.pi, 1e-15, 500)[1:]])
+    d = _kanter_log_a(beta, table) - _log_a0(beta)
+    levels = np.concatenate([2.0 ** np.arange(-20, 0), np.arange(1, _KANTER_DEPTH + 1)])
+    edges = np.unique(np.concatenate([[0.0], np.interp(levels, d, table), [math.pi]]))
+    rules = [_gauss_legendre(edges, n) for n in _KANTER_NODES]
+    return tuple((_kanter_log_a(beta, th) - _log_a0(beta), w) for th, w in rules), float(d[-1])
+
+
+def _kanter_integrand(d, log_u0):
+    """u exp(-u) = exp(v - e^v), v = log u0 + d, d = log(a/a0), at each
+    log u0 (rows) and d (columns)."""
+    with np.errstate(over="ignore"):
+        v = np.add.outer(log_u0, d)
+        v -= np.exp(v)
+        return np.exp(v, out=v)
 
 
 def _mw_integral(beta: float, tau: np.ndarray):
     """M_beta at every tau > 0 of an array from Kanter's integral form of
-    the one-sided stable density, with the change of variables to tau
-    carried out on paper, so that no power of order 1/beta of tau is taken:
+    the one-sided stable density, changed to tau on paper, so that no power
+    of order 1/beta of tau is taken:
 
-        M_beta(tau) = tau^(b/(1-b)) / ((1-b) pi)
-                      * int_0^pi a(th) exp(-a(th) tau^(1/(1-b))) dth.
+        M_beta(tau) = 1/((1-b) pi tau) int_0^pi u exp(-u) dth,  u = u0 a/a0.
 
-    With lam = tau^(1/(1-b)) and a0 = a(0+) = (1-b) b^(b/(1-b)), the
-    minimum of a, the kernel integrates a exp(-(a - a0) lam) and multiplies
-    by exp(-a0 lam) in closed form, so each value is accurate relative to
-    its own size however far out in the tail.  a(theta) is evaluated once
-    on the fine and the coarse rule of _kanter_rules, and the normalized
-    integrand is summed on both at every node at once; the fine sum gives
-    the value and the difference of the two sums its error.  A node where
-    they differ by more than _KANTER_RTOL relative, or where lam
-    overflows, goes to the adaptive quad of _mw_quad instead (a non-finite
-    a(theta) makes both sums NaN, which fails the same check).  Returns
-    arrays (value, est_abs_error).
+    The integrand comes from logarithms, so each value is accurate relative
+    to its own size, and one that underflows everywhere is 0 with no quad.
+    The fine rule of _kanter_rules gives the value; its difference to the
+    coarse one plus the rounding of v, (16 + 4 |log u0| + 4 u0) eps
+    relative, the error.  A node where the two differ by more than
+    _KANTER_RTOL relative goes to _mw_quad.  A peak past the rule's levels
+    but short of its reach raises ConvergenceError; past the reach a float
+    theta cannot resolve it.  Returns arrays (value, est_abs_error).
     """
     tau = np.asarray(tau, dtype=float)
-    a0 = (1.0 - beta) * beta ** (beta / (1.0 - beta))
-    log_tau = np.log(tau)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lam = np.exp(log_tau / (1.0 - beta))
-        sums = []
-        for theta, weight in _kanter_rules():
-            a = kanter_a(beta, theta)
-            sums.append(np.sum(a * np.exp(-(a - a0) * lam[:, None]) * weight, axis=1))
-        fine, coarse = sums
-        scale = np.exp(beta / (1.0 - beta) * log_tau - a0 * lam
-                       - math.log((1.0 - beta) * math.pi))
-        value, err = scale * fine, scale * np.abs(fine - coarse)
-        passed = np.isfinite(lam) & (np.abs(fine - coarse) <= _KANTER_RTOL * fine)
-    for i in np.flatnonzero(~passed):
+    log_u0 = _log_u0(beta, tau)
+    rules, reach = _kanter_rules(beta)
+    lost = (log_u0 < -_SPIKE_DEPTH) & (-log_u0 < reach)
+    if lost.any():
+        raise ConvergenceError(
+            f"m_wright failed at beta={beta:g}, tau={tau[lost][0]:g}: the peak of "
+            f"Kanter's integrand lies past the levels of its theta rule")
+    fine, coarse = (_kanter_integrand(d, log_u0) @ weight for d, weight in rules)
+    pref = 1.0 / ((1.0 - beta) * math.pi * tau)
+    rounding = _EPS * (16.0 + 4.0 * (np.abs(log_u0) + np.exp(np.minimum(log_u0, 700.0))))
+    value, err = pref * fine, pref * (np.abs(fine - coarse) + rounding * fine)
+    for i in np.flatnonzero(~(np.abs(fine - coarse) <= _KANTER_RTOL * fine)):
         value[i], err[i] = _mw_quad(beta, float(tau[i]))
     return value, err
 
 
 def _mw_quad(beta: float, tau: float):
-    """Kanter's integral at one tau > 0 by adaptive quad: the fallback where
-    the fixed rules of _mw_integral fail their check.  Its absolute
-    tolerance is met long before the relative one in the far tail, where
-    the integral is about exp(-a0 lam).  Returns (value, est_abs_error)."""
+    """Kanter's integral at one tau > 0 by adaptive quad, to 1e-14 of the
+    integrand's maximum, u0 exp(-u0) or 1/e: the fallback where the rules
+    of _mw_integral disagree.  A quad that reports a failure to converge
+    raises ConvergenceError.  Returns (value, est_abs_error)."""
     from scipy.integrate import quad
 
-    try:
-        lam = tau ** (1.0 / (1.0 - beta))
-    except OverflowError:
-        raise ConvergenceError(
-            f"m_wright failed at beta={beta:g}, tau={tau:g}: "
-            f"tau^(1/(1-beta)) overflows"
-        ) from None
+    log_u0, log_a0 = float(_log_u0(beta, tau)), _log_a0(beta)
 
     def integrand(theta):
-        a = kanter_a(beta, theta)
-        return a * np.exp(-a * lam)
+        # _kanter_integrand at one theta, in scalar math for speed
+        v = log_u0 + float(_kanter_log_a(beta, theta)) - log_a0
+        return math.exp(v - math.exp(v)) if v < 700.0 else 0.0
 
-    val, err = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=1e-11, limit=300)
-    pref = tau ** (beta / (1.0 - beta)) / ((1.0 - beta) * math.pi)
-    value = pref * val
-    if not math.isfinite(value):
-        raise ConvergenceError(
-            f"m_wright failed at beta={beta:g}, tau={tau:g}"
-        )
-    return value, pref * err
+    top = max(log_u0, 0.0)
+    # with full_output, quad returns a message instead of warning
+    val, err, _, *failed = quad(integrand, 0.0, math.pi, epsrel=1e-11, limit=300,
+                                epsabs=1e-14 * math.exp(top - math.exp(top)), full_output=1)
+    if failed:
+        raise ConvergenceError(f"m_wright failed at beta={beta:g}, tau={tau:g}: "
+                               f"{failed[0].splitlines()[0]}")
+    pref = 1.0 / ((1.0 - beta) * math.pi * tau)
+    return pref * val, pref * err
 
 
 def _mw_scale(beta: float, tau):
     """The scale e (1-b) tau of the ceiling M_beta(tau) <= 1/(e (1-b) tau)
-    that _series exits on.  In Kanter's form (_mw_integral),
-    a exp(-a lam) <= 1/(e lam) for every theta, so the integral over
-    (0, pi) is at most pi/(e lam), and tau^(b/(1-b)) / lam = 1/tau."""
+    that _series exits on: in Kanter's form (_mw_integral), u exp(-u) <=
+    1/e for every theta."""
     return math.e * (1.0 - beta) * tau
 
 
-def _mw_integral_at(beta: float, tau: float) -> EvalResult:
-    """_mw_integral at one node."""
-    value, err = _mw_integral(beta, np.array([tau]))
-    return EvalResult(float(value[0]), float(err[0]), 0)
-
-
 def m_wright(beta: float, tau: float) -> EvalResult:
-    """M-Wright density M_beta(tau) for BETA_MIN <= beta < 1 and finite tau >= 0.
-
-    The Taylor series is reliable for small and moderate tau; beyond its
-    cancellation range the value comes from Kanter's integral form of the
-    one-sided stable density, which is non-oscillatory for every tau.
-    """
+    """M-Wright density M_beta(tau) for BETA_MIN <= beta < 1 and finite
+    tau >= 0, from the series or Kanter's integral (_mw_values)."""
     check_beta("m_wright", beta)
     if beta == 1.0:
         raise DomainError("m_wright requires beta < 1: M_1 is the point mass at 1")
@@ -444,34 +370,68 @@ def m_wright(beta: float, tau: float) -> EvalResult:
         raise DomainError(f"m_wright requires a finite tau >= 0, got {tau:g}")
     if tau == 0.0:
         return EvalResult(1.0 / gamma(1.0 - beta), 0.0, 1)
-    return _series_or_integral(_mw_coefficients, _mw_integral_at, beta, tau,
-                               _mw_scale(beta, tau))
+    value, err, terms = _mw_values(beta, np.array([tau]))
+    return EvalResult(float(value[0]), float(err[0]), int(terms[0]))
+
+
+def _mw_values(beta: float, tau: np.ndarray):
+    """M_beta at every tau > 0 of an array, as arrays (value,
+    est_abs_error, terms_used): the series, and Kanter's integral where it
+    is NaN.  The series' terms grow up to n = u0/(1-b), then shrink by about
+    (u0/((1-b) n))^(1-b) each, so it needs 40/((1-b) max(log(1/u0), 1))
+    terms or more; where that passes 100, (1-b) max(log(1/u0), 1) <
+    _SERIES_REACH, and Kanter's rule reaches the peak, a node goes to
+    Kanter's integral at once."""
+    value, err = np.full(tau.size, np.nan), np.full(tau.size, np.nan)
+    terms = np.zeros(tau.size, dtype=np.int64)
+    depth = np.maximum(-_log_u0(beta, tau), 1.0)
+    head = np.flatnonzero(depth >= min(_SERIES_REACH / (1.0 - beta), _SPIKE_DEPTH))
+    value[head], err[head], terms[head] = _series(beta, tau[head], _mw_scale(beta, tau[head]))
+    tail = np.isnan(value)
+    value[tail], err[tail] = _mw_integral(beta, tau[tail])
+    return value, err, terms
 
 
 def m_wright_cutoff(beta: float) -> float:
     """Radius T such that M_beta(tau) < _CUTOFF_TOL for tau > T.
 
-    From the stretched-exponential decay M_beta(tau) ~ exp(-B tau^(1/(1-b)))
-    with B = (1-b) * b^(b/(1-b)); the prefactor is absorbed by a margin.
+    From the stretched-exponential decay M_beta(tau) ~ exp(-a0 tau^(1/(1-b)))
+    with a0 = (1-b) * b^(b/(1-b)); the prefactor is absorbed by a margin.
     """
-    b = beta
     big = -math.log(_CUTOFF_TOL) + 20.0
-    B = (1.0 - b) * b ** (b / (1.0 - b))
-    return (big / B) ** (1.0 - b)
+    return math.exp((1.0 - beta) * (math.log(big) - _log_a0(beta)))
+
+
+def _rule_edges(beta: float) -> np.ndarray:
+    """The rule's panel ends: 0, then log-spaced from 1e-14 to the cutoff.
+    Toward beta = 1 M_beta narrows onto tau = 1, over a width of order 1-b
+    in log tau: where _SPIKE_PANELS panels from t_lo, u0 = exp(-_SPIKE_DEPTH),
+    to the cutoff are under 1.5 times as wide, they cover it.  Below, M_beta
+    falls off like 1/log(t1/tau)^2, u0(t1) = 1; where log(t1/t_lo) < 1 the
+    last _POLE_PANELS there run geometrically in log(t1/tau) from 1."""
+    t_hi, log_t1 = m_wright_cutoff(beta), -(1.0 - beta) * _log_a0(beta)
+    near = (1.0 - beta) * _SPIKE_DEPTH  # log(t1/t_lo)
+    t_lo, below = math.exp(log_t1 - near), _RULE_PANELS - _SPIKE_PANELS
+    if math.log(t_hi / t_lo) / _SPIKE_PANELS >= 1.5 * math.log(t_hi / 1e-14) / (_RULE_PANELS - 1):
+        return np.concatenate([[0.0], np.geomspace(1e-14, t_hi, _RULE_PANELS)])
+    if near >= 1.0:
+        left = np.geomspace(1e-14, t_lo, below)[:-1]
+    else:
+        left = np.concatenate([np.geomspace(1e-14, math.exp(log_t1 - 1.0), below - _POLE_PANELS),
+                               np.exp(log_t1 - np.geomspace(1.0, near, _POLE_PANELS + 1)[1:-1])])
+    return np.concatenate([[0.0], left, np.geomspace(t_lo, t_hi, _SPIKE_PANELS + 1)])
 
 
 @lru_cache(maxsize=32)
 def _mw_rule_cached(beta: float):
-    t_hi = m_wright_cutoff(beta)
     # log-spaced panels concentrate nodes near 0 where integrands with
-    # negative powers of tau need them
-    edges = np.concatenate(
-        [[0.0], np.geomspace(1e-14, t_hi, _RULE_PANELS)]
-    )
-    nodes, weights = _gauss_legendre(edges, _RULE_NODES)
-    values, _, _ = _series(_mw_coefficients, beta, nodes, _mw_scale(beta, nodes))
-    tail = np.isnan(values)
-    values[tail], _ = _mw_integral(beta, nodes[tail])
+    # negative powers of tau need them, and _rule_edges adds the spike
+    nodes, weights = _gauss_legendre(_rule_edges(beta), _RULE_NODES)
+    values, _, _ = _mw_values(beta, nodes)
+    mass = float(weights @ values)
+    if not abs(mass - 1.0) <= _MASS_TOL:
+        raise ConvergenceError(f"the M-Wright rule at beta={beta!r} has mass {mass!r}, "
+                               f"off 1 by more than {_MASS_TOL:g}")
     # cached and shared by every caller for this beta, so read-only
     for a in (nodes, weights, values):
         a.flags.writeable = False
@@ -484,14 +444,52 @@ _POINT_MASS_RULE = (np.broadcast_to(1.0, (1,)),) * 3
 
 def m_wright_quad_rule(beta: float):
     """Fixed quadrature rule (nodes, weights, M_beta(nodes)) covering the
-    effective support of M_beta, BETA_MIN <= beta <= 1.  Cached per beta,
-    so the arrays are shared and read-only; intended for integrals of the
-    form int phi(tau) M_beta(tau) dtau with smooth-away-from-zero phi.
+    effective support of M_beta, BETA_MIN <= beta <= _BETA_MAX or beta = 1,
+    with unit mass to within _MASS_TOL.  Cached per beta, so the arrays
+    are shared and read-only; intended for integrals of the form
+    int phi(tau) M_beta(tau) dtau with smooth-away-from-zero phi.
     """
     check_beta("m_wright_quad_rule", beta)
     if beta == 1.0:
         return _POINT_MASS_RULE
+    if beta > _BETA_MAX:
+        raise DomainError(
+            f"beta in ({_BETA_MAX:g}, 1) is outside the M-Wright rule's range, "
+            f"where M_beta narrows onto the point mass at 1; got beta = {beta!r}")
     return _mw_rule_cached(float(beta))
+
+
+# ---------------------------------------------------------------------------
+# Mittag-Leffler function E_beta on the negative real axis
+# ---------------------------------------------------------------------------
+
+def mittag_leffler(beta: float, z: float) -> EvalResult:
+    """E_beta(z) for finite z <= 0 and BETA_MIN <= beta <= _BETA_MAX or
+    beta = 1, as the Laplace transform of the M-Wright density,
+    E_beta(-x) = int_0^inf exp(-x tau) M_beta(tau) dtau, summed over the
+    cached rule of m_wright_quad_rule and divided by the rule's mass, so
+    E_beta(0) = 1; at beta = 1 the point-mass rule gives exp(-x).  The
+    error is the mass error plus _ML_RTOL, relative.  Past _ML_ASYMPTOTE,
+    where the rule's first panel [0, 1e-14] no longer resolves
+    exp(-x tau), the value is the asymptote x^-1 / Gamma(1-b), with the
+    next terms, x^-2 / |Gamma(1-2b)| + x^-3, as its error.  terms_used is
+    0: both are integral representations.
+    """
+    nodes, weights, mvals = m_wright_quad_rule(beta)
+    if not -math.inf < z <= 0.0:
+        raise DomainError(f"mittag_leffler requires a finite z <= 0, got {z:g}")
+    if z == 0.0:
+        return EvalResult(1.0, 0.0, 1)
+    x = -z
+    if x > _ML_ASYMPTOTE:
+        value = float(rgamma(1.0 - beta)) / x
+        return EvalResult(value, (abs(float(rgamma(1.0 - 2.0 * beta))) + 1.0 / x) / x / x
+                          + _EPS * value, 0)
+    wm = weights * mvals
+    # the same dot as the sum below, term by term no smaller, so value <= 1
+    mass = float(wm @ np.ones(wm.size))
+    value = float(wm @ np.exp(-x * nodes)) / mass
+    return EvalResult(value, (abs(mass - 1.0) + _ML_RTOL) * value, 0)
 
 
 def m_wright_moment(beta: float, delta: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import airy, erfcx, ndtr
 
 from . import green as green_mod
 from . import montecarlo as mc
@@ -31,6 +31,7 @@ __all__ = ["run_suite", "SUITES", "moment_quadrature"]
 
 _GRID = GridSpec(t_max=2.0, n_steps=4)  # dt = 0.5 holds every checked time
 _CDF_BLOCK = 1024  # sample points per block of the analytic marginal CDF
+_EPS = np.finfo(float).eps
 
 
 def moment_quadrature(beta: float, delta: float) -> float:
@@ -98,17 +99,25 @@ def suite_specfun(**_):
 
 
 def suite_laplace(paths=1_000_000, seed=42, **_):
-    """E_beta(-s) = E[exp(-s Y_beta)]: against the M-Wright quadrature rule,
-    and against the exact Y_beta sampler within 3 standard errors."""
+    """E_beta(-s) = E[exp(-s Y_beta)], where mittag_leffler sums the
+    M-Wright rule: the rule and E_beta against closed forms that share
+    nothing with it, E_1/2(-x) = erfcx(x), M_1/2(tau) = exp(-tau^2/4)/sqrt(pi)
+    and M_1/3(tau) = 3^(2/3) Ai(tau/3^(1/3)), within the reported error, and
+    E_beta against the exact Y_beta sampler within 3 standard errors."""
     checks = []
-    for beta in (0.3, 0.5, 0.7):
-        nodes, weights, mvals = m_wright_quad_rule(beta)
-        for s in (0.1, 1.0, 5.0):
-            lhs = mittag_leffler(beta, -s).value
-            rhs = float(np.dot(weights, np.exp(-s * nodes) * mvals))
-            checks.append(_check(
-                f"laplace-transform beta={beta} s={s}",
-                "laplace-transform-identity", lhs, rhs, 1e-10))
+    for x in (0.1, 1.0, 5.0, 50.0, 1e6):
+        r = mittag_leffler(0.5, -x)
+        checks.append(_check(f"laplace-erfcx x={x:g}", "mittag-leffler-half-closed-form",
+                             float(erfcx(x)), r.value, r.est_abs_error))
+    taus = np.linspace(0.01, 12.0, 100)
+    for beta, closed in ((0.5, np.exp(-0.25 * taus ** 2) / math.sqrt(math.pi)),
+                         (1.0 / 3.0, 3.0 ** (2.0 / 3.0) * airy(taus / 3.0 ** (1.0 / 3.0))[0])):
+        # the largest error in units of the reported error, which here
+        # also carries the closed form's own rounding, 4 eps, over 100 tau
+        worst = max(abs(r.value - c) / (r.est_abs_error + 4.0 * _EPS * c)
+                    for r, c in zip((m_wright(beta, t) for t in taus), closed))
+        checks.append(_check(f"m-wright-closed-form beta={beta:.4g}", "m-wright-closed-form",
+                             0.0, worst, 1.0))
     rng = make_stream(SeedSpec(seed, 500))
     for beta in (0.5, 0.7):
         y = sample_y_beta_array(beta, rng, paths)

@@ -107,9 +107,19 @@ def test_verify_too_few_paths_exit_code(suite, paths, capsys):
 
 
 def test_eval_numeric_error_exit_code(capsys):
-    # M_beta at beta -> 1 overflows in the integral continuation
-    assert main(["eval", "mwright", "--beta", "0.999", "--tau", "5"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # toward beta = 1 the peak of Kanter's integrand at tau just below 1
+    # lies past its theta rule: a ConvergenceError, not a silent value
+    assert main(["eval", "mwright", "--beta", "0.999999", "--tau", "0.999"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Kanter" in err
+
+
+def test_eval_ml_in_the_band_is_domain_error(capsys):
+    """E_beta in the band (0.999, 1) is a DomainError that names the band,
+    where the spectral integral printed 1.254e-9 for 9.167e-6."""
+    assert main(["eval", "ml", "--beta", "0.9999999889", "--z", "-11.6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "(0.999, 1)" in captured.err
 
 
 def test_sample_ybeta_reproducible(tmp_path):

@@ -75,14 +75,27 @@ def test_m_wright_domain_errors():
 
 
 def _mittag_leffler_mpmath(mpmath, beta, x):
-    """E_beta(-x) by its series in mpmath at 60 digits.  The terms are
-    log-concave in n, so the first shrinking term below 1e-30 of the sum
-    ends the sum."""
-    with mpmath.workdps(60):
+    """E_beta(-x) in mpmath.  Where x^(1/beta) <= 100, by its series with
+    enough digits to absorb its cancellation, which the largest term,
+    about exp(x^(1/beta)), sets; the terms are log-concave in n, so the
+    first shrinking term below 1e-30 of the sum ends the sum.  Beyond, by
+    its asymptotic series -sum_{k>=1} (-x)^-k / Gamma(1 - beta k), whose
+    terms are bounded by Gamma(beta k) x^-k / pi and shrink until beta k
+    is near x^(1/beta), so that the bound falls below 1e-32 of the sum
+    long before the smallest term, about exp(-x^(1/beta)) < 1e-43."""
+    reach = math.exp(min(math.log(x) / beta, 700.0))  # x^(1/beta)
+    with mpmath.workdps(30 + int(min(reach, 100.0) / math.log(10.0))):
         b, t = mpmath.mpf(beta), mpmath.mpf(x)
-        total, power, prev, k = mpmath.mpf(0), mpmath.mpf(1), mpmath.inf, 0
+        total, k = mpmath.mpf(0), 0
+        if reach > 100.0:
+            while True:
+                k += 1
+                total -= (-t) ** (-k) * mpmath.rgamma(1 - b * k)
+                if k > 2 and mpmath.gamma(b * k) / mpmath.pi * t ** (-k) < 1e-32 * abs(total):
+                    return float(total)
+        power, prev = mpmath.mpf(1), mpmath.inf  # power = (-x)^k
         while True:
-            term = power * mpmath.rgamma(b * k + 1)  # power = (-x)^k
+            term = power * mpmath.rgamma(b * k + 1)
             total += term
             if abs(term) < prev and abs(term) < 1e-30 * abs(total):
                 return float(total)
@@ -90,23 +103,58 @@ def _mittag_leffler_mpmath(mpmath, beta, x):
 
 
 def test_mittag_leffler_error_bound_vs_mpmath():
-    """est_abs_error bounds the error of every series value, including the
-    rounding of each term's logarithm, on random (beta, z) with -z
-    log-uniform in [0.01, 50] and at (0.6, -4.79)."""
+    """est_abs_error bounds the error of every value, the rule's Laplace
+    sum, on random (beta, z) with -z log-uniform in [0.01, 50] and at
+    (0.6, -4.79)."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(0)
     betas = np.concatenate([[0.6], rng.uniform(0.05, 0.99, 400)])
     xs = np.concatenate([[4.79], np.exp(rng.uniform(math.log(0.01), math.log(50.0), 400))])
-    n_series = 0
     for beta, x in zip(betas.tolist(), xs.tolist()):
         r = mittag_leffler(beta, -x)
-        if r.terms_used == 0:  # integral continuation
-            continue
-        n_series += 1
         assert abs(r.value - _mittag_leffler_mpmath(mpmath, beta, x)) <= r.est_abs_error, \
             (beta, x, r)
-    assert mittag_leffler(0.6, -4.79).terms_used > 0
-    assert n_series > 200
+
+
+@pytest.mark.parametrize("beta", [0.85, 0.9, 0.95, 0.99, 0.995, 0.999])
+def test_mittag_leffler_toward_beta_one_vs_mpmath(beta):
+    """Up to the band, where the spectral integral missed the peak of its
+    integrand, E_beta holds its reported error on x in [0.01, 50]."""
+    mpmath = pytest.importorskip("mpmath")
+    for x in np.geomspace(0.01, 50.0, 12):
+        r = mittag_leffler(beta, -x)
+        assert abs(r.value - _mittag_leffler_mpmath(mpmath, beta, x)) <= r.est_abs_error, (x, r)
+
+
+def test_mittag_leffler_half_within_reported_error_to_1e300():
+    """E_1/2(-x) = erfcx(x) for x up to 1e300: the rule's Laplace sum, and
+    past 1e15 the one-term asymptote, within the reported error."""
+    for x in np.geomspace(1e-3, 1e300, 400):
+        r = mittag_leffler(0.5, -x)
+        assert abs(r.value - float(erfcx(x))) <= r.est_abs_error, (x, r)
+
+
+def test_mittag_leffler_at_most_one_where_rule_mass_exceeds_one():
+    """E_beta(-x) <= 1 also where the rule's mass is a little above 1: the
+    Laplace sum is divided by that mass, in the same summation order."""
+    heavy = [k / 100 for k in range(1, 100)
+             if float(np.dot(*m_wright_quad_rule(k / 100)[1:])) > 1.0]
+    assert heavy
+    for beta in heavy:
+        for x in (5e-324, 1e-300, 1e-17):
+            assert 0.0 < mittag_leffler(beta, -x).value <= 1.0, (beta, x)
+
+
+def test_mittag_leffler_band_is_domain_error():
+    """beta in (_BETA_MAX, 1) is a DomainError that names the band, for
+    the rule and everything built on it, up to the float just below 1."""
+    for beta in (np.nextafter(specfun._BETA_MAX, 1.0), 0.9999999889, np.nextafter(1.0, 0.0)):
+        with pytest.raises(DomainError, match="outside the M-Wright rule's range"):
+            mittag_leffler(beta, -11.6)
+        with pytest.raises(DomainError, match="outside the M-Wright rule's range"):
+            m_wright_quad_rule(beta)
+    assert mittag_leffler(specfun._BETA_MAX, -11.6).value > 0.0
+    assert specfun._BETA_MAX >= 0.995
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
@@ -155,71 +203,80 @@ def test_m_wright_moment_divergent_order():
         m_wright_moment(0.5, -1.5)
 
 
-# Known defect, kept visible: toward beta = 1 the rule's log-spaced panels
-# miss mass as M_beta narrows onto tau = 1 (ROADMAP item 4, step 2).
-_RULE_MASS_BAND = pytest.mark.xfail(
-    strict=True, reason="rule mass off by more than 1e-10 on 0.88-0.95")
-
-
-@pytest.mark.parametrize("beta", [0.002, 0.005] + [
-    pytest.param(k / 100, marks=_RULE_MASS_BAND) if 88 <= k <= 95 else k / 100
-    for k in range(1, 96)])
+@pytest.mark.parametrize("beta", [0.002, 0.005] + [k / 100 for k in range(1, 100)] + [0.995])
 def test_m_wright_quad_rule_integrates_density(beta):
     nodes, weights, mvals = m_wright_quad_rule(beta)
     assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-10)
 
 
-def _series_both_ways(coefficients, beta, tau, scale):
+def test_m_wright_quad_rule_mass_sweep():
+    """Unit mass within 1e-10 at every beta = k/1000 up to _BETA_MAX and
+    at 50 beta log-spaced in 1 - beta from 0.5 down to 1 - _BETA_MAX; the
+    build also checks it, and raises ConvergenceError where it fails."""
+    betas = [k / 1000 for k in range(1, 1000) if k / 1000 <= specfun._BETA_MAX]
+    betas += (1.0 - np.geomspace(0.5, 1.0 - specfun._BETA_MAX, 50)).tolist()
+    for beta in betas:
+        nodes, weights, mvals = specfun._mw_rule_cached.__wrapped__(beta)
+        assert abs(float(weights @ mvals) - 1.0) <= 1e-10, beta
+
+
+def test_m_wright_quad_rule_mass_guard(monkeypatch):
+    """A rule whose mass is off 1 by more than _MASS_TOL raises
+    ConvergenceError instead of being cached."""
+    monkeypatch.setattr(specfun, "_MASS_TOL", -1.0)  # no mass is that close
+    with pytest.raises(ConvergenceError, match="mass"):
+        specfun._mw_rule_cached.__wrapped__(0.3)
+
+
+def _series_both_ways(monkeypatch, beta, tau, scale):
     """_series with the exit on `scale` and with it off (scale 0), as bytes,
     and the rows each built."""
     out = []
     for s in (scale, 0.0):
         rows = []
 
-        def counted(beta, n):
+        def counted(beta, n, _f=specfun._mw_coefficients):
             rows.append(n.size)
-            return coefficients(beta, n)
+            return _f(beta, n)
 
-        arrays = specfun._series(counted, beta, tau, s)
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_mw_coefficients", counted)
+            arrays = specfun._series(beta, tau, s)
         out.append(([a.tobytes() for a in arrays], sum(rows)))
     return out
 
 
 @pytest.mark.parametrize("beta", [k / 100 for k in range(1, 100)])
-def test_series_exit_changes_no_rule_node(beta):
+def test_series_exit_changes_no_rule_node(monkeypatch, beta):
     """The series' exit on M_beta's ceiling leaves every node of the rule
     with the same value, error and term count, bit for bit, as with the
     exit off, and the ceiling e (1-b) tau M_beta(tau) <= 1 holds at every
     node, from the series or from Kanter's integral."""
     nodes, _, mvals = m_wright_quad_rule(beta)
     scale = specfun._mw_scale(beta, nodes)
-    (on, _), (off, _) = _series_both_ways(specfun._mw_coefficients, beta, nodes, scale)
+    (on, _), (off, _) = _series_both_ways(monkeypatch, beta, nodes, scale)
     assert on == off
     assert np.all(scale * mvals <= 1.0)
 
 
 @pytest.mark.parametrize("beta", [k / 20 for k in range(1, 20)])
-def test_series_exit_changes_no_scalar_value(beta):
-    """One node at a time, as m_wright and mittag_leffler call the series:
-    M_beta on tau in [1e-3, 20] and E_beta(-x) on x in [1e-3, 200], with
-    their ceilings 1/(e (1-b) tau) and 1, bit for bit as with the exit
-    off."""
+def test_series_exit_changes_no_scalar_value(monkeypatch, beta):
+    """One node at a time, as m_wright calls the series: M_beta on tau in
+    [1e-3, 20], with its ceiling 1/(e (1-b) tau), bit for bit as with the
+    exit off."""
     for tau in np.geomspace(1e-3, 20.0, 30):
-        (on, _), (off, _) = _series_both_ways(specfun._mw_coefficients, beta, np.array([tau]),
+        (on, _), (off, _) = _series_both_ways(monkeypatch, beta, np.array([tau]),
                                               specfun._mw_scale(beta, tau))
         assert on == off, tau
-    for x in np.geomspace(1e-3, 200.0, 30):
-        (on, _), (off, _) = _series_both_ways(specfun._ml_coefficients, beta, np.array([x]), 1.0)
-        assert on == off, x
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
-def test_series_exit_builds_fewer_rows(beta):
+def test_series_exit_builds_fewer_rows(monkeypatch, beta):
     """The exit fires: nodes that end in Kanter's integral leave the sum
     early, so a rule's series builds fewer rows than with the exit off."""
     nodes, _, _ = m_wright_quad_rule(beta)
     (_, rows_on), (_, rows_off) = _series_both_ways(
-        specfun._mw_coefficients, beta, nodes, specfun._mw_scale(beta, nodes))
+        monkeypatch, beta, nodes, specfun._mw_scale(beta, nodes))
     assert rows_on < rows_off
 
 
@@ -372,20 +429,42 @@ def test_m_wright_quad_rule_needs_no_adaptive_quad(monkeypatch, beta):
     assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_m_wright_overflow_is_convergence_error():
-    # tau^(1/(1-beta)) = 5^1000 overflows a float
-    with pytest.raises(ConvergenceError):
-        m_wright(0.999, 5.0)
+def test_m_wright_underflow_is_zero(monkeypatch):
+    """M_0.999(5): tau^(1/(1-beta)) = 5^1000 overflows a float, but Kanter's
+    integrand u exp(-u) is at most u0 exp(-u0) with log u0 about 1600, so
+    the value underflows, and it is 0 with no quad."""
+    assert specfun._log_u0(0.999, 5.0) > 1600.0
+    monkeypatch.setattr(specfun, "_mw_quad", _no_adaptive_quad)
+    assert m_wright(0.999, 5.0) == specfun.EvalResult(0.0, 0.0, 0)
+
+
+def test_kanter_log_a_finite_where_powers_underflow():
+    """At beta = 0.997021 the textbook form's powers underflow to 0/0 for
+    theta <= 0.1; the log form stays at a0 = (1-b) b^(b/(1-b)) ~ 1.098e-3
+    there and increases."""
+    beta, theta = 0.997021, np.array([1e-6, 1e-3, 1e-2, 0.1])
+    with np.errstate(all="ignore"):
+        textbook = (np.sin(beta * theta) ** (beta / (1.0 - beta)) * np.sin((1.0 - beta) * theta)
+                    / np.sin(theta) ** (1.0 / (1.0 - beta)))
+    assert np.all(np.isnan(textbook))
+    a = specfun.kanter_a(beta, theta)
+    a0 = (1.0 - beta) * beta ** (beta / (1.0 - beta))
+    assert np.all(np.isfinite(a)) and np.all(np.diff(a) > 0.0)
+    np.testing.assert_allclose(a[:3], [a0, 1.0976e-3, 1.0976e-3], rtol=1e-4)
+    assert a[3] == pytest.approx(1.1030e-3, rel=1e-4)
 
 
 @pytest.mark.parametrize("beta", [np.float64(0.001855027861893177), 0.005])
 @pytest.mark.parametrize("s", [0.5, 6.74, 50.0])
 def test_mittag_leffler_is_laplace_transform_of_m_wright(beta, s):
-    # E_beta(-s) = int_0^inf exp(-s tau) M_beta(tau) dtau at small beta,
-    # where both functions reach their integral continuations
-    nodes, weights, mvals = m_wright_quad_rule(beta)
-    laplace = float(np.dot(weights, np.exp(-s * nodes) * mvals))
-    assert abs(mittag_leffler(beta, np.float64(-s)).value - laplace) <= 1e-6
+    """mittag_leffler is E_beta(-s) = int_0^inf exp(-s tau) M_beta(tau) dtau
+    summed over the rule; at small beta, where the rule's far nodes come
+    from Kanter's integral, it holds its reported error against the
+    mpmath series, which shares nothing with the rule (the closed forms
+    at beta = 1/2 and 1/3 are verify laplace's)."""
+    mpmath = pytest.importorskip("mpmath")
+    r = mittag_leffler(beta, np.float64(-s))
+    assert abs(r.value - _mittag_leffler_mpmath(mpmath, float(beta), s)) <= r.est_abs_error
 
 
 def test_time_kernel_constant_values():
