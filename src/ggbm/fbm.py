@@ -36,8 +36,8 @@ class GridSpec:
     n_steps: int
 
     def __post_init__(self):
-        if self.t_max <= 0.0:
-            raise DomainError(f"t_max must be positive, got {self.t_max:g}")
+        if not 0.0 < self.t_max < math.inf:
+            raise DomainError(f"t_max must be positive and finite, got {self.t_max:g}")
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
 

@@ -4,12 +4,13 @@ B = sqrt(Y_beta) B_H, H = alpha/2, so by self-similarity V_beta = m V_1 with
 m = E[Y^(-1/alpha)] and V_1 the potential of B_H: only fBm paths are sampled,
 on one geometric clock up to t_max (see _clock), and every term of the
 estimate is scaled by m.  The paths come in chunks of _CHUNK_SIZE, one
-SFC64 stream per chunk, and a chunk is walked in blocks of _BLOCK_SIZE paths
-drawn one after the other from that stream, so that a block's normals, its
-points and f's temporaries stay in cache.  A block's points stay in the
-component-major (d, times, paths) buffer the fBm sampler writes: they are
-shifted in place, f reads each component as a contiguous plane, and the
-trapezoid sums run over contiguous rows.  The blocks fill the chunk's
+SFC64 stream per chunk, and a chunk is walked in blocks drawn one after the
+other from that stream: _BLOCK_SIZE paths for most f, so that a block's
+normals, its points and f's temporaries stay in cache, and the whole chunk
+for a declared Gaussian, whose block holds one component (_block_values).
+A block's points stay in the component-major (d, times, paths) buffer the
+fBm sampler writes: they are shifted in place, f reads each component as a
+contiguous plane, and the trapezoid sums run over contiguous rows.  The blocks fill the chunk's
 per-path values, and every chunk returns the same sums of them (the first
 four powers of the trapezoid integral on the grid, and, for an f not
 declared Gaussian, its difference from the half grid with its square);
@@ -31,8 +32,8 @@ tail are exact and in the mean, so the tail and discretization bounds are
 both 0 and the budget is 3 SE.  The variance of the per-path sum is a
 closed form too (_gaussian_grid_moments), against which verify checks the
 sampled SE.
-The clock then only has to keep the variance low.  It does so at a
-quarter of the density every other f needs, and it starts where fBm's
+The clock then only has to keep the variance low.  It does so at an
+eighth of the density every other f needs, and it starts where fBm's
 variance t^alpha reaches a tenth of f's spread: before that f(x + B(t))
 is almost the constant f(x) on every path, so those decades add points
 but no variance.
@@ -73,9 +74,13 @@ __all__ = [
 # 1.55 and 1.34 times that, so there the grid, not the path count, sets
 # much of the budget.  A Gaussian f has no discretization term, its grid
 # bias being exact and folded out, so its clock only has to keep the
-# per-path variance low: at 8 per decade the SD of its conditioned
-# per-path sum is 0.8 to 3.1 % above 16's at the four triples above,
-# x = c and t_max = 50, for half the points.  Every other f's clock
+# per-path variance low: _GAUSSIAN_STEPS_PER_DECADE is the coarsest
+# density at which the exact SD of its conditioned per-path sum
+# (_gaussian_grid_moments) stays within 10 % of 8 per decade's at the four
+# triples above, x = c and |x - c| = 1.5, t_max = 50.  At 4 it is 3.3 to
+# 9.2 % above 8's, for 12 sampled points in place of 20 at (0.5, 1.5, 3)
+# (10 to 12 in place of 20 to 24 at the others: 40 to 50 % fewer normals
+# per path); at 3 it is 14.5 % above at (1, 1, 3).  Every other f's clock
 # starts at _T_MIN; a Gaussian's starts where t^alpha is
 # _GAUSSIAN_START_SPREAD times its spread, clamped to [_T_MIN, t_max / 10]
 # (see _clock).  The start was set for f along whole paths, whose SD it
@@ -83,18 +88,21 @@ __all__ = [
 # less variance and a larger share of it early, so the start raises its
 # SD by up to 0.69 % (alpha = 2, d = 3, spread 9, x = c), 1.4 % in
 # variance.  A start at 0.05 would hold that to 0.29 % but add 2 points
-# to the headline op's 21, about a tenth of its cost per path.
+# to the headline op's 21 at 8 per decade, about a tenth of its cost per
+# path.
 _STEPS_PER_DECADE = 32
-_GAUSSIAN_STEPS_PER_DECADE = 8
+_GAUSSIAN_STEPS_PER_DECADE = 4
 _GAUSSIAN_START_SPREAD = 0.1
 _T_MIN = 1e-3
 # paths per chunk, each chunk with its own stream
 _CHUNK_SIZE = 2048
-# paths per block within a chunk: a block's normals, points and f values
-# fit in L2.  It divides _CHUNK_SIZE and is a multiple of 64, and with
-# block edges on multiples of 64 every path's value is bit-identical to
-# one whole-chunk GEMM; 399-path blocks changed the last bits of some
-# values at (0.8, 1.2, 2), so the block is a fixed count, not a byte size.
+# paths per block within a chunk for an f not declared Gaussian: a
+# block's normals, points and f values fit in L2.  It divides _CHUNK_SIZE
+# and is a multiple of 64, and with block edges on multiples of 64 every
+# path's value is bit-identical to one whole-chunk GEMM; 399-path blocks
+# changed the last bits of some values at (0.8, 1.2, 2), so the block is a
+# fixed count, not a byte size.  A declared Gaussian's block is the whole
+# chunk (_block_values).
 _BLOCK_SIZE = 256
 
 
@@ -112,8 +120,8 @@ class PerpetualSpec:
     seed: SeedSpec
 
     def __post_init__(self):
-        if self.t_max <= _T_MIN:
-            raise DomainError(f"t_max must exceed {_T_MIN:g}")
+        if not _T_MIN < self.t_max < math.inf:
+            raise DomainError(f"t_max must be finite and exceed {_T_MIN:g}, got {self.t_max:g}")
         if self.n_paths < 1:
             raise DomainError("n_paths must be >= 1")
 
@@ -217,10 +225,11 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
                   times: np.ndarray):
-    """The block sampler for f from x on the clock: a function (rng, n) ->
-    the (len(times) - 1, n) per-path values at times[1:] of n fBm paths
-    drawn from rng, the raw matrix, so the caller can integrate it on the
-    grid and on subgrids (every path is f(x) at t = 0).
+    """The block sampler for f from x on the clock and its block size: a
+    function (rng, n) -> the (len(times) - 1, n) per-path values at
+    times[1:] of n fBm paths drawn from rng, the raw matrix, so the caller
+    can integrate it on the grid and on subgrids (every path is f(x) at
+    t = 0), and the number of paths _chunk_sums draws per call.
 
     For an f not declared Gaussian a value is f(x + B_H(t)) itself.  The
     points stay where sample_fbm_batch put them, component-major
@@ -233,10 +242,14 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
     E[f(x + B(t)) | B_1] = A rho(t) exp(-(r + B_1(t))^2 / (2 s)),
     rho(t) = (s / (s + t^alpha))^((d - 1) / 2).  A value is this
     conditional mean along one sampled component, with the same mean and a
-    variance never larger (Rao-Blackwell).  A rho(t) (_conditioned_scale)
-    is computed here, once per estimate: computed per block it made the
-    4096-path headline op 18 % slower (median 2.85 -> 3.39 ms over 600
-    interleaved ops on a 2-core x86 box).
+    variance never larger (Rao-Blackwell).  Its block is the whole chunk:
+    one component on the Gaussian's short clock is 2048 x 12 floats, and
+    per block the sampler's Python, the BLAS pin, the einsum and the five
+    in-place steps below cost about as much as the arithmetic of 256
+    paths.  A rho(t) (_conditioned_scale) is computed here, once per
+    estimate: computed per 256-path block it made the 4096-path headline
+    op 18 % slower (median 2.85 -> 3.39 ms over 600 interleaved ops on a
+    2-core x86 box, measured before the Gaussian's block was the chunk).
     """
     d, m = params.dim, len(times) - 1
     if not f.gaussian:
@@ -244,7 +257,7 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
             pts = sample_fbm_batch(params.hurst, times[1:], d, n, rng).transpose(2, 1, 0)
             pts += x[:, None, None]
             return f.eval_many(pts.reshape(d, m * n).T).reshape(m, n)
-        return values
+        return values, _BLOCK_SIZE
     s = f.spread
     r = math.sqrt(float(np.sum((x - f.center) ** 2)))
     scale = _conditioned_scale(params, f, times[1:])
@@ -257,7 +270,7 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
         np.exp(b, out=b)
         b *= scale[:, None]
         return b
-    return values
+    return values, _CHUNK_SIZE
 
 
 def _conditioned_scale(params: ModelParams, f: TestFunction, times: np.ndarray) -> np.ndarray:
@@ -275,20 +288,21 @@ def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w[0] * f0 + np.einsum("j,ji->i", w[1:], fv)
 
 
-def _chunk_sums(values, f0: float, weights: tuple[np.ndarray, np.ndarray | None],
+def _chunk_sums(values, block: int, f0: float,
+                weights: tuple[np.ndarray, np.ndarray | None],
                 rng: np.random.Generator, n: int) -> tuple[float, ...]:
     """One chunk's sums over its n paths: the first four powers of the
     trapezoid integral on the grid (weights[0]), then, unless weights[1] is
     None (a declared Gaussian has no discretization term), its difference
     from the half grid (weights[1]) with its square.  The per-path values
-    come from the block sampler values (_block_values), _BLOCK_SIZE paths
-    at a time drawn from rng, with f0 = f(x) at t = 0; they fill
-    chunk-long arrays, each reduced once."""
+    come from the block sampler values (_block_values), block paths at a
+    time drawn from rng, with f0 = f(x) at t = 0; they fill chunk-long
+    arrays, each reduced once."""
     w_fine, w_coarse = weights
     fine = np.empty(n)
     diff = None if w_coarse is None else np.empty(n)
-    for lo in range(0, n, _BLOCK_SIZE):
-        hi = min(lo + _BLOCK_SIZE, n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
         fv = values(rng, hi - lo)
         fine[lo:hi] = _trapezoid(f0, fv, w_fine)
         if diff is not None:
@@ -412,18 +426,18 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     w_fine = _trapezoid_weights(times)
     w_coarse = None if f.gaussian else _trapezoid_weights(times[::2])
 
-    values, f0 = _block_values(params, f, x, times), f(x)
+    (values, block), f0 = _block_values(params, f, x, times), f(x)
     chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
               for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
 
     def run_chunk(job):
         idx, n = job
         rng = make_stream(spec.seed.substream(idx))
-        return _chunk_sums(values, f0, (w_fine, w_coarse), rng, n)
+        return _chunk_sums(values, block, f0, (w_fine, w_coarse), rng, n)
 
     # threads == 1 maps the same streams and sums in the calling thread: a
-    # one-worker pool made the 4096-path headline op 17 % slower (median
-    # 2.85 -> 3.37 ms over 600 interleaved ops on a 2-core x86 box)
+    # one-worker pool made the 4096-path headline op 31 % slower (median
+    # 1.53 -> 2.01 ms over 600 interleaved ops on a 2-core x86 box)
     if threads == 1:
         results = list(map(run_chunk, chunks))
     else:

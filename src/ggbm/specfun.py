@@ -53,8 +53,9 @@ __all__ = [
 # beta = 5e-324, tau = 1, 0.8 % at 1e-322) and the sampler returns
 # non-finite draws.  So a subnormal beta is a DomainError.
 BETA_MIN = sys.float_info.min
-# The largest beta below 1 that the quadrature rule, and so mittag_leffler
-# and every density built on it, takes; m_wright and the sampler take more.
+# The largest beta below 1 that m_wright and the quadrature rule, and so
+# mittag_leffler and every density built on it, take; the sampler takes
+# more.
 _BETA_MAX = 0.999
 
 # Series summation is abandoned when the largest term exceeds the running
@@ -361,11 +362,15 @@ def _mw_scale(beta: float, tau):
 
 
 def m_wright(beta: float, tau: float) -> EvalResult:
-    """M-Wright density M_beta(tau) for BETA_MIN <= beta < 1 and finite
-    tau >= 0, from the series or Kanter's integral (_mw_values)."""
+    """M-Wright density M_beta(tau) for BETA_MIN <= beta <= _BETA_MAX and
+    finite tau >= 0, from the series or Kanter's integral (_mw_values).
+    In the band (_BETA_MAX, 1) Kanter's theta rule misses the peak of its
+    integrand near tau = 1 and the series runs long, so the band is the
+    rule's DomainError here too."""
     check_beta("m_wright", beta)
     if beta == 1.0:
         raise DomainError("m_wright requires beta < 1: M_1 is the point mass at 1")
+    _refuse_band(beta)
     if not 0.0 <= tau < math.inf:
         raise DomainError(f"m_wright requires a finite tau >= 0, got {tau:g}")
     if tau == 0.0:
@@ -452,11 +457,16 @@ def m_wright_quad_rule(beta: float):
     check_beta("m_wright_quad_rule", beta)
     if beta == 1.0:
         return _POINT_MASS_RULE
-    if beta > _BETA_MAX:
+    _refuse_band(beta)
+    return _mw_rule_cached(float(beta))
+
+
+def _refuse_band(beta: float) -> None:
+    """DomainError for beta in the band (_BETA_MAX, 1)."""
+    if _BETA_MAX < beta < 1.0:
         raise DomainError(
             f"beta in ({_BETA_MAX:g}, 1) is outside the M-Wright rule's range, "
             f"where M_beta narrows onto the point mass at 1; got beta = {beta!r}")
-    return _mw_rule_cached(float(beta))
 
 
 # ---------------------------------------------------------------------------

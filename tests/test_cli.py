@@ -107,11 +107,23 @@ def test_verify_too_few_paths_exit_code(suite, paths, capsys):
 
 
 def test_eval_numeric_error_exit_code(capsys):
-    # toward beta = 1 the peak of Kanter's integrand at tau just below 1
-    # lies past its theta rule: a ConvergenceError, not a silent value
+    """M_beta in the band (0.999, 1) is the rule's DomainError, where the
+    peak of Kanter's integrand at tau just below 1 lay past its theta rule
+    and raised a ConvergenceError."""
     assert main(["eval", "mwright", "--beta", "0.999999", "--tau", "0.999"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "Kanter" in err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "(0.999, 1)" in captured.err
+
+
+@pytest.mark.parametrize("cmd", [["estimate-potential", "--paths", "64"],
+                                 ["sample", "fbm", "--steps", "8"]])
+@pytest.mark.parametrize("t_max", ["nan", "inf"])
+def test_non_finite_t_max_exit_code(cmd, t_max, capsys):
+    """A NaN or infinite --t-max is a DomainError naming t_max, where
+    estimate-potential printed "cannot convert float NaN to integer"."""
+    assert main(cmd + ["--t-max", t_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t_max" in captured.err
 
 
 def test_eval_ml_in_the_band_is_domain_error(capsys):

@@ -27,6 +27,9 @@ def test_grid_spec_validation():
         GridSpec(t_max=0.0, n_steps=8)
     with pytest.raises(DomainError):
         GridSpec(t_max=1.0, n_steps=0)
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="t_max"):
+            GridSpec(t_max=t_max, n_steps=8)
 
 
 def test_fbm_covariance_matrix():

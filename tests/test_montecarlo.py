@@ -58,6 +58,10 @@ def test_perpetual_spec_validation():
         PerpetualSpec(t_max=1e-4, n_paths=10, seed=SeedSpec(0, 0))
     with pytest.raises(DomainError):
         PerpetualSpec(t_max=10.0, n_paths=0, seed=SeedSpec(0, 0))
+    # a NaN passed the comparison and an infinity reached the clock's log
+    for t_max in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="t_max"):
+            PerpetualSpec(t_max=t_max, n_paths=10, seed=SeedSpec(0, 0))
 
 
 def test_chunk_f_values_match_per_path_reference():
@@ -69,7 +73,7 @@ def test_chunk_f_values_match_per_path_reference():
     x = np.array([0.3, -0.2, 0.1])
     times = build_time_grid(PerpetualSpec(t_max=3.0, n_paths=1, seed=SeedSpec(0, 0)))
     n = 6
-    f0, fv = f(x), _block_values(params, f, x, times)(make_stream(SeedSpec(8, 1)), n)
+    f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(8, 1)), n)
     assert fv.shape == (len(times) - 1, n)
     rng = make_stream(SeedSpec(8, 1))
     vals = sample_fbm_batch(params.hurst, times[1:], 3, n, rng)
@@ -95,7 +99,7 @@ def test_gaussian_block_values_condition_on_one_component(triple, offset):
     x = c + offset[:d]
     times = _clock(params, f, PerpetualSpec(t_max=10.0, n_paths=1, seed=SeedSpec(0, 0)))
     n = 300
-    fv = _block_values(params, f, x, times)(make_stream(SeedSpec(8, 1)), n)
+    fv = _block_values(params, f, x, times)[0](make_stream(SeedSpec(8, 1)), n)
     b1 = sample_fbm_batch(params.hurst, times[1:], 1, n, make_stream(SeedSpec(8, 1)))[..., 0]
     pts = np.zeros((n, len(times) - 1, d))
     pts[..., 0] = np.linalg.norm(offset[:d]) + b1
@@ -110,11 +114,13 @@ def test_gaussian_block_values_condition_on_one_component(triple, offset):
 @pytest.mark.parametrize("case", ["gaussian", "bump", "line"])
 @pytest.mark.parametrize("n_paths", [1000, 2049])
 def test_blocks_change_no_bits(case, n_paths):
-    """A chunk walked in _BLOCK_SIZE blocks gives exactly the sums of one
-    whole-chunk sample_fbm_batch on the same stream, with partial blocks
-    (1000 paths) and a partial chunk (2049), for a Gaussian, a bump and the
-    H = 1 line.  Block edges on multiples of 64 are what keeps the GEMM's
-    columns bit-identical."""
+    """A chunk walked in the blocks _block_values asks for gives exactly the
+    sums of one whole-chunk sample_fbm_batch on the same stream, and of
+    64-path blocks, with partial blocks (1000 paths) and a partial chunk
+    (2049), for a Gaussian, a bump and the H = 1 line.  A declared
+    Gaussian draws its chunk as one block; the bump draws _BLOCK_SIZE
+    paths at a time.  Block edges on multiples of 64 are what keeps the
+    GEMM's columns bit-identical."""
     assert _BLOCK_SIZE % 64 == 0 and _CHUNK_SIZE % _BLOCK_SIZE == 0
     triple, f = {
         "gaussian": ((0.5, 1.5, 3), gaussian_test_function(1.0, 3)),
@@ -128,11 +134,21 @@ def test_blocks_change_no_bits(case, n_paths):
     # a declared Gaussian has no discretization term, so no half-grid sums
     weights = (_trapezoid_weights(times),
                None if f.gaussian else _trapezoid_weights(times[::2]))
-    values, f0 = _block_values(params, f, x, times), f(x)
+    (values, block), f0 = _block_values(params, f, x, times), f(x)
+    assert block == (_CHUNK_SIZE if f.gaussian else _BLOCK_SIZE)
+    drawn = []
+
+    def counted(rng, n):
+        drawn.append(n)
+        return values(rng, n)
+
     for idx, lo in enumerate(range(0, n_paths, _CHUNK_SIZE)):
         n = min(_CHUNK_SIZE, n_paths - lo)
         stream = spec.seed.substream(idx)
-        got = _chunk_sums(values, f0, weights, make_stream(stream), n)
+        drawn.clear()
+        got = _chunk_sums(counted, block, f0, weights, make_stream(stream), n)
+        assert drawn == [min(block, n - k) for k in range(0, n, block)]
+        assert _chunk_sums(values, 64, f0, weights, make_stream(stream), n) == got
         fv = values(make_stream(stream), n)
         fine = _trapezoid(f0, fv, weights[0])
         sq = fine * fine
@@ -162,7 +178,7 @@ def test_discretization_bound_uses_every_path():
     times = _clock(params, f, spec)
     diffs = []
     for idx in range(2):
-        f0, fv = f(x), _block_values(params, f, x, times)(
+        f0, fv = f(x), _block_values(params, f, x, times)[0](
             make_stream(spec.seed.substream(idx)), _CHUNK_SIZE)
         fv = np.vstack([np.full(_CHUNK_SIZE, f0), fv]).T  # (paths, times)
         diffs.append(fv @ _trapezoid_weights(times)
@@ -320,18 +336,18 @@ def test_one_thread_runs_without_a_pool(monkeypatch):
 def test_estimate_pinned_values():
     """Mean (with the exact tail beyond t_max and the exact grid bias folded
     in), SE and kurtosis at seed 42 on a Gaussian's clock of
-    _GAUSSIAN_STEPS_PER_DECADE = 8 intervals per decade from where t^alpha
-    is a tenth of the spread (17 grid points at t_max = 10), one fBm
+    _GAUSSIAN_STEPS_PER_DECADE = 4 intervals per decade from where t^alpha
+    is a tenth of the spread (9 grid points at t_max = 10), one fBm
     component sampled and the other two integrated out; a change of the
     clock, the fold, the conditioning or the draws moves them."""
     params = ModelParams(0.5, 1.5, 3)
     f = gaussian_test_function(1.0, 3)
     spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(42, 0))
-    assert len(_clock(params, f, spec)) == 17
+    assert len(_clock(params, f, spec)) == 9
     est = estimate_potential_mc(params, f, np.zeros(3), spec)
-    assert est.mean == pytest.approx(2.263969338611166, rel=1e-12)
-    assert est.std_error == pytest.approx(0.00990243383277113, rel=1e-12)
-    assert est.kurtosis == pytest.approx(2.238455525644829, rel=1e-9)
+    assert est.mean == pytest.approx(2.274963157104164, rel=1e-12)
+    assert est.std_error == pytest.approx(0.010338611254828423, rel=1e-12)
+    assert est.kurtosis == pytest.approx(2.2454160467538067, rel=1e-9)
     assert est.discretization_bound == 0.0 and est.tail_bound == 0.0
 
 
@@ -468,7 +484,7 @@ def test_raw_grid_mean_reproduces_exact_grid_sum(x):
     f = gaussian_test_function(1.0, 3, center=np.array([0.1, 0.2, -0.1]))
     times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     w = _trapezoid_weights(times)
-    f0, fv = f(x), _block_values(params, f, x, times)(make_stream(SeedSpec(5, 0)), 8192)
+    f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(5, 0)), 8192)
     trap = w[0] * f0 + w[1:] @ fv
     se = trap.std(ddof=1) / math.sqrt(len(trap))
     exact = w @ _gaussian_mean_along_fbm(params, 1.0, 1.0, float(np.linalg.norm(x - f.center)),
@@ -497,7 +513,7 @@ def test_exact_grid_variance_matches_sampled_paths():
     times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     w = _trapezoid_weights(times)
     mean, var = _gaussian_grid_moments(params, f, x, times, w)
-    f0, fv = f(x), _block_values(params, f, x, times)(make_stream(SeedSpec(6, 0)), 8192)
+    f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(6, 0)), 8192)
     trap = w[0] * f0 + w[1:] @ fv
     assert trap.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / len(trap)))
     assert trap.std(ddof=1) == pytest.approx(math.sqrt(var), rel=0.05)
@@ -530,7 +546,7 @@ def test_componentwise_grid_variance_matches_sampled_paths():
     times = _clock(params, g, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     w = _trapezoid_weights(times)
     mean, var = _componentwise_grid_moments(params, g, x, times, w)
-    f0, fv = f(x), _block_values(params, f, x, times)(make_stream(SeedSpec(6, 0)), 8192)
+    f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(6, 0)), 8192)
     trap = w[0] * f0 + w[1:] @ fv
     assert trap.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / len(trap)))
     assert trap.std(ddof=1) == pytest.approx(math.sqrt(var), rel=0.05)
@@ -555,6 +571,23 @@ def test_conditioning_never_raises_the_grid_variance(triple):
         assert 0.0 < var <= whole_var
 
 
+@pytest.mark.parametrize("triple", [(0.5, 1.5, 3), (0.8, 1.2, 2), (0.9, 2.0, 2), (1.0, 1.0, 3)],
+                         ids=lambda t: "-".join(map(str, t)))
+def test_gaussian_clock_density_keeps_the_grid_sd(triple):
+    """At _GAUSSIAN_STEPS_PER_DECADE the exact SD of the conditioned
+    per-path sum stays within 10 % of 8 per decade's, from the same start,
+    at the criterion-1 triples, x = c and |x - c| = 1.5, t_max = 50; a
+    coarser clock would trade certified width for fewer normals."""
+    params = ModelParams(*triple)
+    spec = PerpetualSpec(50.0, 1, SeedSpec(0, 0))
+    times = _clock(params, gaussian_test_function(1.0, params.dim), spec)
+    eight = build_time_grid(spec, 8, times[1])
+    assert _GAUSSIAN_STEPS_PER_DECADE <= 8 and len(times) <= len(eight)
+    for r in (0.0, 1.5):
+        assert _grid_sd(params, 1.0, r, times) == pytest.approx(
+            _grid_sd(params, 1.0, r, eight), rel=0.1)
+
+
 @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.8, 2.0])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_gaussian_clock_start_keeps_the_grid_variance(alpha, dim):
@@ -562,7 +595,7 @@ def test_gaussian_clock_start_keeps_the_grid_variance(alpha, dim):
     not at _T_MIN, drops points but leaves the exact per-path SD of f along
     whole paths within 0.5 %: the decades before the start carry no
     variance.  Both grids run at _STEPS_PER_DECADE, fine enough that where
-    the nodes fall moves that SD by at most 0.39 %; at the Gaussian's 8 per
+    the nodes fall moves that SD by at most 0.39 %; at 8 per
     decade it moves it by up to 1.0 %.  The conditioned sum the estimator
     draws has less variance, and a larger share of it early: the start
     moves its SD by up to 0.69 % (alpha = 2, d = 3, at the centre)."""

@@ -147,12 +147,15 @@ def test_mittag_leffler_at_most_one_where_rule_mass_exceeds_one():
 
 def test_mittag_leffler_band_is_domain_error():
     """beta in (_BETA_MAX, 1) is a DomainError that names the band, for
-    the rule and everything built on it, up to the float just below 1."""
+    the rule, everything built on it and m_wright, up to the float just
+    below 1."""
     for beta in (np.nextafter(specfun._BETA_MAX, 1.0), 0.9999999889, np.nextafter(1.0, 0.0)):
         with pytest.raises(DomainError, match="outside the M-Wright rule's range"):
             mittag_leffler(beta, -11.6)
         with pytest.raises(DomainError, match="outside the M-Wright rule's range"):
             m_wright_quad_rule(beta)
+        with pytest.raises(DomainError, match="outside the M-Wright rule's range"):
+            m_wright(beta, 0.999)
     assert mittag_leffler(specfun._BETA_MAX, -11.6).value > 0.0
     assert specfun._BETA_MAX >= 0.995
 
