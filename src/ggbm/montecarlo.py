@@ -206,8 +206,18 @@ def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndar
     t0 = max(_T_MIN, min((_GAUSSIAN_START_SPREAD s)^(1/alpha), t_max / 10)),
     s = f.spread: the first interval [0, t0] is one trapezoid whose bias is
     folded out like every other, and before t0 the paths have moved too
-    little against f's width to add variance.
+    little against f's width to add variance.  t_max^alpha, the paths'
+    variance at t_max, and t_max / _T_MIN, the clock's span, must be
+    finite, or it is a DomainError: t_max = 1e300 at alpha = 1.5 gave a
+    NaN mean with a budget of 0, and 1e308 an integer conversion error.
     """
+    try:
+        finite = math.isfinite(spec.t_max ** params.alpha) and math.isfinite(spec.t_max / _T_MIN)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(f"t_max = {spec.t_max:g} is too large: t_max^alpha at alpha = "
+                          f"{params.alpha:g} and t_max / {_T_MIN:g} must be finite")
     if not f.gaussian:
         return build_time_grid(spec)
     t0 = (_GAUSSIAN_START_SPREAD * f.spread) ** (1.0 / params.alpha)
@@ -444,6 +454,11 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, chunks))
 
+    for i, sums in enumerate(results):
+        # the sums the mean, its SE and the discretization bound come from
+        if not all(map(math.isfinite, sums[:2] + sums[4:])):
+            raise DomainError(f"chunk {i} of the estimate at t_max = {spec.t_max:g} has "
+                              f"non-finite sums: f along the paths is not finite there")
     n = spec.n_paths
     s1, s2, s3, s4, *dsums = (math.fsum(col) for col in zip(*results))
     mean, std_error = _mean_and_se(s1, s2, n)

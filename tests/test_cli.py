@@ -126,6 +126,16 @@ def test_non_finite_t_max_exit_code(cmd, t_max, capsys):
     assert captured.out == "" and "t_max" in captured.err
 
 
+@pytest.mark.parametrize("t_max", ["1e300", "1e308"])
+def test_huge_t_max_exit_code(t_max, capsys):
+    """A t_max whose clock or t_max^alpha overflows is a DomainError naming
+    t_max, where 1e300 printed a NaN mean with a budget of 0 and 1e308
+    "cannot convert float infinity to integer"."""
+    assert main(["estimate-potential", "--paths", "256", "--seed", "1", "--t-max", t_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "t_max" in captured.err
+
+
 def test_eval_ml_in_the_band_is_domain_error(capsys):
     """E_beta in the band (0.999, 1) is a DomainError that names the band,
     where the spectral integral printed 1.254e-9 for 9.167e-6."""

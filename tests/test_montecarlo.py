@@ -64,6 +64,29 @@ def test_perpetual_spec_validation():
             PerpetualSpec(t_max=t_max, n_paths=10, seed=SeedSpec(0, 0))
 
 
+@pytest.mark.parametrize("t_max", [1e300, 1e308])
+def test_huge_t_max_is_domain_error(t_max):
+    """t_max^alpha or the clock's span t_max / _T_MIN overflows: a
+    DomainError naming t_max from the estimator and the exact moments, not
+    a NaN mean with an SE of 0."""
+    params, f = ModelParams(0.5, 1.5, 3), gaussian_test_function(1.0, 3)
+    spec = PerpetualSpec(t_max=t_max, n_paths=256, seed=SeedSpec(1, 0))
+    with pytest.raises(DomainError, match="t_max"):
+        estimate_potential_mc(params, f, np.zeros(3), spec)
+    with pytest.raises(DomainError, match="t_max"):
+        exact_gaussian_moments(params, f, np.zeros(3), spec)
+
+
+def test_non_finite_chunk_sums_raise():
+    """An f that is NaN along the paths gives non-finite chunk sums: a
+    DomainError, not an Estimate."""
+    f = dataclasses.replace(bump_test_function(1.0, 2),
+                            eval_many=lambda pts: np.full(len(pts), math.nan))
+    spec = PerpetualSpec(t_max=10.0, n_paths=64, seed=SeedSpec(1, 0))
+    with pytest.raises(DomainError, match="non-finite sums"):
+        estimate_potential_mc(ModelParams(0.8, 1.2, 2), f, np.zeros(2), spec)
+
+
 def test_chunk_f_values_match_per_path_reference():
     """For an f not declared Gaussian each row is f along its own fBm path
     x + B_p, with B_p = 0 at t = 0, in the same arithmetic as a per-path

@@ -359,6 +359,38 @@ def test_m_wright_quad_rule_half_is_gaussian():
     np.testing.assert_allclose(mvals, expected, rtol=1e-8)
 
 
+@pytest.mark.parametrize("beta", [1e-7, 0.05, 0.5, 0.9, 0.999])
+def test_series_over_a_rule_equals_node_by_node(beta):
+    """_series over all of a rule's nodes at once, whose blocks start 8 rows
+    deep and carry each node's sum, peak and spread from block to block,
+    gives every node the value, error and term count, bit for bit, that a
+    call with that node alone gives, whose blocks start 32 rows deep."""
+    nodes, _, _ = m_wright_quad_rule(beta)
+    scale = specfun._mw_scale(beta, nodes)
+    whole = specfun._series(beta, nodes, scale)
+    for i in range(nodes.size):
+        alone = specfun._series(beta, nodes[i:i + 1], scale[i:i + 1])
+        assert [a[i:i + 1].tobytes() for a in whole] == [a.tobytes() for a in alone], i
+
+
+@pytest.mark.parametrize("beta", [1e-7, 0.3, 0.9, 0.999])
+def test_kanter_window_equals_full_width_integrand(beta):
+    """_kanter_matrix, formed only on each group's window, equals the
+    full-width _kanter_integrand exactly, at every node of the rule (those
+    that go to Kanter's integral among them), at a node whose window is
+    empty and at one whose window is the whole row."""
+    log_u0 = specfun._log_u0(beta, m_wright_quad_rule(beta)[0])
+    for d, _ in specfun._kanter_rules(beta)[0]:
+        # v >= 7 on the whole first row, and v < 7 up to the last cell of
+        # the second
+        empty, whole = specfun._KANTER_ZERO - d.min(), specfun._KANTER_ZERO - d.max() - 1.0
+        for rows in (log_u0, np.array([empty]), np.array([whole])):
+            full = specfun._kanter_integrand(d, rows)
+            assert specfun._kanter_matrix(d, rows).tobytes() == full.tobytes()
+        assert not specfun._kanter_integrand(d, np.array([empty])).any()
+        assert specfun._kanter_integrand(d, np.array([whole]))[0, -1] > 0.0
+
+
 def _no_adaptive_quad(*args):
     raise AssertionError("Kanter's kernel fell back to adaptive quad")
 
