@@ -1,13 +1,24 @@
 """Fractional Brownian motion path generation.
 
-Uniform grids use the minimal circulant embedding of the increment process
+Uniform grids use a circulant embedding of the increment process
 (Davies-Harte: exact in law, O(n log n), no BLAS, nonnegative-definite for
 every H < 1), computed with real FFTs on the Hermitian half of the
 spectrum; dense Cholesky of the path covariance serves arbitrary grids.
+
+The n increments are the first n of a length-m fGn embedded at m, the
+smallest 5-smooth number (2^a 3^b 5^c) >= n, which is still exact in law
+(Wood & Chan 1994; Dietrich & Newsam 1997).  numpy's pocketfft falls back
+to Bluestein's algorithm when 2n has a large prime factor: the rfft/irfft
+pair of three components takes about 2.8 ms at n = 4093 or 4099 against
+0.22 ms at 4096 and 0.32 ms at 4100, and 80 ms at 65 537 against 6.4 ms at
+65 610.  Padding to m adds 2.8 % to the length on average over steps
+log-uniform in 16..4096, at most 14 % (n = 7 -> 8); for every 5-smooth n
+the embedding, the draws and the bytes are those of m = n.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -91,14 +102,45 @@ def write_table(target, table: np.ndarray, header: str | None = None) -> None:
 _WRITE_ROWS = 8192
 
 
+def _smooth_table(top: int) -> tuple:
+    """Every 5-smooth number 2^a 3^b 5^c <= top, ascending."""
+    odd = []
+    p5 = 1
+    while p5 <= top:
+        p = p5
+        while p <= top:
+            odd.append(p)
+            p *= 3
+        p5 *= 5
+    return tuple(sorted([p << a for p in odd for a in range((top // p).bit_length())]))
+
+
+# the 5-smooth numbers up to 2^40; (dim, 2m) normals at m = 2^40 would
+# take 16 TiB, so no grid that fits in memory passes the table's end
+_SMOOTH = _smooth_table(1 << 40)
+
+
+def _fast_length(n: int) -> int:
+    """The smallest 5-smooth number >= n, an FFT length that pocketfft
+    factors without Bluestein's algorithm."""
+    i = bisect.bisect_left(_SMOOTH, n)
+    if i == len(_SMOOTH):
+        raise DomainError(f"circulant embedding supports n_steps <= 2^40, got {n}")
+    return _SMOOTH[i]
+
+
 def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:
     """gamma(k) = (|k+1|^2H + |k-1|^2H - 2|k|^2H)/2.  For k >= 2 the second
     difference is factored as k^2H ((1+1/k)^2H - 1 + (1-1/k)^2H - 1)/2 with
-    expm1/log1p, which avoids the cancellation of the direct form."""
+    expm1/log1p, which avoids the cancellation of the direct form; the
+    direct form is taken only where k < 2."""
     k = np.abs(lags).astype(float)
     h2 = 2 * hurst
-    out = 0.5 * (np.abs(k + 1.0) ** h2 + np.abs(k - 1.0) ** h2 - 2.0 * k ** h2)
-    far = k >= 2.0
+    out = np.empty_like(k)
+    near = k < 2.0
+    kn = k[near]
+    out[near] = 0.5 * (np.abs(kn + 1.0) ** h2 + np.abs(kn - 1.0) ** h2 - 2.0 * kn ** h2)
+    far = ~near
     kf = k[far]
     out[far] = 0.5 * kf ** h2 * (
         np.expm1(h2 * np.log1p(1.0 / kf)) + np.expm1(h2 * np.log1p(-1.0 / kf)))
@@ -107,31 +149,36 @@ def _fgn_autocov(hurst: float, lags: np.ndarray) -> np.ndarray:
 
 def _fgn_circulant(hurst: float, n: int, dim: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """(n, dim) unit-spacing fractional Gaussian noise, i.i.d. components,
-    by the minimal circulant embedding c = [gamma(0..n), gamma(n-1..1)] of
-    the autocovariance (Davies-Harte).  c is real and symmetric, so its
-    eigenvalues are the real half spectrum rfft(c), and the noise is one
-    irfft of the (dim, n + 1) Hermitian half, the factor 2n folded into the
-    square roots.  One standard_normal((dim, 2n)) draw, the same draws in
-    the same order as one call per component.
+    """(n, dim) unit-spacing fractional Gaussian noise, i.i.d. components:
+    the first n rows of a length-m fGn, m = _fast_length(n), by the circulant
+    embedding c = [gamma(0..m), gamma(m-1..1)] of the autocovariance
+    (Davies-Harte).  The first n values of an exact length-m fGn are an
+    exact length-n fGn.  At a 5-smooth n, m = n is the minimal embedding;
+    otherwise 2n has a prime factor of 7 or more, and where it is large the
+    FFTs run Bluestein's algorithm at 6-13 times the cost.  c is real and
+    symmetric, so its eigenvalues are the real half spectrum rfft(c), and
+    the noise is one irfft of the (dim, m + 1) Hermitian half, the factor 2m
+    folded into the square roots.  One standard_normal((dim, 2m)) draw, the
+    same draws in the same order as one call per component.
     Raises EmbeddingError on negative circulant eigenvalues.
     """
-    acf = _fgn_autocov(hurst, np.arange(n + 1))
-    c = np.concatenate([acf, acf[n - 1:0:-1]])
+    m = _fast_length(n)
+    acf = _fgn_autocov(hurst, np.arange(m + 1))
+    c = np.concatenate([acf, acf[m - 1:0:-1]])
     g = np.fft.rfft(c).real
     if g.min() < -1e-9 * g.max():
         raise EmbeddingError(
-            f"circulant embedding not nonnegative-definite (H={hurst:g}, n={n})"
+            f"circulant embedding not nonnegative-definite (H={hurst:g}, n={n}, m={m})"
         )
     g = np.maximum(g, 0.0)
-    z = rng.standard_normal((dim, 2 * n))
-    v = np.zeros((dim, n + 1), dtype=complex)
-    v.real[:, 0] = math.sqrt(2 * n * g[0]) * z[:, 0]
-    v.real[:, n] = math.sqrt(2 * n * g[n]) * z[:, 1]
-    s = np.sqrt(n * g[1:n])
-    np.multiply(s, z[:, 2:n + 1], out=v.real[:, 1:n])
-    np.multiply(-s, z[:, n + 1:2 * n], out=v.imag[:, 1:n])
-    return np.fft.irfft(v, 2 * n, axis=1)[:, :n].T
+    z = rng.standard_normal((dim, 2 * m))
+    v = np.zeros((dim, m + 1), dtype=complex)
+    v.real[:, 0] = math.sqrt(2 * m * g[0]) * z[:, 0]
+    v.real[:, m] = math.sqrt(2 * m * g[m]) * z[:, 1]
+    s = np.sqrt(m * g[1:m])
+    np.multiply(s, z[:, 2:m + 1], out=v.real[:, 1:m])
+    np.multiply(-s, z[:, m + 1:2 * m], out=v.imag[:, 1:m])
+    return np.fft.irfft(v, 2 * m, axis=1)[:, :n].T
 
 
 def fbm_covariance(times: np.ndarray, hurst: float) -> np.ndarray:

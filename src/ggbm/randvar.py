@@ -77,13 +77,34 @@ def sample_y_beta_array(beta: float, rng: np.random.Generator, n: int) -> np.nda
     For beta = 1 the law is the point mass at 1.  The random stream is
     advanced by the same amount (2n variates) in both branches so that
     downstream draws do not depend on beta.
+
+    The expression is evaluated in the buffers of u and w plus one more,
+    each operation the one the written-out formula would apply to the same
+    operands, so the draws keep their bits; n < 0 raises DomainError.
     """
     check_beta("sample_y_beta_array", beta)
+    if n < 0:
+        raise DomainError(f"sample_y_beta_array requires n >= 0, got n = {n}")
     u = rng.random(n)
     w = rng.standard_exponential(n)
     if beta == 1.0:
         return np.ones(n)
-    # keep u strictly inside (0,1); rng.random can return exactly 0.0
-    theta = math.pi * np.maximum(u, 1e-300)
+    # theta = pi * u in u; keep u strictly inside (0,1), since rng.random
+    # can return exactly 0.0
+    theta = np.maximum(u, 1e-300, out=u)
+    theta *= math.pi
     b = 1.0 - beta
-    return w ** b * np.sin(theta) / (np.sin(beta * theta) ** beta * np.sin(b * theta) ** b)
+    # w^(1-beta) sin(theta)
+    w **= b
+    t = np.sin(theta)
+    w *= t
+    # sin(beta*theta)^beta sin((1-beta)*theta)^(1-beta), theta dies last
+    np.multiply(theta, beta, out=t)
+    np.sin(t, out=t)
+    t **= beta
+    theta *= b
+    np.sin(theta, out=theta)
+    theta **= b
+    t *= theta
+    w /= t
+    return w

@@ -204,6 +204,14 @@ def test_sample_ggbm_csv(tmp_path):
     assert len(lines) == 10
 
 
+def test_sample_ybeta_negative_count_exit_code(capsys):
+    """A negative -n is a DomainError naming n, where numpy's "negative
+    dimensions are not allowed" was printed."""
+    assert main(["sample", "ybeta", "-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n >= 0, got n = -1" in captured.err
+
+
 def test_default_seed_env(tmp_path):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"

@@ -8,8 +8,8 @@ import pytest
 
 from ggbm import DomainError, EmbeddingError, GridSpec, SeedSpec, blas, generate_fbm
 from ggbm import fbm
-from ggbm.fbm import (Path, _fgn_autocov, _fgn_circulant, fbm_cholesky_factor,
-                      fbm_covariance, sample_fbm_batch)
+from ggbm.fbm import (Path, _fast_length, _fgn_autocov, _fgn_circulant,
+                      fbm_cholesky_factor, fbm_covariance, sample_fbm_batch)
 from ggbm.randvar import make_stream
 
 
@@ -152,21 +152,23 @@ def test_fgn_circulant_batch_matches_per_component_loop(n):
 
 
 def _fgn_complex_fft(hurst, n, dim, rng):
-    """The reference for _fgn_circulant: the same embedding and draws by two
-    full-length complex FFTs, eigenvalues fft(c).real and noise fft(w).real
-    of the full Hermitian w.  Returns the noise, the eigenvalues g[0..n] and
-    the draws."""
-    acf = _fgn_autocov(hurst, np.arange(n + 1))
-    c = np.concatenate([acf, acf[n - 1:0:-1]])
+    """The reference for _fgn_circulant: the same embedding at m =
+    _fast_length(n) and the same draws by two full-length complex FFTs,
+    eigenvalues fft(c).real and noise fft(w).real of the full Hermitian w,
+    of which the first n rows are kept.  Returns the noise, the eigenvalues
+    g[0..m] and the draws."""
+    m = _fast_length(n)
+    acf = _fgn_autocov(hurst, np.arange(m + 1))
+    c = np.concatenate([acf, acf[m - 1:0:-1]])
     g = np.maximum(np.fft.fft(c).real, 0.0)
-    z = rng.standard_normal((dim, 2 * n))
-    w = np.zeros((dim, 2 * n), dtype=complex)
-    w[:, 0] = math.sqrt(g[0] / (2 * n)) * z[:, 0]
-    w[:, n] = math.sqrt(g[n] / (2 * n)) * z[:, 1]
-    x, y = z[:, 2:n + 1], z[:, n + 1:2 * n]
-    w[:, 1:n] = np.sqrt(g[1:n] / (4 * n)) * (x + 1j * y)
-    w[:, n + 1:] = np.conj(w[:, n - 1:0:-1])
-    return np.fft.fft(w, axis=1).real[:, :n].T, g[:n + 1], z
+    z = rng.standard_normal((dim, 2 * m))
+    w = np.zeros((dim, 2 * m), dtype=complex)
+    w[:, 0] = math.sqrt(g[0] / (2 * m)) * z[:, 0]
+    w[:, m] = math.sqrt(g[m] / (2 * m)) * z[:, 1]
+    x, y = z[:, 2:m + 1], z[:, m + 1:2 * m]
+    w[:, 1:m] = np.sqrt(g[1:m] / (4 * m)) * (x + 1j * y)
+    w[:, m + 1:] = np.conj(w[:, m - 1:0:-1])
+    return np.fft.fft(w, axis=1).real[:, :n].T, g[:m + 1], z
 
 
 @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.97, 1 - 1e-9])
@@ -178,19 +180,56 @@ def test_fgn_circulant_matches_complex_fft(hurst, n):
     near H = 1 the others are about 1e-9 of it and their square roots carry
     that at up to 4e-12 of the noise (n = 3), so the test bounds that part
     from the two spectra and the draws: output j moves by at most
-    (|dV_0| + |dV_n| + 2 sum_k |dV_k|) / 2n."""
+    (|dV_0| + |dV_m| + 2 sum_k |dV_k|) / 2m at the embedding length
+    m = _fast_length(n) (450 for n = 443)."""
     dim = 3
+    m = _fast_length(n)
     got = _fgn_circulant(hurst, n, dim, make_stream(SeedSpec(8, 0)))
     ref, g_ref, z = _fgn_complex_fft(hurst, n, dim, make_stream(SeedSpec(8, 0)))
-    acf = _fgn_autocov(hurst, np.arange(n + 1))
-    g = np.maximum(np.fft.rfft(np.concatenate([acf, acf[n - 1:0:-1]])).real, 0.0)
+    acf = _fgn_autocov(hurst, np.arange(m + 1))
+    g = np.maximum(np.fft.rfft(np.concatenate([acf, acf[m - 1:0:-1]])).real, 0.0)
     assert np.abs(g - g_ref).max() <= 1e-15 * g_ref.max()
     ds = np.abs(np.sqrt(g) - np.sqrt(g_ref))
-    x, y = np.abs(z[:, 2:n + 1]), np.abs(z[:, n + 1:2 * n])
-    moved = (math.sqrt(2 * n) * (ds[0] * np.abs(z[:, 0]) + ds[n] * np.abs(z[:, 1]))
-             + 2 * math.sqrt(n) * ((x + y) @ ds[1:n])) / (2 * n)
+    x, y = np.abs(z[:, 2:m + 1]), np.abs(z[:, m + 1:2 * m])
+    moved = (math.sqrt(2 * m) * (ds[0] * np.abs(z[:, 0]) + ds[m] * np.abs(z[:, 1]))
+             + 2 * math.sqrt(m) * ((x + y) @ ds[1:m])) / (2 * m)
     assert got.shape == ref.shape == (n, dim)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max() + moved)
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_length_is_the_next_5_smooth_number():
+    """_fast_length(n) is 5-smooth, at least n and the least such number,
+    against a brute-force search for every n <= 5000."""
+    for n in range(1, 5001):
+        m = n
+        while not _is_5_smooth(m):
+            m += 1
+        assert _fast_length(n) == m, n
+    # the table ends at 2^40, past any grid whose normals fit in memory
+    assert _fast_length(2 ** 40) == 2 ** 40
+    with pytest.raises(DomainError, match="n_steps <= 2"):
+        _fast_length(2 ** 40 + 1)
+
+
+@pytest.mark.parametrize("n", [7, 17, 33, 443, 4093])
+def test_fgn_circulant_is_a_prefix_of_its_embedding(n):
+    """At a length that is not 5-smooth the noise is the first n rows of the
+    noise at m = _fast_length(n) on the same stream, bit for bit: the same
+    embedding, the same draws and the same FFT, truncated."""
+    m = _fast_length(n)
+    assert m > n
+    for hurst in (0.3, 0.75, 0.999):
+        short = _fgn_circulant(hurst, n, 3, make_stream(SeedSpec(12, 0)))
+        full = _fgn_circulant(hurst, m, 3, make_stream(SeedSpec(12, 0)))
+        assert short.shape == (n, 3)
+        assert np.array_equal(short, full[:n])
 
 
 def test_embedding_error_on_negative_eigenvalue(monkeypatch):
@@ -207,15 +246,19 @@ def test_embedding_error_on_negative_eigenvalue(monkeypatch):
 @pytest.mark.parametrize("hurst", [0.2, 0.8, 0.95, 0.999])
 def test_fbm_law_on_uniform_grid(hurst):
     """200 000 i.i.d. components of one path: the empirical covariance
-    matches the fBm covariance entrywise within 4 SE."""
-    grid = GridSpec(1.0, 8)
+    matches the fBm covariance entrywise within 4 SE, on a 5-smooth grid
+    (8 steps) and on one embedded at a longer length (7 steps, m = 8).  The
+    7-step grid takes its own stream: on the 8-step grid's stream its noise
+    is that grid's first 7 rows, so its check would repeat the first."""
     n = 200_000
-    x = generate_fbm(hurst, grid, n, SeedSpec(43, 0)).values[1:]
-    cov = fbm_covariance(grid.times()[1:], hurst)
-    emp = np.einsum("in,jn->ij", x, x) / n
-    d = np.diag(cov)
-    se = np.sqrt((d[:, None] * d[None, :] + cov ** 2) / n)
-    assert np.all(np.abs(emp - cov) <= 4.0 * se)
+    for steps, stream in ((8, 0), (7, 1)):
+        grid = GridSpec(1.0, steps)
+        x = generate_fbm(hurst, grid, n, SeedSpec(43, stream)).values[1:]
+        cov = fbm_covariance(grid.times()[1:], hurst)
+        emp = np.einsum("in,jn->ij", x, x) / n
+        d = np.diag(cov)
+        se = np.sqrt((d[:, None] * d[None, :] + cov ** 2) / n)
+        assert np.all(np.abs(emp - cov) <= 4.0 * se), steps
 
 
 def test_fbm_hurst_one_is_a_random_line():

@@ -110,3 +110,35 @@ def test_y_beta_is_stable_power_on_same_stream(beta):
     y = sample_y_beta_array(beta, make_stream(SeedSpec(1, 0)), 65_536)
     s = sample_one_sided_stable(beta, make_stream(SeedSpec(1, 0)), 65_536)
     np.testing.assert_allclose(y, s ** (-beta), rtol=1e-13, atol=0.0)
+
+
+def _y_beta_textbook(beta, rng, n):
+    """The reference for sample_y_beta_array: the same draws and the
+    expression written out, one temporary per operation."""
+    u = rng.random(n)
+    w = rng.standard_exponential(n)
+    theta = math.pi * np.maximum(u, 1e-300)
+    b = 1.0 - beta
+    return w ** b * np.sin(theta) / (np.sin(beta * theta) ** beta * np.sin(b * theta) ** b)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-3, 0.5, 1 - 1e-6])
+@pytest.mark.parametrize("n", [1, 1000, 65_536])
+def test_y_beta_in_place_equals_textbook_expression(beta, n):
+    """Evaluated in the buffers of its draws, Y keeps the bits of the
+    written-out expression (at beta = 0.5 both powers are numpy's square
+    root), and the stream is left where the reference leaves it."""
+    rng, ref_rng = make_stream(SeedSpec(9, 0)), make_stream(SeedSpec(9, 0))
+    y = sample_y_beta_array(beta, rng, n)
+    ref = _y_beta_textbook(beta, ref_rng, n)
+    assert y.tobytes() == ref.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+def test_y_beta_negative_count_is_domain_error():
+    """n < 0 names n, where numpy said "negative dimensions are not
+    allowed"; n = 0 is an empty draw."""
+    rng = make_stream(SeedSpec(0, 0))
+    with pytest.raises(DomainError, match="n >= 0, got n = -1"):
+        sample_y_beta_array(0.5, rng, -1)
+    assert sample_y_beta_array(0.5, rng, 0).shape == (0,)
