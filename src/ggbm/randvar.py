@@ -52,10 +52,13 @@ def sample_one_sided_stable(beta: float, rng: np.random.Generator, size=None):
     """One-sided beta-stable draw(s) S > 0 with E[exp(-s*S)] = exp(-s^beta).
 
     Kanter's representation: S = (a(pi*U)/W)^((1-beta)/beta) with U uniform
-    on (0,1) and W standard exponential.
+    on (0,1) and W standard exponential.  A negative entry of size raises
+    DomainError before any draw.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"requires 0 < beta < 1, got beta = {beta:g}")
+    if size is not None and np.any(np.asarray(size) < 0):
+        raise DomainError(f"sample_one_sided_stable requires size >= 0, got size = {size}")
     u = rng.random(size)
     w = rng.standard_exponential(size)
     # keep u strictly inside (0,1); rng.random can return exactly 0.0

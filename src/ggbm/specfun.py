@@ -15,9 +15,14 @@ the series cancels, overflows or would run long (_mw_values).
 
 The rule build is the cost of every quantity at a fresh beta, so both
 kernels keep their bits while doing little beyond the arithmetic of the
-sums.  The series accumulates each block of rows in one buffer that
-carries every node's running sum, peak and spread in its first row, so
-every sum runs in term order whatever the block sizes.  Kanter's
+sums.  The rule keeps only its nodes' values, checked as a whole by its
+unit mass, so it asks the kernels for no per-node error: the series then
+forms no rounding spread, and Kanter's integral no rounding term, while
+every exit and fallback test, none of which reads the error, still runs.
+m_wright asks for the errors that its EvalResult reports.  The series
+accumulates each block of rows in one buffer that carries every node's
+running sum, peak and (with errors) spread in its first row, so every
+sum runs in term order whatever the block sizes.  Kanter's
 integrand exp(v - e^v) is exactly 0.0 once v >= 7, where numpy's exp
 costs over ten times what it costs in range, so it is formed only on each
 node group's window of theta (_kanter_matrix) and the rest of the matrix
@@ -177,12 +182,13 @@ def _mw_coefficients(beta: float, n: np.ndarray):
     return log_b, sin_part * np.where(n % 2, -1.0, 1.0)
 
 
-def _series(beta: float, tau: np.ndarray, scale: np.ndarray):
+def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True):
     """The power series sum_n s_n B_n tau^n of M_beta at every tau > 0 at
     once, (log B_n, s_n) = _mw_coefficients(beta, n), given the scale of
     the ceiling M_beta(tau) * scale <= 1 at each node (_mw_scale).
     Returns arrays (value, est_abs_error, terms_used); the value is
-    clamped at 0.
+    clamped at 0.  With errors false est_abs_error is None and no part of
+    it is formed: the rule keeps only the values.
 
     The terms of all unfinished nodes are built in blocks of rows n, at
     most _BLOCK_TERMS terms per block, in a row count that starts at
@@ -197,56 +203,63 @@ def _series(beta: float, tau: np.ndarray, scale: np.ndarray):
     within rounding of 1/scale, so it would fail the cancellation test all
     the same, and since every sum runs in term order, no other node's bits
     change.  A scale of 0 never exits; the test multiplies by the scale,
-    since dividing would overflow at subnormal tau.
+    since dividing would overflow at subnormal tau.  None of these exits
+    reads the error, so both settings of errors give the same values and
+    terms.
 
-    Each block has one (3, m + 1, nodes) buffer: row 0 holds the carried
-    sum, peak and spread, rows 1..m the term, |term| and |term| times its
-    reach, and accumulating down the rows in place (row by row for a short
-    block, where numpy's accumulate along axis 0 costs more per column
-    than a loop costs per row) gives each node's sums in term order.  So a
-    node's bits do not depend on the block sizes, and the rule's nodes
-    get the bits that one-node calls give them.
+    Each block has one (3, m + 1, nodes) buffer, (2, m + 1, nodes) without
+    errors: row 0 holds the carried sum, peak and spread, rows 1..m the
+    term, |term| and |term| times its reach, and accumulating down the
+    rows in place (row by row for a short block, where numpy's accumulate
+    along axis 0 costs more per column than a loop costs per row) gives
+    each node's sums in term order.  So a node's bits do not depend on the
+    block sizes, and the rule's nodes get the bits that one-node calls
+    give them.
     """
     tau = np.asarray(tau, dtype=float)
     log_tau = np.log(tau)
     scale = np.broadcast_to(np.asarray(scale, dtype=float), tau.shape)
     value = np.full(tau.size, np.nan)
-    err = np.full(tau.size, np.nan)
+    err = np.full(tau.size, np.nan) if errors else None
     terms = np.zeros(tau.size, dtype=np.int64)
     live = np.arange(tau.size)
     # per live node, carried from block to block: running sum, largest
-    # |term|, and sum |term| (|n log tau| + |log B_n| + 1): exp() passes
-    # the rounding of each term's logarithm on to the term, so eps times
-    # this bounds it
-    carry = np.zeros((3, tau.size))
+    # |term| and, with errors, sum |term| (|n log tau| + |log B_n| + 1):
+    # exp() passes the rounding of each term's logarithm on to the term,
+    # so eps times this bounds it
+    carry = np.zeros((3 if errors else 2, tau.size))
     start, rows = 0, _FIRST_ROWS
     while live.size and start < _MAX_TERMS:
         size = live.size
         m = min(rows, max(1, _BLOCK_TERMS // size), _MAX_TERMS - start)
         n = np.arange(start, start + m)
         log_b, sign = _mw_coefficients(beta, n)
-        n_log_tau = np.multiply.outer(n.astype(float), log_tau[live])
-        log_mag = n_log_tau + log_b[:, None]
-        buf = np.empty((3, m + 1, size))
+        buf = np.empty((carry.shape[0], m + 1, size))
         buf[:, 0] = carry
-        term, mag, spread = buf[:, 1:]
+        term, mag = buf[:2, 1:]
+        log_mag = np.multiply.outer(n.astype(float), log_tau[live])
+        if errors:
+            # the reach |n log tau| + |log B_n| + 1, times |term| below
+            spread = np.abs(log_mag, out=buf[2, 1:])
+            spread += np.abs(log_b)[:, None]
+            spread += 1.0
+        log_mag += log_b[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.exp(log_mag)
             np.multiply(sign[:, None], bound, out=term)
             np.abs(term, out=mag)
-            reach = np.abs(n_log_tau, out=n_log_tau)
-            reach += np.abs(log_b)[:, None]
-            reach += 1.0
-            np.multiply(mag, reach, out=spread)
+            if errors:
+                spread *= mag
+            # buf[::2] is the sum and, with errors, the spread
             if m <= 16:
                 for i in range(1, m + 1):
                     np.add(buf[::2, i - 1], buf[::2, i], out=buf[::2, i])
                     np.maximum(buf[1, i - 1], buf[1, i], out=buf[1, i])
             else:
-                np.add.accumulate(buf[0], axis=0, out=buf[0])
+                for j in range(0, buf.shape[0], 2):
+                    np.add.accumulate(buf[j], axis=0, out=buf[j])
                 np.maximum.accumulate(buf[1], axis=0, out=buf[1])
-                np.add.accumulate(buf[2], axis=0, out=buf[2])
-            sums, peaks, spreads = buf[:, 1:]
+            sums, peaks = buf[:2, 1:]
             # bound < 1e-17 max(|sum|, 1e-300) and bound <= 1e-16 peak, n >= 4
             floor = np.abs(sums)
             np.maximum(floor, 1e-300, out=floor)
@@ -262,14 +275,17 @@ def _series(beta: float, tau: np.ndarray, scale: np.ndarray):
         k_over = _first_rows(over) if over.any() else m
         ok = np.flatnonzero(k_stop < k_over)
         k = k_stop[ok]
-        at = k * size + ok
-        tot, pk, spr = buf[:, 1:].reshape(3, -1)[:, at]
+        done = buf[:, 1 + k, ok]
+        tot, pk = done[:2]
         node = live[ok]
         value[node] = np.maximum(tot, 0.0)
-        err[node] = bound.ravel()[at] + pk * 1e-16 + spr * _EPS
+        if errors:
+            err[node] = bound[k, ok] + pk * 1e-16 + done[2] * _EPS
         terms[node] = start + k + 1
         bad = node[~(pk / np.maximum(np.abs(tot), 1e-300) <= _CANCELLATION_LIMIT)]
-        value[bad], err[bad], terms[bad] = np.nan, np.nan, 0
+        value[bad], terms[bad] = np.nan, 0
+        if errors:
+            err[bad] = np.nan
         going = np.flatnonzero((np.minimum(k_stop, k_over) == m) & ~lost)
         live = live[going]
         carry = buf[:, -1, going]
@@ -378,7 +394,7 @@ def _kanter_matrix(d, log_u0):
     return out
 
 
-def _mw_integral(beta: float, tau: np.ndarray):
+def _mw_integral(beta: float, tau: np.ndarray, errors: bool = True):
     """M_beta at every tau > 0 of an array from Kanter's integral form of
     the one-sided stable density, changed to tau on paper, so that no power
     of order 1/beta of tau is taken:
@@ -392,7 +408,9 @@ def _mw_integral(beta: float, tau: np.ndarray):
     relative, the error.  A node where the two differ by more than
     _KANTER_RTOL relative goes to _mw_quad.  A peak past the rule's levels
     but short of its reach raises ConvergenceError; past the reach a float
-    theta cannot resolve it.  Returns arrays (value, est_abs_error).
+    theta cannot resolve it.  Returns arrays (value, est_abs_error); with
+    errors false est_abs_error is None and only the values are formed, but
+    the fallback test, which reads the difference, still runs.
 
     The integrand is formed on windows (_kanter_matrix): 29-58 % of the
     rule's Kanter cells have v >= 7 and are exactly 0.  The fine and the
@@ -411,10 +429,15 @@ def _mw_integral(beta: float, tau: np.ndarray):
             f"Kanter's integrand lies past the levels of its theta rule")
     fine, coarse = (_kanter_matrix(d, log_u0) @ weight for d, weight in rules)
     pref = 1.0 / ((1.0 - beta) * math.pi * tau)
-    rounding = _EPS * (16.0 + 4.0 * (np.abs(log_u0) + np.exp(np.minimum(log_u0, 700.0))))
-    value, err = pref * fine, pref * (np.abs(fine - coarse) + rounding * fine)
-    for i in np.flatnonzero(~(np.abs(fine - coarse) <= _KANTER_RTOL * fine)):
-        value[i], err[i] = _mw_quad(beta, float(tau[i]))
+    gap = np.abs(fine - coarse)
+    value, err = pref * fine, None
+    if errors:
+        rounding = _EPS * (16.0 + 4.0 * (np.abs(log_u0) + np.exp(np.minimum(log_u0, 700.0))))
+        err = pref * (gap + rounding * fine)
+    for i in np.flatnonzero(~(gap <= _KANTER_RTOL * fine)):
+        value[i], e = _mw_quad(beta, float(tau[i]))
+        if errors:
+            err[i] = e
     return value, err
 
 
@@ -468,21 +491,31 @@ def m_wright(beta: float, tau: float) -> EvalResult:
     return EvalResult(float(value[0]), float(err[0]), int(terms[0]))
 
 
-def _mw_values(beta: float, tau: np.ndarray):
+def _mw_values(beta: float, tau: np.ndarray, errors: bool = True):
     """M_beta at every tau > 0 of an array, as arrays (value,
     est_abs_error, terms_used): the series, and Kanter's integral where it
-    is NaN.  The series' terms grow up to n = u0/(1-b), then shrink by about
-    (u0/((1-b) n))^(1-b) each, so it needs 40/((1-b) max(log(1/u0), 1))
-    terms or more; where that passes 100, (1-b) max(log(1/u0), 1) <
+    is NaN, called only when some node is left for it, so a node the
+    series finishes pays none of its set-up.  With errors false
+    est_abs_error is None: the rule keeps only the values, and neither
+    kernel forms a per-node error, which costs the series a third sum per
+    block.  The series' terms grow up to n = u0/(1-b), then shrink by
+    about (u0/((1-b) n))^(1-b) each, so it needs 40/((1-b) max(log(1/u0),
+    1)) terms or more; where that passes 100, (1-b) max(log(1/u0), 1) <
     _SERIES_REACH, and Kanter's rule reaches the peak, a node goes to
     Kanter's integral at once."""
-    value, err = np.full(tau.size, np.nan), np.full(tau.size, np.nan)
+    value = np.full(tau.size, np.nan)
+    err = np.full(tau.size, np.nan) if errors else None
     terms = np.zeros(tau.size, dtype=np.int64)
     depth = np.maximum(-_log_u0(beta, tau), 1.0)
     head = np.flatnonzero(depth >= min(_SERIES_REACH / (1.0 - beta), _SPIKE_DEPTH))
-    value[head], err[head], terms[head] = _series(beta, tau[head], _mw_scale(beta, tau[head]))
-    tail = np.isnan(value)
-    value[tail], err[tail] = _mw_integral(beta, tau[tail])
+    value[head], head_err, terms[head] = _series(beta, tau[head], _mw_scale(beta, tau[head]), errors)
+    if errors:
+        err[head] = head_err
+    tail = np.flatnonzero(np.isnan(value))
+    if tail.size:
+        value[tail], tail_err = _mw_integral(beta, tau[tail], errors)
+        if errors:
+            err[tail] = tail_err
     return value, err, terms
 
 
@@ -496,6 +529,16 @@ def m_wright_cutoff(beta: float) -> float:
     return math.exp((1.0 - beta) * (math.log(big) - _log_a0(beta)))
 
 
+def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
+    """np.geomspace(start, stop, num) for start, stop > 0 and num >= 2, bit
+    for bit: numpy's own steps, num points of linspace between the log10
+    of the ends raised to base 10, both ends pinned, without the dtype,
+    sign and axis handling that makes up most of np.geomspace's time."""
+    out = 10.0 ** np.linspace(np.log10(start), np.log10(stop), num)
+    out[0], out[-1] = start, stop
+    return out
+
+
 def _rule_edges(beta: float) -> np.ndarray:
     """The rule's panel ends: 0, then log-spaced from 1e-14 to the cutoff.
     Toward beta = 1 M_beta narrows onto tau = 1, over a width of order 1-b
@@ -507,21 +550,25 @@ def _rule_edges(beta: float) -> np.ndarray:
     near = (1.0 - beta) * _SPIKE_DEPTH  # log(t1/t_lo)
     t_lo, below = math.exp(log_t1 - near), _RULE_PANELS - _SPIKE_PANELS
     if math.log(t_hi / t_lo) / _SPIKE_PANELS >= 1.5 * math.log(t_hi / 1e-14) / (_RULE_PANELS - 1):
-        return np.concatenate([[0.0], np.geomspace(1e-14, t_hi, _RULE_PANELS)])
+        return np.concatenate([[0.0], _geomspace(1e-14, t_hi, _RULE_PANELS)])
     if near >= 1.0:
-        left = np.geomspace(1e-14, t_lo, below)[:-1]
+        left = _geomspace(1e-14, t_lo, below)[:-1]
     else:
-        left = np.concatenate([np.geomspace(1e-14, math.exp(log_t1 - 1.0), below - _POLE_PANELS),
-                               np.exp(log_t1 - np.geomspace(1.0, near, _POLE_PANELS + 1)[1:-1])])
-    return np.concatenate([[0.0], left, np.geomspace(t_lo, t_hi, _SPIKE_PANELS + 1)])
+        left = np.concatenate([_geomspace(1e-14, math.exp(log_t1 - 1.0), below - _POLE_PANELS),
+                               np.exp(log_t1 - _geomspace(1.0, near, _POLE_PANELS + 1)[1:-1])])
+    return np.concatenate([[0.0], left, _geomspace(t_lo, t_hi, _SPIKE_PANELS + 1)])
 
 
 @lru_cache(maxsize=32)
 def _mw_rule_cached(beta: float):
+    """(nodes, weights, M_beta(nodes)) of the rule at beta, built once per
+    beta.  It asks _mw_values for values only: no caller of the rule reads a
+    per-node error, and its check is the mass guard, so forming one would
+    cost the series a third sum per block for nothing."""
     # log-spaced panels concentrate nodes near 0 where integrands with
     # negative powers of tau need them, and _rule_edges adds the spike
     nodes, weights = _gauss_legendre(_rule_edges(beta), _RULE_NODES)
-    values, _, _ = _mw_values(beta, nodes)
+    values = _mw_values(beta, nodes, errors=False)[0]
     mass = float(weights @ values)
     if not abs(mass - 1.0) <= _MASS_TOL:
         raise ConvergenceError(f"the M-Wright rule at beta={beta!r} has mass {mass!r}, "

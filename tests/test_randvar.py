@@ -142,3 +142,16 @@ def test_y_beta_negative_count_is_domain_error():
     with pytest.raises(DomainError, match="n >= 0, got n = -1"):
         sample_y_beta_array(0.5, rng, -1)
     assert sample_y_beta_array(0.5, rng, 0).shape == (0,)
+
+
+def test_stable_negative_size_is_domain_error():
+    """A negative entry of size names the size, where numpy said "negative
+    dimensions are not allowed", and draws nothing from the stream; a zero
+    entry is an empty draw."""
+    rng = make_stream(SeedSpec(0, 0))
+    with pytest.raises(DomainError, match="size >= 0, got size = -1"):
+        sample_one_sided_stable(0.5, rng, -1)
+    with pytest.raises(DomainError, match=r"got size = \(3, -2\)"):
+        sample_one_sided_stable(0.5, rng, (3, -2))
+    assert rng.random() == make_stream(SeedSpec(0, 0)).random()
+    assert sample_one_sided_stable(0.5, rng, (0, 3)).shape == (0, 3)

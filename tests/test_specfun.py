@@ -464,6 +464,70 @@ def test_m_wright_quad_rule_needs_no_adaptive_quad(monkeypatch, beta):
     assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("beta", [1e-7, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.9, 0.97, 0.999])
+def test_m_wright_quad_rule_values_equal_values_with_errors(beta):
+    """The rule asks _mw_values for values only, and gets the values and
+    term counts, bit for bit, that the call with errors gives, at nodes
+    from the series and from Kanter's integral (term count 0) alike."""
+    nodes, _, mvals = specfun._mw_rule_cached.__wrapped__(beta)
+    value, err, terms = specfun._mw_values(beta, nodes)
+    assert mvals.tobytes() == value.tobytes()
+    assert np.isfinite(err).all() and (terms == 0).any() and (terms > 0).any()
+    lean, no_err, lean_terms = specfun._mw_values(beta, nodes, errors=False)
+    assert no_err is None
+    assert lean.tobytes() == value.tobytes() and lean_terms.tobytes() == terms.tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.9])
+def test_kanter_fallback_without_errors_keeps_values(monkeypatch, beta):
+    """With every node sent to adaptive quad, Kanter's integral without
+    errors still runs the fallback and gives the values it gives with."""
+    tau = np.array([1.5, 2.5, 4.0])
+    monkeypatch.setattr(specfun, "_KANTER_RTOL", -1.0)  # no two rules agree that well
+    value, err = specfun._mw_integral(beta, tau)
+    lean, no_err = specfun._mw_integral(beta, tau, errors=False)
+    assert no_err is None and lean.tobytes() == value.tobytes()
+    assert value.tobytes() == np.array([specfun._mw_quad(beta, t)[0] for t in tau]).tobytes()
+
+
+def test_geomspace_equals_numpy():
+    """_geomspace is np.geomspace bit for bit, at random ends and lengths
+    in _rule_edges' ranges, and at every call _rule_edges makes over a
+    sweep of beta that takes each of its three branches."""
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        start, stop = 10.0 ** rng.uniform(-14.0, 3.0, 2)
+        num = int(rng.integers(2, 70))
+        assert specfun._geomspace(start, stop, num).tobytes() == \
+            np.geomspace(start, stop, num).tobytes(), (start, stop, num)
+    calls = []
+
+    def recorded(start, stop, num, _f=specfun._geomspace):
+        calls.append((start, stop, num, _f(start, stop, num)))
+        return calls[-1][-1]
+
+    betas = np.concatenate([np.geomspace(1e-7, 0.5, 20), 1.0 - np.geomspace(0.5, 1e-3, 60)])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(specfun, "_geomspace", recorded)
+        for beta in betas:
+            specfun._rule_edges(float(beta))
+    assert {num for _, _, num, _ in calls} >= {specfun._RULE_PANELS, specfun._POLE_PANELS + 1}
+    for start, stop, num, out in calls:
+        assert out.tobytes() == np.geomspace(start, stop, num).tobytes(), (start, stop, num)
+
+
+@pytest.mark.parametrize("beta,tau", [(0.5, 0.3), (1e-7, 2.0), (0.9, 0.5), (0.999, 0.2)])
+def test_series_m_wright_skips_kanter(monkeypatch, beta, tau):
+    """A scalar m_wright that the series finishes makes no call to
+    Kanter's integral, whose set-up on empty arrays it used to pay."""
+    def refuse(*args):
+        raise AssertionError("m_wright called Kanter's integral with no node left")
+    expected = m_wright(beta, tau)
+    monkeypatch.setattr(specfun, "_mw_integral", refuse)
+    got = m_wright(beta, tau)
+    assert got.terms_used > 0 and got == expected
+
+
 def test_m_wright_underflow_is_zero(monkeypatch):
     """M_0.999(5): tau^(1/(1-beta)) = 5^1000 overflows a float, but Kanter's
     integrand u exp(-u) is at most u0 exp(-u0) with log u0 about 1600, so
