@@ -256,9 +256,10 @@ def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True
                     np.add(buf[::2, i - 1], buf[::2, i], out=buf[::2, i])
                     np.maximum(buf[1, i - 1], buf[1, i], out=buf[1, i])
             else:
-                for j in range(0, buf.shape[0], 2):
-                    np.add.accumulate(buf[j], axis=0, out=buf[j])
+                np.add.accumulate(buf[0], axis=0, out=buf[0])
                 np.maximum.accumulate(buf[1], axis=0, out=buf[1])
+                if errors:
+                    np.add.accumulate(buf[2], axis=0, out=buf[2])
             sums, peaks = buf[:2, 1:]
             # bound < 1e-17 max(|sum|, 1e-300) and bound <= 1e-16 peak, n >= 4
             floor = np.abs(sums)
