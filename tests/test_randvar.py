@@ -7,7 +7,8 @@ import pytest
 
 from ggbm import DomainError, SeedSpec, make_stream, \
     sample_one_sided_stable, sample_y_beta_array
-from ggbm.specfun import mittag_leffler
+from ggbm.randvar import _Y_BLOCK, _half_angle_sine
+from ggbm.specfun import BETA_MIN, mittag_leffler
 
 
 def test_seed_spec_substream():
@@ -97,10 +98,30 @@ def test_sampler_domain_errors():
         sample_y_beta_array(1.5, rng, 1)
 
 
-@pytest.mark.parametrize("beta", [0.0015, 0.005, 0.01, 0.99, 0.995, 0.999, 0.9999])
+@pytest.mark.parametrize("beta", [BETA_MIN, 1e-300, 1e-12, 0.0015, 0.005, 0.01,
+                                  0.99, 0.995, 0.999, 0.9999, 1 - 1e-12])
 def test_y_beta_finite_and_positive_at_extreme_beta(beta):
     # Kanter's powers of order 1/beta and 1/(1-beta) overflowed here
     y = sample_y_beta_array(beta, make_stream(SeedSpec(1, 0)), 65_536)
+    assert np.all(np.isfinite(y))
+    assert np.all(y > 0.0)
+
+
+class _ZeroUniforms:
+    """A stream whose uniforms are all 0.0, which rng.random can return."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+    def standard_exponential(self, n):
+        return np.full(n, 40.0)
+
+
+@pytest.mark.parametrize("beta", [BETA_MIN, 1e-300, 0.5, 1 - 1e-12, 1 - 1e-15])
+def test_y_beta_finite_and_positive_at_zero_uniform(beta):
+    """U = 0 is taken as 2^-53, so W/sin((1-beta)*theta) stays finite as
+    beta -> 1 and sin(beta*theta) nonzero at BETA_MIN."""
+    y = sample_y_beta_array(beta, _ZeroUniforms(), 3)
     assert np.all(np.isfinite(y))
     assert np.all(y > 0.0)
 
@@ -114,7 +135,23 @@ def test_y_beta_is_stable_power_on_same_stream(beta):
 
 def _y_beta_textbook(beta, rng, n):
     """The reference for sample_y_beta_array: the same draws and the
-    expression written out, one temporary per operation."""
+    expression written out, one temporary per operation, each sine from
+    the tangent of its half angle, halved."""
+    u = rng.random(n)
+    w = rng.standard_exponential(n)
+    theta = math.pi * np.maximum(u, 2.0 ** -53)
+    b = 1.0 - beta
+
+    def half_sine(x):
+        t = np.tan(0.5 * x)
+        return t / (1.0 + t * t)
+
+    return (w / half_sine(b * theta)) ** b * half_sine(theta) / half_sine(beta * theta) ** beta
+
+
+def _y_beta_sine_form(beta, rng, n):
+    """Y on the same draws with np.sin, the form the sampler used before
+    the tangent form."""
     u = rng.random(n)
     w = rng.standard_exponential(n)
     theta = math.pi * np.maximum(u, 1e-300)
@@ -123,16 +160,44 @@ def _y_beta_textbook(beta, rng, n):
 
 
 @pytest.mark.parametrize("beta", [1e-300, 1e-3, 0.5, 1 - 1e-6])
-@pytest.mark.parametrize("n", [1, 1000, 65_536])
+@pytest.mark.parametrize("n", [1, 1000, 65_536, _Y_BLOCK - 1, _Y_BLOCK + 1])
 def test_y_beta_in_place_equals_textbook_expression(beta, n):
-    """Evaluated in the buffers of its draws, Y keeps the bits of the
-    written-out expression (at beta = 0.5 both powers are numpy's square
-    root), and the stream is left where the reference leaves it."""
+    """Evaluated in blocks in the buffers of its draws, Y keeps the bits
+    of the written-out expression (at beta = 0.5 both powers are numpy's
+    square root), and the stream is left where the reference leaves it.
+    The tangent form is within a few ulp of the np.sin form (1.0e-15
+    relative measured)."""
     rng, ref_rng = make_stream(SeedSpec(9, 0)), make_stream(SeedSpec(9, 0))
     y = sample_y_beta_array(beta, rng, n)
     ref = _y_beta_textbook(beta, ref_rng, n)
     assert y.tobytes() == ref.tobytes()
     assert rng.random() == ref_rng.random()
+    sine_form = _y_beta_sine_form(beta, make_stream(SeedSpec(9, 0)), n)
+    np.testing.assert_allclose(y, sine_form, rtol=4e-15, atol=0.0)
+
+
+def _ulps_from_mpmath_sine(x):
+    """|2 _half_angle_sine(x/2) - sin x| in ulp of sin x, sin x from mpmath
+    at 60 digits; halving and doubling are exact for these x."""
+    mpmath = pytest.importorskip("mpmath")
+    got = 2.0 * _half_angle_sine(0.5 * x)
+    with mpmath.workdps(60):
+        exact = [mpmath.sin(mpmath.mpf(float(v))) for v in x]
+    spacing = np.spacing(np.array([abs(float(e)) for e in exact]))
+    return np.array([float(abs(mpmath.mpf(float(g)) - e)) for g, e in zip(got, exact)]) / spacing
+
+
+def test_half_angle_sine_within_3_ulp_of_mpmath():
+    """The tangent form of sin on [0, pi], both ends included: random
+    points, points 4e-16 to 1 below pi and points from 1e-300 to 1 (2.54
+    ulp measured at 1.4e5 such points; np.sin is within 0.5)."""
+    rng = np.random.default_rng(2024)
+    near_pi = math.pi - np.geomspace(4e-16, 1.0, 400)
+    tiny = np.geomspace(1e-300, 1.0, 400)
+    x = np.concatenate([rng.uniform(0.0, math.pi, 2000), near_pi, tiny, [math.pi]])
+    assert np.all((x > 0.0) & (x <= math.pi))
+    assert _ulps_from_mpmath_sine(x).max() <= 3.0
+    assert _half_angle_sine(np.zeros(1))[0] == 0.0
 
 
 def test_y_beta_negative_count_is_domain_error():
