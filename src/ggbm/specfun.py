@@ -9,16 +9,17 @@ M_beta has two array kernels, which m_wright calls with one node and the
 rule with all of its nodes: the power series `_series` for small and
 moderate tau, and Kanter's integral `_mw_integral`, formed from
 logarithms so that no power of order 1/beta or 1/(1-beta) is taken, on
-theta panels that follow log a(theta), with adaptive quad only where a
-fine and a coarse rule disagree.  A node goes to Kanter's integral where
-the series cancels, overflows or would run long (_mw_values).
+theta panels that follow log a(theta), graded toward pi so that a fine
+and a coarse rule on them agree within 1e-12 at every beta; their
+difference is the error.  A node goes to Kanter's integral where the series cancels,
+overflows or would run long (_mw_values).
 
 The rule build is the cost of every quantity at a fresh beta, so both
 kernels keep their bits while doing little beyond the arithmetic of the
 sums.  The rule keeps only its nodes' values, checked as a whole by its
 unit mass, so it asks the kernels for no per-node error: the series then
-forms no rounding spread, and Kanter's integral no rounding term, while
-every exit and fallback test, none of which reads the error, still runs.
+forms no rounding spread, and Kanter's integral no coarse sum, while
+every exit test of the series, none of which reads the error, still runs.
 m_wright asks for the errors that its EvalResult reports.  The series
 accumulates each block of rows in one buffer that carries every node's
 running sum, peak and (with errors) spread in its first row, so every
@@ -98,11 +99,11 @@ _MASS_TOL = 1e-10
 # Kanter's integrand u exp(-u) peaks where d = log(a/a0) = -log u0, over a
 # width of order 1 in d, or where u0 > 1 at theta = 0+, over 1/u0.  Its
 # theta panels end where d crosses 2^-20 ... 1/2 and every integer up to
-# _KANTER_DEPTH, four past the deepest peak the rule has, with a fine and
-# a coarse rule of _KANTER_NODES Gauss-Legendre nodes on each.
+# _KANTER_DEPTH, four past the deepest peak the rule has, and past pi/2
+# 2^-64 ... 2^-21 (_kanter_rules), with a fine and a coarse rule of
+# _KANTER_NODES Gauss-Legendre nodes on each.
 _KANTER_DEPTH = int(_SPIKE_DEPTH) + 4
 _KANTER_NODES = (14, 11)
-_KANTER_RTOL = 1e-12
 # _kanter_matrix: rows per group, and the v past which the integrand is 0.0
 _KANTER_ROWS = 32
 _KANTER_ZERO = 7.0
@@ -338,23 +339,40 @@ def _log_u0(beta: float, tau):
 
 
 # The theta table that _kanter_rules reads the panel ends of Kanter's
-# integral off, and the levels of d that end them; neither depends on beta.
+# integral off, the levels of d that end them, and the lower levels that
+# end them only past pi/2 (the grading near pi); none depends on beta.
 _THETA_TABLE = np.concatenate([np.geomspace(1e-8, 0.5 * math.pi, 400),
                                math.pi - np.geomspace(0.5 * math.pi, 1e-15, 500)[1:]])
 _KANTER_LEVELS = np.concatenate([2.0 ** np.arange(-20, 0), np.arange(1, _KANTER_DEPTH + 1)])
+_KANTER_GRADING = 2.0 ** np.arange(-64, -20)
 _THETA_TABLE.flags.writeable = False
 _KANTER_LEVELS.flags.writeable = False
+_KANTER_GRADING.flags.writeable = False
 
 
 @lru_cache(maxsize=32)
 def _kanter_rules(beta: float):
     """((d, weight) at the nodes of the fine and the coarse rule, reach) of
     Kanter's integral: the panels end where d, increasing on (0, pi),
-    crosses the levels of _KANTER_DEPTH, read off a table of d; reach is d
-    at the table's end, pi - 1e-15, as near pi as a float resolves.  The
-    arrays are cached and shared, so read-only."""
+    crosses the levels of _KANTER_DEPTH and, past pi/2, those of
+    _KANTER_GRADING, read off a table of d; reach is d at the table's end,
+    pi - 1e-15, as near pi as a float resolves.  The arrays are cached and
+    shared, so read-only.
+
+    The grading is there for small beta.  Near pi d ~ beta pi/(pi - theta),
+    so below beta ~ 1e-6 d passes 2^-20 only at pi - theta ~ beta pi 2^20,
+    and without the grading one panel would reach from pi/2 or less to
+    there.  Across it u = u0 a/a0 moves by about u0 beta pi/(pi - theta),
+    and the fine and the coarse sums differ by up to about 3e-8.  Level
+    2^-k lies at pi - theta ~ beta pi 2^k, so the grading halves pi - theta
+    from panel to panel; below pi/2, where d grows like theta^2, it would
+    only crowd theta = 0.  It ends no panel where d(pi/2) ~ 1.45 beta passes
+    2^-20 (beta >~ 7e-7), nor where d stays under 2^-64 (beta <~ 1e-21,
+    where 1 - beta rounds to 1 and d moves u by less than its rounding)."""
     d = _kanter_log_a(beta, _THETA_TABLE) - _log_a0(beta)
-    edges = np.unique(np.concatenate([[0.0], np.interp(_KANTER_LEVELS, d, _THETA_TABLE), [math.pi]]))
+    grading = np.interp(_KANTER_GRADING, d, _THETA_TABLE)
+    edges = np.unique(np.concatenate([[0.0], np.interp(_KANTER_LEVELS, d, _THETA_TABLE),
+                                      grading[grading > 0.5 * math.pi], [math.pi]]))
     rules = tuple((_kanter_log_a(beta, th) - _log_a0(beta), w)
                   for th, w in (_gauss_legendre(edges, n) for n in _KANTER_NODES))
     for pair in rules:
@@ -382,10 +400,12 @@ def _kanter_matrix(d, log_u0):
     increasing tau and so increasing log u0), and each group fills the
     columns before the suffix minimum of d passes _KANTER_ZERO - min(log u0).
     d increases on paper, but within rounding of pi not always in floats:
-    it falls at 22 to 72 points of the theta table of _kanter_rules at
-    beta = 1e-12 ... 1e-3, though at none of the rules' nodes.  The rest
-    stays 0, so a product with the whole matrix sums the same cells in the
-    same order as the full-width one."""
+    it falls at 27 to 77 points of the theta table of _kanter_rules at
+    beta = 1e-12 ... 1e-3, and at up to 13 of the rules' nodes at some beta
+    in 1e-16 ... 1e-13 (at none elsewhere, over 801 beta from BETA_MIN to
+    _BETA_MAX), hence the suffix minimum.  The rest stays 0, so a product
+    with the whole matrix sums the same cells in the same order as the
+    full-width one."""
     out = np.zeros((log_u0.size, d.size))
     low = np.minimum.accumulate(d[::-1])[::-1]
     for start in range(0, log_u0.size, _KANTER_ROWS):
@@ -403,15 +423,16 @@ def _mw_integral(beta: float, tau: np.ndarray, errors: bool = True):
         M_beta(tau) = 1/((1-b) pi tau) int_0^pi u exp(-u) dth,  u = u0 a/a0.
 
     The integrand comes from logarithms, so each value is accurate relative
-    to its own size, and one that underflows everywhere is 0 with no quad.
-    The fine rule of _kanter_rules gives the value; its difference to the
-    coarse one plus the rounding of v, (16 + 4 |log u0| + 4 u0) eps
-    relative, the error.  A node where the two differ by more than
-    _KANTER_RTOL relative goes to _mw_quad.  A peak past the rule's levels
-    but short of its reach raises ConvergenceError; past the reach a float
-    theta cannot resolve it.  Returns arrays (value, est_abs_error); with
-    errors false est_abs_error is None and only the values are formed, but
-    the fallback test, which reads the difference, still runs.
+    to its own size, and one that underflows everywhere is 0.  The fine
+    rule of _kanter_rules gives the value; its difference to the coarse
+    one plus the rounding of v, (16 + 4 |log u0| + 4 u0) eps relative, the
+    error, so a node where the two rules disagree reports it.  With the
+    grading of _kanter_rules near pi they agree within 1e-12 relative at
+    every normal value of the M-Wright rule from BETA_MIN to _BETA_MAX.  A
+    peak past the rule's levels but short of its reach raises
+    ConvergenceError; past the reach a float theta cannot resolve it.
+    Returns arrays (value, est_abs_error); with errors false
+    est_abs_error is None and only the fine rule is summed.
 
     The integrand is formed on windows (_kanter_matrix): 29-58 % of the
     rule's Kanter cells have v >= 7 and are exactly 0.  The fine and the
@@ -428,43 +449,14 @@ def _mw_integral(beta: float, tau: np.ndarray, errors: bool = True):
         raise ConvergenceError(
             f"m_wright failed at beta={beta:g}, tau={tau[lost][0]:g}: the peak of "
             f"Kanter's integrand lies past the levels of its theta rule")
-    fine, coarse = (_kanter_matrix(d, log_u0) @ weight for d, weight in rules)
     pref = 1.0 / ((1.0 - beta) * math.pi * tau)
-    gap = np.abs(fine - coarse)
-    value, err = pref * fine, None
-    if errors:
-        rounding = _EPS * (16.0 + 4.0 * (np.abs(log_u0) + np.exp(np.minimum(log_u0, 700.0))))
-        err = pref * (gap + rounding * fine)
-    for i in np.flatnonzero(~(gap <= _KANTER_RTOL * fine)):
-        value[i], e = _mw_quad(beta, float(tau[i]))
-        if errors:
-            err[i] = e
-    return value, err
-
-
-def _mw_quad(beta: float, tau: float):
-    """Kanter's integral at one tau > 0 by adaptive quad, to 1e-14 of the
-    integrand's maximum, u0 exp(-u0) or 1/e: the fallback where the rules
-    of _mw_integral disagree.  A quad that reports a failure to converge
-    raises ConvergenceError.  Returns (value, est_abs_error)."""
-    from scipy.integrate import quad
-
-    log_u0, log_a0 = float(_log_u0(beta, tau)), _log_a0(beta)
-
-    def integrand(theta):
-        # _kanter_integrand at one theta, in scalar math for speed
-        v = log_u0 + float(_kanter_log_a(beta, theta)) - log_a0
-        return math.exp(v - math.exp(v)) if v < 700.0 else 0.0
-
-    top = max(log_u0, 0.0)
-    # with full_output, quad returns a message instead of warning
-    val, err, _, *failed = quad(integrand, 0.0, math.pi, epsrel=1e-11, limit=300,
-                                epsabs=1e-14 * math.exp(top - math.exp(top)), full_output=1)
-    if failed:
-        raise ConvergenceError(f"m_wright failed at beta={beta:g}, tau={tau:g}: "
-                               f"{failed[0].splitlines()[0]}")
-    pref = 1.0 / ((1.0 - beta) * math.pi * tau)
-    return pref * val, pref * err
+    (d, weight), (coarse_d, coarse_weight) = rules
+    fine = _kanter_matrix(d, log_u0) @ weight
+    if not errors:
+        return pref * fine, None
+    coarse = _kanter_matrix(coarse_d, log_u0) @ coarse_weight
+    rounding = _EPS * (16.0 + 4.0 * (np.abs(log_u0) + np.exp(np.minimum(log_u0, 700.0))))
+    return pref * fine, pref * (np.abs(fine - coarse) + rounding * fine)
 
 
 def _mw_scale(beta: float, tau):

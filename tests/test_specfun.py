@@ -1,6 +1,7 @@
 """Special function tests against independent closed forms and quadrature."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -391,23 +392,49 @@ def test_kanter_window_equals_full_width_integrand(beta):
         assert specfun._kanter_integrand(d, np.array([whole]))[0, -1] > 0.0
 
 
-def _no_adaptive_quad(*args):
-    raise AssertionError("Kanter's kernel fell back to adaptive quad")
-
-
 @pytest.mark.parametrize("beta", [0.05, 0.3, 0.7, 0.9])
-def test_kanter_kernel_matches_adaptive_quad(monkeypatch, beta):
-    """The array kernel of Kanter's integral, with no fallback, against its
-    adaptive-quad fallback, past the mode and where M_beta > 1e-4, so that
-    the quad's absolute tolerance does not bind."""
+def test_kanter_kernel_matches_adaptive_quad(beta):
+    """The array kernel of Kanter's integral against the mpmath series,
+    which shares nothing with Kanter's integrand, past the mode and where
+    M_beta > 1e-4, with an error of at most 1e-12 of the value."""
+    mpmath = pytest.importorskip("mpmath")
     nodes, _, mvals = m_wright_quad_rule(beta)
     tau = nodes[(nodes > 1.25) & (mvals > 1e-4)]
     tau = tau[np.linspace(0, tau.size - 1, 6).astype(int)]
-    ref = [specfun._mw_quad(beta, float(t))[0] for t in tau]
-    monkeypatch.setattr(specfun, "_mw_quad", _no_adaptive_quad)
     value, err = specfun._mw_integral(beta, tau)
+    ref = [_m_wright_mpmath(mpmath, beta, float(t), float(v)) for t, v in zip(tau, value)]
     np.testing.assert_allclose(value, ref, rtol=1e-9)
     assert np.all(err <= 1e-12 * value)
+
+
+@pytest.mark.parametrize("beta", [specfun.BETA_MIN, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6]
+                         + [k / 20 for k in range(1, 20)] + [0.999])
+def test_kanter_fine_and_coarse_rules_agree(beta):
+    """At every node of the M-Wright rule that goes to Kanter's integral
+    and has a normal value, its fine and coarse theta rules agree within
+    1e-12 relative, at small beta too, where the panels are graded toward
+    pi; and the fine rule has at most 800 nodes."""
+    rules = specfun._kanter_rules(beta)[0]
+    assert rules[0][0].size <= 800
+    nodes = m_wright_quad_rule(beta)[0]
+    tau = nodes[specfun._mw_values(beta, nodes, errors=False)[2] == 0]
+    log_u0 = specfun._log_u0(beta, tau)
+    fine, coarse = (specfun._kanter_matrix(d, log_u0) @ w for d, w in rules)
+    normal = fine / ((1.0 - beta) * math.pi * tau) >= sys.float_info.min
+    assert normal.any()
+    gap = np.abs(fine - coarse)[normal]
+    assert np.all(gap <= 1e-12 * fine[normal]), (gap / fine[normal]).max()
+
+
+@pytest.mark.parametrize("beta", [1e-12, 1e-10, 1e-8, 1e-7])
+@pytest.mark.parametrize("tau", [16.355, 30.583, 78.209, 200.0])
+def test_m_wright_small_beta_within_reported_error_vs_mpmath(beta, tau):
+    """Scalar m_wright at small beta, where Kanter's panels near pi are
+    graded, within its own reported error of the mpmath series."""
+    mpmath = pytest.importorskip("mpmath")
+    r = m_wright(beta, tau)
+    ref = _m_wright_mpmath(mpmath, beta, tau, r.value)
+    assert abs(r.value - ref) <= r.est_abs_error + 1e-12 * ref, (r, ref)
 
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.8, 0.97])
@@ -454,16 +481,6 @@ def test_m_wright_quad_rule_makes_no_scalar_calls(monkeypatch):
     assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
-def test_m_wright_quad_rule_needs_no_adaptive_quad(monkeypatch, beta):
-    """The fixed theta rules of Kanter's kernel pass their check at every
-    far-tail node of these rules, so the build runs no per-node quad."""
-    monkeypatch.setattr(specfun, "_mw_quad", _no_adaptive_quad)
-    nodes, weights, mvals = specfun._mw_rule_cached.__wrapped__(beta)
-    assert np.all(np.isfinite(mvals))
-    assert float(np.dot(weights, mvals)) == pytest.approx(1.0, abs=1e-8)
-
-
 @pytest.mark.parametrize("beta", [1e-7, 1e-3, 0.05, 0.3, 0.5, 0.8, 0.9, 0.97, 0.999])
 def test_m_wright_quad_rule_values_equal_values_with_errors(beta):
     """The rule asks _mw_values for values only, and gets the values and
@@ -476,18 +493,6 @@ def test_m_wright_quad_rule_values_equal_values_with_errors(beta):
     lean, no_err, lean_terms = specfun._mw_values(beta, nodes, errors=False)
     assert no_err is None
     assert lean.tobytes() == value.tobytes() and lean_terms.tobytes() == terms.tobytes()
-
-
-@pytest.mark.parametrize("beta", [0.3, 0.9])
-def test_kanter_fallback_without_errors_keeps_values(monkeypatch, beta):
-    """With every node sent to adaptive quad, Kanter's integral without
-    errors still runs the fallback and gives the values it gives with."""
-    tau = np.array([1.5, 2.5, 4.0])
-    monkeypatch.setattr(specfun, "_KANTER_RTOL", -1.0)  # no two rules agree that well
-    value, err = specfun._mw_integral(beta, tau)
-    lean, no_err = specfun._mw_integral(beta, tau, errors=False)
-    assert no_err is None and lean.tobytes() == value.tobytes()
-    assert value.tobytes() == np.array([specfun._mw_quad(beta, t)[0] for t in tau]).tobytes()
 
 
 def test_geomspace_equals_numpy():
@@ -530,12 +535,11 @@ def test_series_m_wright_skips_kanter(monkeypatch, beta, tau):
     assert got.terms_used > 0 and got == expected
 
 
-def test_m_wright_underflow_is_zero(monkeypatch):
+def test_m_wright_underflow_is_zero():
     """M_0.999(5): tau^(1/(1-beta)) = 5^1000 overflows a float, but Kanter's
     integrand u exp(-u) is at most u0 exp(-u0) with log u0 about 1600, so
-    the value underflows, and it is 0 with no quad."""
+    the value underflows, and it is 0."""
     assert specfun._log_u0(0.999, 5.0) > 1600.0
-    monkeypatch.setattr(specfun, "_mw_quad", _no_adaptive_quad)
     assert m_wright(0.999, 5.0) == specfun.EvalResult(0.0, 0.0, 0)
 
 
