@@ -54,7 +54,7 @@ from .green import TestFunction, as_point
 from .model import ModelParams
 # not called here, but perfbench/spans.py patches both names on this module
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
-from .specfun import m_wright_moment, m_wright_quad_rule
+from .specfun import _geomspace, m_wright_moment, m_wright_quad_rule
 
 __all__ = [
     "PerpetualSpec",
@@ -192,11 +192,12 @@ def build_time_grid(spec: PerpetualSpec, steps_per_decade: int = _STEPS_PER_DECA
     """0 followed by a geometric grid from t_start (< t_max) to t_max, with
     at least steps_per_decade intervals per decade and an even interval
     count, so grid[::2] is a nested coarsening.  _clock chooses the density
-    and the start for each f.
+    and the start for each f.  The geometric part is np.geomspace's, bit
+    for bit, at a quarter of its time (specfun._geomspace).
     """
     n = math.ceil(steps_per_decade * math.log10(spec.t_max / t_start))
     n += 1 - n % 2  # odd, so with the interval from 0 the count is even
-    return np.concatenate([[0.0], np.geomspace(t_start, spec.t_max, n + 1)])
+    return np.concatenate([[0.0], _geomspace(t_start, spec.t_max, n + 1)])
 
 
 def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndarray:
@@ -234,7 +235,7 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
-                  times: np.ndarray):
+                  times: np.ndarray, amplitude: float | None = None):
     """The block sampler for f from x on the clock and its block size: a
     function (rng, n) -> the (len(times) - 1, n) per-path values at
     times[1:] of n fBm paths drawn from rng, the raw matrix, so the caller
@@ -260,6 +261,7 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
     estimate: computed per 256-path block it made the 4096-path headline
     op 18 % slower (median 2.85 -> 3.39 ms over 600 interleaved ops on a
     2-core x86 box, measured before the Gaussian's block was the chunk).
+    amplitude is f(c), evaluated here when not given.
     """
     d, m = params.dim, len(times) - 1
     if not f.gaussian:
@@ -270,7 +272,8 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
         return values, _BLOCK_SIZE
     s = f.spread
     r = math.sqrt(float(np.sum((x - f.center) ** 2)))
-    scale = _conditioned_scale(params, f, times[1:])
+    scale = _conditioned_scale(params, f, times[1:],
+                               f(f.center) if amplitude is None else amplitude)
 
     def values(rng: np.random.Generator, n: int) -> np.ndarray:
         b = sample_fbm_batch(params.hurst, times[1:], 1, n, rng).transpose(2, 1, 0)[0]
@@ -283,12 +286,13 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
     return values, _CHUNK_SIZE
 
 
-def _conditioned_scale(params: ModelParams, f: TestFunction, times: np.ndarray) -> np.ndarray:
-    """A rho(t) at times for a Gaussian f, A = f(c): what is left of f's
-    d - 1 integrated components, rho(t) = (s / (s + t^alpha))^((d - 1) / 2),
-    s = f.spread (_block_values)."""
+def _conditioned_scale(params: ModelParams, f: TestFunction, times: np.ndarray,
+                       amplitude: float) -> np.ndarray:
+    """A rho(t) at times for a Gaussian f, A = amplitude = f(c): what is
+    left of f's d - 1 integrated components,
+    rho(t) = (s / (s + t^alpha))^((d - 1) / 2), s = f.spread (_block_values)."""
     s = f.spread
-    return f(f.center) * (s / (s + times ** params.alpha)) ** (0.5 * (params.dim - 1))
+    return amplitude * (s / (s + times ** params.alpha)) ** (0.5 * (params.dim - 1))
 
 
 def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -326,7 +330,8 @@ def _chunk_sums(values, block: int, f0: float,
 
 
 def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
-                   times: np.ndarray) -> tuple[np.ndarray, float]:
+                   times: np.ndarray, amplitude: float | None = None
+                   ) -> tuple[np.ndarray, float]:
     """A Gaussian f's exact mean along x + B_H(t) on the clock, and its
     integral over the whole time axis.  With A = f(c), s = f.spread and
     v = s / (s + t^a) the mean is A v^(d/2) exp(-z v), z = |x - c|^2 / (2 s),
@@ -336,11 +341,14 @@ def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
     1F1 value but reaches its prefactor through D = C(a, d) E[Y^(-1/a)] and
     Gamma(1/a) / Gamma(d/2), so the certificate checks the paper's constant
     by a second route; the 1F1 itself is held to mpmath by the tests.
+    amplitude is A, evaluated here when not given.
     """
     d, alpha, s = params.dim, params.alpha, f.spread
     z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
     a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
-    amplitude, v = f(f.center), s / (s + times ** alpha)
+    if amplitude is None:
+        amplitude = f(f.center)
+    v = s / (s + times ** alpha)
     integral = amplitude * s ** a * a * beta_function(b, a) * hyp1f1(b, b + a, -z)
     return amplitude * v ** (0.5 * d) * np.exp(-z * v), float(integral)
 
@@ -363,10 +371,11 @@ def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
     aj, ak = a[:, None], a[None, :]
     k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
     det = (s + aj) * (s + ak) - k * k
-    scale = _conditioned_scale(params, f, times)
+    amplitude = f(f.center)
+    scale = _conditioned_scale(params, f, times, amplitude)
     c = np.outer(scale, scale) * np.sqrt(s * s / det) * np.exp(
         -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
-    g, _ = _gaussian_mean(params, f, x, times)
+    g, _ = _gaussian_mean(params, f, x, times, amplitude)
     return float(w @ g), float(w @ (c - np.outer(g, g)) @ w)
 
 
@@ -436,7 +445,9 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     w_fine = _trapezoid_weights(times)
     w_coarse = None if f.gaussian else _trapezoid_weights(times[::2])
 
-    (values, block), f0 = _block_values(params, f, x, times), f(x)
+    # a declared Gaussian's f(c), read by its sampler and its exact mean
+    amplitude = f(f.center) if f.gaussian else None
+    (values, block), f0 = _block_values(params, f, x, times, amplitude), f(x)
     chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
               for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
 
@@ -463,7 +474,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     s1, s2, s3, s4, *dsums = (math.fsum(col) for col in zip(*results))
     mean, std_error = _mean_and_se(s1, s2, n)
     if f.gaussian:  # the mean is exact: swap the grid's for the whole integral
-        g, integral = _gaussian_mean(params, f, x, times)
+        g, integral = _gaussian_mean(params, f, x, times, amplitude)
         mean, tail, disc = mean - math.fsum(w_fine * g) + integral, 0.0, 0.0
     else:
         dmean, dse = _mean_and_se(*dsums, n)

@@ -392,6 +392,27 @@ def test_kanter_window_equals_full_width_integrand(beta):
         assert specfun._kanter_integrand(d, np.array([whole]))[0, -1] > 0.0
 
 
+def test_kanter_rules_read_a_nondecreasing_table(monkeypatch):
+    """d = log(a/a0) falls within rounding of pi at many beta; every table
+    that _kanter_rules hands np.interp is nondecreasing, as np.interp
+    requires, over a sweep of beta from BETA_MIN to _BETA_MAX."""
+    tables = []
+
+    def interp(x, xp, fp, _interp=np.interp):
+        tables.append(np.array(xp))
+        return _interp(x, xp, fp)
+
+    monkeypatch.setattr(np, "interp", interp)
+    betas = np.concatenate([np.geomspace(specfun.BETA_MIN, 1e-3, 40),
+                            np.linspace(1e-3, specfun._BETA_MAX, 40)])
+    for beta in betas:
+        tables.clear()
+        specfun._kanter_rules.__wrapped__(float(beta))
+        assert len(tables) == 2
+        for xp in tables:
+            assert np.all(np.diff(xp) >= 0.0), beta
+
+
 @pytest.mark.parametrize("beta", [0.05, 0.3, 0.7, 0.9])
 def test_kanter_kernel_matches_adaptive_quad(beta):
     """The array kernel of Kanter's integral against the mpmath series,
