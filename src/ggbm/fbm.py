@@ -26,7 +26,7 @@ import numpy as np
 
 from . import blas
 from .exceptions import DomainError, EmbeddingError
-from .randvar import SeedSpec, make_stream
+from .randvar import SeedSpec, make_stream, standard_normals
 
 __all__ = [
     "GridSpec",
@@ -222,7 +222,11 @@ def sample_fbm_batch(
 ) -> np.ndarray:
     """(n_paths, len(times), dim) fBm values at strictly positive times,
     i.i.d. components, by batched Cholesky (H=1 degenerates to a line).
-    The stream use is a single standard_normal draw of fixed shape.
+    The stream use is a single randvar.standard_normals draw of fixed
+    shape: one value per path and component on the line, else
+    n_paths * dim rows of len(times), so batches drawn one after the other
+    from one stream, each with an even count of values, give the paths of
+    one batch of their total.
 
     The values are stored component-major: the result is a view of a
     C-contiguous (dim, len(times), n_paths) buffer, which
@@ -239,10 +243,10 @@ def sample_fbm_batch(
     n = len(t)
     out = np.empty((dim, n, n_paths))
     if hurst == 1.0:
-        xi = rng.standard_normal((n_paths, 1, dim))
+        xi = standard_normals(rng, np.empty((n_paths, 1, dim)))
         np.multiply(t[None, :, None], xi.transpose(2, 1, 0), out=out)
         return out.transpose(2, 1, 0)
-    z = rng.standard_normal((n_paths * dim, n))
+    z = standard_normals(rng, np.empty((n_paths * dim, n)))
     with blas.single_threaded():
         L = fbm_cholesky_factor(hurst, t)
         for k in range(dim):

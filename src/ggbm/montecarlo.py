@@ -8,6 +8,9 @@ SFC64 stream per chunk, and a chunk is walked in blocks drawn one after the
 other from that stream: _BLOCK_SIZE paths for most f, so that a block's
 normals, its points and f's temporaries stay in cache, and the whole chunk
 for a declared Gaussian, whose block holds one component (_block_values).
+A block's normals are Box and Muller's pairs on adjacent uniforms of the
+stream (randvar.standard_normals), so blocks with an even count of normals
+draw the very normals of one whole-chunk draw.
 A block's points stay in the component-major (d, times, paths) buffer the
 fBm sampler writes: they are shifted in place, f reads each component as a
 contiguous plane, and the trapezoid sums run over contiguous rows.  The blocks fill the chunk's
@@ -68,11 +71,10 @@ __all__ = [
 # The time grid: 0, then geometric from _T_MIN to t_max with at least
 # _STEPS_PER_DECADE intervals per decade.  A chunk costs linearly in the
 # grid size for draws and f and as its square for the fBm GEMM.  At 32 the
-# radius-1 bump's discretization bound at 2e4 paths, seed 42, is 0.15 to
-# 0.76 of half of 3 SE at its centre at (0.5, 1.5, 3), (0.9, 2, 2) and
-# (1, 1, 3), and 0.07 to 0.96 at |x - c| = 1.5; at (0.8, 1.2, 2) it is
-# 1.55 and 1.34 times that, so there the grid, not the path count, sets
-# much of the budget.  A Gaussian f has no discretization term, its grid
+# radius-1 bump's discretization bound at its centre at 2e4 paths is at
+# most 0.95 of half of 3 SE at (0.5, 1.5, 3) and (0.9, 2, 2) over seeds 42
+# to 81, but 0.68 to 1.77 times that at (0.8, 1.2, 2) and (1, 1, 3), so
+# there the grid, not the path count, sets much of the budget.  A Gaussian f has no discretization term, its grid
 # bias being exact and folded out, so its clock only has to keep the
 # per-path variance low: _GAUSSIAN_STEPS_PER_DECADE is the coarsest
 # density at which the exact SD of its conditioned per-path sum

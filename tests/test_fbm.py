@@ -10,7 +10,7 @@ from ggbm import DomainError, EmbeddingError, GridSpec, SeedSpec, blas, generate
 from ggbm import fbm
 from ggbm.fbm import (Path, _fast_length, _fgn_autocov, _fgn_circulant,
                       fbm_cholesky_factor, fbm_covariance, sample_fbm_batch)
-from ggbm.randvar import make_stream
+from ggbm.randvar import make_stream, standard_normals
 
 
 def test_grid_spec():
@@ -82,7 +82,7 @@ def test_fbm_batch_matches_per_path_reference():
     times = np.linspace(0.1, 3.0, 57)
     n_paths, dim = 5, 3
     v = sample_fbm_batch(0.7, times, dim, n_paths, make_stream(SeedSpec(29, 0)))
-    z = make_stream(SeedSpec(29, 0)).standard_normal((n_paths, dim, len(times)))
+    z = standard_normals(make_stream(SeedSpec(29, 0)), np.empty((n_paths, dim, len(times))))
     L = fbm_cholesky_factor(0.7, times)
     ref = np.stack([np.stack([L @ z[p, j] for j in range(dim)], axis=1)
                     for p in range(n_paths)])
@@ -108,7 +108,7 @@ def test_fbm_batch_equals_one_gemm():
     times = np.geomspace(1e-3, 50.0, 302)
     n_paths, dim = 64, 3
     v = sample_fbm_batch(0.75, times, dim, n_paths, make_stream(SeedSpec(3, 1)))
-    z = make_stream(SeedSpec(3, 1)).standard_normal((n_paths * dim, len(times)))
+    z = standard_normals(make_stream(SeedSpec(3, 1)), np.empty((n_paths * dim, len(times))))
     with blas.single_threaded():
         ref = fbm_cholesky_factor(0.75, times) @ z.T
     assert np.array_equal(v.transpose(1, 0, 2),

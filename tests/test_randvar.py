@@ -1,13 +1,16 @@
 """Tests for the exact one-sided stable and scale-mixture samplers."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ggbm import DomainError, SeedSpec, make_stream, \
     sample_one_sided_stable, sample_y_beta_array
-from ggbm.randvar import _Y_BLOCK, _half_angle_sine
+from ggbm import randvar
+from ggbm.randvar import _Y_BLOCK, _Z_BLOCK, _half_angle_sine, standard_normals
 from ggbm.specfun import BETA_MIN, mittag_leffler
 
 
@@ -220,3 +223,114 @@ def test_stable_negative_size_is_domain_error():
         sample_one_sided_stable(0.5, rng, (3, -2))
     assert rng.random() == make_stream(SeedSpec(0, 0)).random()
     assert sample_one_sided_stable(0.5, rng, (0, 3)).shape == (0, 3)
+
+
+def _box_muller_reference(u: np.ndarray) -> np.ndarray:
+    """Box and Muller's pairs on the adjacent uniforms u[2k], u[2k + 1],
+    with numpy's cos and sin, in stream order."""
+    u0, u1 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log(1.0 - u0))
+    return np.column_stack([r * np.cos(2.0 * math.pi * u1),
+                            r * np.sin(2.0 * math.pi * u1)]).ravel()
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("n", [2, 10, 2 * _Z_BLOCK + 6])
+def test_standard_normals_are_box_muller_on_adjacent_pairs(monkeypatch, block, n):
+    """Value pair k is Box and Muller's pair of the uniforms 2k and 2k + 1
+    of the stream, within a few ulp of the radius, across the draw's
+    blocks (at _Z_BLOCK and at 5 pairs, whose last block is partial)."""
+    if block is not None:
+        monkeypatch.setattr(randvar, "_Z_BLOCK", block)
+    z = standard_normals(make_stream(SeedSpec(38, 1)), np.empty(n))
+    ref = _box_muller_reference(make_stream(SeedSpec(38, 1)).random(n))
+    r = np.repeat(np.hypot(ref[0::2], ref[1::2]), 2)
+    assert np.all(np.abs(z - ref) <= 8.0 * np.finfo(float).eps * np.maximum(r, 1.0))
+
+
+def test_standard_normals_law():
+    """KS against N(0, 1), the first four moments within 4 SE of 0, 1, 0
+    and 3, and within a pair neither the values nor their squares
+    correlate beyond 4 SE."""
+    n = 400_000
+    z = standard_normals(make_stream(SeedSpec(38, 0)), np.empty(n))
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    for k, moment in ((1, 0.0), (2, 1.0), (3, 0.0), (4, 3.0)):
+        v = z ** k
+        assert abs(v.mean() - moment) <= 4.0 * v.std(ddof=1) / math.sqrt(n), k
+    z0, z1 = z[0::2], z[1::2]
+    for v in (z0 * z1, (z0 * z0 - 1.0) * (z1 * z1 - 1.0)):
+        assert abs(v.mean()) <= 4.0 * v.std(ddof=1) / math.sqrt(v.size)
+
+
+class _StubStream:
+    """rng.random over a fixed cycle of uniforms."""
+
+    def __init__(self, cycle):
+        self.cycle, self.pos = np.asarray(cycle, dtype=float), 0
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        k = self.pos + np.arange(out.size)
+        out.reshape(-1)[:] = self.cycle[k % self.cycle.size]
+        self.pos += out.size
+        return out
+
+
+def test_standard_normals_at_the_ends_of_the_uniforms():
+    """u0 = 0 gives the pair (0, 0), u0 = 1 - 2^-53 the largest radius
+    sqrt(106 log 2) = 8.572, and u1 = 0.5, whose angle rounds next to
+    pi/2 where tan is 1.6e16, a finite pair: every value is finite and
+    within that radius."""
+    top = 1.0 - 2.0 ** -53
+    cycle = [0.0, 0.5, top, 0.5, top, 0.0, 0.5, top, 0.5, 0.0, top, top]
+    z = standard_normals(_StubStream(cycle), np.empty(len(cycle)))
+    radius = math.sqrt(106.0 * math.log(2.0))
+    assert np.all(np.isfinite(z))
+    assert np.all(np.abs(z) <= radius * (1.0 + 1e-15))
+    assert z[0] == 0.0 and z[1] == 0.0
+    assert z[4] == pytest.approx(radius, rel=1e-15) and z[5] == 0.0
+    assert np.hypot(z[2], z[3]) == pytest.approx(radius, rel=1e-15)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_standard_normals_concatenate_at_even_splits(monkeypatch, block):
+    """Draws of a and b values, a even, give the values of one draw of
+    a + b, across blocks and at any block size; an odd count takes one
+    more pair than it keeps, so the next draw starts at the following
+    pair, and its last value is the first of that pair."""
+    whole = standard_normals(make_stream(SeedSpec(5, 2)), np.empty(40))
+    if block is not None:
+        monkeypatch.setattr(randvar, "_Z_BLOCK", block)
+    for a in (0, 2, 6, 8, 14):
+        rng = make_stream(SeedSpec(5, 2))
+        parts = [standard_normals(rng, np.empty(a)), standard_normals(rng, np.empty(40 - a))]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+    for a in (1, 7, 13):
+        rng = make_stream(SeedSpec(5, 2))
+        odd = standard_normals(rng, np.empty(a))
+        rest = standard_normals(rng, np.empty(40 - a - 1))
+        assert odd.tobytes() == whole[:a].tobytes()
+        assert rest.tobytes() == whole[a + 1:].tobytes()
+
+
+def test_standard_normals_fill_the_array_in_place():
+    """out keeps its shape and is the array returned, filled in C order;
+    an array that is not C-contiguous raises."""
+    out = np.empty((3, 5, 2))
+    assert standard_normals(make_stream(SeedSpec(9, 0)), out) is out
+    flat = standard_normals(make_stream(SeedSpec(9, 0)), np.empty(30))
+    assert out.ravel().tobytes() == flat.tobytes()
+    with pytest.raises(ValueError):
+        standard_normals(make_stream(SeedSpec(9, 0)), np.empty((6, 4))[:, :2])
+
+
+def test_standard_normals_from_two_threads_give_the_serial_bits():
+    """Two threads that fill arrays from their own streams at the same
+    time share no scratch: each gets the bits of a serial draw."""
+    n = 6 * _Z_BLOCK + 1
+    seeds = [SeedSpec(21, k) for k in range(8)]
+    serial = [standard_normals(make_stream(s), np.empty(n)) for s in seeds]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = list(pool.map(lambda s: standard_normals(make_stream(s), np.empty(n)), seeds))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(serial, pooled))
