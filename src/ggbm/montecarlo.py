@@ -74,9 +74,10 @@ __all__ = [
 # radius-1 bump's discretization bound at its centre at 2e4 paths is at
 # most 0.95 of half of 3 SE at (0.5, 1.5, 3) and (0.9, 2, 2) over seeds 42
 # to 81, but 0.68 to 1.77 times that at (0.8, 1.2, 2) and (1, 1, 3), so
-# there the grid, not the path count, sets much of the budget.  A Gaussian f has no discretization term, its grid
-# bias being exact and folded out, so its clock only has to keep the
-# per-path variance low: _GAUSSIAN_STEPS_PER_DECADE is the coarsest
+# there the grid, not the path count, sets much of the budget.  A Gaussian
+# f has no discretization term, its grid bias being exact and folded out,
+# so its clock only has to keep the per-path variance low:
+# _GAUSSIAN_STEPS_PER_DECADE is the coarsest
 # density at which the exact SD of its conditioned per-path sum
 # (_gaussian_grid_moments) stays within 10 % of 8 per decade's at the four
 # triples above, x = c and |x - c| = 1.5, t_max = 50.  At 4 it is 3.3 to

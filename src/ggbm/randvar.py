@@ -171,12 +171,12 @@ def standard_normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     numpy runs float64 tan and log through vectorized loops where it
     dispatches AVX512_SKX (X86_V4), so there 2048 x 12 values take 0.6 to
     0.7 times the time of rng.standard_normal, whose ziggurat branches per
-    value (2-core x86 box).  The
-    uniforms are drawn into out itself and transformed in place, in blocks
-    of _Z_BLOCK pairs, with scratch allocated per call, so threads that
-    fill arrays from their own streams share nothing.  Two draws of a and b
-    values, a even, give the values of one draw of a + b; an odd count
-    takes one more pair and drops its second value.
+    value (2-core x86 box).  The uniforms are drawn into out itself and
+    transformed in place, in blocks of _Z_BLOCK pairs, with scratch
+    allocated per call, so threads that fill arrays from their own streams
+    share nothing.  Two draws of a and b values, a even, give the values
+    of one draw of a + b; an odd count takes one more pair and drops its
+    second value.
 
     u0 lies on a 2^-53 grid, so r is at most sqrt(106 log 2) = 8.572: the
     law is N(0, 1) with its tail beyond that radius cut, a probability of
@@ -186,14 +186,12 @@ def standard_normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     flat = np.reshape(out, -1, copy=False)
     n = flat.size
     pairs = flat[:n - n % 2].reshape(-1, 2)
-    k = min(len(pairs), _Z_BLOCK)
-    scratch = [np.empty(k) for _ in range(3)]
+    scratch = [np.empty(min((n + 1) // 2, _Z_BLOCK)) for _ in range(3)]
     for lo in range(0, len(pairs), _Z_BLOCK):
         z = pairs[lo:lo + _Z_BLOCK]
         _box_muller(rng.random(out=z), *(a[:len(z)] for a in scratch))
     if n % 2:
-        z = rng.random((1, 2))
-        flat[-1] = _box_muller(z, np.empty(1), np.empty(1), np.empty(1))[0, 0]
+        flat[-1] = _box_muller(rng.random((1, 2)), *(a[:1] for a in scratch))[0, 0]
     return out
 
 
