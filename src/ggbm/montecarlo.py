@@ -238,7 +238,7 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 
 def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
-                  times: np.ndarray, amplitude: float | None = None):
+                  times: np.ndarray):
     """The block sampler for f from x on the clock and its block size: a
     function (rng, n) -> the (len(times) - 1, n) per-path values at
     times[1:] of n fBm paths drawn from rng, the raw matrix, so the caller
@@ -264,7 +264,6 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
     estimate: computed per 256-path block it made the 4096-path headline
     op 18 % slower (median 2.85 -> 3.39 ms over 600 interleaved ops on a
     2-core x86 box, measured before the Gaussian's block was the chunk).
-    amplitude is f(c), evaluated here when not given.
     """
     d, m = params.dim, len(times) - 1
     if not f.gaussian:
@@ -275,8 +274,7 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
         return values, _BLOCK_SIZE
     s = f.spread
     r = math.sqrt(float(np.sum((x - f.center) ** 2)))
-    scale = _conditioned_scale(params, f, times[1:],
-                               f(f.center) if amplitude is None else amplitude)
+    scale = _conditioned_scale(params, f, times[1:])
 
     def values(rng: np.random.Generator, n: int) -> np.ndarray:
         b = sample_fbm_batch(params.hurst, times[1:], 1, n, rng).transpose(2, 1, 0)[0]
@@ -289,13 +287,12 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
     return values, _CHUNK_SIZE
 
 
-def _conditioned_scale(params: ModelParams, f: TestFunction, times: np.ndarray,
-                       amplitude: float) -> np.ndarray:
-    """A rho(t) at times for a Gaussian f, A = amplitude = f(c): what is
-    left of f's d - 1 integrated components,
-    rho(t) = (s / (s + t^alpha))^((d - 1) / 2), s = f.spread (_block_values)."""
+def _conditioned_scale(params: ModelParams, f: TestFunction, times: np.ndarray) -> np.ndarray:
+    """A rho(t) at times for a Gaussian f, A = f(c): what is left of f's
+    d - 1 integrated components, rho(t) = (s / (s + t^alpha))^((d - 1) / 2),
+    s = f.spread (_block_values)."""
     s = f.spread
-    return amplitude * (s / (s + times ** params.alpha)) ** (0.5 * (params.dim - 1))
+    return f(f.center) * (s / (s + times ** params.alpha)) ** (0.5 * (params.dim - 1))
 
 
 def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -333,8 +330,7 @@ def _chunk_sums(values, block: int, f0: float,
 
 
 def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
-                   times: np.ndarray, amplitude: float | None = None
-                   ) -> tuple[np.ndarray, float]:
+                   times: np.ndarray) -> tuple[np.ndarray, float]:
     """A Gaussian f's exact mean along x + B_H(t) on the clock, and its
     integral over the whole time axis.  With A = f(c), s = f.spread and
     v = s / (s + t^a) the mean is A v^(d/2) exp(-z v), z = |x - c|^2 / (2 s),
@@ -344,14 +340,11 @@ def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
     1F1 value but reaches its prefactor through D = C(a, d) E[Y^(-1/a)] and
     Gamma(1/a) / Gamma(d/2), so the certificate checks the paper's constant
     by a second route; the 1F1 itself is held to mpmath by the tests.
-    amplitude is A, evaluated here when not given.
     """
     d, alpha, s = params.dim, params.alpha, f.spread
     z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
     a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
-    if amplitude is None:
-        amplitude = f(f.center)
-    v = s / (s + times ** alpha)
+    amplitude, v = f(f.center), s / (s + times ** alpha)
     integral = amplitude * s ** a * a * beta_function(b, a) * hyp1f1(b, b + a, -z)
     return amplitude * v ** (0.5 * d) * np.exp(-z * v), float(integral)
 
@@ -374,11 +367,10 @@ def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
     aj, ak = a[:, None], a[None, :]
     k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
     det = (s + aj) * (s + ak) - k * k
-    amplitude = f(f.center)
-    scale = _conditioned_scale(params, f, times, amplitude)
+    scale = _conditioned_scale(params, f, times)
     c = np.outer(scale, scale) * np.sqrt(s * s / det) * np.exp(
         -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
-    g, _ = _gaussian_mean(params, f, x, times, amplitude)
+    g, _ = _gaussian_mean(params, f, x, times)
     return float(w @ g), float(w @ (c - np.outer(g, g)) @ w)
 
 
@@ -448,9 +440,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     w_fine = _trapezoid_weights(times)
     w_coarse = None if f.gaussian else _trapezoid_weights(times[::2])
 
-    # a declared Gaussian's f(c), read by its sampler and its exact mean
-    amplitude = f(f.center) if f.gaussian else None
-    (values, block), f0 = _block_values(params, f, x, times, amplitude), f(x)
+    (values, block), f0 = _block_values(params, f, x, times), f(x)
     chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
               for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
 
@@ -477,7 +467,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     s1, s2, s3, s4, *dsums = (math.fsum(col) for col in zip(*results))
     mean, std_error = _mean_and_se(s1, s2, n)
     if f.gaussian:  # the mean is exact: swap the grid's for the whole integral
-        g, integral = _gaussian_mean(params, f, x, times, amplitude)
+        g, integral = _gaussian_mean(params, f, x, times)
         mean, tail, disc = mean - math.fsum(w_fine * g) + integral, 0.0, 0.0
     else:
         dmean, dse = _mean_and_se(*dsums, n)

@@ -183,7 +183,9 @@ def standard_normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     2^-53 = 1.1e-16 per pair.  z0 is formed as a difference, so its error
     is a few ulp of r rather than of z0 where cos(2 pi u1) is near 0.
     """
-    flat = np.reshape(out, -1, copy=False)
+    if not out.flags.c_contiguous:
+        raise ValueError("standard_normals fills a C-contiguous array in place")
+    flat = out.reshape(-1)  # a view, as out is C-contiguous
     n = flat.size
     pairs = flat[:n - n % 2].reshape(-1, 2)
     scratch = [np.empty(min((n + 1) // 2, _Z_BLOCK)) for _ in range(3)]

@@ -53,20 +53,6 @@ def test_build_time_grid_small_horizon():
         assert len(grid) - 2 >= _STEPS_PER_DECADE * math.log10(t_max / _T_MIN)
 
 
-def test_build_time_grid_equals_numpy_geomspace():
-    """The clock is 0 followed by np.geomspace(t_start, t_max, n + 1), bit
-    for bit, over horizons, densities and starts."""
-    for t_max in (0.0011, 0.37, 1.0, 10.0, 50.0, 123.4, 1e4, 1e12):
-        for steps in (1, 3, 4, 8, 32, 100):
-            for t_start in (_T_MIN, 0.01 * t_max, 0.1 * t_max):
-                if not t_start < t_max:
-                    continue
-                spec = PerpetualSpec(t_max=t_max, n_paths=1, seed=SeedSpec(0, 0))
-                grid = build_time_grid(spec, steps, t_start)
-                ref = np.geomspace(t_start, t_max, len(grid) - 1)
-                assert grid.tobytes() == np.concatenate([[0.0], ref]).tobytes()
-
-
 def test_perpetual_spec_validation():
     with pytest.raises(DomainError):
         PerpetualSpec(t_max=1e-4, n_paths=10, seed=SeedSpec(0, 0))

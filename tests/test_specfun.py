@@ -518,12 +518,20 @@ def test_m_wright_quad_rule_values_equal_values_with_errors(beta):
 
 def test_geomspace_equals_numpy():
     """_geomspace is np.geomspace bit for bit, at random ends and lengths
-    in _rule_edges' ranges, and at every call _rule_edges makes over a
-    sweep of beta that takes each of its three branches."""
+    in _rule_edges' ranges and in the Monte Carlo clock's (build_time_grid:
+    from 1e-3 or more to horizons up to 1e12, hundreds of points), and at
+    every call _rule_edges makes over a sweep of beta that takes each of
+    its three branches."""
     rng = np.random.default_rng(3)
     for _ in range(2000):
         start, stop = 10.0 ** rng.uniform(-14.0, 3.0, 2)
         num = int(rng.integers(2, 70))
+        assert specfun._geomspace(start, stop, num).tobytes() == \
+            np.geomspace(start, stop, num).tobytes(), (start, stop, num)
+    for _ in range(2000):
+        start = 10.0 ** rng.uniform(-3.0, 2.0)
+        stop = start * 10.0 ** rng.uniform(0.01, 12.0)
+        num = int(rng.integers(2, 1500))
         assert specfun._geomspace(start, stop, num).tobytes() == \
             np.geomspace(start, stop, num).tobytes(), (start, stop, num)
     calls = []
