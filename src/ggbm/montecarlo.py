@@ -2,21 +2,24 @@
 
 B = sqrt(Y_beta) B_H, H = alpha/2, so by self-similarity V_beta = m V_1 with
 m = E[Y^(-1/alpha)] and V_1 the potential of B_H: only fBm paths are sampled,
-on one geometric clock up to t_max (see _clock), and every term of the
-estimate is scaled by m.  The paths come in chunks of _CHUNK_SIZE, one
-SFC64 stream per chunk, and a chunk is walked in blocks drawn one after the
-other from that stream: _BLOCK_SIZE paths for most f, so that a block's
-normals, its points and f's temporaries stay in cache, and the whole chunk
-for a declared Gaussian, whose block holds one component (_block_values).
+on one geometric clock up to t_max (see _clock_grid), and every term of
+the estimate is scaled by m.  The clock and its trapezoid weights are
+built once per (t_max, density, start) and shared read-only (_grid).
+The paths come in chunks of _CHUNK_SIZE, one SFC64 stream per chunk, and
+a chunk is walked in blocks drawn one after the other from that stream:
+_BLOCK_SIZE paths for most f, so that a block's normals, its points and
+f's temporaries stay in cache, and the whole chunk for a declared
+Gaussian, whose block holds one component (_block_values).
 A block's normals are Box and Muller's pairs on adjacent uniforms of the
 stream (randvar.standard_normals), so blocks with an even count of normals
 draw the very normals of one whole-chunk draw.
 A block's points stay in the component-major (d, times, paths) buffer the
 fBm sampler writes: they are shifted in place, f reads each component as a
-contiguous plane, and the trapezoid sums run over contiguous rows.  The blocks fill the chunk's
-per-path values, and every chunk returns the same sums of them (the first
-four powers of the trapezoid integral on the grid, and, for an f not
-declared Gaussian, its difference from the half grid with its square);
+contiguous plane, and the trapezoid sums run over contiguous rows.  The
+blocks fill the chunk's per-path values, and every chunk returns the same
+sums of them (the first four powers of the trapezoid integral on the
+grid, and, for an f not declared Gaussian, its difference from the half
+grid with its square);
 math.fsum adds each sum over the chunks in chunk order, so the result is
 bit-identical for any worker count.  The truncation at t_max enters the
 budget as a one-sided analytic tail bound, the grid error as the
@@ -28,7 +31,11 @@ other d - 1 out in closed form (conditional Monte Carlo):
 E[f(x + B(t)) | B_1] = A rho(t) exp(-(r + B_1(t))^2 / (2 s)), with
 r = |x - c|, A = f(c), s = f.spread and rho(t) = (s / (s + t^alpha))^((d-1)/2).
 The per-path values keep their mean and lose variance, for a d-th of the
-normals and GEMMs (_block_values).  The mean g along the paths is known at
+normals and GEMMs (_block_values).  A rho(t) holds no randomness, so it
+rides in the trapezoid weights, and a chunk forms only
+exp(-(r + B_1(t))^2 / (2 s)) from its draws; those weights, the grid mean
+below and its closed form make one seed-free plan per estimate, from one
+evaluation of f(c) (_gaussian_plan).  The mean g along the paths is known at
 every t and x, so the estimator swaps the grid's exact mean
 sum_j w_j g(t_j) for the whole integral of g, a closed form: grid bias and
 tail are exact and in the mean, so the tail and discretization bounds are
@@ -47,6 +54,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta as beta_function, betainc, hyp1f1
@@ -86,7 +94,7 @@ __all__ = [
 # per path); at 3 it is 14.5 % above at (1, 1, 3).  Every other f's clock
 # starts at _T_MIN; a Gaussian's starts where t^alpha is
 # _GAUSSIAN_START_SPREAD times its spread, clamped to [_T_MIN, t_max / 10]
-# (see _clock).  The start was set for f along whole paths, whose SD it
+# (see _clock_grid).  The start was set for f along whole paths, whose SD it
 # moves by at most 0.5 % at 32 per decade; the conditioned sum keeps
 # less variance and a larger share of it early, so the start raises its
 # SD by up to 0.69 % (alpha = 2, d = 3, spread 9, x = c), 1.4 % in
@@ -194,17 +202,32 @@ def build_time_grid(spec: PerpetualSpec, steps_per_decade: int = _STEPS_PER_DECA
                     t_start: float = _T_MIN) -> np.ndarray:
     """0 followed by a geometric grid from t_start (< t_max) to t_max, with
     at least steps_per_decade intervals per decade and an even interval
-    count, so grid[::2] is a nested coarsening.  _clock chooses the density
-    and the start for each f.  The geometric part is np.geomspace's, bit
-    for bit, at a quarter of its time (specfun._geomspace).
+    count, so grid[::2] is a nested coarsening.  _clock_grid chooses the
+    density and the start for each f.  A fresh copy of _grid's shared times.
     """
-    n = math.ceil(steps_per_decade * math.log10(spec.t_max / t_start))
+    return _grid(spec.t_max, steps_per_decade, t_start)[0].copy()
+
+
+@lru_cache(maxsize=16)
+def _grid(t_max: float, steps_per_decade: int, t_start: float):
+    """(times, w, w_half): build_time_grid's times with their trapezoid
+    weights and those of the half grid times[::2], built once per (t_max,
+    density, start) and read-only, since every estimate, verify run and
+    seed census on that clock shares them.  The geometric part is
+    np.geomspace's, bit for bit, at a quarter of its time
+    (specfun._geomspace)."""
+    n = math.ceil(steps_per_decade * math.log10(t_max / t_start))
     n += 1 - n % 2  # odd, so with the interval from 0 the count is even
-    return np.concatenate([[0.0], _geomspace(t_start, spec.t_max, n + 1)])
+    times = np.concatenate([[0.0], _geomspace(t_start, t_max, n + 1)])
+    arrays = times, _trapezoid_weights(times), _trapezoid_weights(times[::2])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndarray:
-    """The estimator's time grid for f.  Any f not declared Gaussian gets
+def _clock_grid(params: ModelParams, f: TestFunction, spec: PerpetualSpec):
+    """The estimator's time grid for f with its trapezoid weights and the
+    half grid's (_grid).  Any f not declared Gaussian gets
     _STEPS_PER_DECADE from _T_MIN.  A Gaussian, whose mean is exact and
     folded in, gets _GAUSSIAN_STEPS_PER_DECADE from
     t0 = max(_T_MIN, min((_GAUSSIAN_START_SPREAD s)^(1/alpha), t_max / 10)),
@@ -223,10 +246,15 @@ def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndar
         raise DomainError(f"t_max = {spec.t_max:g} is too large: t_max^alpha at alpha = "
                           f"{params.alpha:g} and t_max / {_T_MIN:g} must be finite")
     if not f.gaussian:
-        return build_time_grid(spec)
+        return _grid(spec.t_max, _STEPS_PER_DECADE, _T_MIN)
     t0 = (_GAUSSIAN_START_SPREAD * f.spread) ** (1.0 / params.alpha)
-    return build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE,
-                           max(_T_MIN, min(t0, 0.1 * spec.t_max)))
+    return _grid(spec.t_max, _GAUSSIAN_STEPS_PER_DECADE,
+                 max(_T_MIN, min(t0, 0.1 * spec.t_max)))
+
+
+def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndarray:
+    """The times of _clock_grid, shared and read-only."""
+    return _clock_grid(params, f, spec)[0]
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -253,17 +281,17 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
     A declared Gaussian factorises over components, and B_H is isotropic,
     so with the kept axis along x - c, r = |x - c|, A = f(c) and
     s = f.spread, the other d - 1 components integrate out in closed form:
-    E[f(x + B(t)) | B_1] = A rho(t) exp(-(r + B_1(t))^2 / (2 s)),
-    rho(t) = (s / (s + t^alpha))^((d - 1) / 2).  A value is this
-    conditional mean along one sampled component, with the same mean and a
-    variance never larger (Rao-Blackwell).  Its block is the whole chunk:
-    one component on the Gaussian's short clock is 2048 x 12 floats, and
-    per block the sampler's Python, the BLAS pin, the einsum and the five
-    in-place steps below cost about as much as the arithmetic of 256
-    paths.  A rho(t) (_conditioned_scale) is computed here, once per
-    estimate: computed per 256-path block it made the 4096-path headline
-    op 18 % slower (median 2.85 -> 3.39 ms over 600 interleaved ops on a
-    2-core x86 box, measured before the Gaussian's block was the chunk).
+    E[f(x + B(t)) | B_1] = A rho(t) e(t), e(t) = exp(-(r + B_1(t))^2 / (2 s)),
+    rho(t) = (s / (s + t^alpha))^((d - 1) / 2).  This conditional mean along
+    one sampled component has f's mean and a variance never larger
+    (Rao-Blackwell).  A value here is e(t) alone: A rho(t) is seed-free, so
+    it rides in the trapezoid weights the chunk integrates e against
+    (_gaussian_plan), and the values must be integrated with those.  Its
+    block is the whole chunk: one component on the Gaussian's short clock
+    is 2048 x 12 floats, and per block the sampler's Python, the BLAS pin,
+    the einsum and the in-place steps below cost about as much as the
+    arithmetic of 256 paths.  The shift by r runs only off the centre,
+    since adding 0.0 is exact.
     """
     d, m = params.dim, len(times) - 1
     if not f.gaussian:
@@ -274,25 +302,16 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
         return values, _BLOCK_SIZE
     s = f.spread
     r = math.sqrt(float(np.sum((x - f.center) ** 2)))
-    scale = _conditioned_scale(params, f, times[1:])
 
     def values(rng: np.random.Generator, n: int) -> np.ndarray:
         b = sample_fbm_batch(params.hurst, times[1:], 1, n, rng).transpose(2, 1, 0)[0]
-        b += r
+        if r > 0.0:
+            b += r
         np.square(b, out=b)
         b *= -0.5 / s
         np.exp(b, out=b)
-        b *= scale[:, None]
         return b
     return values, _CHUNK_SIZE
-
-
-def _conditioned_scale(params: ModelParams, f: TestFunction, times: np.ndarray) -> np.ndarray:
-    """A rho(t) at times for a Gaussian f, A = f(c): what is left of f's
-    d - 1 integrated components, rho(t) = (s / (s + t^alpha))^((d - 1) / 2),
-    s = f.spread (_block_values)."""
-    s = f.spread
-    return f(f.center) * (s / (s + times ** params.alpha)) ** (0.5 * (params.dim - 1))
 
 
 def _trapezoid(f0: float, fv: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -329,13 +348,15 @@ def _chunk_sums(values, block: int, f0: float,
     return tuple(float(np.add.reduce(v)) for v in sums)
 
 
-def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
-                   times: np.ndarray) -> tuple[np.ndarray, float]:
-    """A Gaussian f's exact mean along x + B_H(t) on the clock, and its
-    integral over the whole time axis.  With A = f(c), s = f.spread and
-    v = s / (s + t^a) the mean is A v^(d/2) exp(-z v), z = |x - c|^2 / (2 s),
-    and its integral A s^(1/a) / a int_0^1 exp(-z v) v^(b-1) (1-v)^(1/a-1) dv,
-    b = d/2 - 1/a, is Euler's integral of Kummer's function (DLMF 13.4.1):
+def _gaussian_law(params: ModelParams, f: TestFunction, x: np.ndarray,
+                  times: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """A Gaussian f's conditioned scale A rho(t) at times (_block_values),
+    its exact mean g along x + B_H(t) there, and the integral of g over the
+    whole time axis, from one evaluation A = f(c) and one
+    v = s / (s + t^a), s = f.spread: rho = v^((d-1)/2), g = A v^(d/2) exp(-z v),
+    z = |x - c|^2 / (2 s), and its integral
+    A s^(1/a) / a int_0^1 exp(-z v) v^(b-1) (1-v)^(1/a-1) dv, b = d/2 - 1/a,
+    is Euler's integral of Kummer's function (DLMF 13.4.1):
     A s^(1/a) / a B(b, 1/a) 1F1(b; b + 1/a; -z).  The potential shares the
     1F1 value but reaches its prefactor through D = C(a, d) E[Y^(-1/a)] and
     Gamma(1/a) / Gamma(d/2), so the certificate checks the paper's constant
@@ -346,7 +367,30 @@ def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
     a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
     amplitude, v = f(f.center), s / (s + times ** alpha)
     integral = amplitude * s ** a * a * beta_function(b, a) * hyp1f1(b, b + a, -z)
-    return amplitude * v ** (0.5 * d) * np.exp(-z * v), float(integral)
+    return (amplitude * v ** (0.5 * (d - 1)), amplitude * v ** (0.5 * d) * np.exp(-z * v),
+            float(integral))
+
+
+def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
+                   times: np.ndarray) -> tuple[np.ndarray, float]:
+    """A Gaussian f's exact mean along x + B_H(t) at times, and its integral
+    over the whole time axis (_gaussian_law)."""
+    return _gaussian_law(params, f, x, times)[1:]
+
+
+def _gaussian_plan(params: ModelParams, f: TestFunction, x: np.ndarray,
+                   times: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The seed-free part of a Gaussian f's estimate on the clock times with
+    trapezoid weights w, built once per estimate: the weights the chunk
+    integrates its values against, w_0 at t = 0, whose value is f(x)
+    itself, and w_j A rho(t_j) at the others, whose values are
+    e(t_j) (_block_values); the grid's exact mean sum_j w_j g(t_j); and the
+    whole integral of g, which the estimate swaps in for it
+    (_gaussian_law)."""
+    scale, g, integral = _gaussian_law(params, f, x, times)
+    rows = w * scale
+    rows[0] = w[0]
+    return rows, math.fsum(w * g), integral
 
 
 def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
@@ -356,7 +400,7 @@ def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
     the conditional mean of f(x + B_H(t)) given the component B_1 along
     x - c (_block_values), r = |x - c|, A = f(c), s = f.spread and
     rho(t) = (s / (s + t^alpha))^((d - 1) / 2).  The mean is w . g
-    (_gaussian_mean), as for f itself; the second moment is w^T C w with
+    (_gaussian_law), as for f itself; the second moment is w^T C w with
     C_jk = E h(t_j) h(t_k)
     = A^2 rho_j rho_k (s^2 / D)^(1/2) exp(-r^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
     where K = [[a_j, k_jk], [k_jk, a_k]] is fBm's covariance at (t_j, t_k),
@@ -367,10 +411,9 @@ def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
     aj, ak = a[:, None], a[None, :]
     k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
     det = (s + aj) * (s + ak) - k * k
-    scale = _conditioned_scale(params, f, times)
+    scale, g, _ = _gaussian_law(params, f, x, times)
     c = np.outer(scale, scale) * np.sqrt(s * s / det) * np.exp(
         -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
-    g, _ = _gaussian_mean(params, f, x, times)
     return float(w @ g), float(w @ (c - np.outer(g, g)) @ w)
 
 
@@ -384,13 +427,16 @@ def exact_gaussian_moments(params: ModelParams, f: TestFunction, x,
     conditional mean of f(x + B_H(t)) given the one component the estimator
     samples, A rho(t) exp(-(r + B_1(t))^2 / (2 s)) (_block_values), whose
     variance is at most f's own.  The variance is the first moment that
-    depends on the paths' two-time law."""
+    depends on the paths' two-time law.  Where the estimator refuses the
+    parameters, so does this, with the same DomainError."""
+    if not params.green_exists:
+        raise DomainError(params.failed_green_constraint())
     if not f.gaussian:
         raise DomainError(f"{f.kind} is not declared Gaussian")
     x = as_point(params, f, x)
-    times = _clock(params, f, spec)
+    times, w, _ = _clock_grid(params, f, spec)
     _, integral = _gaussian_mean(params, f, x, times)
-    _, var = _gaussian_grid_moments(params, f, x, times, _trapezoid_weights(times))
+    _, var = _gaussian_grid_moments(params, f, x, times, w)
     m = m_wright_moment(params.beta, -1.0 / params.alpha)
     return m * integral, m * math.sqrt(max(var, 0.0) / spec.n_paths)
 
@@ -436,18 +482,20 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     x = as_point(params, f, x)
-    times = _clock(params, f, spec)
-    w_fine = _trapezoid_weights(times)
-    w_coarse = None if f.gaussian else _trapezoid_weights(times[::2])
-
+    times, w, w_half = _clock_grid(params, f, spec)
     (values, block), f0 = _block_values(params, f, x, times), f(x)
+    if f.gaussian:  # A rho(t) rides in the rows; the exact mean is swapped in below
+        rows, grid_mean, integral = _gaussian_plan(params, f, x, times, w)
+        weights = (rows, None)
+    else:
+        weights = (w, w_half)
     chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
               for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
 
     def run_chunk(job):
         idx, n = job
         rng = make_stream(spec.seed.substream(idx))
-        return _chunk_sums(values, block, f0, (w_fine, w_coarse), rng, n)
+        return _chunk_sums(values, block, f0, weights, rng, n)
 
     # threads == 1 maps the same streams and sums in the calling thread: a
     # one-worker pool made the 4096-path headline op 31 % slower (median
@@ -467,8 +515,7 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     s1, s2, s3, s4, *dsums = (math.fsum(col) for col in zip(*results))
     mean, std_error = _mean_and_se(s1, s2, n)
     if f.gaussian:  # the mean is exact: swap the grid's for the whole integral
-        g, integral = _gaussian_mean(params, f, x, times)
-        mean, tail, disc = mean - math.fsum(w_fine * g) + integral, 0.0, 0.0
+        mean, tail, disc = mean - grid_mean + integral, 0.0, 0.0
     else:
         dmean, dse = _mean_and_se(*dsums, n)
         tail, disc = tail_bound(params, f, spec.t_max), abs(dmean) + 2.0 * dse

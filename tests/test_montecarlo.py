@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import mpmath
@@ -15,10 +16,10 @@ from ggbm import DomainError, GreenDensity, ModelParams, \
     gaussian_test_function, potential, tail_bound
 from ggbm import blas, fbm, green
 from ggbm.fbm import sample_fbm_batch
-from ggbm.montecarlo import _BLOCK_SIZE, _CHUNK_SIZE, _GAUSSIAN_STEPS_PER_DECADE, \
-    _STEPS_PER_DECADE, _T_MIN, _block_values, _chunk_sums, _clock, \
-    _gaussian_grid_moments, _gaussian_mean, _trapezoid, _trapezoid_weights, \
-    build_time_grid, exact_gaussian_moments
+from ggbm.montecarlo import _BLOCK_SIZE, _CHUNK_SIZE, _GAUSSIAN_START_SPREAD, \
+    _GAUSSIAN_STEPS_PER_DECADE, _STEPS_PER_DECADE, _T_MIN, _block_values, _chunk_sums, \
+    _clock, _clock_grid, _gaussian_grid_moments, _gaussian_mean, _gaussian_plan, \
+    _trapezoid, _trapezoid_weights, build_time_grid, exact_gaussian_moments
 from ggbm.randvar import make_stream
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
 from ggbm.verify import run_suite
@@ -111,16 +112,20 @@ def test_chunk_f_values_match_per_path_reference():
                          ids=["centre", "off-axis"])
 def test_gaussian_block_values_condition_on_one_component(triple, offset):
     """For a declared Gaussian a value is E[f(x + B(t)) | B_1], one fBm
-    component drawn from the stream: rho(t) f(c + (r + B_1(t)) e_1) with
+    component drawn from the stream, with A rho(t) carried by the plan's
+    weights: w~_j e_j is w_j rho(t_j) f(c + (r + B_1(t_j)) e_1) with
     r = |x - c| and rho(t) = (s / (s + t^alpha))^((d - 1) / 2), f evaluated
-    through its own eval_many, at the centre and off every axis, in d = 2
-    and 3 and on the H = 1 line."""
+    through its own eval_many, and the t = 0 node keeps w_0 for f(x); at
+    the centre and off every axis, in d = 2 and 3 and on the H = 1 line."""
     params = ModelParams(*triple)
     d = params.dim
     c = np.array([0.2, -0.1, 0.3])[:d]
     f = gaussian_test_function(0.8, d, center=c, amplitude=-2.0)
     x = c + offset[:d]
-    times = _clock(params, f, PerpetualSpec(t_max=10.0, n_paths=1, seed=SeedSpec(0, 0)))
+    times, w, _ = _clock_grid(params, f, PerpetualSpec(t_max=10.0, n_paths=1,
+                                                       seed=SeedSpec(0, 0)))
+    rows, _, _ = _gaussian_plan(params, f, x, times, w)
+    assert rows[0] == w[0]
     n = 300
     fv = _block_values(params, f, x, times)[0](make_stream(SeedSpec(8, 1)), n)
     b1 = sample_fbm_batch(params.hurst, times[1:], 1, n, make_stream(SeedSpec(8, 1)))[..., 0]
@@ -128,10 +133,106 @@ def test_gaussian_block_values_condition_on_one_component(triple, offset):
     pts[..., 0] = np.linalg.norm(offset[:d]) + b1
     pts += c
     rho = (f.spread / (f.spread + times[1:] ** params.alpha)) ** (0.5 * (d - 1))
-    expected = rho * f.eval_many(pts.reshape(-1, d)).reshape(n, -1)
-    # 1e-14 relative, or of f's sup where exp's relative rounding, which
-    # grows with its argument, leaves a value far below it
-    assert np.allclose(fv, expected.T, rtol=1e-14, atol=1e-14 * f.sup_norm)
+    expected = w[1:] * rho * f.eval_many(pts.reshape(-1, d)).reshape(n, -1)
+    # 1e-14 relative, or of w_j times f's sup where exp's relative rounding,
+    # which grows with its argument, leaves a value far below it
+    assert np.allclose(rows[1:, None] * fv, expected.T, rtol=1e-14,
+                       atol=1e-14 * f.sup_norm * w[1:, None])
+
+
+@pytest.mark.parametrize("triple", [(0.5, 1.5, 3), (0.8, 1.2, 2), (0.9, 2.0, 2)],
+                         ids=lambda t: "-".join(map(str, t)))
+@pytest.mark.parametrize("offset", [np.zeros(3), np.array([0.8, -0.5, 0.4])],
+                         ids=["centre", "off-axis"])
+def test_folded_chunk_sums_match_the_unfolded_reference(triple, offset):
+    """A Gaussian's chunk sums with A rho(t) folded into the trapezoid
+    weights, (w_j A rho_j) e_j, equal within 1e-15 relative those of the
+    unfolded order w_j (A rho_j e_j), e_j = exp(-(r + B_1(t_j))^2 / (2 s))
+    formed from the stream's B_1 in the same in-place steps, at amplitude
+    -2, at the centre and off every axis, in d = 2 and 3 and on the H = 1
+    line."""
+    params = ModelParams(*triple)
+    d = params.dim
+    c = np.array([0.2, -0.1, 0.3])[:d]
+    f = gaussian_test_function(0.8, d, center=c, amplitude=-2.0)
+    x = c + offset[:d]
+    times, w, _ = _clock_grid(params, f, PerpetualSpec(t_max=10.0, n_paths=1,
+                                                       seed=SeedSpec(0, 0)))
+    rows, _, _ = _gaussian_plan(params, f, x, times, w)
+    (values, block), f0 = _block_values(params, f, x, times), f(x)
+    n, stream = 1000, SeedSpec(8, 1)
+    got = _chunk_sums(values, block, f0, (rows, None), make_stream(stream), n)
+    s = f.spread
+    e = sample_fbm_batch(params.hurst, times[1:], 1, n, make_stream(stream))[..., 0].T
+    e += float(np.linalg.norm(offset[:d]))
+    np.square(e, out=e)
+    e *= -0.5 / s
+    np.exp(e, out=e)
+    scale = f(f.center) * (s / (s + times[1:] ** params.alpha)) ** (0.5 * (d - 1))
+    fine = _trapezoid(f0, scale[:, None] * e, w)
+    sq = fine * fine
+    expected = [float(np.add.reduce(v)) for v in (fine, sq, sq * fine, sq * sq)]
+    assert len(got) == 4
+    for folded, unfolded in zip(got, expected):
+        assert abs(folded - unfolded) <= 1e-15 * abs(unfolded)
+
+
+@pytest.mark.parametrize("case", ["gaussian", "bump"])
+def test_clock_arrays_are_shared_and_read_only(case):
+    """The clock, its trapezoid weights and the half grid's are built once
+    per (t_max, density, start) and shared: the same read-only objects for
+    any path count and seed, with build_time_grid's values; build_time_grid
+    itself hands out a writable copy."""
+    params = ModelParams(0.5, 1.5, 3)
+    f = gaussian_test_function(1.0, 3) if case == "gaussian" else bump_test_function(1.0, 3)
+    spec = PerpetualSpec(t_max=50.0, n_paths=4096, seed=SeedSpec(1, 0))
+    grid = _clock_grid(params, f, spec)
+    again = _clock_grid(params, f, PerpetualSpec(t_max=50.0, n_paths=10, seed=SeedSpec(2, 3)))
+    assert all(a is b for a, b in zip(grid, again))
+    assert _clock(params, f, spec) is grid[0]
+    for a in grid:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    if f.gaussian:
+        start = (_GAUSSIAN_START_SPREAD * f.spread) ** (1.0 / params.alpha)
+        times = build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE, start)
+    else:
+        times = build_time_grid(spec)
+    assert times.flags.writeable and times is not grid[0]
+    assert times.tobytes() == grid[0].tobytes()
+    assert _trapezoid_weights(times).tobytes() == grid[1].tobytes()
+    assert _trapezoid_weights(times[::2]).tobytes() == grid[2].tobytes()
+
+
+@pytest.mark.parametrize("triple", [(1.0, 0.5, 2), (1.0, 1.0, 2), (0.5, 1.0, 3)],
+                         ids=lambda t: "-".join(map(str, t)))
+def test_exact_gaussian_moments_refuse_what_the_estimator_refuses(triple):
+    """Where the Green measure does not exist the exact moments raise the
+    estimator's DomainError, not an infinite mean or a diverging moment."""
+    params = ModelParams(*triple)
+    assert not params.green_exists
+    f = gaussian_test_function(1.0, params.dim)
+    spec = PerpetualSpec(t_max=10.0, n_paths=64, seed=SeedSpec(1, 0))
+    message = re.escape(params.failed_green_constraint())
+    with pytest.raises(DomainError, match=message):
+        estimate_potential_mc(params, f, np.zeros(params.dim), spec)
+    with pytest.raises(DomainError, match=message):
+        exact_gaussian_moments(params, f, np.zeros(params.dim), spec)
+
+
+def test_gaussian_estimate_evaluates_f_twice():
+    """A Gaussian's estimate evaluates f at x and at its centre, once each:
+    its seed-free plan takes A = f(c) once for the weights, the grid mean
+    and the integral."""
+    points = []
+    g = gaussian_test_function(1.0, 3, center=np.array([0.1, 0.0, 0.2]))
+    f = dataclasses.replace(g, eval_many=lambda pts: points.append(len(pts)) or g.eval_many(pts))
+    spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(1, 0))
+    est = estimate_potential_mc(ModelParams(0.5, 1.5, 3), f, np.array([0.5, 0.0, 0.0]), spec)
+    assert points == [1, 1]
+    assert est == estimate_potential_mc(ModelParams(0.5, 1.5, 3), g,
+                                        np.array([0.5, 0.0, 0.0]), spec)
 
 
 @pytest.mark.parametrize("case", ["gaussian", "bump", "line"])
@@ -505,10 +606,10 @@ def test_raw_grid_mean_reproduces_exact_grid_sum(x):
     and off it."""
     params = ModelParams(1.0, 1.5, 3)
     f = gaussian_test_function(1.0, 3, center=np.array([0.1, 0.2, -0.1]))
-    times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
-    w = _trapezoid_weights(times)
+    times, w, _ = _clock_grid(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
+    rows, _, _ = _gaussian_plan(params, f, x, times, w)
     f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(5, 0)), 8192)
-    trap = w[0] * f0 + w[1:] @ fv
+    trap = _trapezoid(f0, fv, rows)
     se = trap.std(ddof=1) / math.sqrt(len(trap))
     exact = w @ _gaussian_mean_along_fbm(params, 1.0, 1.0, float(np.linalg.norm(x - f.center)),
                                          times)
@@ -533,11 +634,11 @@ def test_exact_grid_variance_matches_sampled_paths():
     params = ModelParams(1.0, 1.2, 2)
     f = gaussian_test_function(0.5, 2)
     x = np.array([1.0, -0.5])
-    times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
-    w = _trapezoid_weights(times)
+    times, w, _ = _clock_grid(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     mean, var = _gaussian_grid_moments(params, f, x, times, w)
+    rows, _, _ = _gaussian_plan(params, f, x, times, w)
     f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(6, 0)), 8192)
-    trap = w[0] * f0 + w[1:] @ fv
+    trap = _trapezoid(f0, fv, rows)
     assert trap.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / len(trap)))
     assert trap.std(ddof=1) == pytest.approx(math.sqrt(var), rel=0.05)
 
@@ -570,7 +671,7 @@ def test_componentwise_grid_variance_matches_sampled_paths():
     w = _trapezoid_weights(times)
     mean, var = _componentwise_grid_moments(params, g, x, times, w)
     f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(6, 0)), 8192)
-    trap = w[0] * f0 + w[1:] @ fv
+    trap = _trapezoid(f0, fv, w)
     assert trap.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / len(trap)))
     assert trap.std(ddof=1) == pytest.approx(math.sqrt(var), rel=0.05)
 
