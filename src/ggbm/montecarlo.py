@@ -2,24 +2,21 @@
 
 B = sqrt(Y_beta) B_H, H = alpha/2, so by self-similarity V_beta = m V_1 with
 m = E[Y^(-1/alpha)] and V_1 the potential of B_H: only fBm paths are sampled,
-on one geometric clock up to t_max (see _clock_grid), and every term of
-the estimate is scaled by m.  The clock and its trapezoid weights are
-built once per (t_max, density, start) and shared read-only (_grid).
-The paths come in chunks of _CHUNK_SIZE, one SFC64 stream per chunk, and
-a chunk is walked in blocks drawn one after the other from that stream:
-_BLOCK_SIZE paths for most f, so that a block's normals, its points and
-f's temporaries stay in cache, and the whole chunk for a declared
-Gaussian, whose block holds one component (_block_values).
+on one geometric clock up to t_max (see _clock), and every term of the
+estimate is scaled by m.  The paths come in chunks of _CHUNK_SIZE, one
+SFC64 stream per chunk, and a chunk is walked in blocks drawn one after the
+other from that stream: _BLOCK_SIZE paths for most f, so that a block's
+normals, its points and f's temporaries stay in cache, and the whole chunk
+for a declared Gaussian, whose block holds one component (_block_values).
 A block's normals are Box and Muller's pairs on adjacent uniforms of the
 stream (randvar.standard_normals), so blocks with an even count of normals
 draw the very normals of one whole-chunk draw.
 A block's points stay in the component-major (d, times, paths) buffer the
 fBm sampler writes: they are shifted in place, f reads each component as a
-contiguous plane, and the trapezoid sums run over contiguous rows.  The
-blocks fill the chunk's per-path values, and every chunk returns the same
-sums of them (the first four powers of the trapezoid integral on the
-grid, and, for an f not declared Gaussian, its difference from the half
-grid with its square);
+contiguous plane, and the trapezoid sums run over contiguous rows.  The blocks fill the chunk's
+per-path values, and every chunk returns the same sums of them (the first
+four powers of the trapezoid integral on the grid, and, for an f not
+declared Gaussian, its difference from the half grid with its square);
 math.fsum adds each sum over the chunks in chunk order, so the result is
 bit-identical for any worker count.  The truncation at t_max enters the
 budget as a one-sided analytic tail bound, the grid error as the
@@ -35,7 +32,7 @@ normals and GEMMs (_block_values).  A rho(t) holds no randomness, so it
 rides in the trapezoid weights, and a chunk forms only
 exp(-(r + B_1(t))^2 / (2 s)) from its draws; those weights, the grid mean
 below and its closed form make one seed-free plan per estimate, from one
-evaluation of f(c) (_gaussian_plan).  The mean g along the paths is known at
+call of f at x and c (_gaussian_plan).  The mean g along the paths is known at
 every t and x, so the estimator swaps the grid's exact mean
 sum_j w_j g(t_j) for the whole integral of g, a closed form: grid bias and
 tail are exact and in the mean, so the tail and discretization bounds are
@@ -54,7 +51,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta as beta_function, betainc, hyp1f1
@@ -94,7 +90,7 @@ __all__ = [
 # per path); at 3 it is 14.5 % above at (1, 1, 3).  Every other f's clock
 # starts at _T_MIN; a Gaussian's starts where t^alpha is
 # _GAUSSIAN_START_SPREAD times its spread, clamped to [_T_MIN, t_max / 10]
-# (see _clock_grid).  The start was set for f along whole paths, whose SD it
+# (see _clock).  The start was set for f along whole paths, whose SD it
 # moves by at most 0.5 % at 32 per decade; the conditioned sum keeps
 # less variance and a larger share of it early, so the start raises its
 # SD by up to 0.69 % (alpha = 2, d = 3, spread 9, x = c), 1.4 % in
@@ -202,32 +198,17 @@ def build_time_grid(spec: PerpetualSpec, steps_per_decade: int = _STEPS_PER_DECA
                     t_start: float = _T_MIN) -> np.ndarray:
     """0 followed by a geometric grid from t_start (< t_max) to t_max, with
     at least steps_per_decade intervals per decade and an even interval
-    count, so grid[::2] is a nested coarsening.  _clock_grid chooses the
-    density and the start for each f.  A fresh copy of _grid's shared times.
+    count, so grid[::2] is a nested coarsening.  _clock chooses the density
+    and the start for each f.  The geometric part is np.geomspace's, bit
+    for bit, at a quarter of its time (specfun._geomspace).
     """
-    return _grid(spec.t_max, steps_per_decade, t_start)[0].copy()
-
-
-@lru_cache(maxsize=16)
-def _grid(t_max: float, steps_per_decade: int, t_start: float):
-    """(times, w, w_half): build_time_grid's times with their trapezoid
-    weights and those of the half grid times[::2], built once per (t_max,
-    density, start) and read-only, since every estimate, verify run and
-    seed census on that clock shares them.  The geometric part is
-    np.geomspace's, bit for bit, at a quarter of its time
-    (specfun._geomspace)."""
-    n = math.ceil(steps_per_decade * math.log10(t_max / t_start))
+    n = math.ceil(steps_per_decade * math.log10(spec.t_max / t_start))
     n += 1 - n % 2  # odd, so with the interval from 0 the count is even
-    times = np.concatenate([[0.0], _geomspace(t_start, t_max, n + 1)])
-    arrays = times, _trapezoid_weights(times), _trapezoid_weights(times[::2])
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return np.concatenate([[0.0], _geomspace(t_start, spec.t_max, n + 1)])
 
 
-def _clock_grid(params: ModelParams, f: TestFunction, spec: PerpetualSpec):
-    """The estimator's time grid for f with its trapezoid weights and the
-    half grid's (_grid).  Any f not declared Gaussian gets
+def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndarray:
+    """The estimator's time grid for f.  Any f not declared Gaussian gets
     _STEPS_PER_DECADE from _T_MIN.  A Gaussian, whose mean is exact and
     folded in, gets _GAUSSIAN_STEPS_PER_DECADE from
     t0 = max(_T_MIN, min((_GAUSSIAN_START_SPREAD s)^(1/alpha), t_max / 10)),
@@ -246,22 +227,17 @@ def _clock_grid(params: ModelParams, f: TestFunction, spec: PerpetualSpec):
         raise DomainError(f"t_max = {spec.t_max:g} is too large: t_max^alpha at alpha = "
                           f"{params.alpha:g} and t_max / {_T_MIN:g} must be finite")
     if not f.gaussian:
-        return _grid(spec.t_max, _STEPS_PER_DECADE, _T_MIN)
+        return build_time_grid(spec)
     t0 = (_GAUSSIAN_START_SPREAD * f.spread) ** (1.0 / params.alpha)
-    return _grid(spec.t_max, _GAUSSIAN_STEPS_PER_DECADE,
-                 max(_T_MIN, min(t0, 0.1 * spec.t_max)))
-
-
-def _clock(params: ModelParams, f: TestFunction, spec: PerpetualSpec) -> np.ndarray:
-    """The times of _clock_grid, shared and read-only."""
-    return _clock_grid(params, f, spec)[0]
+    return build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE,
+                           max(_T_MIN, min(t0, 0.1 * spec.t_max)))
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    half = 0.5 * (times[1:] - times[:-1])
     w = np.zeros_like(times)
-    dt = np.diff(times)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
+    w[:-1] = half
+    w[1:] += half
     return w
 
 
@@ -290,8 +266,7 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
     block is the whole chunk: one component on the Gaussian's short clock
     is 2048 x 12 floats, and per block the sampler's Python, the BLAS pin,
     the einsum and the in-place steps below cost about as much as the
-    arithmetic of 256 paths.  The shift by r runs only off the centre,
-    since adding 0.0 is exact.
+    arithmetic of 256 paths.
     """
     d, m = params.dim, len(times) - 1
     if not f.gaussian:
@@ -305,8 +280,7 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
 
     def values(rng: np.random.Generator, n: int) -> np.ndarray:
         b = sample_fbm_batch(params.hurst, times[1:], 1, n, rng).transpose(2, 1, 0)[0]
-        if r > 0.0:
-            b += r
+        b += r
         np.square(b, out=b)
         b *= -0.5 / s
         np.exp(b, out=b)
@@ -349,12 +323,12 @@ def _chunk_sums(values, block: int, f0: float,
 
 
 def _gaussian_law(params: ModelParams, f: TestFunction, x: np.ndarray,
-                  times: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """A Gaussian f's conditioned scale A rho(t) at times (_block_values),
-    its exact mean g along x + B_H(t) there, and the integral of g over the
-    whole time axis, from one evaluation A = f(c) and one
-    v = s / (s + t^a), s = f.spread: rho = v^((d-1)/2), g = A v^(d/2) exp(-z v),
-    z = |x - c|^2 / (2 s), and its integral
+                  times: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """A Gaussian f's value f(x) at t = 0, its conditioned scale A rho(t) at
+    times (_block_values), its exact mean g along x + B_H(t) there, and the
+    integral of g over the whole time axis, from one call of f at x and c,
+    A = f(c), and one v = s / (s + t^a), s = f.spread: rho = v^((d-1)/2),
+    g = A v^(d/2) exp(-z v), z = |x - c|^2 / (2 s), and its integral
     A s^(1/a) / a int_0^1 exp(-z v) v^(b-1) (1-v)^(1/a-1) dv, b = d/2 - 1/a,
     is Euler's integral of Kummer's function (DLMF 13.4.1):
     A s^(1/a) / a B(b, 1/a) 1F1(b; b + 1/a; -z).  The potential shares the
@@ -365,36 +339,30 @@ def _gaussian_law(params: ModelParams, f: TestFunction, x: np.ndarray,
     d, alpha, s = params.dim, params.alpha, f.spread
     z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
     a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
-    amplitude, v = f(f.center), s / (s + times ** alpha)
+    fx, amplitude = f(np.stack([x, f.center])).tolist()
+    v = s / (s + times ** alpha)
     integral = amplitude * s ** a * a * beta_function(b, a) * hyp1f1(b, b + a, -z)
-    return (amplitude * v ** (0.5 * (d - 1)), amplitude * v ** (0.5 * d) * np.exp(-z * v),
-            float(integral))
-
-
-def _gaussian_mean(params: ModelParams, f: TestFunction, x: np.ndarray,
-                   times: np.ndarray) -> tuple[np.ndarray, float]:
-    """A Gaussian f's exact mean along x + B_H(t) at times, and its integral
-    over the whole time axis (_gaussian_law)."""
-    return _gaussian_law(params, f, x, times)[1:]
+    return (fx, amplitude * v ** (0.5 * (d - 1)),
+            amplitude * v ** (0.5 * d) * np.exp(-z * v), float(integral))
 
 
 def _gaussian_plan(params: ModelParams, f: TestFunction, x: np.ndarray,
-                   times: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, float]:
+                   times: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, float, float]:
     """The seed-free part of a Gaussian f's estimate on the clock times with
-    trapezoid weights w, built once per estimate: the weights the chunk
-    integrates its values against, w_0 at t = 0, whose value is f(x)
-    itself, and w_j A rho(t_j) at the others, whose values are
+    trapezoid weights w, built once per estimate: f(x), every path's value
+    at t = 0; the weights the chunk integrates its values against, w_0 at
+    t = 0 and w_j A rho(t_j) at the others, whose values are
     e(t_j) (_block_values); the grid's exact mean sum_j w_j g(t_j); and the
     whole integral of g, which the estimate swaps in for it
     (_gaussian_law)."""
-    scale, g, integral = _gaussian_law(params, f, x, times)
+    fx, scale, g, integral = _gaussian_law(params, f, x, times)
     rows = w * scale
     rows[0] = w[0]
-    return rows, math.fsum(w * g), integral
+    return fx, rows, math.fsum(w * g), integral
 
 
 def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
-                           times: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+                           times: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
     """Exact mean and variance of the per-path sum w . h(times) that the
     estimator draws for a Gaussian f, h(t) = A rho(t) exp(-(r + B_1(t))^2 / (2 s))
     the conditional mean of f(x + B_H(t)) given the component B_1 along
@@ -404,17 +372,18 @@ def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
     C_jk = E h(t_j) h(t_k)
     = A^2 rho_j rho_k (s^2 / D)^(1/2) exp(-r^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
     where K = [[a_j, k_jk], [k_jk, a_k]] is fBm's covariance at (t_j, t_k),
-    a_j = t_j^alpha, and D = det(s I + K)."""
+    a_j = t_j^alpha, and D = det(s I + K).  Third, the whole integral of g,
+    from the same law."""
     s = f.spread
     r2 = float(np.sum((x - f.center) ** 2))
     a = times ** params.alpha
     aj, ak = a[:, None], a[None, :]
     k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
     det = (s + aj) * (s + ak) - k * k
-    scale, g, _ = _gaussian_law(params, f, x, times)
+    _, scale, g, integral = _gaussian_law(params, f, x, times)
     c = np.outer(scale, scale) * np.sqrt(s * s / det) * np.exp(
         -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
-    return float(w @ g), float(w @ (c - np.outer(g, g)) @ w)
+    return float(w @ g), float(w @ (c - np.outer(g, g)) @ w), integral
 
 
 def exact_gaussian_moments(params: ModelParams, f: TestFunction, x,
@@ -434,9 +403,8 @@ def exact_gaussian_moments(params: ModelParams, f: TestFunction, x,
     if not f.gaussian:
         raise DomainError(f"{f.kind} is not declared Gaussian")
     x = as_point(params, f, x)
-    times, w, _ = _clock_grid(params, f, spec)
-    _, integral = _gaussian_mean(params, f, x, times)
-    _, var = _gaussian_grid_moments(params, f, x, times, w)
+    times = _clock(params, f, spec)
+    _, var, integral = _gaussian_grid_moments(params, f, x, times, _trapezoid_weights(times))
     m = m_wright_moment(params.beta, -1.0 / params.alpha)
     return m * integral, m * math.sqrt(max(var, 0.0) / spec.n_paths)
 
@@ -482,13 +450,14 @@ def estimate_potential_mc(params: ModelParams, f: TestFunction, x,
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
     x = as_point(params, f, x)
-    times, w, w_half = _clock_grid(params, f, spec)
-    (values, block), f0 = _block_values(params, f, x, times), f(x)
+    times = _clock(params, f, spec)
+    w_fine = _trapezoid_weights(times)
+    values, block = _block_values(params, f, x, times)
     if f.gaussian:  # A rho(t) rides in the rows; the exact mean is swapped in below
-        rows, grid_mean, integral = _gaussian_plan(params, f, x, times, w)
+        f0, rows, grid_mean, integral = _gaussian_plan(params, f, x, times, w_fine)
         weights = (rows, None)
     else:
-        weights = (w, w_half)
+        f0, weights = f(x), (w_fine, _trapezoid_weights(times[::2]))
     chunks = [(i, min(_CHUNK_SIZE, spec.n_paths - i * _CHUNK_SIZE))
               for i in range((spec.n_paths + _CHUNK_SIZE - 1) // _CHUNK_SIZE)]
 

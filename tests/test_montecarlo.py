@@ -16,10 +16,10 @@ from ggbm import DomainError, GreenDensity, ModelParams, \
     gaussian_test_function, potential, tail_bound
 from ggbm import blas, fbm, green
 from ggbm.fbm import sample_fbm_batch
-from ggbm.montecarlo import _BLOCK_SIZE, _CHUNK_SIZE, _GAUSSIAN_START_SPREAD, \
-    _GAUSSIAN_STEPS_PER_DECADE, _STEPS_PER_DECADE, _T_MIN, _block_values, _chunk_sums, \
-    _clock, _clock_grid, _gaussian_grid_moments, _gaussian_mean, _gaussian_plan, \
-    _trapezoid, _trapezoid_weights, build_time_grid, exact_gaussian_moments
+from ggbm.montecarlo import _BLOCK_SIZE, _CHUNK_SIZE, _GAUSSIAN_STEPS_PER_DECADE, \
+    _STEPS_PER_DECADE, _T_MIN, _block_values, _chunk_sums, _clock, \
+    _gaussian_grid_moments, _gaussian_law, _gaussian_plan, _trapezoid, _trapezoid_weights, \
+    build_time_grid, exact_gaussian_moments
 from ggbm.randvar import make_stream
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
 from ggbm.verify import run_suite
@@ -122,9 +122,9 @@ def test_gaussian_block_values_condition_on_one_component(triple, offset):
     c = np.array([0.2, -0.1, 0.3])[:d]
     f = gaussian_test_function(0.8, d, center=c, amplitude=-2.0)
     x = c + offset[:d]
-    times, w, _ = _clock_grid(params, f, PerpetualSpec(t_max=10.0, n_paths=1,
-                                                       seed=SeedSpec(0, 0)))
-    rows, _, _ = _gaussian_plan(params, f, x, times, w)
+    times = _clock(params, f, PerpetualSpec(t_max=10.0, n_paths=1, seed=SeedSpec(0, 0)))
+    w = _trapezoid_weights(times)
+    _, rows, _, _ = _gaussian_plan(params, f, x, times, w)
     assert rows[0] == w[0]
     n = 300
     fv = _block_values(params, f, x, times)[0](make_stream(SeedSpec(8, 1)), n)
@@ -156,9 +156,9 @@ def test_folded_chunk_sums_match_the_unfolded_reference(triple, offset):
     c = np.array([0.2, -0.1, 0.3])[:d]
     f = gaussian_test_function(0.8, d, center=c, amplitude=-2.0)
     x = c + offset[:d]
-    times, w, _ = _clock_grid(params, f, PerpetualSpec(t_max=10.0, n_paths=1,
-                                                       seed=SeedSpec(0, 0)))
-    rows, _, _ = _gaussian_plan(params, f, x, times, w)
+    times = _clock(params, f, PerpetualSpec(t_max=10.0, n_paths=1, seed=SeedSpec(0, 0)))
+    w = _trapezoid_weights(times)
+    _, rows, _, _ = _gaussian_plan(params, f, x, times, w)
     (values, block), f0 = _block_values(params, f, x, times), f(x)
     n, stream = 1000, SeedSpec(8, 1)
     got = _chunk_sums(values, block, f0, (rows, None), make_stream(stream), n)
@@ -177,34 +177,6 @@ def test_folded_chunk_sums_match_the_unfolded_reference(triple, offset):
         assert abs(folded - unfolded) <= 1e-15 * abs(unfolded)
 
 
-@pytest.mark.parametrize("case", ["gaussian", "bump"])
-def test_clock_arrays_are_shared_and_read_only(case):
-    """The clock, its trapezoid weights and the half grid's are built once
-    per (t_max, density, start) and shared: the same read-only objects for
-    any path count and seed, with build_time_grid's values; build_time_grid
-    itself hands out a writable copy."""
-    params = ModelParams(0.5, 1.5, 3)
-    f = gaussian_test_function(1.0, 3) if case == "gaussian" else bump_test_function(1.0, 3)
-    spec = PerpetualSpec(t_max=50.0, n_paths=4096, seed=SeedSpec(1, 0))
-    grid = _clock_grid(params, f, spec)
-    again = _clock_grid(params, f, PerpetualSpec(t_max=50.0, n_paths=10, seed=SeedSpec(2, 3)))
-    assert all(a is b for a, b in zip(grid, again))
-    assert _clock(params, f, spec) is grid[0]
-    for a in grid:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-    if f.gaussian:
-        start = (_GAUSSIAN_START_SPREAD * f.spread) ** (1.0 / params.alpha)
-        times = build_time_grid(spec, _GAUSSIAN_STEPS_PER_DECADE, start)
-    else:
-        times = build_time_grid(spec)
-    assert times.flags.writeable and times is not grid[0]
-    assert times.tobytes() == grid[0].tobytes()
-    assert _trapezoid_weights(times).tobytes() == grid[1].tobytes()
-    assert _trapezoid_weights(times[::2]).tobytes() == grid[2].tobytes()
-
-
 @pytest.mark.parametrize("triple", [(1.0, 0.5, 2), (1.0, 1.0, 2), (0.5, 1.0, 3)],
                          ids=lambda t: "-".join(map(str, t)))
 def test_exact_gaussian_moments_refuse_what_the_estimator_refuses(triple):
@@ -221,16 +193,16 @@ def test_exact_gaussian_moments_refuse_what_the_estimator_refuses(triple):
         exact_gaussian_moments(params, f, np.zeros(params.dim), spec)
 
 
-def test_gaussian_estimate_evaluates_f_twice():
-    """A Gaussian's estimate evaluates f at x and at its centre, once each:
-    its seed-free plan takes A = f(c) once for the weights, the grid mean
-    and the integral."""
+def test_gaussian_estimate_evaluates_f_once_at_x_and_its_centre():
+    """A Gaussian's estimate evaluates f in one call at x and at its centre:
+    its seed-free plan takes f(x) for t = 0 and A = f(c) once for the
+    weights, the grid mean and the integral."""
     points = []
     g = gaussian_test_function(1.0, 3, center=np.array([0.1, 0.0, 0.2]))
     f = dataclasses.replace(g, eval_many=lambda pts: points.append(len(pts)) or g.eval_many(pts))
     spec = PerpetualSpec(t_max=10.0, n_paths=4096, seed=SeedSpec(1, 0))
     est = estimate_potential_mc(ModelParams(0.5, 1.5, 3), f, np.array([0.5, 0.0, 0.0]), spec)
-    assert points == [1, 1]
+    assert points == [2]
     assert est == estimate_potential_mc(ModelParams(0.5, 1.5, 3), g,
                                         np.array([0.5, 0.0, 0.0]), spec)
 
@@ -515,7 +487,7 @@ def test_grid_bias_integral_matches_incomplete_beta(triple, T):
     for r, amplitude in ((0.0, 1.0), (1.5, -2.0)):
         f = gaussian_test_function(sigma, d, center=np.array([r] + [0.0] * (d - 1)),
                                    amplitude=amplitude)
-        g, integral = _gaussian_mean(params, f, np.zeros(d), times)
+        g, integral = _gaussian_law(params, f, np.zeros(d), times)[2:]
         assert np.allclose(g, _gaussian_mean_along_fbm(params, sigma, amplitude, r, times),
                            rtol=1e-14, atol=0.0)
         scale = amplitude * s ** a * a * beta_function(b, a)
@@ -561,7 +533,7 @@ def test_gaussian_mean_integral_matches_beta_integral_quadrature(triple, z):
     d, a = params.dim, 1.0 / params.alpha
     f = gaussian_test_function(1.0, d, center=np.array([math.sqrt(2.0 * z)] + [0.0] * (d - 1)),
                                amplitude=-2.0)
-    _, integral = _gaussian_mean(params, f, np.zeros(d), np.zeros(1))
+    _, integral = _gaussian_law(params, f, np.zeros(d), np.zeros(1))[2:]
     exact = -2.0 * a * _beta_integral_quadrature(a, 0.5 * d - a, z)
     assert integral == pytest.approx(exact, rel=1e-13, abs=0.0)
 
@@ -577,7 +549,7 @@ def test_gaussian_mean_integral_far_from_the_centre(alpha, dim, z):
     s, a, b = 0.64, 1.0 / alpha, 0.5 * dim - 1.0 / alpha
     f = gaussian_test_function(0.8, dim, center=np.array([math.sqrt(2.0 * s * z)]
                                                          + [0.0] * (dim - 1)))
-    _, integral = _gaussian_mean(params, f, np.zeros(dim), np.zeros(1))
+    _, integral = _gaussian_law(params, f, np.zeros(dim), np.zeros(1))[2:]
     exact = s ** a * a * beta_function(b, a) * float(mpmath.hyp1f1(b, b + a, -z))
     assert integral == pytest.approx(exact, rel=1e-12, abs=0.0)
 
@@ -593,7 +565,7 @@ def test_gaussian_mean_integral_in_high_dimension(alpha, dim):
     for z in (0.0, 0.5, 20.0, 500.0, 5e3, 1e5, 1e8, 1e12):
         f = gaussian_test_function(1.0, dim, center=np.array([math.sqrt(2.0 * z)]
                                                              + [0.0] * (dim - 1)))
-        _, integral = _gaussian_mean(params, f, np.zeros(dim), np.zeros(1))
+        _, integral = _gaussian_law(params, f, np.zeros(dim), np.zeros(1))[2:]
         with mpmath.workdps(30):
             exact = float(a * mpmath.beta(b, a) * mpmath.hyp1f1(b, b + a, -z))
         assert integral == pytest.approx(exact, rel=1e-13, abs=0.0), z
@@ -606,8 +578,9 @@ def test_raw_grid_mean_reproduces_exact_grid_sum(x):
     and off it."""
     params = ModelParams(1.0, 1.5, 3)
     f = gaussian_test_function(1.0, 3, center=np.array([0.1, 0.2, -0.1]))
-    times, w, _ = _clock_grid(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
-    rows, _, _ = _gaussian_plan(params, f, x, times, w)
+    times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
+    w = _trapezoid_weights(times)
+    _, rows, _, _ = _gaussian_plan(params, f, x, times, w)
     f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(5, 0)), 8192)
     trap = _trapezoid(f0, fv, rows)
     se = trap.std(ddof=1) / math.sqrt(len(trap))
@@ -634,9 +607,10 @@ def test_exact_grid_variance_matches_sampled_paths():
     params = ModelParams(1.0, 1.2, 2)
     f = gaussian_test_function(0.5, 2)
     x = np.array([1.0, -0.5])
-    times, w, _ = _clock_grid(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
-    mean, var = _gaussian_grid_moments(params, f, x, times, w)
-    rows, _, _ = _gaussian_plan(params, f, x, times, w)
+    times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
+    w = _trapezoid_weights(times)
+    mean, var, _ = _gaussian_grid_moments(params, f, x, times, w)
+    _, rows, _, _ = _gaussian_plan(params, f, x, times, w)
     f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(6, 0)), 8192)
     trap = _trapezoid(f0, fv, rows)
     assert trap.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / len(trap)))
@@ -689,7 +663,7 @@ def test_conditioning_never_raises_the_grid_variance(triple):
     for r in (0.0, 1.5, 3.0):
         x = np.zeros(params.dim)
         x[-1] = r
-        mean, var = _gaussian_grid_moments(params, f, x, times, w)
+        mean, var, _ = _gaussian_grid_moments(params, f, x, times, w)
         whole_mean, whole_var = _componentwise_grid_moments(params, f, x, times, w)
         assert mean == pytest.approx(whole_mean, rel=1e-13)
         assert 0.0 < var <= whole_var
