@@ -194,13 +194,31 @@ def fbm_covariance(times: np.ndarray, hurst: float) -> np.ndarray:
 _factor_cache: dict = {}
 
 
+def _check_times(t: np.ndarray) -> None:
+    """DomainError unless the times are finite, strictly positive and
+    distinct: at t = 0 or at a repeated time the covariance is singular,
+    and the factor's diagonal lift would put noise of order 1e-6 where the
+    law has none."""
+    bad = t[~((t > 0.0) & (t < math.inf))]
+    if bad.size:
+        raise DomainError(f"fBm times must be finite and strictly positive, got {bad[0]:g}")
+    if np.unique(t).size < t.size:
+        raise DomainError("fBm times must be distinct: a repeated time makes the "
+                          "covariance singular")
+
+
 def fbm_cholesky_factor(hurst: float, times: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the path covariance; cached per grid."""
+    """Lower Cholesky factor of the path covariance; cached per grid.  A
+    grid that is not cached is checked first: 0 < hurst < 1, and times
+    finite, strictly positive and distinct, or DomainError."""
     t = np.asarray(times, dtype=float)
     key = (hurst, t.tobytes())
     hit = _factor_cache.get(key)
     if hit is not None:
         return hit
+    if not 0.0 < hurst < 1.0:
+        raise DomainError(f"the Cholesky factor requires 0 < hurst < 1, got {hurst:g}")
+    _check_times(t)
     cov = fbm_covariance(t, hurst)
     try:
         L = np.linalg.cholesky(cov)
@@ -220,37 +238,36 @@ def sample_fbm_batch(
     n_paths: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """(n_paths, len(times), dim) fBm values at strictly positive times,
-    i.i.d. components, by batched Cholesky (H=1 degenerates to a line).
-    The stream use is a single randvar.standard_normals draw of fixed
-    shape: one value per path and component on the line, else
-    n_paths * dim rows of len(times), so batches drawn one after the other
-    from one stream, each with an even count of values, give the paths of
-    one batch of their total.
+    """(n_paths, len(times), dim) fBm values at finite, strictly positive
+    and distinct times, i.i.d. components, by batched Cholesky (H=1
+    degenerates to a line); other times, or H outside (0, 1], raise
+    DomainError.  The stream use is one randvar.standard_normals draw of
+    the array z of shape (dim, len(times), n_paths), or (dim, 1, n_paths)
+    on the line, in the component-time-path order of the values.
 
     The values are stored component-major: the result is a view of a
     C-contiguous (dim, len(times), n_paths) buffer, which
     `.transpose(2, 1, 0)` recovers, so a caller can work on it in place,
     one contiguous component plane at a time.  Each plane is one GEMM
-    written straight into the buffer, L @ z[k::dim].T rather than
-    z[k::dim] @ L.T: same products, but OpenBLAS then packs the small
-    factor instead of the whole batch.  The GEMMs and the factorization
-    run with BLAS pinned to one thread, so the values do not depend on the
-    BLAS thread count; parallelism comes from calling this on several
-    chunks.
+    L @ z[k], both operands C-contiguous, written straight into the
+    buffer.  The GEMMs and
+    the factorization run with BLAS pinned to one thread, so the values do
+    not depend on the BLAS thread count; parallelism comes from calling
+    this on several chunks.
     """
     t = np.asarray(times, dtype=float)
     n = len(t)
     out = np.empty((dim, n, n_paths))
     if hurst == 1.0:
-        xi = standard_normals(rng, np.empty((n_paths, 1, dim)))
-        np.multiply(t[None, :, None], xi.transpose(2, 1, 0), out=out)
+        _check_times(t)
+        xi = standard_normals(rng, np.empty((dim, 1, n_paths)))
+        np.multiply(t[None, :, None], xi, out=out)
         return out.transpose(2, 1, 0)
-    z = standard_normals(rng, np.empty((n_paths * dim, n)))
     with blas.single_threaded():
         L = fbm_cholesky_factor(hurst, t)
+        z = standard_normals(rng, np.empty((dim, n, n_paths)))
         for k in range(dim):
-            np.matmul(L, z[k::dim].T, out=out[k])
+            np.matmul(L, z[k], out=out[k])
     return out.transpose(2, 1, 0)
 
 

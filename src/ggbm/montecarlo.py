@@ -8,9 +8,10 @@ SFC64 stream per chunk, and a chunk is walked in blocks drawn one after the
 other from that stream: _BLOCK_SIZE paths for most f, so that a block's
 normals, its points and f's temporaries stay in cache, and the whole chunk
 for a declared Gaussian, whose block holds one component (_block_values).
-A block's normals are Box and Muller's pairs on adjacent uniforms of the
-stream (randvar.standard_normals), so blocks with an even count of normals
-draw the very normals of one whole-chunk draw.
+A block's normals are one randvar.standard_normals draw, which pairs the
+halves of each segment of the draw's uniforms, so the block size is part
+of the stream map, like the chunk size: a chunk walked in other blocks
+draws other normals of the same law.
 A block's points stay in the component-major (d, times, paths) buffer the
 fBm sampler writes: they are shifted in place, f reads each component as a
 contiguous plane, and the trapezoid sums run over contiguous rows.  The blocks fill the chunk's
@@ -104,12 +105,11 @@ _T_MIN = 1e-3
 # paths per chunk, each chunk with its own stream
 _CHUNK_SIZE = 2048
 # paths per block within a chunk for an f not declared Gaussian: a
-# block's normals, points and f values fit in L2.  It divides _CHUNK_SIZE
-# and is a multiple of 64, and with block edges on multiples of 64 every
-# path's value is bit-identical to one whole-chunk GEMM; 399-path blocks
-# changed the last bits of some values at (0.8, 1.2, 2), so the block is a
-# fixed count, not a byte size.  A declared Gaussian's block is the whole
-# chunk (_block_values).
+# block's normals, points and f values fit in L2.  It divides _CHUNK_SIZE.
+# Each block draws its own normals, whose pairing depends on the draw's
+# size (randvar.standard_normals), so the block is a fixed count, not a
+# byte size, and a change of it changes every estimate's bits.  A declared
+# Gaussian's block is the whole chunk (_block_values).
 _BLOCK_SIZE = 256
 
 

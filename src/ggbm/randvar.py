@@ -152,64 +152,73 @@ def sample_y_beta_array(beta: float, rng: np.random.Generator, n: int) -> np.nda
     return w
 
 
-# pairs of uniforms per block of standard_normals: the block's values and
-# its three scratch rows take 128 KiB and 3 x 64 KiB, so a block's passes
-# run in L2, and each row stays under glibc's 128 KiB mmap threshold
-_Z_BLOCK = 8192
+# pairs per segment of standard_normals: a segment of 2 _Z_BLOCK values
+# holds one 2048-path chunk of one component on a declared Gaussian's
+# 12-point clock, and its scratch row of 96 KiB stays under glibc's
+# 128 KiB mmap threshold, so it comes from the heap without page faults
+# and a segment's passes run in L2
+_Z_BLOCK = 12288
 
 
 def standard_normals(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """Fill the C-contiguous float64 array out with standard normals, in
-    order, and return it.  Each pair of values comes from a pair of
-    adjacent uniforms (u0, u1) of rng.random by Box and Muller's transform
-    (1958) with the angle's cosine and sine taken from its half-angle
-    tangent: with r = sqrt(-2 log(1 - u0)) and t = tan(pi u1),
+    order, and return it.  The values are walked in segments of at most
+    2 _Z_BLOCK, and each segment of 2k values draws 2k uniforms of
+    rng.random; value j < k of the segment and value k + j come from the
+    pair (u_j, u_{k+j}), the first half paired with the second, by Box and
+    Muller's transform (1958) with the angle's cosine and sine taken from
+    its half-angle tangent: with r = sqrt(-2 log(1 - u_j)) and
+    t = tan(pi u_{k+j}),
 
-        z0 = 2r / (1 + t^2) - r = r cos(2 pi u1),
-        z1 = 2r t / (1 + t^2) = r sin(2 pi u1).
+        z_j = 2r / (1 + t^2) - r = r cos(2 pi u_{k+j}),
+        z_{k+j} = 2r t / (1 + t^2) = r sin(2 pi u_{k+j}).
 
-    numpy runs float64 tan and log through vectorized loops where it
-    dispatches AVX512_SKX (X86_V4), so there 2048 x 12 values take 0.6 to
-    0.7 times the time of rng.standard_normal, whose ziggurat branches per
-    value (2-core x86 box).  The uniforms are drawn into out itself and
-    transformed in place, in blocks of _Z_BLOCK pairs, with scratch
-    allocated per call, so threads that fill arrays from their own streams
-    share nothing.  Two draws of a and b values, a even, give the values
-    of one draw of a + b; an odd count takes one more pair and drops its
-    second value.
+    Every pass runs over a contiguous half.  numpy runs float64 tan and log
+    through vectorized loops where it dispatches AVX512_SKX (X86_V4), so
+    there 2048 x 12 values take about half the time of
+    rng.standard_normal, whose ziggurat branches per value, and 0.8 times
+    that of adjacent pairs, whose passes ran at stride 2 (2-core x86 box).  The uniforms are drawn into out itself and transformed in place,
+    with scratch allocated per call, so threads that fill arrays from their
+    own streams share nothing.  An odd last segment of 2k - 1 values draws
+    2k uniforms and drops the last sine.  Two draws of a and b values, a a
+    multiple of 2 _Z_BLOCK, give the values of one draw of a + b; a draw
+    split elsewhere pairs other uniforms.
 
-    u0 lies on a 2^-53 grid, so r is at most sqrt(106 log 2) = 8.572: the
+    u_j lies on a 2^-53 grid, so r is at most sqrt(106 log 2) = 8.572: the
     law is N(0, 1) with its tail beyond that radius cut, a probability of
-    2^-53 = 1.1e-16 per pair.  z0 is formed as a difference, so its error
-    is a few ulp of r rather than of z0 where cos(2 pi u1) is near 0.
+    2^-53 = 1.1e-16 per pair.  z_j is formed as a difference, so its error
+    is a few ulp of r rather than of z_j where cos(2 pi u_{k+j}) is near 0.
     """
     if not out.flags.c_contiguous:
         raise ValueError("standard_normals fills a C-contiguous array in place")
     flat = out.reshape(-1)  # a view, as out is C-contiguous
     n = flat.size
-    pairs = flat[:n - n % 2].reshape(-1, 2)
-    scratch = [np.empty(min((n + 1) // 2, _Z_BLOCK)) for _ in range(3)]
-    for lo in range(0, len(pairs), _Z_BLOCK):
-        z = pairs[lo:lo + _Z_BLOCK]
-        _box_muller(rng.random(out=z), *(a[:len(z)] for a in scratch))
-    if n % 2:
-        flat[-1] = _box_muller(rng.random((1, 2)), *(a[:1] for a in scratch))[0, 0]
+    q = np.empty(min((n + 1) // 2, _Z_BLOCK))
+    for lo in range(0, n, 2 * _Z_BLOCK):
+        seg = flat[lo:lo + 2 * _Z_BLOCK]
+        k = (len(seg) + 1) // 2
+        if len(seg) % 2:
+            seg[:] = _box_muller(rng.random(2 * k), q[:k])[:-1]
+        else:
+            _box_muller(rng.random(out=seg), q[:k])
     return out
 
 
-def _box_muller(z: np.ndarray, r: np.ndarray, t: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The (k, 2) uniform pairs z turned into normal pairs in place, with
-    r, t and q (k,) scratch (standard_normals)."""
-    np.subtract(1.0, z[:, 0], out=r)
+def _box_muller(u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The 2k uniforms u turned into normals in place, the first half
+    paired with the second, with q (k,) scratch (standard_normals)."""
+    k = len(q)
+    r, t = u[:k], u[k:]
+    np.subtract(1.0, r, out=r)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    np.multiply(z[:, 1], math.pi, out=t)
+    t *= math.pi
     np.tan(t, out=t)
     np.square(t, out=q)
     q += 1.0
     np.divide(r, q, out=q)
     q *= 2.0
-    np.multiply(q, t, out=z[:, 1])
-    np.subtract(q, r, out=z[:, 0])
-    return z
+    t *= q
+    np.subtract(q, r, out=r)
+    return u

@@ -77,14 +77,16 @@ def test_fbm_batch_covariance(hurst):
 
 
 def test_fbm_batch_matches_per_path_reference():
-    """Same draws, in the same order, as one L @ z per path and component;
-    one GEMM may sum in another order, so equal within rounding."""
+    """The draws of one standard_normals array z of shape
+    (dim, len(times), n_paths), path p's component j from the column
+    z[j, :, p] by one L @ z per path and component; one GEMM may sum in
+    another order, so equal within rounding."""
     times = np.linspace(0.1, 3.0, 57)
     n_paths, dim = 5, 3
     v = sample_fbm_batch(0.7, times, dim, n_paths, make_stream(SeedSpec(29, 0)))
-    z = standard_normals(make_stream(SeedSpec(29, 0)), np.empty((n_paths, dim, len(times))))
+    z = standard_normals(make_stream(SeedSpec(29, 0)), np.empty((dim, len(times), n_paths)))
     L = fbm_cholesky_factor(0.7, times)
-    ref = np.stack([np.stack([L @ z[p, j] for j in range(dim)], axis=1)
+    ref = np.stack([np.stack([L @ z[j, :, p] for j in range(dim)], axis=1)
                     for p in range(n_paths)])
     assert v.shape == (n_paths, len(times), dim)
     # the a priori bound on a K-term sum: K eps sum_k |L_ik z_k|
@@ -102,17 +104,36 @@ def test_fbm_batch_is_component_major(hurst):
     assert v.transpose(2, 1, 0).flags.c_contiguous
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("hurst", [0.3, 0.75, 1.0])
+def test_fbm_batch_is_l_times_each_component_plane(hurst, dim):
+    """Component k is L @ z[k] bit for bit, z the one standard_normals
+    draw of shape (dim, len(times), n_paths) on the same single-threaded
+    BLAS; on the H = 1 line it is t z[k] with z of shape (dim, 1, n_paths)."""
+    times = np.geomspace(1e-3, 50.0, 41)
+    n_paths = 37
+    v = sample_fbm_batch(hurst, times, dim, n_paths, make_stream(SeedSpec(41, dim))).T
+    if hurst == 1.0:
+        z = standard_normals(make_stream(SeedSpec(41, dim)), np.empty((dim, 1, n_paths)))
+        assert np.array_equal(v, times[None, :, None] * z)
+        return
+    z = standard_normals(make_stream(SeedSpec(41, dim)), np.empty((dim, len(times), n_paths)))
+    with blas.single_threaded():
+        L = fbm_cholesky_factor(hurst, times)
+        assert all(np.array_equal(v[k], L @ z[k]) for k in range(dim))
+
+
 def test_fbm_batch_equals_one_gemm():
     """One GEMM per component gives the bits of the one GEMM over every
     path and component, on the same single-threaded BLAS."""
     times = np.geomspace(1e-3, 50.0, 302)
     n_paths, dim = 64, 3
+    n = len(times)
     v = sample_fbm_batch(0.75, times, dim, n_paths, make_stream(SeedSpec(3, 1)))
-    z = standard_normals(make_stream(SeedSpec(3, 1)), np.empty((n_paths * dim, len(times))))
+    z = standard_normals(make_stream(SeedSpec(3, 1)), np.empty((dim, n, n_paths)))
     with blas.single_threaded():
-        ref = fbm_cholesky_factor(0.75, times) @ z.T
-    assert np.array_equal(v.transpose(1, 0, 2),
-                          ref.reshape(len(times), n_paths, dim))
+        ref = fbm_cholesky_factor(0.75, times) @ z.transpose(1, 0, 2).reshape(n, dim * n_paths)
+    assert np.array_equal(v.transpose(1, 2, 0), ref.reshape(n, dim, n_paths))
 
 
 def test_fgn_autocov_matches_mpmath():
@@ -354,3 +375,50 @@ def test_hurst_validation():
         generate_fbm(0.0, GridSpec(1.0, 8), 1, SeedSpec(0, 0))
     with pytest.raises(DomainError):
         generate_fbm(1.1, GridSpec(1.0, 8), 1, SeedSpec(0, 0))
+
+
+@pytest.mark.parametrize("hurst", [0.7, 1.0])
+def test_batch_refuses_time_zero(hurst):
+    """At t = 0 the covariance is singular, and the factor's diagonal lift
+    would put noise of order 1e-6 there, so the batch refuses it, on the
+    line too."""
+    with pytest.raises(DomainError, match="strictly positive, got 0"):
+        sample_fbm_batch(hurst, np.array([0.0, 0.5, 1.0]), 1, 4, make_stream(SeedSpec(1, 0)))
+
+
+@pytest.mark.parametrize("hurst", [0.7, 1.0])
+def test_batch_refuses_repeated_times(hurst):
+    with pytest.raises(DomainError, match="distinct"):
+        sample_fbm_batch(hurst, np.array([0.5, 1.0, 0.5]), 2, 4, make_stream(SeedSpec(1, 0)))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("hurst", [0.7, 1.0])
+def test_batch_refuses_negative_or_non_finite_times(hurst, bad):
+    """Negative and NaN times would give NaN values, infinite ones an
+    infinite variance."""
+    with pytest.raises(DomainError, match=f"got {bad:g}"):
+        sample_fbm_batch(hurst, np.array([0.5, bad]), 1, 4, make_stream(SeedSpec(1, 0)))
+
+
+@pytest.mark.parametrize("hurst", [1.5, 0.0, -0.2, math.nan])
+def test_batch_refuses_hurst_outside_the_unit_interval(hurst):
+    """Outside (0, 1) the covariance is no fBm's and has no Cholesky
+    factor; H = 1 is the line, served without one."""
+    with pytest.raises(DomainError, match="0 < hurst < 1"):
+        sample_fbm_batch(hurst, np.array([0.5, 1.0]), 1, 4, make_stream(SeedSpec(1, 0)))
+
+
+def test_factor_checks_its_grid_only_when_it_builds(monkeypatch):
+    """The grid is checked where the factor is built, so a cached grid
+    pays no check."""
+    times = np.array([0.25, 0.5, 1.0, 2.0])
+    fbm._factor_cache.clear()
+    L = fbm_cholesky_factor(0.6, times)
+
+    def refuse(t):
+        raise AssertionError("checked on a cache hit")
+    monkeypatch.setattr(fbm, "_check_times", refuse)
+    assert fbm_cholesky_factor(0.6, times) is L
+    with pytest.raises(AssertionError):
+        fbm_cholesky_factor(0.6, times[1:])

@@ -225,42 +225,55 @@ def test_stable_negative_size_is_domain_error():
     assert sample_one_sided_stable(0.5, rng, (0, 3)).shape == (0, 3)
 
 
-def _box_muller_reference(u: np.ndarray) -> np.ndarray:
-    """Box and Muller's pairs on the adjacent uniforms u[2k], u[2k + 1],
-    with numpy's cos and sin, in stream order."""
-    u0, u1 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(1.0 - u0))
-    return np.column_stack([r * np.cos(2.0 * math.pi * u1),
-                            r * np.sin(2.0 * math.pi * u1)]).ravel()
+def _box_muller_reference(rng, n: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """n values of Box and Muller's transform with numpy's cos and sin, in
+    segments of at most 2 block values, and each value's radius: a segment
+    of m values draws 2k = 2 ceil(m/2) uniforms, pairs the first half with
+    the second, puts the cosines first and the sines after, and keeps the
+    first m."""
+    values, radii = [np.empty(0)], [np.empty(0)]
+    for lo in range(0, n, 2 * block):
+        m = min(2 * block, n - lo)
+        k = (m + 1) // 2
+        u = rng.random(2 * k)
+        r = np.sqrt(-2.0 * np.log(1.0 - u[:k]))
+        angle = 2.0 * math.pi * u[k:]
+        values.append(np.concatenate([r * np.cos(angle), r * np.sin(angle)])[:m])
+        radii.append(np.concatenate([r, r])[:m])
+    return np.concatenate(values), np.concatenate(radii)
 
 
 @pytest.mark.parametrize("block", [None, 5])
-@pytest.mark.parametrize("n", [2, 10, 2 * _Z_BLOCK + 6])
-def test_standard_normals_are_box_muller_on_adjacent_pairs(monkeypatch, block, n):
-    """Value pair k is Box and Muller's pair of the uniforms 2k and 2k + 1
-    of the stream, within a few ulp of the radius, across the draw's
-    blocks (at _Z_BLOCK and at 5 pairs, whose last block is partial)."""
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 23, 2 * _Z_BLOCK + 6, 2 * _Z_BLOCK + 7])
+def test_standard_normals_are_box_muller_on_halves(monkeypatch, block, n):
+    """Value j of a segment of 2k values and value k + j are Box and
+    Muller's pair of its uniforms j and k + j, within a few ulp of the
+    radius, across segments (of 2 _Z_BLOCK and of 10 values), with odd
+    counts and a partial last segment."""
     if block is not None:
         monkeypatch.setattr(randvar, "_Z_BLOCK", block)
     z = standard_normals(make_stream(SeedSpec(38, 1)), np.empty(n))
-    ref = _box_muller_reference(make_stream(SeedSpec(38, 1)).random(n))
-    r = np.repeat(np.hypot(ref[0::2], ref[1::2]), 2)
+    ref, r = _box_muller_reference(make_stream(SeedSpec(38, 1)), n, randvar._Z_BLOCK)
     assert np.all(np.abs(z - ref) <= 8.0 * np.finfo(float).eps * np.maximum(r, 1.0))
 
 
 def test_standard_normals_law():
-    """KS against N(0, 1), the first four moments within 4 SE of 0, 1, 0
-    and 3, and within a pair neither the values nor their squares
-    correlate beyond 4 SE."""
-    n = 400_000
+    """KS against N(0, 1) of all values and of each half of the segments,
+    the first four moments within 4 SE of 0, 1, 0 and 3, and across the
+    paired halves neither the values nor their squares correlate beyond
+    4/sqrt(k) over k pairs."""
+    n = 16 * 2 * _Z_BLOCK
     z = standard_normals(make_stream(SeedSpec(38, 0)), np.empty(n))
     assert stats.kstest(z, "norm").pvalue > 1e-3
     for k, moment in ((1, 0.0), (2, 1.0), (3, 0.0), (4, 3.0)):
         v = z ** k
         assert abs(v.mean() - moment) <= 4.0 * v.std(ddof=1) / math.sqrt(n), k
-    z0, z1 = z[0::2], z[1::2]
-    for v in (z0 * z1, (z0 * z0 - 1.0) * (z1 * z1 - 1.0)):
-        assert abs(v.mean()) <= 4.0 * v.std(ddof=1) / math.sqrt(v.size)
+    halves = z.reshape(-1, 2, _Z_BLOCK)
+    z0, z1 = halves[:, 0].ravel(), halves[:, 1].ravel()
+    assert stats.kstest(z0, "norm").pvalue > 1e-3
+    assert stats.kstest(z1, "norm").pvalue > 1e-3
+    for a, b in ((z0, z1), (z0 * z0, z1 * z1)):
+        assert abs(np.corrcoef(a, b)[0, 1]) <= 4.0 / math.sqrt(z0.size)
 
 
 class _StubStream:
@@ -278,40 +291,46 @@ class _StubStream:
 
 
 def test_standard_normals_at_the_ends_of_the_uniforms():
-    """u0 = 0 gives the pair (0, 0), u0 = 1 - 2^-53 the largest radius
-    sqrt(106 log 2) = 8.572, and u1 = 0.5, whose angle rounds next to
-    pi/2 where tan is 1.6e16, a finite pair: every value is finite and
-    within that radius."""
+    """In a segment of 12 values, uniform j sets the radius of values j
+    and 6 + j and uniform 6 + j their angle.  u = 0 gives the pair (0, 0),
+    u = 1 - 2^-53 the largest radius sqrt(106 log 2) = 8.572, and an angle
+    uniform of 0.5, whose half angle rounds next to pi/2 where tan is
+    1.6e16, a finite pair: every value is finite and within that radius."""
     top = 1.0 - 2.0 ** -53
-    cycle = [0.0, 0.5, top, 0.5, top, 0.0, 0.5, top, 0.5, 0.0, top, top]
-    z = standard_normals(_StubStream(cycle), np.empty(len(cycle)))
+    radii = [0.0, top, top, 0.5, 0.5, top]
+    angles = [0.5, 0.5, 0.0, top, 0.0, top]
+    z = standard_normals(_StubStream(radii + angles), np.empty(12))
     radius = math.sqrt(106.0 * math.log(2.0))
     assert np.all(np.isfinite(z))
     assert np.all(np.abs(z) <= radius * (1.0 + 1e-15))
-    assert z[0] == 0.0 and z[1] == 0.0
-    assert z[4] == pytest.approx(radius, rel=1e-15) and z[5] == 0.0
-    assert np.hypot(z[2], z[3]) == pytest.approx(radius, rel=1e-15)
+    assert z[0] == 0.0 and z[6] == 0.0
+    assert np.hypot(z[1], z[7]) == pytest.approx(radius, rel=1e-15)
+    assert z[2] == pytest.approx(radius, rel=1e-15) and z[8] == 0.0
+    assert z[5] == pytest.approx(radius, rel=1e-15) and abs(z[11]) < 1e-14
 
 
 @pytest.mark.parametrize("block", [None, 3])
 def test_standard_normals_concatenate_at_even_splits(monkeypatch, block):
-    """Draws of a and b values, a even, give the values of one draw of
-    a + b, across blocks and at any block size; an odd count takes one
-    more pair than it keeps, so the next draw starts at the following
-    pair, and its last value is the first of that pair."""
-    whole = standard_normals(make_stream(SeedSpec(5, 2)), np.empty(40))
+    """Draws of a and b values, a split at a segment edge (a multiple of
+    2 _Z_BLOCK, so even), give the values of one draw of a + b, at any segment size; an odd draw takes
+    one uniform more than it keeps, so the next draw starts one uniform
+    after its count."""
     if block is not None:
         monkeypatch.setattr(randvar, "_Z_BLOCK", block)
-    for a in (0, 2, 6, 8, 14):
+    seg = 2 * randvar._Z_BLOCK
+    n = 5 * seg + 4
+    whole = standard_normals(make_stream(SeedSpec(5, 2)), np.empty(n))
+    for a in (0, seg, 3 * seg, 5 * seg):
         rng = make_stream(SeedSpec(5, 2))
-        parts = [standard_normals(rng, np.empty(a)), standard_normals(rng, np.empty(40 - a))]
+        parts = [standard_normals(rng, np.empty(a)), standard_normals(rng, np.empty(n - a))]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
-    for a in (1, 7, 13):
+    for a in (1, seg + 3):
         rng = make_stream(SeedSpec(5, 2))
-        odd = standard_normals(rng, np.empty(a))
-        rest = standard_normals(rng, np.empty(40 - a - 1))
-        assert odd.tobytes() == whole[:a].tobytes()
-        assert rest.tobytes() == whole[a + 1:].tobytes()
+        standard_normals(rng, np.empty(a))
+        skipped = make_stream(SeedSpec(5, 2))
+        skipped.random(a + 1)
+        assert (standard_normals(rng, np.empty(40)).tobytes()
+                == standard_normals(skipped, np.empty(40)).tobytes())
 
 
 def test_standard_normals_fill_the_array_in_place():
