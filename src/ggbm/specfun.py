@@ -18,16 +18,18 @@ The rule build is the cost of every quantity at a fresh beta, so both
 kernels keep their bits while doing little beyond the arithmetic of the
 sums.  The rule keeps only its nodes' values, checked as a whole by its
 unit mass, so it asks the kernels for no per-node error: the series then
-forms no rounding spread, and Kanter's integral no coarse sum, while
-every exit test of the series, none of which reads the error, still runs.
-m_wright asks for the errors that its EvalResult reports.  The series
-accumulates each block of rows in one buffer that carries every node's
-running sum, peak and (with errors) spread in its first row, so every
-sum runs in term order whatever the block sizes.  Kanter's
-integrand exp(v - e^v) is exactly 0.0 once v >= 7, where numpy's exp
-costs over ten times what it costs in range, so it is formed only on each
-node group's window of theta (_kanter_matrix) and the rest of the matrix
-stays 0.
+forms no rounding spread, and Kanter's integral neither builds nor sums
+its coarse theta rule, while every exit test of the series, none of which
+reads the error, still runs.  m_wright asks for the errors that its
+EvalResult reports.  The series decides each node's exit once per block,
+at the block's last row, on one schedule of block ends that every call
+shares, and sums each block row by row from the carried sums, so every
+sum runs in term order; past a node's stop row each term is below half
+an ulp of its sum, so the rest of the block leaves the sum's bits as they
+were at that row.  Kanter's integrand exp(v - e^v) is exactly 0.0 once
+v >= 7, where numpy's exp costs over ten times what it costs in range, so
+it is formed only on each node group's window of theta (_kanter_matrix)
+and the rest of the matrix stays 0.
 
 E_beta(-x) = int_0^inf exp(-x tau) M_beta(tau) dtau (Mainardi, Mura &
 Pagnini 2010), so E_beta, the characteristic functions and the densities
@@ -80,12 +82,14 @@ _BETA_MAX = 0.999
 _CANCELLATION_LIMIT = 1e6
 _MAX_TERMS = 20000
 _SERIES_REACH = 0.4  # see _mw_values
-# The series kernel builds at most this many terms per block, in a row
-# count that starts at _FIRST_ROWS and doubles: a one-node call builds few
-# rows, and the first block of a 1024-node rule, 8 rows deep, finishes the
-# 70-77 % of its nodes that lie below tau = 1e-3.
-_BLOCK_TERMS = 1 << 13
-_FIRST_ROWS = 32
+# The series kernel decides a node's exit at these block ends, the same
+# for every call, so terms_used is the first end at or past the node's stop
+# row.  The first block finishes 91 % of a rule's series nodes, most of
+# which stop within 8 terms, and half the one-node calls at tau in
+# [0.01, 5] (a median of 15 terms); the second finishes 98-99 % of both.
+# A first block of 24 rows, 50 % more cells at every node of a rule, made
+# an analytic_queries op 1.5-2 % slower.
+_BLOCK_ENDS = (16, 64, 256, 1024, 4096, _MAX_TERMS)
 # The M-Wright quadrature rule: _RULE_PANELS panels up to the radius past
 # which M_beta < _CUTOFF_TOL, each with _RULE_NODES Gauss-Legendre nodes
 # (_rule_edges).  Its mass must be 1 within _MASS_TOL.
@@ -100,8 +104,8 @@ _MASS_TOL = 1e-10
 # width of order 1 in d, or where u0 > 1 at theta = 0+, over 1/u0.  Its
 # theta panels end where d crosses 2^-20 ... 1/2 and every integer up to
 # _KANTER_DEPTH, four past the deepest peak the rule has, and past pi/2
-# 2^-64 ... 2^-21 (_kanter_rules), with a fine and a coarse rule of
-# _KANTER_NODES Gauss-Legendre nodes on each.
+# 2^-64 ... 2^-21 (_kanter_edges), with a fine and a coarse rule of
+# _KANTER_NODES Gauss-Legendre nodes on each (_kanter_rule).
 _KANTER_DEPTH = int(_SPIKE_DEPTH) + 4
 _KANTER_NODES = (14, 11)
 # _kanter_matrix: rows per group, and the v past which the integrand is 0.0
@@ -175,12 +179,13 @@ def _mw_coefficients(beta: float, n: np.ndarray):
     and s_n = (-1)^n sin(pi b(n+1)).  s_n vanishes where b(n+1) is an
     integer; B_n never does.
     """
-    zb = beta * (n + 1.0)
+    n1 = n + 1.0
+    zb = beta * n1
     r = np.round(zb)
-    # sin(pi*zb) with argument reduction; exactly 0.0 at integers
-    sin_part = np.sin(np.pi * (zb - r)) * np.where(r % 2, -1.0, 1.0)
-    log_b = gammaln(zb) - gammaln(n + 1.0) - math.log(math.pi)
-    return log_b, sin_part * np.where(n % 2, -1.0, 1.0)
+    # sin(pi*zb) with argument reduction, exactly 0.0 at integers, times
+    # (-1)^n in one factor (-1)^(r+n): products of signs are exact
+    sign = np.sin(np.pi * (zb - r)) * np.where((r + n) % 2, -1.0, 1.0)
+    return gammaln(zb) - gammaln(n1) - math.log(math.pi), sign
 
 
 def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True):
@@ -191,117 +196,114 @@ def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True
     clamped at 0.  With errors false est_abs_error is None and no part of
     it is formed: the rule keeps only the values.
 
-    The terms of all unfinished nodes are built in blocks of rows n, at
-    most _BLOCK_TERMS terms per block, in a row count that starts at
-    _FIRST_ROWS and doubles.  A node stops at the first row where the bound
+    The terms of all unfinished nodes are built in blocks of rows n that
+    end at _BLOCK_ENDS.  A node stops at the first row where the bound
     B_n tau^n, which never vanishes, is negligible against both the sum and
-    the largest term, and that bound is the truncation part of the error.
-    The value is NaN where a term heads for overflow before that row, where
-    the largest term exceeds the sum by more than _CANCELLATION_LIMIT, or
-    where _MAX_TERMS pass.  A node also leaves, as NaN, at the end of the
-    first block where its largest term times its scale exceeds
-    2 _CANCELLATION_LIMIT: the largest term never shrinks and the sum stays
-    within rounding of 1/scale, so it would fail the cancellation test all
-    the same, and since every sum runs in term order, no other node's bits
-    change.  A scale of 0 never exits; the test multiplies by the scale,
-    since dividing would overflow at subnormal tau.  None of these exits
-    reads the error, so both settings of errors give the same values and
-    terms.
+    the largest term: below 1e-17 of the sum, under half an ulp of it, and
+    at most 1e-16 of the largest term.  The test is made at each block's
+    last row only.  It holds there exactly when it held at some row of the
+    block, since past the largest term the bound keeps shrinking (log B_n
+    tau^n is concave in n) while sum and largest term stay put, and each
+    term past the stop row is below half an ulp of the sum, so adding it
+    leaves the sum's bits as they were.  The node then leaves with that
+    sum, the block end as terms_used and the bound at the block end as the
+    truncation part of the error.  The value is NaN where a term heads for
+    overflow before that row, where the largest term exceeds the sum by
+    more than _CANCELLATION_LIMIT, or where _MAX_TERMS pass.  A node also
+    leaves, as NaN, at the end of the first block where its largest term
+    times its scale exceeds 2 _CANCELLATION_LIMIT: the largest term never
+    shrinks and the sum stays within rounding of 1/scale, so it would fail
+    the cancellation test all the same.  A scale of 0 never exits; the test
+    multiplies by the scale, since dividing would overflow at subnormal
+    tau.  None of these exits reads the error, so both settings of errors
+    give the same values and terms.
 
-    Each block has one (3, m + 1, nodes) buffer, (2, m + 1, nodes) without
-    errors: row 0 holds the carried sum, peak and spread, rows 1..m the
-    term, |term| and |term| times its reach, and accumulating down the
-    rows in place (row by row for a short block, where numpy's accumulate
-    along axis 0 costs more per column than a loop costs per row) gives
-    each node's sums in term order.  So a node's bits do not depend on the
-    block sizes, and the rule's nodes get the bits that one-node calls
-    give them.
+    Each block has one (1, m + 1, nodes) buffer, (2, m + 1, nodes) with
+    errors: row 0 holds the carried sum and spread, rows 1..m the term and
+    |term| times its reach, and np.add.reduce down the rows adds them row
+    by row, so in term order per node, in one pass; the peak is one
+    np.maximum.reduce of |term|.  numpy reduces a lone column pairwise
+    instead, so a lone node is carried in two columns.  So a node's bits do
+    not depend on the other nodes of the call, and the rule's nodes get the
+    bits that one-node calls give them.
     """
     tau = np.asarray(tau, dtype=float)
     log_tau = np.log(tau)
     scale = np.broadcast_to(np.asarray(scale, dtype=float), tau.shape)
-    value = np.full(tau.size, np.nan)
-    err = np.full(tau.size, np.nan) if errors else None
-    terms = np.zeros(tau.size, dtype=np.int64)
+    # the summed rows: the sum and, with errors, sum |term| (|n log tau| +
+    # |log B_n| + 1): exp() passes the rounding of each term's logarithm
+    # on to the term, so eps times this bounds it
+    k = 2 if errors else 1
+    # per node: the summed rows, the largest |term| and the last bound,
+    # carried from block to block while it is live, and kept at its exit
+    # (NaN for a node that leaves without a value)
+    carry = np.zeros((k + 2, tau.size))
+    fin = np.full((k + 2, tau.size), np.nan)
+    ends = np.zeros(tau.size, dtype=np.int64)
     live = np.arange(tau.size)
-    # per live node, carried from block to block: running sum, largest
-    # |term| and, with errors, sum |term| (|n log tau| + |log B_n| + 1):
-    # exp() passes the rounding of each term's logarithm on to the term,
-    # so eps times this bounds it
-    carry = np.zeros((3 if errors else 2, tau.size))
-    start, rows = 0, _FIRST_ROWS
-    while live.size and start < _MAX_TERMS:
-        size = live.size
-        m = min(rows, max(1, _BLOCK_TERMS // size), _MAX_TERMS - start)
-        n = np.arange(start, start + m)
+    start = 0
+    for end in _BLOCK_ENDS:
+        if not live.size:
+            break
+        if live.size == 1:
+            # numpy sums a lone column pairwise, not in term order
+            live, carry = live.repeat(2), carry.repeat(2, axis=1)
+        n = np.arange(float(start), end)
         log_b, sign = _mw_coefficients(beta, n)
-        buf = np.empty((carry.shape[0], m + 1, size))
-        buf[:, 0] = carry
-        term, mag = buf[:2, 1:]
-        log_mag = np.multiply.outer(n.astype(float), log_tau[live])
+        buf = np.empty((k, n.size + 1, live.size))
+        buf[:, 0] = carry[:k]
+        term = buf[0, 1:]
+        log_mag = np.multiply.outer(n, log_tau[live])
         if errors:
             # the reach |n log tau| + |log B_n| + 1, times |term| below
-            spread = np.abs(log_mag, out=buf[2, 1:])
+            spread = np.abs(log_mag, out=buf[1, 1:])
             spread += np.abs(log_b)[:, None]
             spread += 1.0
         log_mag += log_b[:, None]
+        # a term heading for overflow: its node leaves as NaN
+        over = None
+        if np.maximum.reduce(log_mag, None) > 700.0:
+            over = np.maximum.reduce(log_mag) > 700.0
+        acc = np.empty((k + 2, live.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.exp(log_mag)
+            bound = np.exp(log_mag, out=log_mag)
             np.multiply(sign[:, None], bound, out=term)
-            np.abs(term, out=mag)
+            acc[-1] = bound[-1]
+            mag = np.abs(term, out=bound)
             if errors:
                 spread *= mag
-            # buf[::2] is the sum and, with errors, the spread
-            if m <= 16:
-                for i in range(1, m + 1):
-                    np.add(buf[::2, i - 1], buf[::2, i], out=buf[::2, i])
-                    np.maximum(buf[1, i - 1], buf[1, i], out=buf[1, i])
-            else:
-                np.add.accumulate(buf[0], axis=0, out=buf[0])
-                np.maximum.accumulate(buf[1], axis=0, out=buf[1])
-                if errors:
-                    np.add.accumulate(buf[2], axis=0, out=buf[2])
-            sums, peaks = buf[:2, 1:]
-            # bound < 1e-17 max(|sum|, 1e-300) and bound <= 1e-16 peak, n >= 4
-            floor = np.abs(sums)
-            np.maximum(floor, 1e-300, out=floor)
-            floor *= 1e-17
-            stop = bound < floor
-            np.multiply(peaks, 1e-16, out=floor)
-            stop &= bound <= floor
-            stop[:max(0, 4 - start)] = False
+            # row by row, so in term order from the carried sums in buf[:, 0]
+            np.add.reduce(buf, axis=1, out=acc[:k])
+            peak = np.maximum(carry[k], np.maximum.reduce(mag), out=acc[k])
             # an overflowed peak times a scale of 0 is NaN, which never exits
-            lost = peaks[-1] * scale[live] > 2.0 * _CANCELLATION_LIMIT
-        over = log_mag > 700.0
-        k_stop = _first_rows(stop)
-        k_over = _first_rows(over) if over.any() else m
-        ok = np.flatnonzero(k_stop < k_over)
-        k = k_stop[ok]
-        done = buf[:, 1 + k, ok]
-        tot, pk = done[:2]
-        node = live[ok]
-        value[node] = np.maximum(tot, 0.0)
-        if errors:
-            err[node] = bound[k, ok] + pk * 1e-16 + done[2] * _EPS
-        terms[node] = start + k + 1
-        bad = node[~(pk / np.maximum(np.abs(tot), 1e-300) <= _CANCELLATION_LIMIT)]
-        value[bad], terms[bad] = np.nan, 0
-        if errors:
-            err[bad] = np.nan
-        going = np.flatnonzero((np.minimum(k_stop, k_over) == m) & ~lost)
-        live = live[going]
-        carry = buf[:, -1, going]
-        start += m
-        rows *= 2
+            lost = peak * scale[live] > 2.0 * _CANCELLATION_LIMIT
+        # at the block's last row, bound < 1e-17 max(|sum|, 1e-300) and
+        # bound <= 1e-16 peak
+        last = acc[-1]
+        floor = np.abs(acc[0])
+        np.maximum(floor, 1e-300, out=floor)
+        floor *= 1e-17
+        stop = last < floor
+        stop &= last <= peak * 1e-16
+        if over is not None:
+            stop &= ~over
+            lost |= over
+        node = live[stop]
+        fin[:, node] = acc[:, stop]
+        ends[node] = end
+        going = ~(stop | lost)
+        live, carry = live[going], acc[:, going]
+        start = end
+    total, peak, last = fin[0], fin[k], fin[-1]
+    bad = ~(peak / np.maximum(np.abs(total), 1e-300) <= _CANCELLATION_LIMIT)
+    value = np.maximum(total, 0.0)
+    value[bad] = np.nan
+    terms = np.where(bad, 0, ends)
+    if not errors:
+        return value, None, terms
+    err = last + peak * 1e-16 + fin[1] * _EPS
+    err[bad] = np.nan
     return value, err, terms
-
-
-def _first_rows(mask):
-    """The first row of each column of a boolean matrix that holds True,
-    or the row count where none does."""
-    k = mask.argmax(axis=0)
-    k[~mask[k, np.arange(mask.shape[1])]] = mask.shape[0]
-    return k
 
 
 def _kanter_log_a(beta: float, theta):
@@ -338,7 +340,7 @@ def _log_u0(beta: float, tau):
     return _log_a0(beta) + np.log(tau) / (1.0 - beta)
 
 
-# The theta table that _kanter_rules reads the panel ends of Kanter's
+# The theta table that _kanter_edges reads the panel ends of Kanter's
 # integral off, the levels of d that end them, and the lower levels that
 # end them only past pi/2 (the grading near pi); none depends on beta.
 _THETA_TABLE = np.concatenate([np.geomspace(1e-8, 0.5 * math.pi, 400),
@@ -351,13 +353,12 @@ _KANTER_GRADING.flags.writeable = False
 
 
 @lru_cache(maxsize=32)
-def _kanter_rules(beta: float):
-    """((d, weight) at the nodes of the fine and the coarse rule, reach) of
-    Kanter's integral: the panels end where d, increasing on (0, pi),
-    crosses the levels of _KANTER_DEPTH and, past pi/2, those of
-    _KANTER_GRADING, read off a table of d; reach is d at the table's end,
-    pi - 1e-15, as near pi as a float resolves.  The arrays are cached and
-    shared, so read-only.
+def _kanter_edges(beta: float):
+    """(edges, reach) of Kanter's integral: the theta panels end where d,
+    increasing on (0, pi), crosses the levels of _KANTER_DEPTH and, past
+    pi/2, those of _KANTER_GRADING, read off a table of d; reach is d at
+    the table's end, pi - 1e-15, as near pi as a float resolves.  The
+    edges are cached and shared, so read-only.
 
     The grading is there for small beta.  Near pi d ~ beta pi/(pi - theta),
     so below beta ~ 1e-6 d passes 2^-20 only at pi - theta ~ beta pi 2^20,
@@ -380,12 +381,22 @@ def _kanter_rules(beta: float):
     grading = np.interp(_KANTER_GRADING, table, _THETA_TABLE)
     edges = np.unique(np.concatenate([[0.0], np.interp(_KANTER_LEVELS, table, _THETA_TABLE),
                                       grading[grading > 0.5 * math.pi], [math.pi]]))
-    rules = tuple((_kanter_log_a(beta, th) - _log_a0(beta), w)
-                  for th, w in (_gauss_legendre(edges, n) for n in _KANTER_NODES))
-    for pair in rules:
-        for a in pair:
-            a.flags.writeable = False
-    return rules, float(d[-1])
+    edges.flags.writeable = False
+    return edges, float(d[-1])
+
+
+@lru_cache(maxsize=2 * 32)
+def _kanter_rule(beta: float, nodes: int):
+    """(d, weight) at the nodes of the composite `nodes`-point
+    Gauss-Legendre rule on the panels of _kanter_edges: the fine rule at
+    _KANTER_NODES[0], the coarse one at _KANTER_NODES[1].  Each is built
+    on first use, so a beta whose values are asked for without errors
+    never forms the coarse rule; cached and shared, so read-only."""
+    theta, weight = _gauss_legendre(_kanter_edges(beta)[0], nodes)
+    d = _kanter_log_a(beta, theta) - _log_a0(beta)
+    for a in (d, weight):
+        a.flags.writeable = False
+    return d, weight
 
 
 def _kanter_integrand(d, log_u0):
@@ -407,7 +418,7 @@ def _kanter_matrix(d, log_u0):
     increasing tau and so increasing log u0), and each group fills the
     columns before the suffix minimum of d passes _KANTER_ZERO - min(log u0).
     d increases on paper, but within rounding of pi not always in floats:
-    it falls at 27 to 77 points of the theta table of _kanter_rules at
+    it falls at 27 to 77 points of the theta table of _kanter_edges at
     beta = 1e-12 ... 1e-3, and at up to 13 of the rules' nodes at some beta
     in 1e-16 ... 1e-13 (at none elsewhere, over 801 beta from BETA_MIN to
     _BETA_MAX), hence the suffix minimum.  The rest stays 0, so a product
@@ -431,15 +442,19 @@ def _mw_integral(beta: float, tau: np.ndarray, errors: bool = True):
 
     The integrand comes from logarithms, so each value is accurate relative
     to its own size, and one that underflows everywhere is 0.  The fine
-    rule of _kanter_rules gives the value; its difference to the coarse
+    theta rule (_kanter_rule) gives the value; its difference to the coarse
     one plus the rounding of v, (16 + 4 |log u0| + 4 u0) eps relative, the
     error, so a node where the two rules disagree reports it.  With the
-    grading of _kanter_rules near pi they agree within 1e-12 relative at
+    grading of _kanter_edges near pi they agree within 1e-12 relative at
     every normal value of the M-Wright rule from BETA_MIN to _BETA_MAX.  A
     peak past the rule's levels but short of its reach raises
     ConvergenceError; past the reach a float theta cannot resolve it.
     Returns arrays (value, est_abs_error); with errors false
-    est_abs_error is None and only the fine rule is summed.
+    est_abs_error is None, and the coarse rule is neither summed nor, if
+    no call with errors has asked for it at this beta, built: the edges,
+    the fine rule and the coarse rule are cached apart, so a rule build
+    never forms the coarse one (about 40 us of theta work on a 2-core x86
+    box).
 
     The integrand is formed on windows (_kanter_matrix): 29-58 % of the
     rule's Kanter cells have v >= 7 and are exactly 0.  The fine and the
@@ -450,18 +465,19 @@ def _mw_integral(beta: float, tau: np.ndarray, errors: bool = True):
     """
     tau = np.asarray(tau, dtype=float)
     log_u0 = _log_u0(beta, tau)
-    rules, reach = _kanter_rules(beta)
+    reach = _kanter_edges(beta)[1]
     lost = (log_u0 < -_SPIKE_DEPTH) & (-log_u0 < reach)
     if lost.any():
         raise ConvergenceError(
             f"m_wright failed at beta={beta:g}, tau={tau[lost][0]:g}: the peak of "
             f"Kanter's integrand lies past the levels of its theta rule")
     pref = 1.0 / ((1.0 - beta) * math.pi * tau)
-    (d, weight), (coarse_d, coarse_weight) = rules
+    d, weight = _kanter_rule(beta, _KANTER_NODES[0])
     fine = _kanter_matrix(d, log_u0) @ weight
     if not errors:
         return pref * fine, None
-    coarse = _kanter_matrix(coarse_d, log_u0) @ coarse_weight
+    d, weight = _kanter_rule(beta, _KANTER_NODES[1])
+    coarse = _kanter_matrix(d, log_u0) @ weight
     rounding = _EPS * (16.0 + 4.0 * (np.abs(log_u0) + np.exp(np.minimum(log_u0, 700.0))))
     return pref * fine, pref * (np.abs(fine - coarse) + rounding * fine)
 
@@ -497,12 +513,12 @@ def _mw_values(beta: float, tau: np.ndarray, errors: bool = True):
     is NaN, called only when some node is left for it, so a node the
     series finishes pays none of its set-up.  With errors false
     est_abs_error is None: the rule keeps only the values, and neither
-    kernel forms a per-node error, which costs the series a third sum per
-    block.  The series' terms grow up to n = u0/(1-b), then shrink by
-    about (u0/((1-b) n))^(1-b) each, so it needs 40/((1-b) max(log(1/u0),
-    1)) terms or more; where that passes 100, (1-b) max(log(1/u0), 1) <
-    _SERIES_REACH, and Kanter's rule reaches the peak, a node goes to
-    Kanter's integral at once."""
+    kernel forms a per-node error, which costs the series a second summed
+    row per block and Kanter's integral its coarse rule.  The series' terms
+    grow up to n = u0/(1-b), then shrink by about (u0/((1-b) n))^(1-b)
+    each, so it needs 40/((1-b) max(log(1/u0), 1)) terms or more; where
+    that passes 100, (1-b) max(log(1/u0), 1) < _SERIES_REACH, and Kanter's
+    rule reaches the peak, a node goes to Kanter's integral at once."""
     value = np.full(tau.size, np.nan)
     err = np.full(tau.size, np.nan) if errors else None
     terms = np.zeros(tau.size, dtype=np.int64)
@@ -564,7 +580,7 @@ def _mw_rule_cached(beta: float):
     """(nodes, weights, M_beta(nodes)) of the rule at beta, built once per
     beta.  It asks _mw_values for values only: no caller of the rule reads a
     per-node error, and its check is the mass guard, so forming one would
-    cost the series a third sum per block for nothing."""
+    cost the series a second summed row per block for nothing."""
     # log-spaced panels concentrate nodes near 0 where integrands with
     # negative powers of tau need them, and _rule_edges adds the spike
     nodes, weights = _gauss_legendre(_rule_edges(beta), _RULE_NODES)
@@ -590,11 +606,17 @@ def m_wright_quad_rule(beta: float):
     are shared and read-only; intended for integrals of the form
     int phi(tau) M_beta(tau) dtau with smooth-away-from-zero phi.
     """
-    check_beta("m_wright_quad_rule", beta)
+    _check_rule_beta(beta)
     if beta == 1.0:
         return _POINT_MASS_RULE
-    _refuse_band(beta)
     return _mw_rule_cached(float(beta))
+
+
+def _check_rule_beta(beta: float) -> None:
+    """The DomainErrors of m_wright_quad_rule for beta: outside [BETA_MIN, 1],
+    then in the band (_BETA_MAX, 1)."""
+    check_beta("m_wright_quad_rule", beta)
+    _refuse_band(beta)
 
 
 def _refuse_band(beta: float) -> None:
@@ -621,9 +643,12 @@ def mittag_leffler(beta: float, z: float) -> EvalResult:
     next terms, x^-2 / |Gamma(1-2b)| + x^-3, as its error.  terms_used is
     0: both are integral representations.
     """
-    nodes, weights, mvals = m_wright_quad_rule(beta)
+    # beta's checks and then z's before the rule, so a refused z builds and
+    # caches no rule
+    _check_rule_beta(beta)
     if not -math.inf < z <= 0.0:
         raise DomainError(f"mittag_leffler requires a finite z <= 0, got {z:g}")
+    nodes, weights, mvals = m_wright_quad_rule(beta)
     if z == 0.0:
         return EvalResult(1.0, 0.0, 1)
     x = -z

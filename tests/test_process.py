@@ -243,6 +243,20 @@ def test_fdd_charfun_at_zero_is_one():
     assert fdd_charfun(params, [0.5, 1.0], np.zeros((2, 2))) == 1.0
 
 
+def test_fdd_charfun_at_times_close_together():
+    """theta^T R theta rounds below 0 at times close together, where R is
+    positive semidefinite; the form is taken at 0 there, so the value is
+    E_beta(0) = 1 and not a DomainError of mittag_leffler."""
+    params = ModelParams(0.6, 1.4, 1)
+    assert fdd_charfun(params, [0.5, 0.5 + 1e-12], [[1.0], [-1.0]]) == 1.0
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        beta, alpha, d = rng.uniform(0.05, 0.99), rng.uniform(1.01, 2.0), int(rng.integers(1, 4))
+        t, a = rng.uniform(0.1, 2.0), rng.standard_normal(d)
+        value = fdd_charfun(ModelParams(beta, alpha, d), [t, t + 1e-12], [a, -a])
+        assert 1.0 - 1e-9 <= value <= 1.0
+
+
 def test_covariance_suite_tolerance_is_the_exact_standard_error():
     """The covariance suite holds the sample mean of Y B_H(s) . B_H(t) to 3
     exact standard errors: the same at every seed, and at beta = 1 (Y = 1)

@@ -374,6 +374,135 @@ def test_series_over_a_rule_equals_node_by_node(beta):
         assert [a[i:i + 1].tobytes() for a in whole] == [a.tobytes() for a in alone], i
 
 
+def _series_first_exit(beta, tau):
+    """The series' value at each tau, NaN where it gives up, by the rule
+    that stops each node at its first row: the term-order running sum
+    (np.cumsum) up to the first row n >= 4 where the bound B_n tau^n is
+    below 1e-17 max(|sum|, 1e-300) and at most 1e-16 of the largest |term|
+    so far; NaN where some log B_n tau^n passes 700 up to that row, where
+    the largest term exceeds the sum by more than the cancellation limit,
+    or where _MAX_TERMS pass.  Slow: it rebuilds every row each time it
+    doubles them."""
+    log_tau = np.log(tau)
+    rows = 64
+    while True:
+        n = np.arange(float(rows))
+        log_b, sign = specfun._mw_coefficients(beta, n)
+        log_mag = np.multiply.outer(n, log_tau) + log_b[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.exp(log_mag)
+            term = sign[:, None] * bound
+            sums = np.cumsum(term, axis=0)
+            peaks = np.maximum.accumulate(np.abs(term), axis=0)
+            stop = (bound < 1e-17 * np.maximum(np.abs(sums), 1e-300)) & (bound <= 1e-16 * peaks)
+        stop[:4] = False
+        over = log_mag > 700.0
+        decided = (stop | over).any(axis=0)
+        if decided.all() or rows == specfun._MAX_TERMS:
+            break
+        rows = min(2 * rows, specfun._MAX_TERMS)
+    k = np.where(stop.any(axis=0), stop.argmax(axis=0), rows)
+    cols = np.arange(tau.size)
+    good = (k < rows) & ~(over & (np.arange(rows)[:, None] <= k)).any(axis=0)
+    kk = np.minimum(k, rows - 1)
+    total, peak = sums[kk, cols], peaks[kk, cols]
+    good &= peak / np.maximum(np.abs(total), 1e-300) <= specfun._CANCELLATION_LIMIT
+    return np.where(good, np.maximum(total, 0.0), np.nan), np.where(good, k + 1, 0)
+
+
+def _assert_series_matches_first_exit(beta, tau):
+    """_series gives the first-exit value bit for bit, NaN where it is NaN,
+    and ends each node with a value at the first block end past its row."""
+    value, _, terms = specfun._series(beta, tau, specfun._mw_scale(beta, tau))
+    ref, ref_terms = _series_first_exit(beta, tau)
+    assert np.array_equal(np.isnan(value), np.isnan(ref)), beta
+    assert value[~np.isnan(ref)].tobytes() == ref[~np.isnan(ref)].tobytes(), beta
+    ends = np.array(specfun._BLOCK_ENDS)
+    first_end = ends[np.searchsorted(ends, ref_terms)]
+    assert np.array_equal(terms, np.where(ref_terms > 0, first_end, 0)), beta
+
+
+@pytest.mark.parametrize("beta", [1e-7] + [k / 10 for k in range(1, 10)] + [0.99, 0.999])
+def test_series_block_exit_equals_first_exit_over_a_rule(beta):
+    """Each node leaves the series at the end of the block where its stop
+    row lies; the terms past that row are each below half an ulp of the
+    sum, so its value keeps the bits of the first-exit sum, at every node
+    of the rule that the series finishes."""
+    nodes = m_wright_quad_rule(beta)[0]
+    series = nodes[specfun._mw_values(beta, nodes, errors=False)[2] > 0]
+    assert series.size
+    _assert_series_matches_first_exit(beta, series)
+
+
+def test_series_leaves_nodes_whose_terms_head_for_overflow():
+    """At beta = BETA_MIN, log B_0 = log(Gamma(beta)/pi) is about 707, past
+    the overflow guard of 700, though the term s_0 B_0 is about 1: every
+    node of the rule leaves the series as NaN at its first block, as by
+    the first-exit rule, for Kanter's integral to take."""
+    beta = specfun.BETA_MIN
+    nodes = m_wright_quad_rule(beta)[0]
+    _assert_series_matches_first_exit(beta, nodes)
+    assert np.isnan(specfun._series(beta, nodes, specfun._mw_scale(beta, nodes))[0]).all()
+
+
+def test_series_block_exit_equals_first_exit_one_node_at_a_time():
+    """One node at a time, as m_wright calls the series, at 200 (beta, tau)
+    over beta in (0, 1) and tau in [0.01, 5]: numpy sums a lone column
+    pairwise, which once moved the node (0.7097, 3.3172) by 1.2e-10
+    relative, so the kernel must keep term order there too."""
+    rng = np.random.default_rng(43)
+    pairs = [(0.7097, 3.3172)] + list(zip(rng.uniform(0.0, 1.0, 199),
+                                          np.exp(rng.uniform(math.log(0.01), math.log(5.0), 199))))
+    for beta, tau in pairs:
+        _assert_series_matches_first_exit(float(beta), np.array([tau]))
+    # the first pair is a series value of many blocks' terms
+    tau = np.array([3.3172])
+    assert specfun._series(0.7097, tau, specfun._mw_scale(0.7097, tau))[2][0] > specfun._BLOCK_ENDS[1]
+
+
+def test_rule_build_forms_no_coarse_kanter_rule(monkeypatch):
+    """A rule build asks for no error, so it forms only Kanter's fine theta
+    rule; m_wright at a node that goes to Kanter's integral forms the
+    coarse one too and reports their gap in its error."""
+    asked = []
+
+    def recorded(beta, nodes, _rule=specfun._kanter_rule):
+        asked.append(nodes)
+        return _rule(beta, nodes)
+
+    monkeypatch.setattr(specfun, "_kanter_rule", recorded)
+    beta = 0.4321
+    nodes, _, mvals = specfun._mw_rule_cached.__wrapped__(beta)
+    fine_nodes, coarse_nodes = specfun._KANTER_NODES
+    assert asked and set(asked) == {fine_nodes}
+    kanter = specfun._mw_values(beta, nodes, errors=False)[2] == 0
+    tau = float(nodes[kanter][np.argmax(mvals[kanter])])
+    asked.clear()
+    got = m_wright(beta, tau)
+    assert got.terms_used == 0 and set(asked) == {fine_nodes, coarse_nodes}
+    log_u0 = specfun._log_u0(beta, np.array([tau]))
+    pref = 1.0 / ((1.0 - beta) * math.pi * tau)
+    fine, coarse = (pref * (specfun._kanter_matrix(d, log_u0) @ w)[0]
+                    for d, w in (specfun._kanter_rule(beta, n) for n in specfun._KANTER_NODES))
+    gap = abs(fine - coarse)
+    assert got.value == fine and 0.0 < gap <= got.est_abs_error <= gap + 1e-13 * fine
+
+
+def test_mittag_leffler_refused_z_builds_no_rule():
+    """A z that mittag_leffler refuses is refused before the rule at beta
+    is built, so the rule cache is left as it was; beta's own errors still
+    come first."""
+    before = specfun._mw_rule_cached.cache_info()
+    for z in (math.nan, 1.0, -math.inf):
+        with pytest.raises(DomainError, match="finite z <= 0"):
+            mittag_leffler(0.4321, z)
+    assert specfun._mw_rule_cached.cache_info() == before
+    with pytest.raises(DomainError, match="beta <= 1"):
+        mittag_leffler(1.5, math.nan)
+    with pytest.raises(DomainError, match="outside the M-Wright rule's range"):
+        mittag_leffler(0.9995, math.nan)
+
+
 @pytest.mark.parametrize("beta", [1e-7, 0.3, 0.9, 0.999])
 def test_kanter_window_equals_full_width_integrand(beta):
     """_kanter_matrix, formed only on each group's window, equals the
@@ -381,7 +510,7 @@ def test_kanter_window_equals_full_width_integrand(beta):
     that go to Kanter's integral among them), at a node whose window is
     empty and at one whose window is the whole row."""
     log_u0 = specfun._log_u0(beta, m_wright_quad_rule(beta)[0])
-    for d, _ in specfun._kanter_rules(beta)[0]:
+    for d, _ in (specfun._kanter_rule(beta, n) for n in specfun._KANTER_NODES):
         # v >= 7 on the whole first row, and v < 7 up to the last cell of
         # the second
         empty, whole = specfun._KANTER_ZERO - d.min(), specfun._KANTER_ZERO - d.max() - 1.0
@@ -394,7 +523,7 @@ def test_kanter_window_equals_full_width_integrand(beta):
 
 def test_kanter_rules_read_a_nondecreasing_table(monkeypatch):
     """d = log(a/a0) falls within rounding of pi at many beta; every table
-    that _kanter_rules hands np.interp is nondecreasing, as np.interp
+    that _kanter_edges hands np.interp is nondecreasing, as np.interp
     requires, over a sweep of beta from BETA_MIN to _BETA_MAX."""
     tables = []
 
@@ -407,7 +536,7 @@ def test_kanter_rules_read_a_nondecreasing_table(monkeypatch):
                             np.linspace(1e-3, specfun._BETA_MAX, 40)])
     for beta in betas:
         tables.clear()
-        specfun._kanter_rules.__wrapped__(float(beta))
+        specfun._kanter_edges.__wrapped__(float(beta))
         assert len(tables) == 2
         for xp in tables:
             assert np.all(np.diff(xp) >= 0.0), beta
@@ -435,7 +564,7 @@ def test_kanter_fine_and_coarse_rules_agree(beta):
     and has a normal value, its fine and coarse theta rules agree within
     1e-12 relative, at small beta too, where the panels are graded toward
     pi; and the fine rule has at most 800 nodes."""
-    rules = specfun._kanter_rules(beta)[0]
+    rules = [specfun._kanter_rule(beta, n) for n in specfun._KANTER_NODES]
     assert rules[0][0].size <= 800
     nodes = m_wright_quad_rule(beta)[0]
     tau = nodes[specfun._mw_values(beta, nodes, errors=False)[2] == 0]
