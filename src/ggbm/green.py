@@ -59,8 +59,8 @@ class TestFunction:
     states f(y) = f(center) exp(-|y - center|^2 / (2 spread)), spread > 0,
     and gives f the potential in closed form.  radial states that f(y)
     depends on y only through |y - center|, and gives f the potential by
-    one radial quadrature.  center must be a finite point of R^dim and
-    reach >= 0.
+    one radial quadrature.  center must be a finite point of R^dim, and
+    sup_norm, l1_norm, spread and reach finite and >= 0.
     """
 
     eval_many: Callable[[np.ndarray], np.ndarray]
@@ -77,8 +77,11 @@ class TestFunction:
     def __post_init__(self):
         center = np.zeros(self.dim) if self.center is None else self.center
         object.__setattr__(self, "center", _point(self.dim, center))
-        if not self.reach >= 0.0:
-            raise DomainError(f"a reach must be >= 0, got {self.reach:g}")
+        for fact in ("sup_norm", "l1_norm", "spread", "reach"):
+            value = getattr(self, fact)
+            if not 0.0 <= value < math.inf:
+                raise DomainError(f"a test function's {fact} must be finite and >= 0, "
+                                  f"got {value:g} for {self.kind}")
         if self.gaussian and not self.spread > 0.0:
             raise DomainError(f"a Gaussian needs spread > 0, got {self.spread:g}")
 
@@ -101,6 +104,14 @@ def _point(dim: int, x) -> np.ndarray:
     return x
 
 
+def _power(x: float, p: float) -> float:
+    """x ** p for x >= 0, or +inf where it overflows a float."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 def as_point(params: ModelParams, f: TestFunction, x) -> np.ndarray:
     """x as a finite float point, once f and x are both in R^d, d = params.dim;
     raises DomainError otherwise."""
@@ -117,7 +128,7 @@ def gaussian_test_function(sigma: float, dim: int, center=None,
         raise DomainError(f"sigma must be positive and finite and the amplitude finite, "
                           f"got {sigma:g} and {amplitude:g}")
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    l1 = abs(amplitude) * (2.0 * math.pi * sigma * sigma) ** (0.5 * dim)
+    l1 = abs(amplitude) * _power(2.0 * math.pi * sigma * sigma, 0.5 * dim)
 
     def ev(pts):
         # one temporary, in the layout of pts, then in-place steps in the
@@ -164,7 +175,7 @@ def bump_test_function(radius: float, dim: int, center=None,
     from scipy.integrate import quad
 
     shell, _ = quad(lambda u: profile(np.array([u]))[0] * u ** (dim - 1), 0.0, 1.0)
-    l1 = abs(amplitude) * unit_sphere_area(dim) * radius ** dim * shell
+    l1 = abs(amplitude) * unit_sphere_area(dim) * _power(radius, dim) * shell
 
     return TestFunction(eval_many=ev, sup_norm=abs(amplitude), l1_norm=l1, dim=dim,
                         reach=radius, kind=f"bump(radius={radius:g})", center=c,
@@ -299,7 +310,8 @@ def green_measure_of_ball(gd: GreenDensity, x, center, r: float) -> float:
     c - a - b = 2/alpha > 0 in each.  scipy's hyp2f1 loses digits where
     2/alpha is within about 1e-4 of 1 (alpha just below 2) and the
     argument lies in (0.98, 1): about 1e-11 relative at alpha = 2 - 1e-5
-    and 1e-7 at alpha = 2 - 1e-9 (d = 30, s/r = 1.001).
+    and 1e-7 at alpha = 2 - 1e-9 (d = 30, s/r = 1.001).  A measure whose
+    power of order 2/alpha overflows a float raises DomainError.
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"radius must be positive and finite, got {r:g}")
@@ -310,6 +322,12 @@ def green_measure_of_ball(gd: GreenDensity, x, center, r: float) -> float:
     s = float(np.linalg.norm(x - c))
     scale = gd.D * unit_sphere_area(d)
     if s <= r:
-        return scale * 0.5 * alpha * r ** (2.0 / alpha) * hyp2f1(b, -a, 0.5 * d, (s / r) ** 2)
-    return (scale / d * (r / s) ** d * s ** (2.0 / alpha)
-            * hyp2f1(b, 1.0 - a, 0.5 * d + 1.0, (r / s) ** 2))
+        value = (scale * 0.5 * alpha * _power(r, 2.0 / alpha)
+                 * hyp2f1(b, -a, 0.5 * d, (s / r) ** 2))
+    else:
+        value = (scale / d * (r / s) ** d * _power(s, 2.0 / alpha)
+                 * hyp2f1(b, 1.0 - a, 0.5 * d + 1.0, (r / s) ** 2))
+    if not math.isfinite(value):
+        raise DomainError(f"the Green measure of a ball of radius {r:g} at distance {s:g} "
+                          f"from x overflows a float")
+    return value

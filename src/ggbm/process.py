@@ -21,7 +21,7 @@ from .exceptions import DomainError, SingularMatrixError
 from .fbm import GridSpec, Path, _fbm_values, fbm_covariance
 from .model import ModelParams
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
-from .specfun import m_wright_moment, m_wright_quad_rule, mittag_leffler
+from .specfun import _check_rule_beta, m_wright_moment, m_wright_quad_rule, mittag_leffler
 
 __all__ = [
     "ModelParams",
@@ -92,6 +92,30 @@ def _scale_mixture_integral(beta: float, power: float, q: float) -> float:
     return float(np.dot(weights, integrand))
 
 
+def _covariance(t: np.ndarray, hurst: float) -> np.ndarray:
+    """fbm_covariance(t, hurst), or DomainError where t^alpha overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = fbm_covariance(t, hurst)
+    if not np.isfinite(R).all():
+        raise DomainError(f"the fBm covariance overflows: t^alpha is not finite at "
+                          f"t = {t[-1]:g}, alpha = {2.0 * hurst:g}")
+    return R
+
+
+def _quadratic_form(th: np.ndarray, apply) -> float:
+    """sum(th * apply(th)) for a linear map `apply`: formed directly, and
+    where that is not finite, from u = th / s, s = max |th|, as
+    sum(u * apply(u)) s s, which is +inf only where the form itself
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = float(np.sum(th * apply(th)))
+        if math.isfinite(q):
+            return q
+        s = float(np.max(np.abs(th)))
+        u = th / s
+        return float(np.sum(u * apply(u))) * s * s
+
+
 def _check_theta(theta, n: int, d: int) -> np.ndarray:
     th = np.asarray(theta, dtype=float)
     if th.size != n * d:
@@ -119,15 +143,16 @@ def fdd_density(params: ModelParams, times, theta) -> float:
     t = _check_times(times)
     n = len(t)
     th = _check_theta(theta, n, params.dim)
-    R = fbm_covariance(t, params.hurst)
+    R = _covariance(t, params.hurst)
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("covariance matrix gamma_alpha is singular") from exc
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     # potrs, not solve_triangular: scipy's trsm wakes its OpenBLAS threads,
-    # which then spin and double the CPU time of every later call
-    q = float(np.sum(th * cho_solve((L, True), th)))
+    # which then spin and double the CPU time of every later call; a q
+    # that overflows is +inf, where the density is 0
+    q = _quadratic_form(th, lambda x: cho_solve((L, True), x))
     d, nd = params.dim, n * params.dim
     pref = (2.0 * math.pi) ** (-0.5 * nd) * math.exp(-0.5 * d * logdet)
     if q == 0.0 and params.beta < 1.0:
@@ -140,10 +165,14 @@ def fdd_charfun(params: ModelParams, times, theta) -> float:
     argument is nonpositive.  R is positive semidefinite, so the form is
     taken at no less than 0: at times close together it rounds below 0
     (-2.8e-17 at t = (0.5, 0.5 + 1e-12), theta = (1, -1)), where the value
-    is E_beta(0) = 1.
+    is E_beta(0) = 1.  Where the form overflows the value is its limit
+    E_beta(-inf) = 0, once beta has passed mittag_leffler's checks.
     """
     t = _check_times(times)
     th = _check_theta(theta, len(t), params.dim)
-    R = fbm_covariance(t, params.hurst)
-    qsum = max(float(np.sum(th * (R @ th))), 0.0)
+    R = _covariance(t, params.hurst)
+    qsum = max(_quadratic_form(th, lambda x: R @ x), 0.0)
+    if qsum == math.inf:
+        _check_rule_beta(params.beta)
+        return 0.0
     return mittag_leffler(params.beta, -0.5 * qsum).value

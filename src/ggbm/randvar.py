@@ -60,11 +60,14 @@ def sample_one_sided_stable(beta: float, rng: np.random.Generator, size=None):
     """One-sided beta-stable draw(s) S > 0 with E[exp(-s*S)] = exp(-s^beta).
 
     Kanter's representation: S = (a(pi*U)/W)^((1-beta)/beta) with U uniform
-    on (0,1) and W standard exponential.  A negative entry of size raises
-    DomainError before any draw.
+    on (0,1) and W standard exponential.  beta must lie in [BETA_MIN, 1),
+    as for sample_y_beta_array: below the smallest normal float the draws
+    are not finite.  A negative entry of size raises DomainError before
+    any draw.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"requires 0 < beta < 1, got beta = {beta:g}")
+    check_beta("sample_one_sided_stable", beta)
+    if beta == 1.0:
+        raise DomainError("sample_one_sided_stable requires beta < 1, got beta = 1")
     if size is not None and np.any(np.asarray(size) < 0):
         raise DomainError(f"sample_one_sided_stable requires size >= 0, got size = {size}")
     u = rng.random(size)

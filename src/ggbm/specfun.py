@@ -11,8 +11,10 @@ moderate tau, and Kanter's integral `_mw_integral`, formed from
 logarithms so that no power of order 1/beta or 1/(1-beta) is taken, on
 theta panels that follow log a(theta), graded toward pi so that a fine
 and a coarse rule on them agree within 1e-12 at every beta; their
-difference is the error.  A node goes to Kanter's integral where the series cancels,
-overflows or would run long (_mw_values).
+difference is the error.  One rule on the depth -log u0 of Kanter's
+integrand sends a node to Kanter's integral where the series would run
+long or cancel (_mw_values); the series' own guards hand it the nodes
+whose terms overflow.
 
 The rule build is the cost of every quantity at a fresh beta, so both
 kernels keep their bits while doing little beyond the arithmetic of the
@@ -188,13 +190,12 @@ def _mw_coefficients(beta: float, n: np.ndarray):
     return gammaln(zb) - gammaln(n1) - math.log(math.pi), sign
 
 
-def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True):
+def _series(beta: float, tau: np.ndarray, errors: bool = True):
     """The power series sum_n s_n B_n tau^n of M_beta at every tau > 0 at
-    once, (log B_n, s_n) = _mw_coefficients(beta, n), given the scale of
-    the ceiling M_beta(tau) * scale <= 1 at each node (_mw_scale).
-    Returns arrays (value, est_abs_error, terms_used); the value is
-    clamped at 0.  With errors false est_abs_error is None and no part of
-    it is formed: the rule keeps only the values.
+    once, (log B_n, s_n) = _mw_coefficients(beta, n).  Returns arrays
+    (value, est_abs_error, terms_used); the value is clamped at 0.  With
+    errors false est_abs_error is None and no part of it is formed: the
+    rule keeps only the values.
 
     The terms of all unfinished nodes are built in blocks of rows n that
     end at _BLOCK_ENDS.  A node stops at the first row where the bound
@@ -209,14 +210,9 @@ def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True
     sum, the block end as terms_used and the bound at the block end as the
     truncation part of the error.  The value is NaN where a term heads for
     overflow before that row, where the largest term exceeds the sum by
-    more than _CANCELLATION_LIMIT, or where _MAX_TERMS pass.  A node also
-    leaves, as NaN, at the end of the first block where its largest term
-    times its scale exceeds 2 _CANCELLATION_LIMIT: the largest term never
-    shrinks and the sum stays within rounding of 1/scale, so it would fail
-    the cancellation test all the same.  A scale of 0 never exits; the test
-    multiplies by the scale, since dividing would overflow at subnormal
-    tau.  None of these exits reads the error, so both settings of errors
-    give the same values and terms.
+    more than _CANCELLATION_LIMIT, or where _MAX_TERMS pass.  None of these
+    exits reads the error, so both settings of errors give the same values
+    and terms.
 
     Each block has one (1, m + 1, nodes) buffer, (2, m + 1, nodes) with
     errors: row 0 holds the carried sum and spread, rows 1..m the term and
@@ -229,7 +225,6 @@ def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True
     """
     tau = np.asarray(tau, dtype=float)
     log_tau = np.log(tau)
-    scale = np.broadcast_to(np.asarray(scale, dtype=float), tau.shape)
     # the summed rows: the sum and, with errors, sum |term| (|n log tau| +
     # |log B_n| + 1): exp() passes the rounding of each term's logarithm
     # on to the term, so eps times this bounds it
@@ -275,8 +270,6 @@ def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True
             # row by row, so in term order from the carried sums in buf[:, 0]
             np.add.reduce(buf, axis=1, out=acc[:k])
             peak = np.maximum(carry[k], np.maximum.reduce(mag), out=acc[k])
-            # an overflowed peak times a scale of 0 is NaN, which never exits
-            lost = peak * scale[live] > 2.0 * _CANCELLATION_LIMIT
         # at the block's last row, bound < 1e-17 max(|sum|, 1e-300) and
         # bound <= 1e-16 peak
         last = acc[-1]
@@ -285,13 +278,13 @@ def _series(beta: float, tau: np.ndarray, scale: np.ndarray, errors: bool = True
         floor *= 1e-17
         stop = last < floor
         stop &= last <= peak * 1e-16
+        going = ~stop
         if over is not None:
             stop &= ~over
-            lost |= over
+            going &= ~over
         node = live[stop]
         fin[:, node] = acc[:, stop]
         ends[node] = end
-        going = ~(stop | lost)
         live, carry = live[going], acc[:, going]
         start = end
     total, peak, last = fin[0], fin[k], fin[-1]
@@ -482,13 +475,6 @@ def _mw_integral(beta: float, tau: np.ndarray, errors: bool = True):
     return pref * fine, pref * (np.abs(fine - coarse) + rounding * fine)
 
 
-def _mw_scale(beta: float, tau):
-    """The scale e (1-b) tau of the ceiling M_beta(tau) <= 1/(e (1-b) tau)
-    that _series exits on: in Kanter's form (_mw_integral), u exp(-u) <=
-    1/e for every theta."""
-    return math.e * (1.0 - beta) * tau
-
-
 def m_wright(beta: float, tau: float) -> EvalResult:
     """M-Wright density M_beta(tau) for BETA_MIN <= beta <= _BETA_MAX and
     finite tau >= 0, from the series or Kanter's integral (_mw_values).
@@ -514,17 +500,27 @@ def _mw_values(beta: float, tau: np.ndarray, errors: bool = True):
     series finishes pays none of its set-up.  With errors false
     est_abs_error is None: the rule keeps only the values, and neither
     kernel forms a per-node error, which costs the series a second summed
-    row per block and Kanter's integral its coarse rule.  The series' terms
-    grow up to n = u0/(1-b), then shrink by about (u0/((1-b) n))^(1-b)
-    each, so it needs 40/((1-b) max(log(1/u0), 1)) terms or more; where
-    that passes 100, (1-b) max(log(1/u0), 1) < _SERIES_REACH, and Kanter's
-    rule reaches the peak, a node goes to Kanter's integral at once."""
+    row per block and Kanter's integral its coarse rule.
+
+    One rule routes each node, by its depth -log u0: to the series where
+    the depth is at least _SERIES_REACH/(1-b), or at least _SPIKE_DEPTH,
+    past which Kanter's rule has no level to reach the peak of its
+    integrand; to Kanter's integral at once everywhere else.  The series'
+    terms grow up to n = u0/(1-b), then shrink by about
+    (u0/((1-b) n))^(1-b) each, so it needs about 40/((1-b) log(1/u0))
+    terms, at most 100 past the first bound.  Either bound gives u0 < 1-b
+    (exp(-0.4/c) < c for every c > 0, and e^-30 < 1-b up to _BETA_MAX), so
+    the terms' growth phase is shorter than one term, and the series sums
+    a node routed to it without the cancellation that its final test
+    refuses (test_series_takes_every_node_routed_to_it checks this).
+    Kanter's integral also takes any node that the series leaves as NaN,
+    as where log B_0 passes the overflow guard near BETA_MIN."""
     value = np.full(tau.size, np.nan)
     err = np.full(tau.size, np.nan) if errors else None
     terms = np.zeros(tau.size, dtype=np.int64)
-    depth = np.maximum(-_log_u0(beta, tau), 1.0)
+    depth = -_log_u0(beta, tau)
     head = np.flatnonzero(depth >= min(_SERIES_REACH / (1.0 - beta), _SPIKE_DEPTH))
-    value[head], head_err, terms[head] = _series(beta, tau[head], _mw_scale(beta, tau[head]), errors)
+    value[head], head_err, terms[head] = _series(beta, tau[head], errors)
     if errors:
         err[head] = head_err
     tail = np.flatnonzero(np.isnan(value))

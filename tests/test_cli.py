@@ -85,6 +85,13 @@ def test_eval_density_and_charfun(capsys):
     assert float(out) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("args", [["charfun", "--k", "1e200"], ["density", "--point", "1e200"]])
+def test_eval_overflowing_form_prints_zero(args, capsys):
+    """A k or a point whose quadratic form overflows gives the limit 0."""
+    assert main(["eval", "--dim", "1"] + args) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
 def test_eval_domain_error_exit_code(capsys):
     assert main(["eval", "green-constant", "--beta", "0.5",
                  "--alpha", "1.5", "--dim", "1"]) == 2

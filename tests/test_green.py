@@ -117,12 +117,42 @@ def test_test_function_center_is_a_finite_point(make_f, center):
         make_f(1.0, 3, center=center)
 
 
-@pytest.mark.parametrize("reach", [math.nan, -1.0])
+@pytest.mark.parametrize("reach", [math.nan, -1.0, math.inf])
 def test_test_function_reach_is_not_negative(reach):
-    """A reach that is nan or negative is refused when f is built, not
-    carried into the radial quadrature's bounds."""
+    """A reach that is nan, negative or infinite is refused when f is
+    built, not carried into the radial quadrature's bounds."""
     with pytest.raises(DomainError, match="reach"):
         dataclasses.replace(bump_test_function(1.0, 3), reach=reach)
+
+
+@pytest.mark.parametrize("make", [lambda: gaussian_test_function(1e160, 3),
+                                  lambda: gaussian_test_function(1e120, 3),
+                                  lambda: gaussian_test_function(1.0, 3, amplitude=1e308),
+                                  lambda: bump_test_function(1e150, 3)],
+                         ids=["gaussian-spread", "gaussian-pow", "gaussian-amplitude", "bump"])
+def test_factory_whose_l1_norm_overflows_is_domain_error(make):
+    """A test function whose L1 norm overflows a float is refused by name,
+    not declared with an inf norm (which made tail_bound NaN) nor raised as
+    Python's OverflowError."""
+    with pytest.raises(DomainError, match="l1_norm must be finite"):
+        make()
+
+
+@pytest.mark.parametrize("fact", ["sup_norm", "l1_norm", "spread"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_test_function_norms_and_spread_are_finite(fact, value):
+    """Each declared norm and the spread is finite and >= 0, as the reach
+    is."""
+    with pytest.raises(DomainError, match=f"{fact} must be finite"):
+        dataclasses.replace(gaussian_test_function(1.0, 3), **{fact: value})
+
+
+def test_green_measure_of_ball_that_overflows_is_domain_error():
+    """r^(2/alpha) past the float range names the overflow, where Python
+    raised OverflowError."""
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
+    with pytest.raises(DomainError, match="overflows a float"):
+        green_measure_of_ball(gd, np.zeros(3), np.zeros(3), 1e300)
 
 
 @pytest.mark.parametrize("make_f", [gaussian_test_function, bump_test_function],

@@ -257,6 +257,39 @@ def test_fdd_charfun_at_times_close_together():
         assert 1.0 - 1e-9 <= value <= 1.0
 
 
+def test_quadratic_forms_that_overflow_take_their_limit():
+    """A theta^T R theta past the float range is +inf, formed with no
+    overflow warning, and the value is its limit: E_beta(-inf) = 0 for the
+    characteristic function, as at beta = 1, and 0 for the density."""
+    assert fdd_charfun(ModelParams(0.5, 1.5, 1), [1.0], [[1e160]]) == 0.0
+    assert fdd_charfun(ModelParams(1.0, 1.5, 1), [1.0], [[1e160]]) == 0.0
+    assert marginal_density(ModelParams(0.5, 1.5, 1), [1e200], 1.0) == 0.0
+    # +inf and -inf products, NaN in the direct sum, of a form that overflows
+    assert fdd_charfun(ModelParams(0.5, 1.9, 1), [1.0, 2.0], [[1e200], [-0.4e200]]) == 0.0
+
+
+def test_quadratic_forms_with_overflowing_products_stay_finite():
+    """Where theta_i (R theta)_i overflows but the form itself does not, the
+    form is taken from theta / max |theta|: the characteristic function is
+    the positive E_beta of a finite form, and the density the 0 of its
+    exp(-q/(2 tau)), where they were a DomainError and NaN."""
+    value = fdd_charfun(ModelParams(0.5, 1.9, 1), [1.0, 2.0], [[4e154], [-0.45 * 4e154]])
+    assert 0.0 < value < 1e-300
+    assert fdd_density(ModelParams(0.5, 1.0, 1), [1.0, 1.0 + 1e-10],
+                       [[1e152], [1e152 * (1.0 + 1e-5)]]) == 0.0
+
+
+def test_covariance_that_overflows_is_domain_error():
+    """At t = 1e300, t^alpha overflows, and both the density and the
+    characteristic function raise DomainError, not scipy's ValueError."""
+    params = ModelParams(0.5, 1.5, 1)
+    for fdd in (fdd_density, fdd_charfun):
+        with pytest.raises(DomainError, match="covariance overflows"):
+            fdd(params, [1e300], [[1.0]])
+    with pytest.raises(DomainError, match="covariance overflows"):
+        marginal_density(params, [1.0], 1e300)
+
+
 def test_covariance_suite_tolerance_is_the_exact_standard_error():
     """The covariance suite holds the sample mean of Y B_H(s) . B_H(t) to 3
     exact standard errors: the same at every seed, and at beta = 1 (Y = 1)

@@ -101,6 +101,17 @@ def test_sampler_domain_errors():
         sample_y_beta_array(1.5, rng, 1)
 
 
+@pytest.mark.parametrize("beta", [1e-310, 5e-324, BETA_MIN / 2.0])
+def test_stable_subnormal_beta_is_domain_error(beta):
+    """A subnormal beta, where the draws came out inf, is refused before any
+    draw, by the check that sample_y_beta_array makes of the same beta."""
+    rng = make_stream(SeedSpec(0, 0))
+    for sampler in (sample_one_sided_stable, sample_y_beta_array):
+        with pytest.raises(DomainError, match="beta <= 1"):
+            sampler(beta, rng, 3)
+    assert rng.random() == make_stream(SeedSpec(0, 0)).random()
+
+
 @pytest.mark.parametrize("beta", [BETA_MIN, 1e-300, 1e-12, 0.0015, 0.005, 0.01,
                                   0.99, 0.995, 0.999, 0.9999, 1 - 1e-12])
 def test_y_beta_finite_and_positive_at_extreme_beta(beta):
