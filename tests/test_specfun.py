@@ -232,13 +232,44 @@ def test_m_wright_quad_rule_mass_guard(monkeypatch):
         specfun._mw_rule_cached.__wrapped__(0.3)
 
 
+def _series_routed(monkeypatch, build):
+    """The values that _series returns to _mw_values while `build` runs,
+    concatenated."""
+    seen = []
+
+    def recorded(beta, tau, errors=True, _f=specfun._series):
+        out = _f(beta, tau, errors)
+        seen.append(out[0])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_series", recorded)
+        build()
+    return np.concatenate(seen)
+
+
 @pytest.mark.parametrize("beta", [k / 100 for k in range(1, 100)])
-def test_m_wright_under_its_ceiling_at_every_rule_node(beta):
-    """The ceiling e (1-b) tau M_beta(tau) <= 1, from u exp(-u) <= 1/e in
-    Kanter's form, holds at every node of the rule, whether its value
-    comes from the series or from Kanter's integral."""
+def test_series_exit_changes_no_rule_node(monkeypatch, beta):
+    """No exit of the series (the cancellation test, the overflow exit, the
+    term cap) fires on a node of the rule that _mw_values routes to it, so
+    the routing alone decides which kernel serves each node; and the
+    ceiling e (1-b) tau M_beta(tau) <= 1, from u exp(-u) <= 1/e in Kanter's
+    form, holds at every node, from the series or from Kanter's integral."""
+    values = _series_routed(monkeypatch, lambda: specfun._mw_rule_cached.__wrapped__(beta))
+    assert not np.isnan(values).any()
     nodes, _, mvals = m_wright_quad_rule(beta)
     assert np.all(math.e * (1.0 - beta) * nodes * mvals <= 1.0)
+
+
+@pytest.mark.parametrize("beta", [k / 20 for k in range(1, 20)])
+def test_series_exit_changes_no_scalar_value(monkeypatch, beta):
+    """One node at a time, as m_wright calls the series: on tau in
+    [1e-3, 20] no exit of the series fires where the routing sends tau to
+    it, and M_beta(tau) is under its ceiling 1/(e (1-b) tau)."""
+    for tau in np.geomspace(1e-3, 20.0, 30):
+        values = _series_routed(monkeypatch, lambda: m_wright(beta, float(tau)))
+        assert not np.isnan(values).any(), tau
+        assert math.e * (1.0 - beta) * tau * m_wright(beta, float(tau)).value <= 1.0, tau
 
 
 def _m_wright_envelope(beta, tau, value):
@@ -686,22 +717,6 @@ def test_series_m_wright_skips_kanter(monkeypatch, beta, tau):
     monkeypatch.setattr(specfun, "_mw_integral", refuse)
     got = m_wright(beta, tau)
     assert got.terms_used > 0 and got == expected
-
-
-def _series_routed(monkeypatch, build):
-    """The values that _series returns to _mw_values while `build` runs,
-    concatenated."""
-    seen = []
-
-    def recorded(beta, tau, errors=True, _f=specfun._series):
-        out = _f(beta, tau, errors)
-        seen.append(out[0])
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(specfun, "_series", recorded)
-        build()
-    return np.concatenate(seen)
 
 
 def test_series_takes_every_node_routed_to_it(monkeypatch):
