@@ -182,13 +182,19 @@ def _fgn_circulant(hurst: float, n: int, dim: int,
 
 
 def fbm_covariance(times: np.ndarray, hurst: float) -> np.ndarray:
-    """Covariance matrix (t^2H + s^2H - |t-s|^2H)/2 on strictly positive times."""
+    """Covariance matrix (t^2H + s^2H - |t-s|^2H)/2 on nonnegative times;
+    DomainError where it is not finite, as where t^2H overflows a float."""
     t = np.asarray(times, dtype=float)
-    return 0.5 * (
-        t[:, None] ** (2 * hurst)
-        + t[None, :] ** (2 * hurst)
-        - np.abs(t[:, None] - t[None, :]) ** (2 * hurst)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = 0.5 * (
+            t[:, None] ** (2 * hurst)
+            + t[None, :] ** (2 * hurst)
+            - np.abs(t[:, None] - t[None, :]) ** (2 * hurst)
+        )
+    if not np.isfinite(cov).all():
+        raise DomainError(f"the fBm covariance overflows: t^alpha is not finite at "
+                          f"t = {t.max():g}, alpha = {2.0 * hurst:g}")
+    return cov
 
 
 _factor_cache: dict = {}
@@ -210,7 +216,8 @@ def _check_times(t: np.ndarray) -> None:
 def fbm_cholesky_factor(hurst: float, times: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of the path covariance; cached per grid.  A
     grid that is not cached is checked first: 0 < hurst < 1, and times
-    finite, strictly positive and distinct, or DomainError."""
+    finite, strictly positive and distinct, with a finite covariance
+    (fbm_covariance), or DomainError."""
     t = np.asarray(times, dtype=float)
     key = (hurst, t.tobytes())
     hit = _factor_cache.get(key)
@@ -240,10 +247,11 @@ def sample_fbm_batch(
 ) -> np.ndarray:
     """(n_paths, len(times), dim) fBm values at finite, strictly positive
     and distinct times, i.i.d. components, by batched Cholesky (H=1
-    degenerates to a line); other times, or H outside (0, 1], raise
-    DomainError.  The stream use is one randvar.standard_normals draw of
-    the array z of shape (dim, len(times), n_paths), or (dim, 1, n_paths)
-    on the line, in the component-time-path order of the values.
+    degenerates to a line); other times, times whose t^2H overflows a
+    float, or H outside (0, 1], raise DomainError.  The stream use is one
+    randvar.standard_normals draw of the array z of shape
+    (dim, len(times), n_paths), or (dim, 1, n_paths) on the line, in the
+    component-time-path order of the values.
 
     The values are stored component-major: the result is a view of a
     C-contiguous (dim, len(times), n_paths) buffer, which

@@ -4,7 +4,9 @@ the time-integral kernel.
 The potential of a Gaussian test function is in closed form in every
 dimension; any other radial f (the bump) goes through one radial quadrature
 of f's profile against the kernel's sphere means, also in every dimension.
-A custom f that is not radial has no potential here.
+A custom f that is not radial has no potential here.  Every distance
+|x - y| in the package comes from _distance, and the Gaussian's 1F1 from
+kummer, which the Monte Carlo fold shares.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainccinv, gammaln, hyp1f1, hyp2f1
+from scipy.special import gammainccinv, gammaln, hyp1f1, hyp2f1, poch
 
 from .exceptions import ConvergenceError, DomainError
 from .model import ModelParams
@@ -31,6 +33,7 @@ __all__ = [
     "continuity_constant",
     "green_measure_of_ball",
     "unit_sphere_area",
+    "kummer",
 ]
 
 
@@ -112,12 +115,49 @@ def _power(x: float, p: float) -> float:
         return math.inf
 
 
+# the smallest normal float
+_TINY = float(np.finfo(float).tiny)
+
+
+def _distance(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """|x - y| and its square for finite points, with no warning.  Where the
+    square is a normal float it is np.sum((x - y)**2), bit for bit, and the
+    distance its square root.  Elsewhere, at points more than about 1e154
+    or less than about 1e-154 apart, the distance is formed from the offset
+    scaled by its largest component, so it is right where the square is
+    not, and the square is its float product, inf or 0; an offset that
+    itself overflows is an infinite distance.  np.add.reduce(diff * diff)
+    is np.sum(diff ** 2) without np.sum's wrapper, a third of the time."""
+    with np.errstate(over="ignore"):
+        diff = x - y
+        r2 = float(np.add.reduce(diff * diff))
+    if _TINY <= r2 < math.inf:
+        return math.sqrt(r2), r2
+    top = max(map(abs, diff.tolist()))
+    if not 0.0 < top < math.inf:
+        return top, top * top
+    diff /= top
+    r = top * math.sqrt(float(np.add.reduce(diff * diff)))
+    return r, r * r
+
+
+# the largest |x - c| at which potential, estimate_potential_mc and
+# exact_gaussian_moments take x: its square stays below 1e304, which leaves
+# the estimator's (r + B_1(t))^2 a margin of 1e4 before a float overflows
+_FAR = 1e152
+
+
 def as_point(params: ModelParams, f: TestFunction, x) -> np.ndarray:
-    """x as a finite float point, once f and x are both in R^d, d = params.dim;
-    raises DomainError otherwise."""
+    """x as a finite float point, once f and x are both in R^d, d = params.dim,
+    and x lies within _FAR of f's centre; raises DomainError otherwise."""
     if f.dim != params.dim:
         raise DomainError(f"f has dim {f.dim}, but the process has dim {params.dim}")
-    return _point(params.dim, x)
+    x = _point(params.dim, x)
+    r, _ = _distance(x, f.center)
+    if r > _FAR:
+        raise DomainError(f"x is {r:g} from the centre of {f.kind}: |x - c| must be at most "
+                          f"{_FAR:g}, or the squared distances overflow a float")
+    return x
 
 
 def gaussian_test_function(sigma: float, dim: int, center=None,
@@ -202,21 +242,31 @@ class GreenDensity:
 
 
 def green_density_at(gd: GreenDensity, x, y) -> float:
+    """D / |x - y|^(d - 2/alpha) at distinct finite points; DomainError at
+    x = y, where it is singular, and where it overflows a float."""
     x, y = _point(gd.params.dim, x), _point(gd.params.dim, y)
-    r = float(np.linalg.norm(x - y))
+    r, _ = _distance(x, y)
     if r == 0.0:
         raise DomainError("green density is singular at x = y")
-    return gd.D * r ** (-gd.exponent)
+    value = gd.D * _power(r, -gd.exponent)
+    if value == math.inf:
+        raise DomainError(f"the green density at |x - y| = {r:g} overflows a float")
+    return value
 
 
 def time_integral_kernel(alpha: float, d: int, tau: float, r: float) -> float:
     """Closed form of int_0^inf (2 pi t^a tau)^(-d/2) exp(-r^2/(2 t^a tau)) dt
-    = C(alpha, d) * tau^(-1/alpha) / r^(d - 2/alpha), for d*alpha > 2.
+    = C(alpha, d) * tau^(-1/alpha) / r^(d - 2/alpha), for d*alpha > 2; a
+    value that overflows a float raises DomainError.
     """
     if tau <= 0.0 or r <= 0.0:
         raise DomainError("requires tau > 0 and r > 0")
     C = time_kernel_constant(alpha, d)
-    return C * tau ** (-1.0 / alpha) * r ** (2.0 / alpha - d)
+    value = C * _power(tau, -1.0 / alpha) * _power(r, 2.0 / alpha - d)
+    if not math.isfinite(value):
+        raise DomainError(f"the time-integral kernel at tau = {tau:g}, r = {r:g} "
+                          f"overflows a float")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +277,62 @@ def time_integral_kernel(alpha: float, d: int, tau: float, r: float) -> float:
 _POTENTIAL_TOL = 1e-10
 
 
+# z from which kummer sums its large-z series in place of scipy's hyp1f1.
+# There the series meets 2^-60 of its sum within 12 terms, within 7e-16 of
+# mpmath, for every d <= 60 and every alpha the domain admits; just below
+# it scipy's value is within 2.3e-14 of mpmath at those (alpha, d).
+# Further out scipy drifts: at alpha = 1.01, d = 2 it is 1e-14 off at
+# z = 1e7, 1e-12 off at 1e10 and NaN from 1e11, where the series holds
+# 4e-16.
+_KUMMER_SWITCH = 1e3
+_KUMMER_TERMS = 40
+
+
+def kummer(alpha: float, d: int, z: float) -> float:
+    """1F1(a; d/2; -z) with a = d/2 - 1/alpha > 0, for z >= 0: the one
+    confluent hypergeometric value that the Gaussian's potential and the
+    Monte Carlo fold's whole integral share.
+    - Below z = 2^-54 it is 1, the rounding of 1 - (a/b) z + ..., where
+      scipy's hyp1f1 returned inf or NaN for a near 0 (from about
+      z = 1e-180 down at a = 0.0099).
+    - From there to _KUMMER_SWITCH it is scipy's hyp1f1, bit for bit.
+    - From there on it is the large-z series of DLMF 13.7.2,
+        Gamma(d/2) / Gamma(1/alpha) z^(-a) sum_s (a)_s (1 - 1/alpha)_s / s! z^(-s),
+      whose other part, of order exp(-z), lies below a float's
+      resolution.  The sum stops at its first term under 2^-60 of it, and
+      raises ConvergenceError where _KUMMER_TERMS terms do not reach that.
+    """
+    a, b = 0.5 * d - 1.0 / alpha, 0.5 * d
+    if z < 2.0 ** -54:
+        return 1.0
+    if z < _KUMMER_SWITCH:
+        return hyp1f1(a, b, -z)
+    total, term = 0.0, 1.0
+    for k in range(_KUMMER_TERMS):
+        total += term
+        term *= (a + k) * (a - b + 1.0 + k) / ((k + 1.0) * z)
+        if abs(term) <= 2.0 ** -60 * abs(total):
+            break
+    else:
+        raise ConvergenceError(f"the large-z series of 1F1({a:g}; {b:g}; -{z:g}) does not "
+                               f"settle in {_KUMMER_TERMS} terms")
+    # z^(-a) in two halves, which do not underflow where the value does not
+    half = z ** (-0.5 * a)
+    return poch(1.0 / alpha, a) * half * half * total
+
+
 def _gaussian_potential(gd: GreenDensity, f: TestFunction, x: np.ndarray) -> float:
     """V(f, x) for f(y) = A exp(-|y - c|^2 / (2 s)): D * A (2 pi s)^(d/2) times
     E|x - c + sqrt(s) Z|^(-p), p = d - 2/alpha, the negative moment of a
     noncentral chi, (2 s)^(-p/2) Gamma((d - p)/2) / Gamma(d/2)
-    * 1F1(p/2; d/2; -|x - c|^2 / (2 s)), with (d - p)/2 = 1/alpha.
+    * 1F1(p/2; d/2; -|x - c|^2 / (2 s)), with (d - p)/2 = 1/alpha and
+    p/2 = d/2 - 1/alpha (kummer).
     """
     alpha, d, p, s = gd.params.alpha, gd.params.dim, gd.exponent, f.spread
     amplitude = float(f.eval_many(f.center[None, :])[0])
-    z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
+    z = _distance(x, f.center)[1] / (2.0 * s)
     moment = ((2.0 * s) ** (-0.5 * p) * math.exp(gammaln(1.0 / alpha) - gammaln(0.5 * d))
-              * hyp1f1(0.5 * p, 0.5 * d, -z))
+              * kummer(alpha, d, z))
     return gd.D * amplitude * (2.0 * math.pi * s) ** (0.5 * d) * moment
 
 
@@ -252,7 +347,7 @@ def _radial_potential(gd: GreenDensity, f: TestFunction, x: np.ndarray) -> float
     from scipy.integrate import quad
 
     d, p = gd.params.dim, gd.exponent
-    s = float(np.linalg.norm(x - f.center))
+    s, _ = _distance(x, f.center)
     axis = np.eye(d)[0]
 
     def shell(rho):
@@ -305,13 +400,16 @@ def green_measure_of_ball(gd: GreenDensity, x, center, r: float) -> float:
     over the sphere |y - center| = rho (Landkof 1972, ch. 1) integrates
     term by term over rho (DLMF 15.2.1) to D * area(S^(d-1)) times
       (alpha/2) r^(2/alpha) 2F1(b, -a; d/2; s^2/r^2)           for s <= r,
-      (r^d/d) s^(2/alpha - d) 2F1(b, 1 - a; d/2 + 1; r^2/s^2)  for s > r;
+      (r^d/d) s^(2/alpha - d) 2F1(b, 1 - a; d/2 + 1; r^2/s^2)  for s > r,
+    the latter formed as r^(2/alpha) (r/s)^(d - 2/alpha) / d, which stays
+    in range at every finite distance;
     both give the same value at s = r by Gauss's sum (DLMF 15.4.20), since
     c - a - b = 2/alpha > 0 in each.  scipy's hyp2f1 loses digits where
     2/alpha is within about 1e-4 of 1 (alpha just below 2) and the
     argument lies in (0.98, 1): about 1e-11 relative at alpha = 2 - 1e-5
-    and 1e-7 at alpha = 2 - 1e-9 (d = 30, s/r = 1.001).  A measure whose
-    power of order 2/alpha overflows a float raises DomainError.
+    and 1e-7 at alpha = 2 - 1e-9 (d = 30, s/r = 1.001).  A measure that
+    overflows a float, as r^(2/alpha) does past r of about 1e154 at alpha
+    near 1, raises DomainError.
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"radius must be positive and finite, got {r:g}")
@@ -319,13 +417,12 @@ def green_measure_of_ball(gd: GreenDensity, x, center, r: float) -> float:
     alpha, d = gd.params.alpha, gd.params.dim
     a = 1.0 / alpha
     b = 0.5 * d - a
-    s = float(np.linalg.norm(x - c))
-    scale = gd.D * unit_sphere_area(d)
+    s, _ = _distance(x, c)
+    scale = gd.D * unit_sphere_area(d) * _power(r, 2.0 / alpha)
     if s <= r:
-        value = (scale * 0.5 * alpha * _power(r, 2.0 / alpha)
-                 * hyp2f1(b, -a, 0.5 * d, (s / r) ** 2))
+        value = scale * 0.5 * alpha * hyp2f1(b, -a, 0.5 * d, (s / r) ** 2)
     else:
-        value = (scale / d * (r / s) ** d * _power(s, 2.0 / alpha)
+        value = (scale / d * (r / s) ** (d - 2.0 / alpha)
                  * hyp2f1(b, 1.0 - a, 0.5 * d + 1.0, (r / s) ** 2))
     if not math.isfinite(value):
         raise DomainError(f"the Green measure of a ball of radius {r:g} at distance {s:g} "

@@ -38,7 +38,7 @@ every t and x, so the estimator swaps the grid's exact mean
 sum_j w_j g(t_j) for the whole integral of g, a closed form: grid bias and
 tail are exact and in the mean, so the tail and discretization bounds are
 both 0 and the budget is 3 SE.  The variance of the per-path sum is a
-closed form too (_gaussian_grid_moments), against which verify checks the
+closed form too (exact_gaussian_moments), against which verify checks the
 sampled SE.
 The clock then only has to keep the variance low.  It does so at an
 eighth of the density every other f needs, and it starts where fBm's
@@ -54,11 +54,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_function, betainc, hyp1f1
+from scipy.special import beta as beta_function, betainc
 
 from .exceptions import DomainError
-from .fbm import sample_fbm_batch
-from .green import TestFunction, as_point
+from .fbm import fbm_covariance, sample_fbm_batch
+from .green import TestFunction, _distance, as_point, kummer
 from .model import ModelParams
 # not called here, but perfbench/spans.py patches both names on this module
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
@@ -84,7 +84,7 @@ __all__ = [
 # so its clock only has to keep the per-path variance low:
 # _GAUSSIAN_STEPS_PER_DECADE is the coarsest
 # density at which the exact SD of its conditioned per-path sum
-# (_gaussian_grid_moments) stays within 10 % of 8 per decade's at the four
+# (exact_gaussian_moments) stays within 10 % of 8 per decade's at the four
 # triples above, x = c and |x - c| = 1.5, t_max = 50.  At 4 it is 3.3 to
 # 9.2 % above 8's, for 12 sampled points in place of 20 at (0.5, 1.5, 3)
 # (10 to 12 in place of 20 to 24 at the others: 40 to 50 % fewer normals
@@ -276,7 +276,7 @@ def _block_values(params: ModelParams, f: TestFunction, x: np.ndarray,
             return f.eval_many(pts.reshape(d, m * n).T).reshape(m, n)
         return values, _BLOCK_SIZE
     s = f.spread
-    r = math.sqrt(float(np.sum((x - f.center) ** 2)))
+    r, _ = _distance(x, f.center)
 
     def values(rng: np.random.Generator, n: int) -> np.ndarray:
         b = sample_fbm_batch(params.hurst, times[1:], 1, n, rng).transpose(2, 1, 0)[0]
@@ -331,17 +331,18 @@ def _gaussian_law(params: ModelParams, f: TestFunction, x: np.ndarray,
     g = A v^(d/2) exp(-z v), z = |x - c|^2 / (2 s), and its integral
     A s^(1/a) / a int_0^1 exp(-z v) v^(b-1) (1-v)^(1/a-1) dv, b = d/2 - 1/a,
     is Euler's integral of Kummer's function (DLMF 13.4.1):
-    A s^(1/a) / a B(b, 1/a) 1F1(b; b + 1/a; -z).  The potential shares the
-    1F1 value but reaches its prefactor through D = C(a, d) E[Y^(-1/a)] and
-    Gamma(1/a) / Gamma(d/2), so the certificate checks the paper's constant
-    by a second route; the 1F1 itself is held to mpmath by the tests.
+    A s^(1/a) / a B(b, 1/a) 1F1(b; d/2; -z).  The potential shares the
+    1F1 value (green.kummer) but reaches its prefactor through
+    D = C(a, d) E[Y^(-1/a)] and Gamma(1/a) / Gamma(d/2), so the certificate
+    checks the paper's constant by a second route; the 1F1 itself is held
+    to mpmath by the tests.
     """
     d, alpha, s = params.dim, params.alpha, f.spread
-    z = float(np.sum((x - f.center) ** 2)) / (2.0 * s)
+    z = _distance(x, f.center)[1] / (2.0 * s)
     a, b = 1.0 / alpha, 0.5 * d - 1.0 / alpha
     fx, amplitude = f(np.stack([x, f.center])).tolist()
     v = s / (s + times ** alpha)
-    integral = amplitude * s ** a * a * beta_function(b, a) * hyp1f1(b, b + a, -z)
+    integral = amplitude * s ** a * a * beta_function(b, a) * kummer(alpha, d, z)
     return (fx, amplitude * v ** (0.5 * (d - 1)),
             amplitude * v ** (0.5 * d) * np.exp(-z * v), float(integral))
 
@@ -361,31 +362,6 @@ def _gaussian_plan(params: ModelParams, f: TestFunction, x: np.ndarray,
     return fx, rows, math.fsum(w * g), integral
 
 
-def _gaussian_grid_moments(params: ModelParams, f: TestFunction, x: np.ndarray,
-                           times: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
-    """Exact mean and variance of the per-path sum w . h(times) that the
-    estimator draws for a Gaussian f, h(t) = A rho(t) exp(-(r + B_1(t))^2 / (2 s))
-    the conditional mean of f(x + B_H(t)) given the component B_1 along
-    x - c (_block_values), r = |x - c|, A = f(c), s = f.spread and
-    rho(t) = (s / (s + t^alpha))^((d - 1) / 2).  The mean is w . g
-    (_gaussian_law), as for f itself; the second moment is w^T C w with
-    C_jk = E h(t_j) h(t_k)
-    = A^2 rho_j rho_k (s^2 / D)^(1/2) exp(-r^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
-    where K = [[a_j, k_jk], [k_jk, a_k]] is fBm's covariance at (t_j, t_k),
-    a_j = t_j^alpha, and D = det(s I + K).  Third, the whole integral of g,
-    from the same law."""
-    s = f.spread
-    r2 = float(np.sum((x - f.center) ** 2))
-    a = times ** params.alpha
-    aj, ak = a[:, None], a[None, :]
-    k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
-    det = (s + aj) * (s + ak) - k * k
-    _, scale, g, integral = _gaussian_law(params, f, x, times)
-    c = np.outer(scale, scale) * np.sqrt(s * s / det) * np.exp(
-        -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
-    return float(w @ g), float(w @ (c - np.outer(g, g)) @ w), integral
-
-
 def exact_gaussian_moments(params: ModelParams, f: TestFunction, x,
                            spec: PerpetualSpec) -> tuple[float, float]:
     """The mean and standard error that estimate_potential_mc's estimate
@@ -396,15 +372,30 @@ def exact_gaussian_moments(params: ModelParams, f: TestFunction, x,
     conditional mean of f(x + B_H(t)) given the one component the estimator
     samples, A rho(t) exp(-(r + B_1(t))^2 / (2 s)) (_block_values), whose
     variance is at most f's own.  The variance is the first moment that
-    depends on the paths' two-time law.  Where the estimator refuses the
-    parameters, so does this, with the same DomainError."""
+    depends on the paths' two-time law.  With g the mean along the paths
+    and A rho(t) the conditioned scale (_gaussian_law), the per-path sum is
+    w . h for trapezoid weights w, whose second moment is w^T C w with
+    C_jk = E h(t_j) h(t_k)
+    = A^2 rho_j rho_k (s^2 / D)^(1/2) exp(-r^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
+    where K = [[a_j, k_jk], [k_jk, a_k]] is fBm's covariance at (t_j, t_k),
+    a_j = t_j^alpha, r = |x - c| and D = det(s I + K).  Where the estimator
+    refuses the parameters, so does this, with the same DomainError."""
     if not params.green_exists:
         raise DomainError(params.failed_green_constraint())
     if not f.gaussian:
         raise DomainError(f"{f.kind} is not declared Gaussian")
     x = as_point(params, f, x)
     times = _clock(params, f, spec)
-    _, var, integral = _gaussian_grid_moments(params, f, x, times, _trapezoid_weights(times))
+    w = _trapezoid_weights(times)
+    _, scale, g, integral = _gaussian_law(params, f, x, times)
+    s, r2 = f.spread, _distance(x, f.center)[1]
+    k = fbm_covariance(times, params.hurst)
+    a = k.diagonal()
+    aj, ak = a[:, None], a[None, :]
+    det = (s + aj) * (s + ak) - k * k
+    c = np.outer(scale, scale) * np.sqrt(s * s / det) * np.exp(
+        -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
+    var = float(w @ (c - np.outer(g, g)) @ w)
     m = m_wright_moment(params.beta, -1.0 / params.alpha)
     return m * integral, m * math.sqrt(max(var, 0.0) / spec.n_paths)
 

@@ -92,16 +92,6 @@ def _scale_mixture_integral(beta: float, power: float, q: float) -> float:
     return float(np.dot(weights, integrand))
 
 
-def _covariance(t: np.ndarray, hurst: float) -> np.ndarray:
-    """fbm_covariance(t, hurst), or DomainError where t^alpha overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        R = fbm_covariance(t, hurst)
-    if not np.isfinite(R).all():
-        raise DomainError(f"the fBm covariance overflows: t^alpha is not finite at "
-                          f"t = {t[-1]:g}, alpha = {2.0 * hurst:g}")
-    return R
-
-
 def _quadratic_form(th: np.ndarray, apply) -> float:
     """sum(th * apply(th)) for a linear map `apply`: formed directly, and
     where that is not finite, from u = th / s, s = max |th|, as
@@ -143,7 +133,7 @@ def fdd_density(params: ModelParams, times, theta) -> float:
     t = _check_times(times)
     n = len(t)
     th = _check_theta(theta, n, params.dim)
-    R = _covariance(t, params.hurst)
+    R = fbm_covariance(t, params.hurst)
     try:
         L = np.linalg.cholesky(R)
     except np.linalg.LinAlgError as exc:
@@ -170,7 +160,7 @@ def fdd_charfun(params: ModelParams, times, theta) -> float:
     """
     t = _check_times(times)
     th = _check_theta(theta, len(t), params.dim)
-    R = _covariance(t, params.hurst)
+    R = fbm_covariance(t, params.hurst)
     qsum = max(_quadratic_form(th, lambda x: R @ x), 0.0)
     if qsum == math.inf:
         _check_rule_beta(params.beta)

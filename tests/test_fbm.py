@@ -422,3 +422,17 @@ def test_factor_checks_its_grid_only_when_it_builds(monkeypatch):
     assert fbm_cholesky_factor(0.6, times) is L
     with pytest.raises(AssertionError):
         fbm_cholesky_factor(0.6, times[1:])
+
+
+@pytest.mark.parametrize("hurst", [0.75, 0.95])
+def test_covariance_past_the_float_range_is_refused(hurst):
+    """Where t^2H overflows a float, fbm_covariance raises DomainError, and
+    the batch sampler and the Cholesky factor inherit the refusal, where the
+    batch came out NaN with an overflow warning; a cache hit is not
+    affected, since no such grid is cached."""
+    times = np.array([1.0, 1e300])
+    for call in (lambda: fbm_covariance(times, hurst),
+                 lambda: fbm_cholesky_factor(hurst, times),
+                 lambda: sample_fbm_batch(hurst, times, 1, 4, make_stream(SeedSpec(0, 0)))):
+        with pytest.raises(DomainError, match="covariance overflows"):
+            call()

@@ -8,13 +8,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.special import gammaincc, hyp2f1
+from scipy.special import gammaincc, hyp1f1, hyp2f1
 
 from ggbm import ConvergenceError, DomainError, GreenDensity, ModelParams, \
-    bump_test_function, continuity_constant, gaussian_test_function, \
-    green_density_at, green_measure_of_ball, potential, tail_bound, \
-    time_integral_kernel
+    PerpetualSpec, SeedSpec, bump_test_function, continuity_constant, \
+    estimate_potential_mc, gaussian_test_function, green_density_at, \
+    green_measure_of_ball, potential, tail_bound, time_integral_kernel
 from ggbm import green
+from ggbm.montecarlo import exact_gaussian_moments
 from ggbm.green import _TAIL_MASS, unit_sphere_area
 from ggbm.specfun import green_constant
 
@@ -578,3 +579,154 @@ def test_green_ball_and_density_validate_their_inputs():
     for r in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             green_measure_of_ball(gd, x, c, r)
+
+
+# ---------------------------------------------------------------------------
+# Far and near points, and the Kummer function the Gaussian's potential uses
+# ---------------------------------------------------------------------------
+
+CENSUS_TRIPLES = [(0.5, 1.5, 3), (0.8, 1.2, 2), (0.9, 2.0, 2), (1.0, 1.0, 3), (0.5, 1.01, 2)]
+CENSUS_OFFSETS = [1e-170, 1e-160, 1e4, 1e8, 1e20, 1e100, 1e150, 1e154, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("triple", CENSUS_TRIPLES, ids=lambda t: "-".join(map(str, t)))
+def test_far_and_near_census(triple):
+    """At x = offset e_1 from the centre of a unit Gaussian and of a
+    radius-1 bump, every entry point returns a finite value >= 0, with no
+    warning: potential, estimate_potential_mc and exact_gaussian_moments up
+    to 1e150 from the centre, where they take x, and green_density_at,
+    green_measure_of_ball and time_integral_kernel at every offset.  From
+    1e154 on, past green._FAR, the first three raise DomainError.  Before,
+    the Gaussian's potential and its estimate were NaN from 1e8 on at
+    (0.5, 1.01, 2), and every entry point warned past 1e154."""
+    params = ModelParams(*triple)
+    d, gd = params.dim, GreenDensity.from_params(params)
+    gauss, bump = gaussian_test_function(1.0, d), bump_test_function(1.0, d)
+    spec = PerpetualSpec(50.0, 256, SeedSpec(0, 0))
+    origin = np.zeros(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for offset in CENSUS_OFFSETS:
+            x = origin.copy()
+            x[0] = offset
+            gated = [lambda: potential(gd, gauss, x), lambda: potential(gd, bump, x),
+                     lambda: estimate_potential_mc(params, gauss, x, spec).mean,
+                     lambda: estimate_potential_mc(params, bump, x, spec).mean,
+                     lambda: exact_gaussian_moments(params, gauss, x, spec)[0]]
+            for call in gated:
+                if offset > green._FAR:
+                    with pytest.raises(DomainError, match="must be at most"):
+                        call()
+                else:
+                    value = call()
+                    assert math.isfinite(value) and value >= 0.0, (offset, value)
+            for value in (green_density_at(gd, x, origin),
+                          green_measure_of_ball(gd, x, origin, 1.0),
+                          time_integral_kernel(params.alpha, d, 1.0, offset)):
+                assert math.isfinite(value) and value >= 0.0, (offset, value)
+
+
+@pytest.mark.parametrize("offset", [1e8, 1e20, 1e100])
+def test_gaussian_potential_far_out_near_the_boundary_vs_mpmath(offset):
+    """At (0.5, 1.01, 2), d alpha = 2.02 next to the paper's boundary
+    d alpha = 2, the Gaussian's potential far from its centre holds 1e-12
+    against the closed form D (2 pi s)^(d/2) (2 s)^(-p/2) Gamma(1/alpha) /
+    Gamma(d/2) 1F1(p/2; d/2; -z), z = |x - c|^2 / (2 s), summed by mpmath;
+    scipy's 1F1 alone was NaN there."""
+    params = ModelParams(0.5, 1.01, 2)
+    gd = GreenDensity.from_params(params)
+    sigma = 0.8
+    f = gaussian_test_function(sigma, 2, center=np.array([0.25, -1.0]))
+    x = f.center + offset * np.array([0.6, 0.8])
+    with mp.workdps(40):
+        alpha, s, r = mp.mpf(params.alpha), mp.mpf(sigma) ** 2, mp.mpf(offset)
+        p = 2 - 2 / alpha
+        exact = ((2 * mp.pi * s) * (2 * s) ** (-p / 2) * mp.gamma(1 / alpha)
+                 * mp.hyp1f1(p / 2, 1, -r * r / (2 * s)))
+    assert potential(gd, f, x) == pytest.approx(gd.D * float(exact), rel=1e-12, abs=0.0)
+
+
+# (alpha, d) of the domain: the criterion-1 pairs, alpha = 1.01 in d = 2,
+# 1F1(1/6; 3/2) at alpha = 0.75, and d = 30 at three alpha
+KUMMER_PAIRS = [(1.5, 3), (1.2, 2), (2.0, 2), (1.0, 3), (1.01, 2), (0.75, 3),
+                (1.0 / 0.53, 30), (0.3, 30), (2.0, 30)]
+
+
+@pytest.mark.parametrize("alpha,d", KUMMER_PAIRS, ids=str)
+def test_kummer_vs_mpmath_on_both_sides_of_its_switch(alpha, d):
+    """green.kummer holds 1e-14 against mpmath's 1F1(d/2 - 1/alpha; d/2; -z)
+    below its switch, where it is scipy's value, and above it, where it is
+    the large-z series, out to 1e300 wherever the value is a normal float;
+    at z below 2^-54 it is exactly 1."""
+    switch = green._KUMMER_SWITCH
+    a, b = 0.5 * d - 1.0 / alpha, 0.5 * d
+    for z in (0.0, 1e-320, 1e-160, 1e-20, 1e-17, 0.1, 8.0, 0.5 * switch,
+              (1.0 - 1e-9) * switch, switch, 1.5 * switch, 1e4, 1e8, 1e20, 1e100, 1e300):
+        got = green.kummer(alpha, d, z)
+        with mp.workdps(40):
+            exact = float(mp.hyp1f1(a, b, -mp.mpf(z)))
+        if z < 2.0 ** -54:
+            assert got == 1.0, z
+        elif exact > 1e-290:
+            assert got == pytest.approx(exact, rel=1e-14, abs=0.0), z
+        else:  # a value near or past the float range's bottom
+            assert 0.0 <= got <= 1e-290, z
+
+
+@pytest.mark.parametrize("alpha,d", KUMMER_PAIRS, ids=str)
+def test_kummer_is_scipy_below_its_switch(alpha, d):
+    """Between 2^-54 and the switch kummer returns scipy's hyp1f1 bit for
+    bit, so every value the workloads compute keeps its bits."""
+    a, b = 0.5 * d - 1.0 / alpha, 0.5 * d
+    for z in np.geomspace(1e-16, green._KUMMER_SWITCH, 40, endpoint=False):
+        assert green.kummer(alpha, d, z) == hyp1f1(a, b, -z)
+
+
+def test_kummer_series_that_does_not_settle_raises():
+    """At d = 400, alpha = 0.01 (a = 100, 1 - 1/alpha = -99) the series'
+    terms still grow at the switch: ConvergenceError, not a wrong value."""
+    with pytest.raises(ConvergenceError, match="does not settle"):
+        green.kummer(0.01, 400, green._KUMMER_SWITCH)
+
+
+def test_distance_is_the_sum_of_squares_where_that_is_normal():
+    """Where |x - y|^2 is a normal float, _distance gives np.sum((x - y)**2)
+    bit for bit and its square root; closer or further apart, the distance
+    is math.hypot's within an ulp, with no warning, and only its square
+    leaves the float range; an offset past the float range is inf."""
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        x, y = rng.standard_normal((2, 3)) * 10.0 ** rng.uniform(-100, 100)
+        r, r2 = green._distance(x, y)
+        assert r2 == float(np.sum((x - y) ** 2)) and r == math.sqrt(r2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in ((np.array([3e-170, 4e-170, 0.0]), np.zeros(3)),
+                     (np.array([3e200, -4e200, 0.0]), np.zeros(3)),
+                     (np.array([5e-324, 0.0]), np.zeros(2))):
+            r, r2 = green._distance(x, y)
+            assert r == pytest.approx(math.hypot(*(x - y)), rel=2.3e-16, abs=0.0)
+            assert r2 == r * r
+        assert green._distance(np.array([1.5e308, 0.0]), np.array([-1.5e308, 0.0])) == \
+            (math.inf, math.inf)
+        assert green._distance(np.ones(3), np.ones(3)) == (0.0, 0.0)
+
+
+def test_green_density_at_near_points_is_finite_or_names_its_overflow():
+    """Two distinct points 1e-170 apart have the finite density D r^(-p),
+    where the norm's square underflowed and the density was refused as
+    singular; at 1e-200 apart the power overflows, which raises DomainError
+    in place of Python's OverflowError."""
+    gd = GreenDensity.from_params(ModelParams(0.5, 1.5, 3))
+    near = np.array([1e-170, 0.0, 0.0])
+    assert green_density_at(gd, near, np.zeros(3)) == pytest.approx(
+        gd.D * 1e-170 ** (2.0 / 1.5 - 3.0), rel=1e-14)
+    with pytest.raises(DomainError, match="overflows a float"):
+        green_density_at(gd, np.array([1e-200, 0.0, 0.0]), np.zeros(3))
+
+
+def test_time_integral_kernel_that_overflows_is_domain_error():
+    """r^(2/alpha - d) past the float range raises DomainError naming the
+    overflow, where Python raised OverflowError."""
+    with pytest.raises(DomainError, match="overflows a float"):
+        time_integral_kernel(1.5, 3, 1.0, 1e-300)

@@ -18,7 +18,7 @@ from ggbm import blas, fbm, green
 from ggbm.fbm import sample_fbm_batch
 from ggbm.montecarlo import _BLOCK_SIZE, _CHUNK_SIZE, _GAUSSIAN_STEPS_PER_DECADE, \
     _STEPS_PER_DECADE, _T_MIN, _block_values, _chunk_sums, _clock, \
-    _gaussian_grid_moments, _gaussian_law, _gaussian_plan, _trapezoid, _trapezoid_weights, \
+    _gaussian_law, _gaussian_plan, _trapezoid, _trapezoid_weights, \
     build_time_grid, exact_gaussian_moments
 from ggbm.randvar import make_stream
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
@@ -596,16 +596,27 @@ def test_raw_grid_mean_reproduces_exact_grid_sum(x):
     assert abs(trap.mean() - exact) <= 3.0 * se
 
 
-def _grid_sd(params, sigma, r, times, moments=None):
+def _grid_sd(params, sigma, r, times, sampled=1):
     """Exact per-path SD of the trapezoid sum on times of a unit Gaussian of
     width sigma at distance r from its centre: the conditioned sum the
-    estimator draws (_gaussian_grid_moments), or the one of f along whole
-    paths for moments=_componentwise_grid_moments."""
+    estimator draws (sampled=1), or the one of f along whole paths for
+    sampled=params.dim (_sampled_grid_moments)."""
     f = gaussian_test_function(sigma, params.dim)
     x = np.zeros(params.dim)
     x[0] = r
-    moments = moments or _gaussian_grid_moments
-    return math.sqrt(moments(params, f, x, times, _trapezoid_weights(times))[1])
+    return math.sqrt(_sampled_grid_moments(params, f, x, times, _trapezoid_weights(times),
+                                           sampled)[1])
+
+
+def _exact_grid_moments(params, f, x):
+    """The grid mean and variance of the per-path sum the estimator draws for
+    a Gaussian f on its clock at t_max = 50: the mean from _gaussian_plan,
+    the variance from exact_gaussian_moments' SE at one path, over m^2."""
+    spec = PerpetualSpec(50.0, 1, SeedSpec(0, 0))
+    times = _clock(params, f, spec)
+    mean = _gaussian_plan(params, f, x, times, _trapezoid_weights(times))[2]
+    m = m_wright_moment(params.beta, -1.0 / params.alpha)
+    return mean, (exact_gaussian_moments(params, f, x, spec)[1] / m) ** 2
 
 
 def test_exact_grid_variance_matches_sampled_paths():
@@ -616,7 +627,7 @@ def test_exact_grid_variance_matches_sampled_paths():
     x = np.array([1.0, -0.5])
     times = _clock(params, f, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     w = _trapezoid_weights(times)
-    mean, var, _ = _gaussian_grid_moments(params, f, x, times, w)
+    mean, var = _exact_grid_moments(params, f, x)
     _, rows, _, _ = _gaussian_plan(params, f, x, times, w)
     f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(6, 0)), 8192)
     trap = _trapezoid(f0, fv, rows)
@@ -624,19 +635,23 @@ def test_exact_grid_variance_matches_sampled_paths():
     assert trap.std(ddof=1) == pytest.approx(math.sqrt(var), rel=0.05)
 
 
-def _componentwise_grid_moments(params, f, x, times, w):
-    """Mean and variance of w . f(x + B_H(times)) for a Gaussian f sampled in
-    all d components: the second moment is w^T C w with
-    C_jk = A^2 (s^2 / D)^(d/2) exp(-|x - c|^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
-    a_j = t_j^alpha, k_jk fBm's covariance and
-    D = (s + a_j) (s + a_k) - k_jk^2."""
+def _sampled_grid_moments(params, f, x, times, w, sampled):
+    """Mean and variance of w . h(times) for a Gaussian f, h(t) the mean of
+    f(x + B_H(t)) given `sampled` of B_H's d components, the first along
+    x - c: f along whole paths at sampled = d, the conditioned sum the
+    estimator draws at 1.  The second moment is w^T C w with
+    C_jk = A^2 rho_j rho_k (s^2 / D)^(sampled/2)
+    exp(-|x - c|^2 (2 s + a_j + a_k - 2 k_jk) / (2 D)),
+    rho = (s / (s + a))^((d - sampled) / 2), a_j = t_j^alpha, k_jk fBm's
+    covariance and D = (s + a_j) (s + a_k) - k_jk^2."""
     d, s = params.dim, f.spread
     r2 = float(np.sum((x - f.center) ** 2))
     a = times ** params.alpha
     aj, ak = a[:, None], a[None, :]
     k = 0.5 * (aj + ak - np.abs(times[:, None] - times[None, :]) ** params.alpha)
     det = (s + aj) * (s + ak) - k * k
-    c = f(f.center) ** 2 * (s * s / det) ** (0.5 * d) * np.exp(
+    rho = (s / (s + a)) ** (0.5 * (d - sampled))
+    c = f(f.center) ** 2 * np.outer(rho, rho) * (s * s / det) ** (0.5 * sampled) * np.exp(
         -0.5 * r2 * (2.0 * s + aj + ak - 2.0 * k) / det)
     g = _gaussian_mean_along_fbm(params, math.sqrt(s), f(f.center), math.sqrt(r2), times)
     return float(w @ g), float(w @ (c - np.outer(g, g)) @ w)
@@ -650,7 +665,7 @@ def test_componentwise_grid_variance_matches_sampled_paths():
     f, x = _norms_only(g), np.array([1.0, -0.5])
     times = _clock(params, g, PerpetualSpec(50.0, 1, SeedSpec(0, 0)))
     w = _trapezoid_weights(times)
-    mean, var = _componentwise_grid_moments(params, g, x, times, w)
+    mean, var = _sampled_grid_moments(params, g, x, times, w, params.dim)
     f0, fv = f(x), _block_values(params, f, x, times)[0](make_stream(SeedSpec(6, 0)), 8192)
     trap = _trapezoid(f0, fv, w)
     assert trap.mean() == pytest.approx(mean, abs=3.0 * math.sqrt(var / len(trap)))
@@ -670,10 +685,29 @@ def test_conditioning_never_raises_the_grid_variance(triple):
     for r in (0.0, 1.5, 3.0):
         x = np.zeros(params.dim)
         x[-1] = r
-        mean, var, _ = _gaussian_grid_moments(params, f, x, times, w)
-        whole_mean, whole_var = _componentwise_grid_moments(params, f, x, times, w)
+        mean, var = _exact_grid_moments(params, f, x)
+        whole_mean, whole_var = _sampled_grid_moments(params, f, x, times, w, params.dim)
         assert mean == pytest.approx(whole_mean, rel=1e-13)
         assert 0.0 < var <= whole_var
+
+
+@pytest.mark.parametrize("triple", [(0.5, 1.5, 3), (0.8, 1.2, 2), (0.9, 2.0, 2), (1.0, 1.0, 3)],
+                         ids=lambda t: "-".join(map(str, t)))
+def test_exact_gaussian_moments_match_the_conditioned_oracle(triple):
+    """exact_gaussian_moments' SE is m sqrt(var / n_paths), var the variance
+    of the conditioned per-path sum on the clock, which the oracle forms
+    from its own fBm covariance, at the centre and 1.5 off it."""
+    params = ModelParams(*triple)
+    f = gaussian_test_function(1.0, params.dim)
+    spec = PerpetualSpec(50.0, 4096, SeedSpec(0, 0))
+    times = _clock(params, f, spec)
+    m = m_wright_moment(params.beta, -1.0 / params.alpha)
+    for r in (0.0, 1.5):
+        x = np.zeros(params.dim)
+        x[0] = r
+        _, var = _sampled_grid_moments(params, f, x, times, _trapezoid_weights(times), 1)
+        se = exact_gaussian_moments(params, f, x, spec)[1]
+        assert se == pytest.approx(m * math.sqrt(var / spec.n_paths), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("triple", [(0.5, 1.5, 3), (0.8, 1.2, 2), (0.9, 2.0, 2), (1.0, 1.0, 3)],
@@ -712,9 +746,8 @@ def test_gaussian_clock_start_keeps_the_grid_variance(alpha, dim):
         late = build_time_grid(spec, _STEPS_PER_DECADE, start)
         assert start > _T_MIN and len(late) < len(full)
         for r in (0.0, 1.5):
-            assert _grid_sd(params, sigma, r, late, _componentwise_grid_moments) == \
-                pytest.approx(_grid_sd(params, sigma, r, full, _componentwise_grid_moments),
-                              rel=0.005)
+            assert _grid_sd(params, sigma, r, late, dim) == \
+                pytest.approx(_grid_sd(params, sigma, r, full, dim), rel=0.005)
             assert _grid_sd(params, sigma, r, late) == pytest.approx(
                 _grid_sd(params, sigma, r, full), rel=0.0075)
 
@@ -1001,3 +1034,19 @@ def test_estimate_to_dict_roundtrip():
     assert back["n_paths"] == 256
     assert back["params"]["beta"] == 0.5
     assert back["seed"]["master_seed"] == 7
+
+
+def test_bump_estimate_at_alpha_just_below_two_runs_on_the_lifted_factor():
+    """At (0.5, 2 - 1e-9, 2) plain Cholesky fails on the bump's 152-point
+    clock, and fbm_cholesky_factor's diagonal lift is what lets the
+    estimate run: a guard that the lift stays until it is reported, since
+    refusing close times there would refuse this estimate."""
+    params = ModelParams(0.5, 2.0 - 1e-9, 2)
+    f = bump_test_function(1.0, 2)
+    spec = PerpetualSpec(t_max=50.0, n_paths=256, seed=SeedSpec(0, 0))
+    times = _clock(params, f, spec)[1:]
+    assert len(times) == 152
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(fbm.fbm_covariance(times, params.hurst))
+    est = estimate_potential_mc(params, f, np.zeros(2), spec)
+    assert math.isfinite(est.mean) and est.mean > 0.0 and math.isfinite(est.budget)
