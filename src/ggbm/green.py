@@ -175,7 +175,7 @@ def gaussian_test_function(sigma: float, dim: int, center=None,
         # order of A * exp(-0.5 * |pts - c|^2 / sigma^2)
         diff = pts - c
         np.square(diff, out=diff)
-        d2 = np.sum(diff, axis=-1)
+        d2 = np.add.reduce(diff, axis=-1)
         d2 *= -0.5
         d2 /= sigma * sigma
         np.exp(d2, out=d2)

@@ -50,6 +50,7 @@ but no variance.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -111,6 +112,12 @@ _CHUNK_SIZE = 2048
 # byte size, and a change of it changes every estimate's bits.  A declared
 # Gaussian's block is the whole chunk (_block_values).
 _BLOCK_SIZE = 256
+# The budget's floor, in units of eps |mean|.  Where every path value
+# underflows (a Gaussian f far from x), SE = 0, while the fold's closed form
+# in the mean and the potential's route through D still differ by their
+# rounding: by at most 3.7 eps |mean| over the four criterion-1 triples and
+# (0.5, 1.01, 2) at |x - c| from 1e2 to 1e152, where the budget was 0.
+_BUDGET_FLOOR_EPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -153,8 +160,11 @@ class Estimate:
 
     @property
     def budget(self) -> float:
-        """The certified half-width 3 SE + tail bound + discretization bound."""
-        return 3.0 * self.std_error + self.tail_bound + self.discretization_bound
+        """The certified half-width 3 SE + tail bound + discretization bound,
+        and no less than _BUDGET_FLOOR_EPS eps |mean|, the rounding of the
+        mean; a sum past that floor is the budget, bit for bit."""
+        return max(3.0 * self.std_error + self.tail_bound + self.discretization_bound,
+                   _BUDGET_FLOOR_EPS * sys.float_info.epsilon * abs(self.mean))
 
     def to_dict(self, params: ModelParams | None = None,
                 f: TestFunction | None = None, x=None) -> dict:
@@ -187,11 +197,12 @@ def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
 
 def _kurtosis(s1: float, s2: float, s3: float, s4: float, n: int) -> float:
     """E[(v - mu)^4] / var^2 of n values from their power sums; nan when
-    the values are all equal."""
+    the values are all equal, or their var^2 underflows to 0 (var below
+    about 1e-162, as where all but a few path values underflow)."""
     mu = s1 / n
     var = s2 / n - mu * mu
     m4 = (s4 - 4.0 * mu * s3 + 6.0 * mu * mu * s2) / n - 3.0 * mu ** 4
-    return m4 / (var * var) if var > 0.0 else math.nan
+    return m4 / (var * var) if var > 0.0 and var * var > 0.0 else math.nan
 
 
 def build_time_grid(spec: PerpetualSpec, steps_per_decade: int = _STEPS_PER_DECADE,

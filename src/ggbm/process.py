@@ -8,6 +8,11 @@ matrix (t_k^a + t_j^a - |t_k - t_j|^a)/2 per component.  This makes the
 one-point case agree with the increment characteristic function
 E_beta(-|k|^2 t^a / 2) and with the moment/covariance identities; the
 same R appears inside the joint density.
+
+Each density evaluation factors R afresh at a fresh beta's cold caches, so
+the densities call the compiled kernels directly, not numpy's and scipy's
+Python-level wrappers around them: numpy's potrf gufunc for the factor,
+scipy's LAPACK potrs for the solve, and the ufuncs' own methods.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve
+from numpy.linalg._umath_linalg import cholesky_lo
+from scipy.linalg.lapack import dpotrs
 
 from .exceptions import DomainError, SingularMatrixError
 from .fbm import GridSpec, Path, _fbm_values, fbm_covariance
@@ -37,12 +43,14 @@ _MAX_FDD_POINTS = 8
 
 
 def _check_times(times) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(times, dtype=float))
+    t = np.asarray(times, dtype=float)
+    if t.ndim == 0:
+        t = t.reshape(1)
     if t.ndim != 1 or len(t) < 1:
         raise DomainError("times must be a nonempty 1-D array")
     if len(t) > _MAX_FDD_POINTS:
         raise DomainError(f"at most {_MAX_FDD_POINTS} time points supported")
-    if not (np.isfinite(t).all() and t[0] > 0.0 and (np.diff(t) > 0.0).all()):
+    if not (np.isfinite(t).all() and t[0] > 0.0 and (t[1:] > t[:-1]).all()):
         raise DomainError("times must be finite, strictly increasing and positive")
     return t
 
@@ -98,12 +106,12 @@ def _quadratic_form(th: np.ndarray, apply) -> float:
     sum(u * apply(u)) s s, which is +inf only where the form itself
     overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q = float(np.sum(th * apply(th)))
+        q = float(np.add.reduce(th * apply(th), axis=None))
         if math.isfinite(q):
             return q
         s = float(np.max(np.abs(th)))
         u = th / s
-        return float(np.sum(u * apply(u))) * s * s
+        return float(np.add.reduce(u * apply(u), axis=None)) * s * s
 
 
 def _check_theta(theta, n: int, d: int) -> np.ndarray:
@@ -134,15 +142,20 @@ def fdd_density(params: ModelParams, times, theta) -> float:
     n = len(t)
     th = _check_theta(theta, n, params.dim)
     R = fbm_covariance(t, params.hurst)
-    try:
-        L = np.linalg.cholesky(R)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("covariance matrix gamma_alpha is singular") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    # np.linalg.cholesky's gufunc, NaN (with the invalid flag set) where
+    # potrf fails; scipy's dpotrf runs on another OpenBLAS build, whose
+    # factor differs in the last bits for a fifth of the R at 5 to 8 times.
+    # R, theta and the times are finite and square, so the wrappers'
+    # checks have nothing to catch.
+    with np.errstate(invalid="ignore"):
+        L = cholesky_lo(R, signature="d->d")
+    if math.isnan(L[0, 0]):
+        raise SingularMatrixError("covariance matrix gamma_alpha is singular")
+    logdet = 2.0 * float(np.add.reduce(np.log(L.diagonal())))
     # potrs, not solve_triangular: scipy's trsm wakes its OpenBLAS threads,
     # which then spin and double the CPU time of every later call; a q
     # that overflows is +inf, where the density is 0
-    q = _quadratic_form(th, lambda x: cho_solve((L, True), x))
+    q = _quadratic_form(th, lambda x: dpotrs(L, x, lower=1)[0])
     d, nd = params.dim, n * params.dim
     pref = (2.0 * math.pi) ** (-0.5 * nd) * math.exp(-0.5 * d * logdet)
     if q == 0.0 and params.beta < 1.0:

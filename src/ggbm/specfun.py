@@ -31,7 +31,9 @@ an ulp of its sum, so the rest of the block leaves the sum's bits as they
 were at that row.  Kanter's integrand exp(v - e^v) is exactly 0.0 once
 v >= 7, where numpy's exp costs over ten times what it costs in range, so
 it is formed only on each node group's window of theta (_kanter_matrix)
-and the rest of the matrix stays 0.
+and the rest of the matrix stays 0.  Each fresh rule finds numpy's
+Python-level helpers cold, so the build calls the ufuncs and ndarray
+methods they wrap instead.
 
 E_beta(-x) = int_0^inf exp(-x tau) M_beta(tau) dtau (Mainardi, Mura &
 Pagnini 2010), so E_beta, the characteristic functions and the densities
@@ -183,7 +185,7 @@ def _mw_coefficients(beta: float, n: np.ndarray):
     """
     n1 = n + 1.0
     zb = beta * n1
-    r = np.round(zb)
+    r = np.rint(zb)
     # sin(pi*zb) with argument reduction, exactly 0.0 at integers, times
     # (-1)^n in one factor (-1)^(r+n): products of signs are exact
     sign = np.sin(np.pi * (zb - r)) * np.where((r + n) % 2, -1.0, 1.0)
@@ -233,7 +235,8 @@ def _series(beta: float, tau: np.ndarray, errors: bool = True):
     # carried from block to block while it is live, and kept at its exit
     # (NaN for a node that leaves without a value)
     carry = np.zeros((k + 2, tau.size))
-    fin = np.full((k + 2, tau.size), np.nan)
+    fin = np.empty((k + 2, tau.size))
+    fin.fill(np.nan)
     ends = np.zeros(tau.size, dtype=np.int64)
     live = np.arange(tau.size)
     start = 0
@@ -372,8 +375,11 @@ def _kanter_edges(beta: float):
     d = _kanter_log_a(beta, _THETA_TABLE) - _log_a0(beta)
     table = np.maximum.accumulate(d)
     grading = np.interp(_KANTER_GRADING, table, _THETA_TABLE)
-    edges = np.unique(np.concatenate([[0.0], np.interp(_KANTER_LEVELS, table, _THETA_TABLE),
-                                      grading[grading > 0.5 * math.pi], [math.pi]]))
+    edges = np.concatenate([[0.0], np.interp(_KANTER_LEVELS, table, _THETA_TABLE),
+                            grading[grading > 0.5 * math.pi], [math.pi]])
+    # np.unique's sort and drop of repeats, without its wrapper
+    edges.sort()
+    edges = np.concatenate([edges[:1], edges[1:][edges[1:] != edges[:-1]]])
     edges.flags.writeable = False
     return edges, float(d[-1])
 
@@ -421,7 +427,7 @@ def _kanter_matrix(d, log_u0):
     low = np.minimum.accumulate(d[::-1])[::-1]
     for start in range(0, log_u0.size, _KANTER_ROWS):
         rows = log_u0[start:start + _KANTER_ROWS]
-        width = int(np.searchsorted(low, _KANTER_ZERO - rows.min()))
+        width = int(low.searchsorted(_KANTER_ZERO - rows.min()))
         out[start:start + _KANTER_ROWS, :width] = _kanter_integrand(d[:width], rows)
     return out
 
@@ -515,15 +521,16 @@ def _mw_values(beta: float, tau: np.ndarray, errors: bool = True):
     refuses (test_series_takes_every_node_routed_to_it checks this).
     Kanter's integral also takes any node that the series leaves as NaN,
     as where log B_0 passes the overflow guard near BETA_MIN."""
-    value = np.full(tau.size, np.nan)
-    err = np.full(tau.size, np.nan) if errors else None
+    value = np.empty(tau.size)
+    value.fill(np.nan)
+    err = value.copy() if errors else None
     terms = np.zeros(tau.size, dtype=np.int64)
     depth = -_log_u0(beta, tau)
-    head = np.flatnonzero(depth >= min(_SERIES_REACH / (1.0 - beta), _SPIKE_DEPTH))
+    head = (depth >= min(_SERIES_REACH / (1.0 - beta), _SPIKE_DEPTH)).nonzero()[0]
     value[head], head_err, terms[head] = _series(beta, tau[head], errors)
     if errors:
         err[head] = head_err
-    tail = np.flatnonzero(np.isnan(value))
+    tail = np.isnan(value).nonzero()[0]
     if tail.size:
         value[tail], tail_err = _mw_integral(beta, tau[tail], errors)
         if errors:
@@ -543,12 +550,17 @@ def m_wright_cutoff(beta: float) -> float:
 
 def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
     """np.geomspace(start, stop, num) for start, stop > 0 and num >= 2, bit
-    for bit: numpy's own steps, num points of linspace between the log10
-    of the ends raised to base 10, both ends pinned, without the dtype,
-    sign and axis handling that makes up most of np.geomspace's time."""
-    out = 10.0 ** np.linspace(np.log10(start), np.log10(stop), num)
-    out[0], out[-1] = start, stop
-    return out
+    for bit: numpy's own steps, linspace's arithmetic between the log10 of
+    the ends (np.log10's, which math.log10 misses by an ulp at some ends)
+    raised to base 10, both ends pinned, without the dtype, sign and axis
+    handling that makes up most of np.geomspace's and np.linspace's time."""
+    lo, hi = np.log10(start), np.log10(stop)
+    y = np.arange(float(num))
+    y *= (hi - lo) / (num - 1)
+    y += lo
+    np.power(10.0, y, out=y)
+    y[0], y[-1] = start, stop
+    return y
 
 
 def _rule_edges(beta: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import mpmath
@@ -16,10 +17,10 @@ from ggbm import DomainError, GreenDensity, ModelParams, \
     gaussian_test_function, potential, tail_bound
 from ggbm import blas, fbm, green
 from ggbm.fbm import sample_fbm_batch
-from ggbm.montecarlo import _BLOCK_SIZE, _CHUNK_SIZE, _GAUSSIAN_STEPS_PER_DECADE, \
-    _STEPS_PER_DECADE, _T_MIN, _block_values, _chunk_sums, _clock, \
-    _gaussian_law, _gaussian_plan, _trapezoid, _trapezoid_weights, \
-    build_time_grid, exact_gaussian_moments
+from ggbm.montecarlo import _BLOCK_SIZE, _BUDGET_FLOOR_EPS, _CHUNK_SIZE, \
+    _GAUSSIAN_STEPS_PER_DECADE, _STEPS_PER_DECADE, _T_MIN, _block_values, \
+    _chunk_sums, _clock, _gaussian_law, _gaussian_plan, _trapezoid, \
+    _trapezoid_weights, Estimate, build_time_grid, exact_gaussian_moments
 from ggbm.randvar import make_stream
 from ggbm.specfun import m_wright_moment, m_wright_quad_rule
 from ggbm.verify import run_suite
@@ -875,6 +876,58 @@ def test_budget_adds_the_three_terms():
     est = estimate_potential_mc(params, bump_test_function(1.0, 3), np.zeros(3), spec)
     assert min(est.std_error, est.tail_bound, est.discretization_bound) > 0.0
     assert est.budget == 3.0 * est.std_error + est.tail_bound + est.discretization_bound
+
+
+# where every path value of a unit Gaussian underflows the budget was 0, and
+# the mean and V differ by their rounding; at (0.5, 1.5, 3) and |x - c| =
+# 1e2 a few paths near t_max come close enough to f, and 4096 paths miss
+# them: a sampling miss of 1.8e-6 relative, not rounding
+_FAR_CERTIFICATES = [
+    pytest.param(0.5, 1.5, 3, 1e2, marks=pytest.mark.xfail(
+        strict=True, reason="4096 paths miss the rare paths that reach f before t_max")),
+    *[(0.5, 1.5, 3, r) for r in (1e3, 1e8, 1e150)],
+    *[(*t, r) for t in [(0.8, 1.2, 2), (0.9, 2.0, 2), (1.0, 1.0, 3), (0.5, 1.01, 2)]
+      for r in (1e2, 1e3, 1e8, 1e150)],
+]
+
+
+@pytest.mark.parametrize("beta,alpha,dim,r", _FAR_CERTIFICATES)
+def test_far_gaussian_certificate_holds_at_its_rounding_floor(beta, alpha, dim, r):
+    """Far from a unit Gaussian's centre, as `ggbm estimate-potential --paths
+    4096 --x 1e3,0,0` runs it, |mean - V| <= budget: the budget never falls
+    below its floor of _BUDGET_FLOOR_EPS eps |mean|, which the 3 SE that is
+    0 there no longer sets."""
+    params = ModelParams(beta, alpha, dim)
+    f = gaussian_test_function(1.0, dim)
+    x = np.zeros(dim)
+    x[0] = r
+    spec = PerpetualSpec(t_max=50.0, n_paths=4096, seed=SeedSpec(0, 0))
+    est = estimate_potential_mc(params, f, x, spec)
+    v = potential(GreenDensity.from_params(params), f, x)
+    floor = _BUDGET_FLOOR_EPS * sys.float_info.epsilon * abs(est.mean)
+    assert est.budget >= floor > 0.0
+    assert abs(est.mean - v) <= est.budget, (est.mean, v, est.budget)
+
+
+def test_budget_floor_keeps_a_budget_above_it():
+    """A budget whose 3 SE + tail + disc passes the floor is that sum, bit
+    for bit, and one below it is the floor."""
+    est = Estimate(mean=2.0, std_error=1e-3, n_paths=4, tail_bound=1e-4,
+                   discretization_bound=2e-4, t_max=1.0, seed=SeedSpec(0, 0), kurtosis=1.0)
+    assert est.budget == 3.0 * 1e-3 + 1e-4 + 2e-4
+    tiny = dataclasses.replace(est, std_error=0.0, tail_bound=0.0, discretization_bound=0.0)
+    assert tiny.budget == _BUDGET_FLOOR_EPS * sys.float_info.epsilon * 2.0
+
+
+def test_estimate_where_the_variance_squared_underflows():
+    """At (0.5, 1.5, 3), |x - c| = 1e2 and seed 0 a few path values do not
+    underflow, so the variance is positive but its square is 0; the
+    kurtosis is NaN there, as where the values are all equal, where it was
+    a ZeroDivisionError."""
+    spec = PerpetualSpec(t_max=50.0, n_paths=4096, seed=SeedSpec(0, 0))
+    est = estimate_potential_mc(ModelParams(0.5, 1.5, 3), gaussian_test_function(1.0, 3),
+                                np.array([1e2, 0.0, 0.0]), spec)
+    assert 0.0 < est.std_error < 1e-81 and math.isnan(est.kurtosis)
 
 
 def test_exact_gaussian_moments_need_a_gaussian():

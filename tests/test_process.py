@@ -6,11 +6,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.linalg import cho_solve
 
 from ggbm import DomainError, GridSpec, ModelParams, SeedSpec, fdd_charfun, \
     fdd_density, ggbm_path_product, ggbm_path_subordinated, ggbm_paths, \
     marginal_density, mittag_leffler
+from ggbm.exceptions import SingularMatrixError
+from ggbm.fbm import fbm_covariance
 from ggbm.green import unit_sphere_area
+from ggbm.process import _scale_mixture_integral
+from ggbm.specfun import m_wright_moment
 
 
 def test_model_params_validation():
@@ -307,3 +312,57 @@ def test_covariance_suite_tolerance_is_the_exact_standard_error():
         kst = 0.5 * (kss + ktt - abs(t - s) ** 1.5)
         expected.append(3.0 * math.sqrt(3.0 * (kss * ktt + kst * kst) / 1000))
     assert tolerances(1.0, 1) == pytest.approx(expected, rel=1e-14)
+
+
+def _reference_fdd_density(params, times, theta):
+    """fdd_density step for step as numpy's and scipy's wrappers form it:
+    the factor from np.linalg.cholesky, the solve from cho_solve, the sums
+    from np.sum."""
+    t = np.asarray(times, dtype=float)
+    th = np.asarray(theta, dtype=float).reshape(len(t), params.dim)
+    L = np.linalg.cholesky(fbm_covariance(t, params.hurst))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+
+    def form(v):
+        return float(np.sum(v * cho_solve((L, True), v)))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = form(th)
+        if not math.isfinite(q):
+            s = float(np.max(np.abs(th)))
+            q = form(th / s) * s * s
+    d, nd = params.dim, th.size
+    pref = (2.0 * math.pi) ** (-0.5 * nd) * math.exp(-0.5 * d * logdet)
+    if q == 0.0 and params.beta < 1.0:
+        return math.inf if nd >= 2 else pref * m_wright_moment(params.beta, -0.5)
+    return pref * _scale_mixture_integral(params.beta, 0.5 * nd, q)
+
+
+def test_densities_equal_the_numpy_cholesky_reference():
+    """fdd_density factors R with LAPACK's potrf and solves with potrs
+    directly; its values are bit for bit those of np.linalg.cholesky and
+    cho_solve, at 1 to 8 times in d = 1 to 3 with seeded theta, at theta
+    whose quadratic form overflows (density 0), and for marginal_density."""
+    rng = np.random.default_rng(47)
+    for n in range(1, 9):
+        for d in (1, 2, 3):
+            for _ in range(3):
+                params = ModelParams(rng.uniform(0.05, 0.99), rng.uniform(1.05, 1.95), d)
+                times = np.sort(rng.uniform(0.1, 3.0, n))
+                theta = rng.standard_normal((n, d))
+                for th in (theta, 1e200 * theta):
+                    value = fdd_density(params, times, th)
+                    assert value == _reference_fdd_density(params, times, th), (n, d, th)
+                y, t = rng.standard_normal(d), rng.uniform(0.1, 3.0)
+                assert marginal_density(params, y, t) == \
+                    _reference_fdd_density(params, [t], y), (d, y, t)
+    assert fdd_density(ModelParams(0.5, 1.5, 1), [1.0], [[1e200]]) == 0.0
+
+
+@pytest.mark.parametrize("times", [[1.0, 2.0], [0.5, 1.0, 1.5], [0.3, 0.7]])
+def test_fdd_density_at_alpha_two_is_singular(times):
+    """At alpha = 2 (H = 1) R = t t^T has rank one, and potrf finds no
+    positive pivot past the first: SingularMatrixError."""
+    params = ModelParams(0.5, 2.0, 1)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        fdd_density(params, times, np.ones(len(times)))

@@ -568,6 +568,22 @@ def test_kanter_rules_read_a_nondecreasing_table(monkeypatch):
             assert np.all(np.diff(xp) >= 0.0), beta
 
 
+def test_kanter_edges_equal_the_np_unique_form():
+    """_kanter_edges sorts its panel ends and drops repeats itself; the
+    edges are bit for bit np.unique's of the same ends at 200 beta from
+    BETA_MIN to _BETA_MAX."""
+    for beta in np.geomspace(specfun.BETA_MIN, specfun._BETA_MAX, 200):
+        beta = float(beta)
+        d = specfun._kanter_log_a(beta, specfun._THETA_TABLE) - specfun._log_a0(beta)
+        table = np.maximum.accumulate(d)
+        grading = np.interp(specfun._KANTER_GRADING, table, specfun._THETA_TABLE)
+        ends = np.concatenate([[0.0], np.interp(specfun._KANTER_LEVELS, table, specfun._THETA_TABLE),
+                               grading[grading > 0.5 * math.pi], [math.pi]])
+        edges, reach = specfun._kanter_edges.__wrapped__(beta)
+        assert edges.tobytes() == np.unique(ends).tobytes(), beta
+        assert reach == float(d[-1])
+
+
 @pytest.mark.parametrize("beta", [0.05, 0.3, 0.7, 0.9])
 def test_kanter_kernel_matches_adaptive_quad(beta):
     """The array kernel of Kanter's integral against the mpmath series,
