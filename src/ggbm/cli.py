@@ -3,12 +3,14 @@
 Subcommands: eval, sample, verify, estimate-potential.  Exit codes:
 0 success, 1 verification failure, 2 usage, domain or numeric error.  JSON is the
 machine contract; CSV is used only for path dumps.  GGBM_DEFAULT_SEED is
-honored when --seed is absent.
+honored when --seed is absent.  `verify <suite>` offers the parameters in the
+suite's signature as options, and passes on only those given.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -21,7 +23,7 @@ from . import verify as verify_mod
 from .exceptions import GgbmError
 from .fbm import GridSpec, generate_fbm, write_table
 from .model import ModelParams
-from .process import fdd_charfun, marginal_density
+from .process import fdd_charfun, ggbm_path_product, marginal_density
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
 from .specfun import green_constant, m_wright, mittag_leffler
 
@@ -93,7 +95,6 @@ def cmd_sample(args) -> int:
     if what == "fbm":
         path = generate_fbm(args.hurst, grid, args.dim, seed)
     else:  # ggbm
-        from .process import ggbm_path_product
         params = ModelParams(args.beta, args.alpha, args.dim)
         path = ggbm_path_product(params, grid, seed)
     path.to_csv(target)
@@ -101,16 +102,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify_mod.run_suite(
-        args.suite,
-        beta=args.beta,
-        alpha=args.alpha,
-        dim=args.dim,
-        paths=args.paths,
-        seed=_default_seed(args),
-        t_max=args.t_max,
-        threads=args.threads,
-    )
+    names = inspect.signature(verify_mod.SUITES[args.suite]).parameters
+    options = {name: value for name, value in vars(args).items() if name in names}
+    if "seed" in names and os.environ.get("GGBM_DEFAULT_SEED"):
+        options.setdefault("seed", int(os.environ["GGBM_DEFAULT_SEED"]))
+    report = verify_mod.run_suite(args.suite, **options)
     _emit(args, report)
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
 
@@ -136,16 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized grey Brownian motion toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, paths_default=20_000):
-        p.add_argument("--beta", type=float, default=0.5)
-        p.add_argument("--alpha", type=float, default=1.5)
-        p.add_argument("--dim", type=int, default=3)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=paths_default)
-        p.add_argument("--t-max", dest="t_max", type=float, default=50.0)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out", default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a scalar quantity")
     p_eval.add_argument("function",
@@ -177,13 +163,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
-    p_verify.add_argument("suite", choices=sorted(verify_mod.SUITES))
-    common(p_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    for name, suite in verify_mod.SUITES.items():
+        p_suite = suites.add_parser(name, description=suite.__doc__)
+        for param in inspect.signature(suite).parameters.values():
+            p_suite.add_argument("--" + param.name.replace("_", "-"), type=type(param.default),
+                                 default=argparse.SUPPRESS, help=f"default {param.default}")
+        p_suite.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_est = sub.add_parser("estimate-potential",
                            help="Monte Carlo perpetual-integral estimate")
-    common(p_est, paths_default=100_000)
+    p_est.add_argument("--beta", type=float, default=0.5)
+    p_est.add_argument("--alpha", type=float, default=1.5)
+    p_est.add_argument("--dim", type=int, default=3)
+    p_est.add_argument("--seed", type=int, default=None)
+    p_est.add_argument("--paths", type=int, default=100_000)
+    p_est.add_argument("--t-max", dest="t_max", type=float, default=50.0)
+    p_est.add_argument("--threads", type=int, default=1)
+    p_est.add_argument("--out", default=None)
     p_est.add_argument("--sigma", type=float, default=1.0)
     p_est.add_argument("--x", default="")
     p_est.set_defaults(func=cmd_estimate_potential)

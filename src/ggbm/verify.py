@@ -3,7 +3,8 @@
 Each check is a dict {name, anchor, expected, observed, tolerance, pass}
 so reports serialize directly to JSON.  Anchors name the mathematical
 identity being exercised.  The perpetual-integral checks of suite_green
-also report their budget over V and the share of each term in it.
+also report their budget over V and the share of each term in it.  A suite's
+signature is the one statement of its options and defaults; `ggbm verify` reads it.
 
 The law suites draw their paths from `process.ggbm_paths` on `_GRID`,
 which holds every time they check, and compare them with the analytic law.
@@ -70,7 +71,7 @@ def _at(paths: np.ndarray, t: float) -> np.ndarray:
     return paths[:, int(round(t / _GRID.dt))]
 
 
-def suite_specfun(**_):
+def suite_specfun():
     checks = []
     for beta in (0.3, 0.5, 0.7):
         for delta in (-0.6, 0.5, 1.0, 2.0):
@@ -88,17 +89,17 @@ def suite_specfun(**_):
             f"monotone-decreasing beta={beta}", "complete-monotonicity",
             1.0, 1.0 if all(a < b for a, b in zip(vals, vals[1:])) else 0.0,
             0.0))
-    # D = C * moment(-1/alpha) consistency
+    # D against C times the quadrature of moment(-1/alpha), its second route
     for beta, alpha, dim in ((0.5, 1.5, 3), (0.8, 1.2, 2), (0.9, 2.0, 2)):
         d_val = green_constant(beta, alpha, dim)
-        prod = time_kernel_constant(alpha, dim) * m_wright_moment(beta, -1.0 / alpha)
+        prod = time_kernel_constant(alpha, dim) * moment_quadrature(beta, -1.0 / alpha)
         checks.append(_check(
             f"constant-consistency beta={beta} alpha={alpha} d={dim}",
             "potential-constant-factorization", d_val, prod, 1e-14 * d_val))
     return checks
 
 
-def suite_laplace(paths=1_000_000, seed=42, **_):
+def suite_laplace(paths=1_000_000, seed=42):
     """E_beta(-s) = E[exp(-s Y_beta)], where mittag_leffler sums the
     M-Wright rule: the rule and E_beta against closed forms that share
     nothing with it, E_1/2(-x) = erfcx(x), M_1/2(tau) = exp(-tau^2/4)/sqrt(pi)
@@ -128,8 +129,8 @@ def suite_laplace(paths=1_000_000, seed=42, **_):
     return checks
 
 
-def suite_moments(beta=0.5, alpha=1.5, paths=100_000, seed=42, **_):
-    params = ModelParams(beta, alpha, 1)
+def suite_moments(beta=0.5, alpha=1.5, dim=1, paths=100_000, seed=42):
+    params = ModelParams(beta, alpha, dim)
     b = ggbm_paths(params, _GRID, paths, SeedSpec(seed, 900))
     checks = []
     for t in (0.5, 1.0, 2.0):
@@ -145,7 +146,7 @@ def suite_moments(beta=0.5, alpha=1.5, paths=100_000, seed=42, **_):
     return checks
 
 
-def suite_covariance(beta=0.5, alpha=1.5, dim=2, paths=100_000, seed=42, **_):
+def suite_covariance(beta=0.5, alpha=1.5, dim=2, paths=100_000, seed=42):
     """E[B(s) . B(t)] = d E[Y] K_st within 3 exact standard errors.  With
     B = sqrt(Y) B_H and K fBm's covariance, X = Y sum_i B_Hi(s) B_Hi(t) has
     Var X = E[Y^2] (d K_ss K_tt + d (d + 1) K_st^2) - (d E[Y] K_st)^2,
@@ -166,7 +167,7 @@ def suite_covariance(beta=0.5, alpha=1.5, dim=2, paths=100_000, seed=42, **_):
     return checks
 
 
-def suite_charfun(beta=0.5, alpha=1.5, dim=1, paths=100_000, seed=42, **_):
+def suite_charfun(beta=0.5, alpha=1.5, dim=1, paths=100_000, seed=42):
     params = ModelParams(beta, alpha, dim)
     b = ggbm_paths(params, _GRID, paths, SeedSpec(seed, 902))
     checks = []
@@ -198,7 +199,7 @@ def _marginal_cdf(beta: float, hurst: float, t: float, y) -> np.ndarray:
     return np.concatenate([ndtr(b[:, None] * inv_sd) @ wm for b in blocks])
 
 
-def suite_representation(beta=0.5, alpha=1.5, dim=1, paths=10_000, seed=42, **_):
+def suite_representation(beta=0.5, alpha=1.5, dim=1, paths=10_000, seed=42):
     """One-sample KS against the analytic marginal and two-sample KS between
     independent batches, at t = 0.5 and 1; each accepts at 0.01."""
     # imported here, so that starting the CLI does not load scipy.stats
@@ -259,7 +260,7 @@ def _potential_checks(tag, params, f, spec, threads):
 
 
 def suite_green(beta=0.5, alpha=1.5, dim=3, paths=100_000, seed=42,
-                t_max=50.0, threads=1, **_):
+                t_max=50.0, threads=1):
     """The potential identity, the exact SE and the prefactor for a unit
     Gaussian centred at x = 0 and for one centred at 1.5 e_1, on the same
     paths, then the Brownian constant."""
@@ -288,10 +289,9 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> dict:
-    if name not in SUITES:
-        raise KeyError(name)
+    suite = SUITES[name]
     if kwargs.get("paths", 2) < 2:
         raise DomainError(f"a suite needs at least 2 paths, got {kwargs['paths']}")
-    checks = SUITES[name](**kwargs)
+    checks = suite(**kwargs)
     return {"suite": name, "checks": checks,
             "pass": all(c["pass"] for c in checks)}

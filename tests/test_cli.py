@@ -1,5 +1,8 @@
 """Command-line interface tests: exit codes, formats, reproducibility."""
 
+import argparse
+import functools
+import inspect
 import json
 import math
 import subprocess
@@ -9,7 +12,8 @@ import numpy as np
 import pytest
 
 import ggbm.cli
-from ggbm.cli import main
+from ggbm import verify
+from ggbm.cli import build_parser, main
 from ggbm.randvar import SeedSpec, make_stream, sample_y_beta_array
 
 CLI = [sys.executable, "-m", "ggbm.cli"]
@@ -250,6 +254,60 @@ def test_verify_representation_beta_one_passes(tmp_path):
 def test_verify_unknown_suite_usage_error():
     result = run_cli(["verify", "nonsense"])
     assert result.returncode == 2
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_options_are_the_suite_signature(suite):
+    """`verify <suite>` offers the suite's parameters and --out, nothing else."""
+    parsers = _subparsers(_subparsers(build_parser())["verify"])
+    assert list(parsers) == list(verify.SUITES)
+    options = {o for a in parsers[suite]._actions for o in a.option_strings}
+    names = inspect.signature(verify.SUITES[suite]).parameters
+    assert options - {"-h", "--help"} == {"--" + n.replace("_", "-") for n in names} | {"--out"}
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_passes_only_the_options_given(suite, monkeypatch, tmp_path):
+    """With no options a suite runs at its own defaults; GGBM_DEFAULT_SEED
+    supplies only the seed, and only to a suite that takes one."""
+    calls = []
+
+    @functools.wraps(verify.SUITES[suite])
+    def recorder(**kwargs):
+        calls.append(kwargs)
+        return []
+
+    monkeypatch.setitem(verify.SUITES, suite, recorder)
+    monkeypatch.delenv("GGBM_DEFAULT_SEED", raising=False)
+    out = str(tmp_path / "report.json")
+    assert main(["verify", suite, "--out", out]) == 0
+    monkeypatch.setenv("GGBM_DEFAULT_SEED", "7")
+    assert main(["verify", suite, "--out", out]) == 0
+    takes_seed = "seed" in inspect.signature(recorder).parameters
+    assert calls == [{}, {"seed": 7} if takes_seed else {}]
+
+
+def test_verify_report_equals_run_suite(tmp_path):
+    """The CLI's report is run_suite's at the suite's own defaults."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "charfun", "--paths", "2000", "--out", str(out)]) == 0
+    expected = json.dumps(verify.run_suite("charfun", paths=2000), indent=2) + "\n"
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("args", [["specfun", "--paths", "5"], ["laplace", "--dim", "2"],
+                                  ["charfun", "--threads", "2"]])
+def test_verify_option_the_suite_does_not_read_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"] + args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: " + " ".join(args[1:]) in captured.err
 
 
 @pytest.mark.parametrize("command", [["verify", "green"],

@@ -10,7 +10,7 @@ from scipy.special import airy, erfcx, gammaln
 
 from ggbm import DomainError, ModelParams, gamma, green_constant, m_wright, \
     m_wright_moment, mittag_leffler, time_kernel_constant
-from ggbm import specfun
+from ggbm import specfun, verify
 from ggbm.exceptions import ConvergenceError, PoleError
 from ggbm.specfun import m_wright_cutoff, m_wright_quad_rule
 from ggbm.verify import moment_quadrature
@@ -826,6 +826,20 @@ def test_green_constant_reference_value():
     expected = c * math.gamma(1.0 - 1.0 / 1.5) / math.gamma(1.0 - 0.5 / 1.5)
     assert green_constant(0.5, 1.5, 2) == pytest.approx(expected, rel=1e-14)
     assert green_constant(0.5, 1.5, 2) == pytest.approx(0.7085, abs=5e-5)
+
+
+def test_verify_constant_checks_see_a_wrong_gamma_ratio(monkeypatch):
+    """verify specfun reaches D's moment E[Y^(-1/alpha)] a second way, by
+    quadrature of M_beta, so a Gamma ratio 1e-10 off fails all three of its
+    constant checks, where reading the ratio on both sides could not fail."""
+    def off(beta, delta):
+        return math.gamma(delta + 1.0) / math.gamma(beta * delta + 1.0) * (1.0 + 1e-10)
+
+    monkeypatch.setattr(specfun, "m_wright_moment", off)
+    monkeypatch.setattr(verify, "m_wright_moment", off)
+    checks = [c for c in verify.run_suite("specfun")["checks"]
+              if c["anchor"] == "potential-constant-factorization"]
+    assert len(checks) == 3 and not any(c["pass"] for c in checks)
 
 
 def test_green_constant_domain_errors():
