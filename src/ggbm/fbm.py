@@ -26,6 +26,7 @@ import numpy as np
 
 from . import blas
 from .exceptions import DomainError, EmbeddingError
+from .model import integer_count
 from .randvar import SeedSpec, make_stream, standard_normals
 
 __all__ = [
@@ -49,8 +50,7 @@ class GridSpec:
     def __post_init__(self):
         if not 0.0 < self.t_max < math.inf:
             raise DomainError(f"t_max must be positive and finite, got {self.t_max:g}")
-        if self.n_steps < 1:
-            raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", integer_count("n_steps", self.n_steps, 1))
 
     @property
     def dt(self) -> float:

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exceptions import DomainError
+
+
+def integer_count(name: str, value, least: int) -> int:
+    """value as an int, an integral float taken as its int, when it is an
+    integer >= least; otherwise a DomainError naming the count.  The one
+    rule for dim, n_steps, n_paths and the n of a sample."""
+    if not (value >= least and value < math.inf and int(value) == value):
+        raise DomainError(f"requires integer {name} >= {least}, got {name} = {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -28,9 +38,7 @@ class ModelParams:
             raise DomainError(f"requires 0 < beta <= 1, got beta = {self.beta:g}")
         if not 0.0 < self.alpha <= 2.0:
             raise DomainError(f"requires 0 < alpha <= 2, got alpha = {self.alpha:g}")
-        if self.dim < 1 or int(self.dim) != self.dim:
-            raise DomainError(f"requires integer dim >= 1, got dim = {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", integer_count("dim", self.dim, 1))
 
     @property
     def hurst(self) -> float:

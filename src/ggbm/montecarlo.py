@@ -60,7 +60,7 @@ from scipy.special import beta as beta_function, betainc
 from .exceptions import DomainError
 from .fbm import fbm_covariance, sample_fbm_batch
 from .green import TestFunction, _distance, as_point, kummer
-from .model import ModelParams
+from .model import ModelParams, integer_count
 # not called here, but perfbench/spans.py patches both names on this module
 from .randvar import SeedSpec, make_stream, sample_y_beta_array
 from .specfun import _geomspace, m_wright_moment, m_wright_quad_rule
@@ -136,8 +136,7 @@ class PerpetualSpec:
     def __post_init__(self):
         if not _T_MIN < self.t_max < math.inf:
             raise DomainError(f"t_max must be finite and exceed {_T_MIN:g}, got {self.t_max:g}")
-        if self.n_paths < 1:
-            raise DomainError("n_paths must be >= 1")
+        object.__setattr__(self, "n_paths", integer_count("n_paths", self.n_paths, 1))
 
 
 @dataclass(frozen=True)

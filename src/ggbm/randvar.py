@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
+from .model import integer_count
 from .specfun import check_beta, kanter_a
 
 __all__ = ["SeedSpec", "make_stream", "sample_one_sided_stable", "sample_y_beta_array",
@@ -134,11 +135,11 @@ def sample_y_beta_array(beta: float, rng: np.random.Generator, n: int) -> np.nda
 
     For beta = 1 the law is the point mass at 1.  The random stream is
     advanced by the same amount (2n variates) in both branches so that
-    downstream draws do not depend on beta.  n < 0 raises DomainError.
+    downstream draws do not depend on beta.  An n that is not an integer
+    >= 0 raises DomainError; an integral float is taken as its int.
     """
     check_beta("sample_y_beta_array", beta)
-    if n < 0:
-        raise DomainError(f"sample_y_beta_array requires n >= 0, got n = {n}")
+    n = integer_count("n", n, 0)
     u = rng.random(n)
     w = rng.standard_exponential(n)
     if beta == 1.0:

@@ -92,8 +92,20 @@ def test_eval_density_and_charfun(capsys):
 @pytest.mark.parametrize("args", [["charfun", "--k", "1e200"], ["density", "--point", "1e200"]])
 def test_eval_overflowing_form_prints_zero(args, capsys):
     """A k or a point whose quadratic form overflows gives the limit 0."""
-    assert main(["eval", "--dim", "1"] + args) == 0
+    assert main(["eval"] + args + ["--dim", "1"]) == 0
     assert float(capsys.readouterr().out) == 0.0
+
+
+def test_eval_out_writes_the_text_value(tmp_path, capsys):
+    """--out takes the text value that stdout shows without it, where eval
+    wrote to --out only under --format json."""
+    args = ["eval", "ml", "--beta", "0.5", "--z", "-1"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "ml.txt"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed == "0.427583576155807\n"
 
 
 def test_eval_domain_error_exit_code(capsys):
@@ -308,6 +320,73 @@ def test_verify_option_the_suite_does_not_read_usage_error(args, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: " + " ".join(args[1:]) in captured.err
+
+
+_LEAVES = ([("eval", name) for name in ggbm.cli.EVAL]
+           + [("sample", name) for name in ggbm.cli.SAMPLE]
+           + [("estimate-potential", None)])
+
+
+def _leaf_parser(command, name):
+    parser = _subparsers(build_parser())[command]
+    return parser if name is None else _subparsers(parser)[name]
+
+
+@pytest.mark.parametrize("command, name", _LEAVES)
+def test_leaf_options_are_its_signature(command, name):
+    """Each eval function, sample kind and estimate-potential offers its
+    function's parameters and --out (and --format on eval), nothing else."""
+    parser = _leaf_parser(command, name)
+    leaf = parser.get_default("leaf")
+    if name is None:
+        assert leaf is ggbm.cli.estimate_potential
+    else:
+        assert leaf is {"eval": ggbm.cli.EVAL, "sample": ggbm.cli.SAMPLE}[command][name]
+    options = {o for a in parser._actions for o in a.option_strings}
+    names = inspect.signature(leaf).parameters
+    expected = {"-n" if n == "n" else "--" + n.replace("_", "-") for n in names} | {"--out"}
+    assert options - {"-h", "--help"} == expected | ({"--format"} if command == "eval" else set())
+
+
+@pytest.mark.parametrize("command, name", _LEAVES)
+def test_leaf_passes_only_the_options_given(command, name, monkeypatch, tmp_path):
+    """With no options a leaf runs at its own defaults; GGBM_DEFAULT_SEED
+    supplies only the seed, and only to a leaf that takes one."""
+    leaf = _leaf_parser(command, name).get_default("leaf")
+    calls = []
+    result = {"eval": 0.0, "sample": np.zeros((1, 1))}.get(command, {})
+
+    @functools.wraps(leaf)
+    def recorder(**kwargs):
+        calls.append(kwargs)
+        return result
+
+    if name is None:
+        monkeypatch.setattr(ggbm.cli, "estimate_potential", recorder)
+    else:
+        monkeypatch.setitem({"eval": ggbm.cli.EVAL, "sample": ggbm.cli.SAMPLE}[command],
+                            name, recorder)
+    monkeypatch.delenv("GGBM_DEFAULT_SEED", raising=False)
+    argv = [command] + ([name] if name else []) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    monkeypatch.setenv("GGBM_DEFAULT_SEED", "7")
+    assert main(argv) == 0
+    takes_seed = "seed" in inspect.signature(recorder).parameters
+    assert takes_seed == (command != "eval")
+    assert calls == [{}, {"seed": 7} if takes_seed else {}]
+
+
+@pytest.mark.parametrize("args", [["sample", "ggbm", "--hurst", "0.7"],
+                                  ["sample", "fbm", "--beta", "0.2", "--alpha", "0.4"],
+                                  ["eval", "ml", "--tau", "9", "--alpha", "1.9"]])
+def test_option_the_leaf_does_not_read_usage_error(args, capsys):
+    """sample ggbm's H is alpha/2, fbm has no Y and E_beta no tau or alpha:
+    each such option is refused, where it was accepted and ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: " + " ".join(args[2:]) in captured.err
 
 
 @pytest.mark.parametrize("command", [["verify", "green"],

@@ -22,6 +22,16 @@ def test_grid_spec():
     assert len(times) == 9
 
 
+def test_grid_spec_step_count_is_an_integer():
+    """n_steps = 2.5 is a DomainError naming n_steps, where times() raised a
+    TypeError; an integral float is taken as its int."""
+    with pytest.raises(DomainError, match="integer n_steps >= 1, got n_steps = 2.5"):
+        GridSpec(1.0, 2.5)
+    grid = GridSpec(1.0, 8.0)
+    assert grid == GridSpec(1.0, 8) and type(grid.n_steps) is int
+    assert grid.times().tobytes() == GridSpec(1.0, 8).times().tobytes()
+
+
 def test_grid_spec_validation():
     with pytest.raises(DomainError):
         GridSpec(t_max=0.0, n_steps=8)

@@ -66,6 +66,19 @@ def test_perpetual_spec_validation():
             PerpetualSpec(t_max=t_max, n_paths=10, seed=SeedSpec(0, 0))
 
 
+def test_perpetual_spec_path_count_is_an_integer():
+    """n_paths = 2.5 is a DomainError naming n_paths, where the estimate
+    raised a TypeError, as it did at 3000.0; an integral float is taken as
+    its int and gives the same estimate."""
+    with pytest.raises(DomainError, match="integer n_paths >= 1, got n_paths = 2.5"):
+        PerpetualSpec(t_max=50.0, n_paths=2.5, seed=SeedSpec(0, 0))
+    params = ModelParams(0.5, 1.5, 3)
+    f = gaussian_test_function(1.0, 3)
+    est = estimate_potential_mc(params, f, np.zeros(3), PerpetualSpec(50.0, 3000.0, SeedSpec(1, 0)))
+    assert type(est.n_paths) is int
+    assert est == estimate_potential_mc(params, f, np.zeros(3), PerpetualSpec(50.0, 3000, SeedSpec(1, 0)))
+
+
 @pytest.mark.parametrize("t_max", [1e300, 1e308])
 def test_huge_t_max_is_domain_error(t_max):
     """t_max^alpha or the clock's span t_max / _T_MIN overflows: a

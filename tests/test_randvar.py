@@ -223,6 +223,15 @@ def test_y_beta_negative_count_is_domain_error():
     assert sample_y_beta_array(0.5, rng, 0).shape == (0,)
 
 
+def test_y_beta_count_is_an_integer():
+    """n = 2.5 is a DomainError naming n, where numpy raised a TypeError;
+    an integral float is taken as its int and draws the same bytes."""
+    with pytest.raises(DomainError, match="integer n >= 0, got n = 2.5"):
+        sample_y_beta_array(0.5, make_stream(SeedSpec(0, 0)), 2.5)
+    ys = sample_y_beta_array(0.5, make_stream(SeedSpec(3, 0)), 20.0)
+    assert ys.tobytes() == sample_y_beta_array(0.5, make_stream(SeedSpec(3, 0)), 20).tobytes()
+
+
 def test_stable_negative_size_is_domain_error():
     """A negative entry of size names the size, where numpy said "negative
     dimensions are not allowed", and draws nothing from the stream; a zero
